@@ -53,6 +53,8 @@ from .dynamics import (
     save_trajectory,
     simulate,
     simulate_ensemble,
+    simulate_lanes,
+    spawn_seeds,
 )
 from .forces import (
     ForceGrid,

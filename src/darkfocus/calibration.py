@@ -8,15 +8,14 @@ likelihoods is maximum-likelihood estimation over the sweep family.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 from scipy.constants import k as BOLTZMANN
 
 from .beam import BeamParams
-from .dynamics import SimConfig, Trajectory, pooled_positions, simulate
+from .dynamics import SimConfig, Trajectory, pooled_positions, simulate_lanes, spawn_seeds
 from .forces import ParticleMedium, QuarticCoefficients, quartic_coefficients
 from .spectral import FitError, estimate_psd, fit_lorentzian
 
@@ -144,13 +143,28 @@ def _ks_statistic_estimated(x):
 
 
 def _ks_null_table(n, n_null, seed):
+    """Sorted KS statistics of n_null standard-normal samples of size n, each
+    against a Gaussian with its own mean and standard deviation.
+
+    Rows are drawn in blocks of about 16 MB, which continues the stream of
+    one standard_normal(n) draw per row.
+    """
     key = (n, n_null, seed)
     table = _KS_NULL_CACHE.get(key)
     if table is None:
         rng = np.random.default_rng(seed)
-        table = np.sort([
-            _ks_statistic_estimated(rng.standard_normal(n)) for _ in range(n_null)
-        ])
+        rows_per_block = max(1, (2 << 20) // n)
+        upper = np.arange(1.0, n + 1) / n
+        lower = np.arange(0.0, n) / n
+        parts = []
+        for start in range(0, n_null, rows_per_block):
+            x = rng.standard_normal((min(rows_per_block, n_null - start), n))
+            mu = np.mean(x, axis=1, keepdims=True)
+            sigma = np.std(x, axis=1, ddof=1, keepdims=True)
+            x.sort(axis=1)
+            cdf = special.ndtr((x - mu) / sigma)
+            parts.append(np.maximum((upper - cdf).max(axis=1), (cdf - lower).max(axis=1)))
+        table = np.sort(np.concatenate(parts))
         _KS_NULL_CACHE[key] = table
     return table
 
@@ -388,49 +402,6 @@ def _target_marginals(target, pseudocount=0.0):
     )
 
 
-def _sweep_one_na(args):
-    (na, beam_template, particle, dt, n_steps, n_reps, seed, burn_in,
-     target_edges_x, target_edges_y, boundary, domain_bound, q_pseudocount,
-     psd_nperseg) = args
-    beam = beam_template.with_na(na)
-    coeffs = quartic_coefficients(beam, particle)
-    cfg = SimConfig(
-        particle=particle, dt=dt, n_steps=n_steps, force_model="quartic",
-        coefficients=coeffs, seed=seed, boundary=boundary,
-        domain_bound=domain_bound,
-    )
-    seeds = np.random.SeedSequence(seed).generate_state(n_reps)
-    runs = [simulate(cfg.with_seed(int(s))) for s in seeds]
-    survivors = [t for t in runs if t.escape is None]
-    if not survivors:
-        return dict(na=na, valid=False, kl=math.inf, fc=math.nan, fc_err=math.nan)
-
-    pooled = pooled_positions(survivors, burn_in=burn_in)
-    kls = []
-    for axis, edges in ((0, target_edges_x), (1, target_edges_y)):
-        counts, _ = np.histogram(pooled[:, axis], bins=edges)
-        counts = counts.astype(float)
-        counts[counts == 0.0] = q_pseudocount
-        q = EmpiricalPdf(
-            bin_edges=edges,
-            density=counts / float(np.sum(counts * np.diff(edges))),
-            n_samples=len(pooled),
-            pseudocount=q_pseudocount,
-        )
-        kls.append(q)
-
-    fcs = []
-    for t in survivors:
-        try:
-            sub = Trajectory(dt=t.dt, positions=t.positions[burn_in:], seed=t.seed)
-            fcs.append(fit_lorentzian(estimate_psd(sub, axis="x", nperseg=psd_nperseg)).f_c)
-        except (FitError, ValueError):
-            continue
-    fc = float(np.mean(fcs)) if len(fcs) >= 3 else math.nan
-    fc_err = float(np.std(fcs, ddof=1)) if len(fcs) >= 3 else math.nan
-    return dict(na=na, valid=True, q_x=kls[0], q_y=kls[1], fc=fc, fc_err=fc_err)
-
-
 def estimate_na(
     target,
     na_values,
@@ -446,7 +417,6 @@ def estimate_na(
     domain_bound: float | None = None,
     q_pseudocount: float = 0.5,
     psd_nperseg: int | None = None,
-    n_jobs: int = 1,
     common_random_numbers: bool = True,
 ) -> NaSweepResult:
     """Locate the trap NA by sweeping simulations against a target ensemble.
@@ -463,39 +433,50 @@ def estimate_na(
     With common_random_numbers (default) every NA reuses the same noise
     paths, so sampling noise largely cancels out of the NA-to-NA
     comparison and the divergence minimum is far more stable for a given
-    simulation budget.  Each simulation still owns an independent
-    generator instance, so the sweep parallelizes safely.
+    simulation budget.  The whole sweep (NA x repetitions) is integrated as
+    one batch of lanes, each with its own generator stream.
     """
     na_values = np.asarray(na_values, dtype=float)
     p_x, p_y = _target_marginals(target)
     if common_random_numbers:
-        per_na_seeds = np.full(len(na_values), seed, dtype=np.uint64)
+        per_na_seeds = [seed] * len(na_values)
     else:
-        per_na_seeds = np.random.SeedSequence(seed).generate_state(len(na_values))
-    jobs = [
-        (
-            float(na), beam_template, particle, dt, n_steps, n_reps,
-            int(per_na_seeds[i]), burn_in, p_x.bin_edges, p_y.bin_edges,
-            boundary, domain_bound, q_pseudocount, psd_nperseg,
+        per_na_seeds = spawn_seeds(seed, len(na_values))
+    cfgs = []
+    for na, na_seed in zip(na_values.tolist(), per_na_seeds):
+        cfg = SimConfig(
+            particle=particle, dt=dt, n_steps=n_steps, force_model="quartic",
+            coefficients=quartic_coefficients(beam_template.with_na(na), particle),
+            seed=na_seed, boundary=boundary, domain_bound=domain_bound,
         )
-        for i, na in enumerate(na_values)
-    ]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            raw = list(pool.map(_sweep_one_na, jobs))
-    else:
-        raw = [_sweep_one_na(j) for j in jobs]
+        cfgs.extend(cfg.with_seed(s) for s in spawn_seeds(na_seed, n_reps))
+    runs = simulate_lanes(cfgs)
 
     kl = np.full(len(na_values), math.inf)
     fc = np.full(len(na_values), math.nan)
     fc_err = np.full(len(na_values), math.nan)
     valid = np.zeros(len(na_values), dtype=bool)
-    for i, r in enumerate(raw):
-        valid[i] = r["valid"]
-        fc[i] = r["fc"]
-        fc_err[i] = r["fc_err"]
-        if r["valid"]:
-            kl[i] = 0.5 * (kl_divergence(p_x, r["q_x"]) + kl_divergence(p_y, r["q_y"]))
+    for i in range(len(na_values)):
+        survivors = [t for t in runs[i * n_reps:(i + 1) * n_reps] if t.escape is None]
+        if not survivors:
+            continue
+        valid[i] = True
+        pooled = pooled_positions(survivors, burn_in=burn_in)
+        q_x, q_y = (
+            histogram_pdf(pooled[:, axis], bins=p.bin_edges, pseudocount=q_pseudocount)
+            for axis, p in ((0, p_x), (1, p_y))
+        )
+        kl[i] = 0.5 * (kl_divergence(p_x, q_x) + kl_divergence(p_y, q_y))
+        fcs = []
+        for t in survivors:
+            try:
+                sub = Trajectory(dt=t.dt, positions=t.positions[burn_in:], seed=t.seed)
+                fcs.append(fit_lorentzian(estimate_psd(sub, axis="x", nperseg=psd_nperseg)).f_c)
+            except (FitError, ValueError):
+                continue
+        if len(fcs) >= 3:
+            fc[i] = np.mean(fcs)
+            fc_err[i] = np.std(fcs, ddof=1)
 
     if not np.any(valid):
         raise RuntimeError("every NA in the sweep escaped; no estimate possible")

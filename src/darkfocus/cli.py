@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -46,8 +45,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PHYSICS = 4
-
-WORKERS_ENV = "DARKFOCUS_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -304,10 +301,19 @@ def cmd_sweep_na(cfg, out: Path) -> int:
     s = cfg["sweep"]
     if s["target"] is None:
         raise ConfigError("sweep.target must point at a trajectory file")
-    target = load_trajectory(s["target"], meters_per_pixel=cfg["analysis"]["meters_per_pixel"])
+    if not s["na_step"] > 0:
+        raise ConfigError(f"sweep.na_step must be positive, got {s['na_step']!r}")
+    if not s["na_stop"] >= s["na_start"]:
+        raise ConfigError(
+            f"sweep.na_stop {s['na_stop']!r} lies below sweep.na_start {s['na_start']!r}"
+        )
+    try:
+        target = load_trajectory(s["target"],
+                                 meters_per_pixel=cfg["analysis"]["meters_per_pixel"])
+    except OSError as exc:
+        raise ConfigError(f"cannot read sweep.target: {exc}") from exc
     n = int(round((s["na_stop"] - s["na_start"]) / s["na_step"])) + 1
     na_values = s["na_start"] + s["na_step"] * np.arange(n)
-    n_jobs = int(os.environ.get(WORKERS_ENV, "1"))
     result = estimate_na(
         target,
         na_values,
@@ -321,7 +327,6 @@ def cmd_sweep_na(cfg, out: Path) -> int:
         burn_in=int(s["burn_in"]),
         boundary=s["boundary"],
         domain_bound=s["domain_bound"],
-        n_jobs=max(n_jobs, 1),
     )
     result.save(out / "na_sweep.txt")
     print(f"sweep-na: argmin KL at NA = {result.argmin_na:.3f}", flush=True)

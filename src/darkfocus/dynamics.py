@@ -28,12 +28,20 @@ __all__ = [
     "SimulationUnstableError",
     "simulate",
     "simulate_ensemble",
+    "simulate_lanes",
+    "spawn_seeds",
     "equilibrium_pdf",
     "save_trajectory",
     "load_trajectory",
 ]
 
 _NOISE_CHUNK = 65536
+# simulate_lanes steps ensembles of at least this many lanes in lockstep; below
+# it the fixed cost of one numpy call per operation and step outweighs the
+# saving over the scalar loop
+LOCKSTEP_MIN_LANES = 16
+# steps per noise draw and per position buffer in the lockstep loop
+_LANE_BLOCK = 1024
 
 
 class SimulationUnstableError(RuntimeError):
@@ -169,8 +177,9 @@ class Trajectory:
         return self.positions[:, "xyz".index(name)]
 
 
-def _quartic_scalar_force(qc: QuarticCoefficients):
-    k_z, k_rz, k_r = qc.k_z, qc.k_rho_z, qc.k_rho
+def _quartic_force(k_z, k_rz, k_r):
+    """Quartic force with the integrator's operation order; the coefficients
+    and coordinates are floats, or (R,) arrays for lanes stepped together."""
 
     def force(x, y, z):
         rho2 = x * x + y * y
@@ -236,9 +245,7 @@ def _dipole_scalar_force(beam: BeamParams, pm: ParticleMedium, include_scatterin
     return force
 
 
-def _harmonic_scalar_force(stiffness):
-    k_x, k_y, k_z = stiffness
-
+def _harmonic_force(k_x, k_y, k_z):
     def force(x, y, z):
         return -k_x * x, -k_y * y, -k_z * z
 
@@ -256,6 +263,32 @@ def stiffness_scale(cfg: SimConfig) -> float:
     return max(qc.k_z, 3.0 * qc.k_rho * rho_th2, 2.0 * qc.k_rho_z * (rho_th2 + z_th2))
 
 
+def _integration_constants(cfg: SimConfig):
+    """(domain bound, mobility dt/gamma, noise scale) of one run; warns when dt
+    exceeds the stability bound 0.1 gamma/k_max."""
+    gamma = cfg.particle.drag
+    k_max = stiffness_scale(cfg)
+    if k_max > 0 and cfg.dt > 0.1 * gamma / k_max:
+        warnings.warn(
+            f"dt={cfg.dt:g} exceeds the stability bound 0.1 gamma/k_max="
+            f"{0.1 * gamma / k_max:g}; results may be inaccurate",
+            stacklevel=3,
+        )
+    bound = cfg.domain_bound if cfg.domain_bound is not None else cfg.default_domain_bound()
+    kbt = BOLTZMANN * cfg.particle.temperature
+    return bound, cfg.dt / gamma, math.sqrt(2.0 * kbt * cfg.dt / gamma)
+
+
+def _force_coefficients(cfg: SimConfig) -> tuple:
+    if cfg.force_model == "quartic":
+        qc = cfg.effective_coefficients()
+        return qc.k_z, qc.k_rho_z, qc.k_rho
+    return cfg.stiffness_triple()
+
+
+_LANE_FORCES = {"quartic": _quartic_force, "harmonic": _harmonic_force}
+
+
 def simulate(cfg: SimConfig) -> Trajectory:
     """Integrate one trajectory; deterministic for a given config and seed.
 
@@ -267,27 +300,12 @@ def simulate(cfg: SimConfig) -> Trajectory:
     force model restricted to the domain.  Use it when the local quartic
     expansion alone would not confine the particle.
     """
-    gamma = cfg.particle.drag
-    k_max = stiffness_scale(cfg)
-    if k_max > 0 and cfg.dt > 0.1 * gamma / k_max:
-        warnings.warn(
-            f"dt={cfg.dt:g} exceeds the stability bound 0.1 gamma/k_max="
-            f"{0.1 * gamma / k_max:g}; results may be inaccurate",
-            stacklevel=2,
-        )
-
-    if cfg.force_model == "quartic":
-        force = _quartic_scalar_force(cfg.effective_coefficients())
-    elif cfg.force_model == "harmonic":
-        force = _harmonic_scalar_force(cfg.stiffness_triple())
-    else:
+    bound, mob, noise_scale = _integration_constants(cfg)
+    if cfg.force_model == "dipole":
         force = _dipole_scalar_force(cfg.beam, cfg.particle, cfg.include_scattering)
-
-    bound = cfg.domain_bound if cfg.domain_bound is not None else cfg.default_domain_bound()
+    else:
+        force = _LANE_FORCES[cfg.force_model](*_force_coefficients(cfg))
     bound2 = bound * bound
-    kbt = BOLTZMANN * cfg.particle.temperature
-    noise_scale = math.sqrt(2.0 * kbt * cfg.dt / gamma)
-    mob = cfg.dt / gamma
 
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_steps
@@ -303,11 +321,12 @@ def simulate(cfg: SimConfig) -> Trajectory:
         chunk = min(_NOISE_CHUNK, n - done)
         noise = rng.standard_normal((chunk, 3))
         noise *= noise_scale
-        for i in range(chunk):
+        # plain floats keep the loop's arithmetic off numpy scalars
+        for nx, ny, nz in noise.tolist():
             fx, fy, fz = force(x, y, z)
-            dx = fx * mob + noise[i, 0]
-            dy = fy * mob + noise[i, 1]
-            dz = fz * mob + noise[i, 2]
+            dx = fx * mob + nx
+            dy = fy * mob + ny
+            dz = fz * mob + nz
             if dx * dx + dy * dy + dz * dz > bound2:
                 raise SimulationUnstableError(
                     f"step displacement exceeded the domain scale {bound:g} m "
@@ -341,10 +360,138 @@ def simulate(cfg: SimConfig) -> Trajectory:
     )
 
 
+def spawn_seeds(seed: int, n: int, offset: int = 0) -> list:
+    """n per-run seeds spawned deterministically from seed, after the first offset."""
+    state = np.random.SeedSequence(seed).generate_state(n + offset)
+    return [int(s) for s in state[offset:]]
+
+
+def simulate_lanes(cfgs) -> list:
+    """Integrate one trajectory per config; lane i equals simulate(cfgs[i]) bit
+    for bit.
+
+    LOCKSTEP_MIN_LANES or more quartic or harmonic lanes that share the force
+    model, boundary and step count are stepped together as arrays; any other
+    ensemble runs simulate per lane.  The dipole model always runs per lane,
+    because numpy's vectorized exp and cos need not round like libm.
+    """
+    cfgs = list(cfgs)
+    shared = {(c.force_model, c.boundary, c.n_steps) for c in cfgs}
+    if (len(cfgs) >= LOCKSTEP_MIN_LANES and len(shared) == 1
+            and cfgs[0].force_model in _LANE_FORCES):
+        return _simulate_lockstep(cfgs)
+    return [simulate(c) for c in cfgs]
+
+
+def _simulate_lockstep(cfgs) -> list:
+    """simulate for every config at once, one numpy call per operation and
+    step over the (R,) lanes still running.
+
+    Each distinct seed owns one generator whose (_LANE_BLOCK, 3) draws continue
+    the stream simulate draws in chunks, so lanes may share a seed.  Step
+    vectors and positions are buffered per block; the unstable-step check runs
+    on the buffer when it is written out, and an escaped lane is written out
+    and dropped from the arrays at its escape step.
+    """
+    n, n_lanes = cfgs[0].n_steps, len(cfgs)
+    make_force = _LANE_FORCES[cfgs[0].force_model]
+    reflect = cfgs[0].boundary == "reflect"
+    bound, mob, scale = (np.array(v) for v in zip(*map(_integration_constants, cfgs)))
+    coef = [np.array(v) for v in zip(*map(_force_coefficients, cfgs))]
+    generator_of = {}
+    gen_index = np.array([generator_of.setdefault(c.seed, len(generator_of)) for c in cfgs])
+    gens = [np.random.default_rng(seed) for seed in generator_of]
+
+    start = np.array([c.initial_position for c in cfgs], dtype=float)
+    # one array per lane, which can reuse freed heap blocks as one block could not
+    out = [np.empty((n + 1, 3)) for _ in cfgs]
+    for lane_out, position in zip(out, start):
+        lane_out[0] = position
+    x, y, z = start.T.copy()
+    lanes = np.arange(n_lanes)
+    lengths = [n + 1] * n_lanes
+    escapes = [None] * n_lanes
+    force = make_force(*coef)
+    bound2, twice_bound = bound * bound, 2.0 * bound
+
+    def write_out(lo, hi):
+        d = steps[:, lo:hi]
+        unstable = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] > bound2
+        if unstable.any():
+            k, j = np.argwhere(unstable)[0]
+            raise SimulationUnstableError(
+                f"step displacement exceeded the domain scale {bound[j]:g} m "
+                f"at step {done + lo + k + 1} of lane {lanes[j]}; reduce dt"
+            )
+        for j, lane in enumerate(lanes.tolist()):
+            out[lane][done + lo + 1:done + hi + 1] = states[:, lo:hi, j].T
+
+    done = 0
+    # past an unstable step the arithmetic may overflow before write_out raises
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while done < n and len(lanes):
+            block = min(_LANE_BLOCK, n - done)
+            draws = np.stack([g.standard_normal((block, 3)) for g in gens])
+            noise = draws.transpose(2, 1, 0)[:, :, gen_index] * scale
+            steps = np.empty((3, block, len(lanes)))
+            states = np.empty_like(steps)
+            lo = 0
+            for k in range(block):
+                fx, fy, fz = force(x, y, z)
+                dx = np.multiply(fx, mob, out=steps[0, k])
+                dy = np.multiply(fy, mob, out=steps[1, k])
+                dz = np.multiply(fz, mob, out=steps[2, k])
+                dx += noise[0, k]
+                dy += noise[1, k]
+                dz += noise[2, k]
+                x = np.add(x, dx, out=states[0, k])
+                y = np.add(y, dy, out=states[1, k])
+                z = np.add(z, dz, out=states[2, k])
+                r2 = x * x + y * y + z * z
+                over = r2 > bound2
+                if not over.any():
+                    continue
+                if reflect:
+                    # radial fold across the spherical wall
+                    r = np.sqrt(r2)
+                    f = np.where(over, (twice_bound - r) / r, 1.0)
+                    x *= f
+                    y *= f
+                    z *= f
+                    continue
+                write_out(lo, k + 1)
+                lo = k + 1
+                step = done + k + 1
+                for j in np.flatnonzero(over):
+                    lane = lanes[j]
+                    lengths[lane] = step + 1
+                    escapes[lane] = EscapeReport(
+                        position=(float(x[j]), float(y[j]), float(z[j])),
+                        time=step * cfgs[lane].dt, step=step,
+                    )
+                keep = ~over
+                lanes, x, y, z = lanes[keep], x[keep], y[keep], z[keep]
+                bound, mob, scale, bound2, twice_bound = (
+                    a[keep] for a in (bound, mob, scale, bound2, twice_bound))
+                coef = [a[keep] for a in coef]
+                force = make_force(*coef)
+                gen_index = gen_index[keep]
+                noise, steps, states = (a[:, :, keep] for a in (noise, steps, states))
+                if not len(lanes):
+                    break
+            write_out(lo, k + 1)
+            done += block
+
+    return [
+        Trajectory(dt=c.dt, positions=out[i][:lengths[i]], seed=c.seed,
+                   provenance="simulated", escape=escapes[i], config=c)
+        for i, c in enumerate(cfgs)
+    ]
+
+
 def simulate_ensemble(cfg: SimConfig, n_runs: int, seed_offset: int = 0):
     """Independent repetitions with per-run seeds spawned from cfg.seed."""
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(n_runs + seed_offset)
-    return [simulate(cfg.with_seed(int(s))) for s in seeds[seed_offset:]]
+    return simulate_lanes(cfg.with_seed(s) for s in spawn_seeds(cfg.seed, n_runs, seed_offset))
 
 
 def pooled_positions(trajectories, burn_in: int = 0, drop_last: int = 0):
@@ -433,12 +580,11 @@ def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:
     seed = None
     provenance = "ingested"
     file_scale = None
-    rows = []
+    first_row = None
+    n_header = 0
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 body = line.lstrip("#").strip()
                 for token in body.split():
@@ -450,13 +596,15 @@ def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:
                         file_scale = float(token[len("meters_per_pixel="):])
                     elif token.startswith("provenance="):
                         provenance = token[len("provenance="):]
-                continue
-            parts = line.replace(",", " ").split()
-            if parts[0] in ("t", "x"):
-                continue
-            rows.append([float(v) for v in parts])
-    data = np.array(rows)
-    if data.ndim != 2 or data.shape[1] < 4:
+            elif line and line.replace(",", " ").split()[0] not in ("t", "x"):
+                first_row = line
+                break
+            n_header += 1
+    if first_row is None:
+        raise ValueError(f"expected columns t x y z in {path}")
+    data = np.loadtxt(path, delimiter="," if "," in first_row else None,
+                      skiprows=n_header, ndmin=2)
+    if data.shape[1] < 4:
         raise ValueError(f"expected columns t x y z in {path}")
     if dt is None:
         steps = np.diff(data[:, 0])

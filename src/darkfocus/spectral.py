@@ -14,7 +14,7 @@ import numpy as np
 from scipy import signal
 from scipy.optimize import least_squares
 
-from .dynamics import SimConfig, Trajectory, simulate
+from .dynamics import SimConfig, Trajectory, simulate_lanes, spawn_seeds
 
 __all__ = [
     "PsdEstimate",
@@ -177,7 +177,14 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
     def residuals(theta):
         return theta[0] - np.log(np.exp(2.0 * theta[1]) + f**2) - log_s
 
-    res = least_squares(residuals, theta0, method="lm", max_nfev=2000)
+    def jacobian(theta):
+        fc2 = np.exp(2.0 * theta[1])
+        return np.column_stack([np.ones_like(f), -2.0 * fc2 / (fc2 + f**2)])
+
+    # an exact Jacobian and tolerances near machine precision: a finite-difference
+    # Jacobian or the default 1e-8 tolerances stop the fit short of the optimum
+    res = least_squares(residuals, theta0, jac=jacobian, method="lm",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000)
     if not res.success:
         raise FitError(f"Lorentzian fit did not converge: {res.message}")
 
@@ -228,14 +235,13 @@ def corner_frequency_of(
     dropped; fewer than `min_successes` survivors is an error.
     """
     if seeds is None:
-        seeds = [int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(repetitions)]
+        seeds = spawn_seeds(cfg.seed, repetitions)
     elif len(seeds) != repetitions:
         raise ValueError("need exactly one seed per repetition")
 
     values = []
     failed = 0
-    for s in seeds:
-        traj = simulate(cfg.with_seed(int(s)))
+    for traj in simulate_lanes(cfg.with_seed(int(s)) for s in seeds):
         if traj.escape is not None:
             failed += 1
             continue

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.constants import k as k_b
+from scipy import stats
 from scipy.stats import norm
 
 from darkfocus import (
@@ -21,7 +22,7 @@ from darkfocus import (
     reconstruct_potential,
     simulate,
 )
-from darkfocus.calibration import _fit_quartic_once
+from darkfocus.calibration import _fit_quartic_once, _ks_null_table
 
 
 def sample_quartic_marginal(n, rng):
@@ -167,6 +168,16 @@ class TestKsGaussianity:
         )
         assert 0.01 <= rejects / n_trials <= 0.10
 
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_null_table_matches_kstest(self, n):
+        # the batched table against one kstest per null sample, drawn in turn
+        rng = np.random.default_rng(31)
+        expected = np.sort([
+            stats.kstest(x, "norm", args=(np.mean(x), np.std(x, ddof=1))).statistic
+            for x in (rng.standard_normal(n) for _ in range(120))
+        ])
+        np.testing.assert_allclose(_ks_null_table(n, 120, 31), expected, rtol=0, atol=1e-14)
+
     def test_decorrelation_stride(self, particle):
         stride = decorrelation_stride(particle.drag, 1e-6, 1e-4)
         assert stride == math.ceil(3 * (particle.drag / 1e-6) / 1e-4)
@@ -311,6 +322,27 @@ class TestEstimateNa:
         assert np.all(result.valid)
         assert np.all(result.kl >= 0)
         assert result.fc_interval is None  # no target_fc supplied
+
+    def test_recorded_sweep(self, beam, particle):
+        # kl and argmin recorded from the per-NA scalar sweep; the sweep now
+        # runs as one batch of 20 lanes and must reproduce them exactly
+        import warnings
+
+        coeffs = quartic_coefficients(beam, particle)
+        target = simulate(SimConfig(particle=particle, dt=1e-5, n_steps=60_000,
+                                    coefficients=coeffs, seed=404))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = estimate_na(
+                target, [0.42, 0.44, 0.46, 0.48, 0.50],
+                particle=particle, beam_template=beam,
+                dt=1e-5, n_steps=20_000, n_reps=4, seed=11, burn_in=1000,
+            )
+        assert result.kl.tolist() == [
+            0.051324392758401546, 0.03434233365164582, 0.027752514564003246,
+            0.034538519572565526, 0.05444704937030535,
+        ]
+        assert result.argmin_na == 0.46
 
     def test_self_target_gives_zero_kl(self, beam, particle):
         # reproduce the sweep's internal ensemble for one NA and feed its own

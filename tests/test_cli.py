@@ -245,3 +245,18 @@ class TestSweepNaCommand:
 
     def test_missing_target_is_config_error(self, tmp_path):
         assert main(["sweep-na", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("sweep", [
+        {"na_step": 0.0},
+        {"na_start": 0.50, "na_stop": 0.44},
+        {"target": "no-such-trajectory.txt"},
+    ], ids=["zero_step", "stop_below_start", "missing_target_file"])
+    def test_bad_sweep_is_config_error(self, tmp_path, capsys, sweep):
+        target = tmp_path / "target.txt"
+        target.write_text("# dt=1e-05\nt x y z\n" + "".join(
+            f"{i * 1e-5!r} {1e-9 * (i % 7)!r} {-1e-9 * (i % 5)!r} 0.0\n" for i in range(200)))
+        cfg = write_config(tmp_path, {"sweep": {"target": str(target), **sweep}})
+        code = main(["sweep-na", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 from scipy.constants import k as k_b
 
 from darkfocus import (
+    EscapeReport,
     ParticleMedium,
     QuarticCoefficients,
     SimConfig,
@@ -19,7 +20,9 @@ from darkfocus import (
     save_trajectory,
     simulate,
     simulate_ensemble,
+    simulate_lanes,
 )
+from darkfocus.dynamics import LOCKSTEP_MIN_LANES
 
 TABLE_COEFFS = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
 
@@ -237,6 +240,143 @@ class TestEnsembles:
             pooled_positions(runs, burn_in=10**9)
 
 
+def lane_cfgs(beam, particle, model, boundary, n_lanes=20):
+    """Per-lane coefficients and walls on three shared seeds.  Every lane of a
+    reflecting ensemble meets its wall; lanes 3, 10 and 17 of an absorbing one
+    have a close wall and escape within a few hundred steps."""
+    qc = quartic_coefficients(beam, particle)
+    cfgs = []
+    for i in range(n_lanes):
+        if model == "quartic":
+            kw = dict(dt=1e-5, coefficients=QuarticCoefficients(
+                qc.k_z * (1 + 0.05 * i), qc.k_rho_z, qc.k_rho * (1 - 0.02 * i)))
+            wall = 6e-8
+        else:
+            kw = dict(dt=2e-4, force_model="harmonic",
+                      stiffness=(1e-6 * (1 + 0.1 * i), 2e-6, 5e-7))
+            wall = 1.2e-7
+        close = boundary == "reflect" or i % 7 == 3
+        cfgs.append(SimConfig(particle=particle, n_steps=3000, seed=i % 3,
+                              domain_bound=wall if close else None,
+                              boundary=boundary, **kw))
+    return cfgs
+
+
+class TestSimulateLanes:
+    @pytest.mark.parametrize("boundary", ["absorb", "reflect"])
+    @pytest.mark.parametrize("model", ["quartic", "harmonic"])
+    def test_lockstep_equals_scalar(self, beam, particle, model, boundary):
+        cfgs = lane_cfgs(beam, particle, model, boundary)
+        assert len(cfgs) >= LOCKSTEP_MIN_LANES
+        lanes = simulate_lanes(cfgs)
+        scalar = [simulate(c) for c in cfgs]
+        for lane, ref in zip(lanes, scalar):
+            assert lane.positions.shape == ref.positions.shape
+            assert np.array_equal(lane.positions, ref.positions)
+            assert lane.escape == ref.escape
+            assert lane.seed == ref.seed and lane.config == ref.config
+        escaped = {i: t.escape.step for i, t in enumerate(scalar) if t.escape is not None}
+        if boundary == "absorb":
+            assert sorted(escaped) == [3, 10, 17]
+            assert all(0 < step < 1000 for step in escaped.values())  # mid-chunk
+        else:
+            assert not escaped
+            for t, c in zip(scalar, cfgs):
+                r = np.sqrt(np.sum(t.positions**2, axis=1))
+                assert r.max() <= c.domain_bound
+                assert r.max() > 0.95 * c.domain_bound
+
+    def test_unstable_step_raises(self, particle):
+        cfgs = [SimConfig(particle=particle, dt=2e-4, n_steps=100, force_model="harmonic",
+                          stiffness=1e-6, seed=i, domain_bound=1e-9)
+                for i in range(LOCKSTEP_MIN_LANES)]
+        with pytest.raises(SimulationUnstableError, match="at step 1 "):
+            simulate_lanes(cfgs)
+
+    def test_small_and_dipole_ensembles_run_per_lane(self, beam, particle, monkeypatch):
+        from darkfocus import dynamics
+
+        calls = []
+        scalar = dynamics.simulate
+
+        def counted(cfg):
+            calls.append(cfg)
+            return scalar(cfg)
+
+        monkeypatch.setattr(dynamics, "simulate", counted)
+        small = lane_cfgs(beam, particle, "harmonic", "reflect",
+                          n_lanes=LOCKSTEP_MIN_LANES - 1)
+        simulate_lanes(small)
+        dipole = [SimConfig(particle=particle, dt=2e-5, n_steps=20, force_model="dipole",
+                            beam=beam, seed=i) for i in range(LOCKSTEP_MIN_LANES)]
+        simulate_lanes(dipole)
+        assert calls == small + dipole
+        calls.clear()
+        simulate_lanes(lane_cfgs(beam, particle, "harmonic", "reflect"))
+        assert not calls
+
+
+# positions recorded from the scalar loop before it iterated noise.tolist();
+# any change in rounding shows here
+GOLDEN = {
+    "quartic_absorb": dict(
+        cfg=dict(dt=2e-5, n_steps=3000, seed=11), rows={
+            1: (1.4004261447045973e-10, 5.569090069685745e-09, 5.016064964039533e-09),
+            1500: (-7.807070589771585e-09, 3.707149366498343e-08, -2.059149917563097e-08),
+            3000: (-1.7409377705498134e-08, 1.04317439204556e-08, 6.659605027273805e-10),
+        }),
+    "quartic_reflect": dict(
+        cfg=dict(dt=1e-5, n_steps=3000, coefficients=TABLE_COEFFS, seed=12,
+                 domain_bound=1.6e-7, boundary="reflect"), rows={
+            1: (-1.977091919304605e-11, 3.0297175101488785e-09, 2.1477014112962836e-09),
+            1500: (8.877381478228694e-08, -3.619487122769163e-08, -1.0949774061451356e-07),
+            3000: (7.169253316524926e-08, 6.438641114318361e-08, -8.504716977372542e-09),
+        }),
+    "quartic_escape": dict(
+        cfg=dict(dt=1e-5, n_steps=3000, coefficients=TABLE_COEFFS, seed=15,
+                 domain_bound=6e-8), rows={
+            1: (-4.1439266341845825e-09, -2.7123196564900317e-09, 1.1408780673704631e-09),
+            54: (3.152816330012572e-08, 8.458804263393809e-09, 2.1743322129260782e-09),
+            108: (5.813036313850071e-08, -1.89217636772449e-08, -6.874603125001789e-09),
+        }),
+    "harmonic_chunks": dict(
+        cfg=dict(dt=2e-4, n_steps=70_000, force_model="harmonic",
+                 stiffness=(1e-6, 2e-6, 5e-7), seed=13), rows={
+            1: (2.3659558465284832e-08, -3.9869556459444074e-08, 1.2408533864978256e-08),
+            35000: (1.2932447025419836e-08, 3.910782853077537e-08, 1.3330585873678388e-07),
+            65536: (-1.0365741129044012e-08, -2.68102269044308e-08, 4.925504048583642e-08),
+            65537: (-4.186800973147671e-09, -1.4420817402441624e-08, 5.709135349390796e-08),
+            70000: (4.970023612610209e-08, 4.770432086650395e-09, -3.8097994597833266e-08),
+        }),
+    "dipole": dict(
+        cfg=dict(dt=2e-5, n_steps=2000, force_model="dipole", seed=14), rows={
+            1: (2.8486260351732006e-09, -4.011612231544739e-09, -6.444512034909097e-09),
+            1000: (2.1050917678343395e-08, 2.857828430529334e-08, -5.410383532815977e-09),
+            2000: (-8.788155026295796e-09, 6.111006160922412e-08, 2.1183852981498943e-09),
+        }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_simulate_reproduces_recorded_positions(beam, particle, name):
+    case = GOLDEN[name]
+    cfg = dict(case["cfg"])
+    if cfg.get("force_model", "quartic") == "dipole":
+        cfg["beam"] = beam
+    elif "force_model" not in cfg and "coefficients" not in cfg:
+        cfg["coefficients"] = quartic_coefficients(beam, particle)
+    traj = simulate(SimConfig(particle=particle, **cfg))
+    last = max(case["rows"])
+    assert len(traj) == last + 1
+    for row, expected in case["rows"].items():
+        assert tuple(traj.positions[row].tolist()) == expected
+    if name == "quartic_escape":
+        assert traj.escape == EscapeReport(position=case["rows"][last],
+                                           time=last * cfg["dt"], step=last)
+    else:
+        assert traj.escape is None
+
+
 class TestEquilibriumPdf:
     def test_harmonic_matches_gaussian(self, particle):
         k = 1e-6
@@ -297,6 +437,17 @@ class TestTrajectoryIo:
         override = load_trajectory(path, meters_per_pixel=1e-7)
         assert override.positions[1, 0] == pytest.approx(1e-7)
         assert override.provenance == "ingested"
+
+    def test_comma_separated(self, tmp_path):
+        path = tmp_path / "tracked.csv"
+        with open(path, "w") as fh:
+            fh.write("# dt=0.5\n# meters_per_pixel=2.0\nt,x,y,z\n")
+            for i in range(4):
+                fh.write(f"{i * 0.5},{i}, {-i},0\n")
+        traj = load_trajectory(path)
+        assert traj.dt == 0.5
+        np.testing.assert_array_equal(
+            traj.positions, [[2.0 * i, -2.0 * i, 0.0] for i in range(4)])
 
     def test_dt_inferred_from_time_column(self, tmp_path):
         path = tmp_path / "plain.txt"
