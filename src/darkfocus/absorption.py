@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
-from .beam import BeamParams, dft_intensity, gaussian_intensity
+from .beam import BeamParams, _bottle_peaks, dft_intensity, gaussian_intensity
 from .forces import ParticleMedium
 
 __all__ = [
@@ -35,6 +34,13 @@ def effective_cross_section(radius: float, lambda0: float) -> float:
     return 4.0 * math.pi * radius**3 / (3.0 * lambda0)
 
 
+def _check_same_geometry(bottle: BeamParams, gaussian: BeamParams):
+    if (bottle.lambda0, bottle.na, bottle.n_medium) != (
+        gaussian.lambda0, gaussian.na, gaussian.n_medium,
+    ):
+        raise ValueError("the two beams must share wavelength, NA and medium")
+
+
 @dataclass(frozen=True)
 class AbsorptionScenario:
     """Bottle/Gaussian beam pair with the particle cross-section to compare."""
@@ -44,13 +50,7 @@ class AbsorptionScenario:
     cross_section: float  # A_p, m^2
 
     def __post_init__(self):
-        same_geometry = (
-            self.bottle.lambda0 == self.gaussian.lambda0
-            and self.bottle.na == self.gaussian.na
-            and self.bottle.n_medium == self.gaussian.n_medium
-        )
-        if not same_geometry:
-            raise ValueError("the two beams must share wavelength, NA and medium")
+        _check_same_geometry(self.bottle, self.gaussian)
         if not (self.cross_section > 0):
             raise ValueError("cross-section must be positive")
 
@@ -137,17 +137,6 @@ class TrapComparison:
             fh.write(f"longitudinal_depth_ratio={self.longitudinal_depth_ratio!r}\n")
 
 
-def _profile_max(profile, hi: float) -> float:
-    s = np.linspace(0.0, hi, 4001)
-    vals = profile(s)
-    k = int(np.argmax(vals))
-    if k == 0 or k == len(s) - 1:
-        raise RuntimeError("profile maximum not bracketed")
-    res = minimize_scalar(lambda u: -profile(u), bounds=(s[k - 1], s[k + 1]),
-                          method="bounded", options={"xatol": hi * 1e-12})
-    return float(profile(res.x))
-
-
 def trap_comparison(bottle: BeamParams, gaussian: BeamParams,
                     curvature_step: float = 1e-3) -> TrapComparison:
     """Compare trap depths and axial stiffnesses at the beams' set powers.
@@ -159,21 +148,14 @@ def trap_comparison(bottle: BeamParams, gaussian: BeamParams,
     ratio uses central second differences of the on-axis intensities with
     step `curvature_step` x z_R.
     """
-    if (bottle.lambda0, bottle.na, bottle.n_medium) != (
-        gaussian.lambda0, gaussian.na, gaussian.n_medium,
-    ):
-        raise ValueError("the two beams must share wavelength, NA and medium")
-    w0 = bottle.waist
-    zr = bottle.rayleigh_range
-
-    bottle_transverse = _profile_max(lambda r: dft_intensity(bottle, r, 0.0), 4.0 * w0)
-    bottle_axial = _profile_max(lambda u: dft_intensity(bottle, 0.0, u), 6.0 * zr)
+    _check_same_geometry(bottle, gaussian)
+    (_, bottle_transverse), (_, bottle_axial) = _bottle_peaks(bottle)
     gauss_peak = float(gaussian_intensity(gaussian, 0.0, 0.0))
 
     transverse_depth_ratio = bottle_transverse / gauss_peak
     longitudinal_depth_ratio = bottle_axial / gauss_peak
 
-    h = curvature_step * zr
+    h = curvature_step * bottle.rayleigh_range
     second = lambda f: (f(h) - 2.0 * f(0.0) + f(-h)) / h**2
     curv_bottle = second(lambda u: float(dft_intensity(bottle, 0.0, u)))
     curv_gauss = second(lambda u: float(gaussian_intensity(gaussian, 0.0, u)))

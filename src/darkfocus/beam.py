@@ -184,6 +184,63 @@ def gaussian_intensity(params: BeamParams, rho, z):
     return 2.0 * params.p_total / (math.pi * w2) * np.exp(-2.0 * rho**2 / w2)
 
 
+# (exp, arctan, cos, sin) for array arguments; the integrator's plain-float
+# loop passes math's functions instead, which round like libm
+_ARRAY_MATH = (np.exp, np.arctan, np.cos, np.sin)
+
+
+def _laguerre_coefficients(n, alpha):
+    """Coefficients of L_n^alpha, highest power first, each rounded once."""
+    return [(-1) ** k * math.comb(n + alpha, n - k) / math.factorial(k)
+            for k in range(n, -1, -1)]
+
+
+def _bottle_field(params: BeamParams, scale=1.0, fns=_ARRAY_MATH):
+    """The one implementation of the bottle intensity and its gradient.
+
+    Returns field(rho2, z) -> scale * (I, dI/drho / rho, dI/dz), with rho2
+    the squared distance from the axis.  The radial derivative is divided by
+    rho so that the Cartesian components F_x = (...) * x stay finite on the
+    axis.  fns = (exp, atan, cos, sin) selects numpy's functions for arrays
+    or math's for plain floats; either way the operation order is the same.
+    """
+    exp, atan, cos, sin = fns
+    p = params.p_index
+    w0sq, zr, p_total = params.waist * params.waist, params.rayleigh_range, params.p_total
+    ct, st = _phase_components(params.theta_rel)
+    lag_c = _laguerre_coefficients(p, 0)
+    # dL_p^0/du = -L_{p-1}^1
+    dlag_c = [-c for c in _laguerre_coefficients(p - 1, 1)]
+
+    def field(rho2, z):
+        t = z / zr
+        one_t2 = 1.0 + t * t
+        w2 = w0sq * one_t2
+        u = 2.0 * rho2 / w2
+        lag = dlag = 0.0
+        for c in lag_c:
+            lag = lag * u + c
+        for c in dlag_c:
+            dlag = dlag * u + c
+        tau = atan(t)
+        c2p, s2p = cos(2 * p * tau), sin(2 * p * tau)
+        cos_rel = ct * c2p + st * s2p
+        sin_rel = st * c2p - ct * s2p
+        ce = scale * (p_total / (math.pi * w2) * exp(-u))
+        # (1-L)^2 + 2L(1+cos) == 1 + L^2 + 2L cos, without cancellation at the
+        # dark focus where L -> 1 and cos -> -1
+        one_lag = 1.0 - lag
+        intensity = ce * (one_lag * one_lag + 2.0 * lag * (1.0 + cos_rel))
+        bracket = 1.0 + lag * lag + 2.0 * lag * cos_rel
+        shape = 2.0 * dlag * (lag + cos_rel) - bracket
+        g = 2.0 * t / (zr * one_t2)          # d ln w^2 / dz
+        dtau = 1.0 / (zr * one_t2)
+        didz = ce * (-g * bracket - u * g * shape + 4.0 * p * lag * sin_rel * dtau)
+        return intensity, ce * (4.0 / w2) * shape, didz
+
+    return field
+
+
 def dft_intensity(params: BeamParams, rho, z):
     """Dark-focus (bottle) beam intensity at (rho, z), in W/m^2.
 
@@ -196,36 +253,35 @@ def dft_intensity(params: BeamParams, rho, z):
     on-axis value at the focus is exactly zero.
     """
     rho, z = _check_coords(rho, z)
-    p = params.p_index
-    w0 = params.waist
-    zr = params.rayleigh_range
-
-    w2 = w0**2 * (1.0 + (z / zr) ** 2)
-    lag = eval_genlaguerre(p, 0, 2.0 * rho**2 / w2)
-    tau = np.arctan(z / zr)
-    ct, st = _phase_components(params.theta_rel)
-    cos_rel = ct * np.cos(2 * p * tau) + st * np.sin(2 * p * tau)
-    # (1-L)^2 + 2L(1+cos) == 1 + L^2 + 2L cos, without cancellation at the
-    # dark focus where L -> 1 and cos -> -1
-    bracket = (1.0 - lag) ** 2 + 2.0 * lag * (1.0 + cos_rel)
-    return params.p_total / (math.pi * w2) * np.exp(-2.0 * rho**2 / w2) * bracket
+    return _bottle_field(params)(rho * rho, z)[0]
 
 
-def _axis_peak(profile, hi, n_coarse=2001):
-    """Locate the first interior maximum of `profile` on (0, hi]."""
-    s = np.linspace(0.0, hi, n_coarse)
-    vals = profile(s)
-    k = int(np.argmax(vals))
-    if k == 0 or k == n_coarse - 1:
-        raise RuntimeError(
-            "intensity maximum not bracketed by the search grid; "
-            "no bottle structure for these parameters"
-        )
-    res = minimize_scalar(
-        lambda u: -profile(u), bounds=(s[k - 1], s[k + 1]), method="bounded",
-        options={"xatol": hi * 1e-12},
+def _bottle_peaks(params: BeamParams):
+    """(location, intensity) of the focal-plane and of the on-axis maximum.
+
+    Each is the first interior maximum on a 2001-point grid over (0, 4 w0]
+    or (0, 6 z_R], refined by a bounded scalar search.
+    """
+    field = _bottle_field(params)
+    profiles = (
+        (lambda s: field(s * s, 0.0)[0], 4.0 * params.waist),
+        (lambda s: field(0.0, s)[0], 6.0 * params.rayleigh_range),
     )
-    return float(res.x)
+    peaks = []
+    for profile, hi in profiles:
+        s = np.linspace(0.0, hi, 2001)
+        k = int(np.argmax(profile(s)))
+        if k == 0 or k == len(s) - 1:
+            raise RuntimeError(
+                "intensity maximum not bracketed by the search grid; "
+                "no bottle structure for these parameters"
+            )
+        res = minimize_scalar(
+            lambda u: -profile(u), bounds=(s[k - 1], s[k + 1]), method="bounded",
+            options={"xatol": hi * 1e-12},
+        )
+        peaks.append((float(res.x), float(-res.fun)))
+    return peaks
 
 
 def bottle_geometry(params: BeamParams, method: str = "auto"):
@@ -245,10 +301,7 @@ def bottle_geometry(params: BeamParams, method: str = "auto"):
     if params.p_index == 1 and method != "search":
         return 2.0 * params.waist, 2.0 * params.rayleigh_range
 
-    w0 = params.waist
-    zr = params.rayleigh_range
-    rho_peak = _axis_peak(lambda r: dft_intensity(params, r, 0.0), 4.0 * w0)
-    z_peak = _axis_peak(lambda u: dft_intensity(params, 0.0, u), 6.0 * zr)
+    (rho_peak, _), (z_peak, _) = _bottle_peaks(params)
     return 2.0 * rho_peak, 2.0 * z_peak
 
 

@@ -236,10 +236,19 @@ def cmd_simulate(cfg, out: Path) -> int:
     return EXIT_OK
 
 
+def _read_input(key, load, path, **kwargs):
+    """load(path, **kwargs), reporting an unreadable file as a config error on key."""
+    try:
+        return load(path, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {key}: {exc}") from exc
+
+
 def _get_trajectory(cfg):
     a = cfg["analysis"]
     if a["trajectory"] is not None:
-        return load_trajectory(a["trajectory"], meters_per_pixel=a["meters_per_pixel"])
+        return _read_input("analysis.trajectory", load_trajectory, a["trajectory"],
+                           meters_per_pixel=a["meters_per_pixel"])
     traj = simulate(_sim_config_from(cfg))
     if traj.escape is not None:
         raise SimulationEscape(traj.escape)
@@ -307,11 +316,8 @@ def cmd_sweep_na(cfg, out: Path) -> int:
         raise ConfigError(
             f"sweep.na_stop {s['na_stop']!r} lies below sweep.na_start {s['na_start']!r}"
         )
-    try:
-        target = load_trajectory(s["target"],
-                                 meters_per_pixel=cfg["analysis"]["meters_per_pixel"])
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep.target: {exc}") from exc
+    target = _read_input("sweep.target", load_trajectory, s["target"],
+                         meters_per_pixel=cfg["analysis"]["meters_per_pixel"])
     n = int(round((s["na_stop"] - s["na_start"]) / s["na_step"])) + 1
     na_values = s["na_start"] + s["na_step"] * np.arange(n)
     result = estimate_na(
@@ -364,7 +370,7 @@ def cmd_absorb(cfg, out: Path) -> int:
 def cmd_forces_fit(cfg, out: Path) -> int:
     a = cfg["analysis"]
     if a["force_grid"] is not None:
-        grid = ForceGrid.load(a["force_grid"])
+        grid = _read_input("analysis.force_grid", ForceGrid.load, a["force_grid"])
     else:
         beam = _beam_from(cfg)
         pm = _particle_from(cfg)

@@ -5,6 +5,11 @@ axis.  The quartic force model is only a local expansion: off axis at large
 |z| its potential is unbounded below, so trajectories can leave the trap.
 Leaving the configured domain is a physics signal, not a numerical failure;
 the simulation halts and reports it.
+
+The force models are the library's own: the quartic closure of
+darkfocus.forces, and for the dipole model the bottle-field kernel of
+darkfocus.beam evaluated on math's functions, so a run steps through the
+same field that dft_intensity and dipole_gradient_force report.
 """
 
 import math
@@ -14,10 +19,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.constants import k as BOLTZMANN
 
-from .beam import BeamParams
+from .beam import BeamParams, _bottle_field
 from .forces import (
     ParticleMedium,
     QuarticCoefficients,
+    _potential_prefactor,
+    _quartic_force,
+    _scattering_prefactor,
     quartic_coefficients,
 )
 
@@ -177,69 +185,18 @@ class Trajectory:
         return self.positions[:, "xyz".index(name)]
 
 
-def _quartic_force(k_z, k_rz, k_r):
-    """Quartic force with the integrator's operation order; the coefficients
-    and coordinates are floats, or (R,) arrays for lanes stepped together."""
+def _dipole_force(beam: BeamParams, pm: ParticleMedium, include_scattering):
+    """Dipole force as a plain-float function for the integrator's loop: the
+    bottle-field kernel on math's functions, scaled by the potential prefactor."""
+    pref = _potential_prefactor(beam, pm)
+    field = _bottle_field(beam, pref, (math.exp, math.atan, math.cos, math.sin))
+    # an index-matched particle has no dipole and no scattering force
+    scat = _scattering_prefactor(beam, pm) / pref if include_scattering and pref else 0.0
 
     def force(x, y, z):
-        rho2 = x * x + y * y
-        radial = 2.0 * k_rz * z * z - k_r * rho2
-        return radial * x, radial * y, -k_z * z + 2.0 * k_rz * rho2 * z
-
-    return force
-
-
-def _dipole_scalar_force(beam: BeamParams, pm: ParticleMedium, include_scattering):
-    """Closed-form dipole force as a plain-float function (hot loop path)."""
-    from scipy.constants import c as c_light
-    from .beam import _phase_components
-
-    p = beam.p_index
-    w0, zr = beam.waist, beam.rayleigh_range
-    p_tot = beam.p_total
-    ct, st = _phase_components(beam.theta_rel)
-    pref = (
-        2.0 * math.pi * pm.n_medium * pm.radius**3
-        * pm.polarizability_factor / c_light
-    )
-    scat_pref = (
-        128.0 * math.pi**5 * pm.radius**6 / (3.0 * c_light * beam.lambda0**4)
-        * pm.polarizability_factor**2 * pm.n_medium**5
-    ) if include_scattering else 0.0
-
-    # Laguerre polynomials as plain coefficient tuples for Horner evaluation.
-    from scipy.special import genlaguerre
-
-    lag_c = tuple(np.asarray(genlaguerre(p, 0).coef, dtype=float))
-    dlag_c = tuple(-np.asarray(genlaguerre(p - 1, 1).coef, dtype=float)) if p >= 1 else (0.0,)
-
-    def horner(coeffs, u):
-        acc = 0.0
-        for cc in coeffs:
-            acc = acc * u + cc
-        return acc
-
-    def force(x, y, z):
-        rho2 = x * x + y * y
-        t = z / zr
-        one_t2 = 1.0 + t * t
-        w2 = w0 * w0 * one_t2
-        u = 2.0 * rho2 / w2
-        lag = horner(lag_c, u)
-        dlag = horner(dlag_c, u)
-        tau = math.atan(t)
-        c2p, s2p = math.cos(2 * p * tau), math.sin(2 * p * tau)
-        cos_rel = ct * c2p + st * s2p
-        sin_rel = st * c2p - ct * s2p
-        bracket = 1.0 + lag * lag + 2.0 * lag * cos_rel
-        ce = p_tot / (math.pi * w2) * math.exp(-u)
-        shape = 2.0 * dlag * (lag + cos_rel) - bracket
-        radial = pref * ce * (4.0 / w2) * shape
-        g = 2.0 * t / (zr * one_t2)
-        dtau = 1.0 / (zr * one_t2)
-        fz = pref * ce * (-g * bracket - u * g * shape + 4.0 * p * lag * sin_rel * dtau)
-        if scat_pref:
-            fz += scat_pref * ce * bracket
+        intensity, radial, fz = field(x * x + y * y, z)
+        if scat:
+            fz += scat * intensity
         return radial * x, radial * y, fz
 
     return force
@@ -302,7 +259,7 @@ def simulate(cfg: SimConfig) -> Trajectory:
     """
     bound, mob, noise_scale = _integration_constants(cfg)
     if cfg.force_model == "dipole":
-        force = _dipole_scalar_force(cfg.beam, cfg.particle, cfg.include_scattering)
+        force = _dipole_force(cfg.beam, cfg.particle, cfg.include_scattering)
     else:
         force = _LANE_FORCES[cfg.force_model](*_force_coefficients(cfg))
     bound2 = bound * bound

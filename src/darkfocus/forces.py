@@ -6,6 +6,10 @@ the potential V = -(2 pi n_m R^3 / c) alpha I, and near the focus V reduces
 to the quartic form
 
     V(rho, z) ~ (k_z/2) z^2 - k_rho_z rho^2 z^2 + (k_rho/4) rho^4.
+
+Intensities and gradients come from the one bottle-field kernel in
+darkfocus.beam, and the quartic force from the closure the integrator steps
+with, so these functions and a simulation evaluate the same expressions.
 """
 
 import math
@@ -14,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.special import eval_genlaguerre
 
-from .beam import BeamParams, _check_coords, _phase_components
+from .beam import BeamParams, _bottle_field, _check_coords, dft_intensity
 
 __all__ = [
     "ParticleMedium",
@@ -108,42 +111,14 @@ def _potential_prefactor(beam: BeamParams, pm: ParticleMedium) -> float:
     )
 
 
-def _intensity_and_gradient(beam: BeamParams, rho, z):
-    """Bottle intensity with its closed-form cylindrical gradient.
-
-    Returns (I, dI/drho / rho, dI/dz).  The radial derivative is divided
-    by rho so that the Cartesian components F_x = (...) * x stay finite on
-    the axis.
-    """
-    rho, z = _check_coords(rho, z)
-    p = beam.p_index
-    w0 = beam.waist
-    zr = beam.rayleigh_range
-
-    t = z / zr
-    one_t2 = 1.0 + t**2
-    w2 = w0**2 * one_t2
-    x = 2.0 * rho**2 / w2
-    lag = eval_genlaguerre(p, 0, x)
-    dlag = -eval_genlaguerre(p - 1, 1, x) if p >= 1 else np.zeros_like(x)
-
-    tau = np.arctan(t)
-    ct, st = _phase_components(beam.theta_rel)
-    cos2p, sin2p = np.cos(2 * p * tau), np.sin(2 * p * tau)
-    cos_rel = ct * cos2p + st * sin2p
-    sin_rel = st * cos2p - ct * sin2p
-
-    bracket = 1.0 + lag**2 + 2.0 * lag * cos_rel
-    ce = beam.p_total / (math.pi * w2) * np.exp(-x)
-    intensity = ce * bracket
-
-    shape_term = 2.0 * dlag * (lag + cos_rel) - bracket
-    didrho_over_rho = ce * (4.0 / w2) * shape_term
-
-    g = 2.0 * t / (zr * one_t2)          # d ln w^2 / dz
-    dtau = 1.0 / (zr * one_t2)
-    didz = ce * (-g * bracket - x * g * shape_term + 4.0 * p * lag * sin_rel * dtau)
-    return intensity, didrho_over_rho, didz
+def _scattering_prefactor(beam: BeamParams, pm: ParticleMedium) -> float:
+    """128 pi^5 R^6 alpha^2 n_m^5 / (3 c lambda0^4), the radiation-pressure
+    force per unit intensity."""
+    return (
+        128.0 * math.pi**5 * pm.radius**6
+        / (3.0 * SPEED_OF_LIGHT * beam.lambda0**4)
+        * pm.polarizability_factor**2 * pm.n_medium**5
+    )
 
 
 def dipole_potential(beam: BeamParams, pm: ParticleMedium, rho, z):
@@ -152,8 +127,6 @@ def dipole_potential(beam: BeamParams, pm: ParticleMedium, rho, z):
     Nonnegative with its minimum 0 at the dark focus when the particle is
     rarer than the medium; flips sign (attractive towards light) for m > 1.
     """
-    from .beam import dft_intensity
-
     return -_potential_prefactor(beam, pm) * dft_intensity(beam, rho, z)
 
 
@@ -161,18 +134,14 @@ def dipole_gradient_force(beam: BeamParams, pm: ParticleMedium, x, y, z):
     """Conservative gradient force (2 pi n_m R^3/c) alpha grad(I) at (x, y, z), in N.
 
     Returns an array with shape (..., 3).  Curl-free by construction and
-    zero at the focus.
+    zero at the focus.  The gradient is the bottle-field kernel's, scaled by
+    the potential prefactor as in the integrator.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    rho = np.hypot(x, y)
-    pref = _potential_prefactor(beam, pm)
-    _, didrho_over_rho, didz = _intensity_and_gradient(beam, rho, z)
-    fx = pref * didrho_over_rho * x
-    fy = pref * didrho_over_rho * y
-    fz = pref * didz
-    out = np.stack(np.broadcast_arrays(fx, fy, fz), axis=-1)
+    rho2, z = _check_coords(x * x + y * y, z)
+    _, radial, fz = _bottle_field(beam, _potential_prefactor(beam, pm))(rho2, z)
+    out = np.stack(np.broadcast_arrays(radial * x, radial * y, fz), axis=-1)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite gradient force")
     return out
@@ -180,18 +149,10 @@ def dipole_gradient_force(beam: BeamParams, pm: ParticleMedium, x, y, z):
 
 def dipole_scattering_force(beam: BeamParams, pm: ParticleMedium, x, y, z):
     """Radiation-pressure force along +z, proportional to local intensity (N)."""
-    from .beam import dft_intensity
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    rho = np.hypot(x, y)
-    pref = (
-        128.0 * math.pi**5 * pm.radius**6
-        / (3.0 * SPEED_OF_LIGHT * beam.lambda0**4)
-        * pm.polarizability_factor**2 * pm.n_medium**5
-    )
-    fz = pref * dft_intensity(beam, rho, z)
+    fz = _scattering_prefactor(beam, pm) * dft_intensity(beam, np.hypot(x, y), z)
     zeros = np.zeros_like(fz)
     return np.stack(np.broadcast_arrays(zeros, zeros, fz), axis=-1)
 
@@ -236,17 +197,27 @@ def quartic_potential(coeffs: QuarticCoefficients, rho, z):
     )
 
 
+def _quartic_force(k_z, k_rz, k_r):
+    """The quartic force as a function of (x, y, z) returning (F_x, F_y, F_z).
+
+    The integrator calls it on plain floats, or on (R,) arrays with per-lane
+    coefficients for lanes stepped together; its operation order fixes the
+    integrator's bits.
+    """
+
+    def force(x, y, z):
+        rho2 = x * x + y * y
+        radial = 2.0 * k_rz * z * z - k_r * rho2
+        return radial * x, radial * y, -k_z * z + 2.0 * k_rz * rho2 * z
+
+    return force
+
+
 def quartic_force(coeffs: QuarticCoefficients, x, y, z):
     """Force of the quartic potential at Cartesian (x, y, z); shape (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    rho2 = x**2 + y**2
-    radial = 2.0 * coeffs.k_rho_z * z**2 - coeffs.k_rho * rho2
-    fx = radial * x
-    fy = radial * y
-    fz = -coeffs.k_z * z + 2.0 * coeffs.k_rho_z * rho2 * z
-    return np.stack(np.broadcast_arrays(fx, fy, fz), axis=-1)
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    f = _quartic_force(coeffs.k_z, coeffs.k_rho_z, coeffs.k_rho)(x, y, z)
+    return np.stack(np.broadcast_arrays(*f), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -291,6 +262,8 @@ class ForceGrid:
                     continue
                 else:
                     rows.append([float(v) for v in line.split()])
+        if not rows:
+            raise ValueError(f"no data rows in force grid {path}")
         data = np.array(rows)
         return cls(positions=data[:, :3], forces=data[:, 3:6], provenance=provenance)
 

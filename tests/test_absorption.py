@@ -49,6 +49,8 @@ class TestCrossSection:
         mismatched = dataclasses.replace(beams[1], na=0.52)
         with pytest.raises(ValueError, match="share"):
             AbsorptionScenario(beams[0], mismatched, 1e-12)
+        with pytest.raises(ValueError, match="share"):
+            trap_comparison(beams[0], mismatched)
 
 
 class TestAbsorptionRatio:

@@ -121,7 +121,7 @@ class TestDftIntensity:
         assert dft_intensity(beam, 0.0, 0.0) == 0.0
 
     def test_dark_focus_zero_for_higher_p(self):
-        for p in (1, 2, 3):
+        for p in (1, 2, 3, 4, 5):
             b = BeamParams(lambda0=780e-9, n_medium=1.53, na=0.46, p_total=0.05,
                            p_index=p)
             assert dft_intensity(b, 0.0, 0.0) == 0.0

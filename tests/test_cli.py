@@ -215,6 +215,15 @@ class TestForcesFitCommand:
         assert float(report["k_z"]) == pytest.approx(3.86e-7, rel=1e-9)
         assert report["source"] == "external-mie-toolbox"
 
+    def test_grid_without_rows_is_config_error(self, tmp_path, capsys):
+        grid_path = tmp_path / "empty.txt"
+        grid_path.write_text("# source: external\nx y z fx fy fz\n")
+        cfg = write_config(tmp_path, {"analysis": {"force_grid": str(grid_path)}})
+        code = main(["forces-fit", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and str(grid_path) in err
+
 
 class TestSweepNaCommand:
     def test_round_trip_small(self, tmp_path):
@@ -260,3 +269,15 @@ class TestSweepNaCommand:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,key", [
+    ("psd", "trajectory"), ("calibrate", "trajectory"), ("forces-fit", "force_grid"),
+])
+def test_missing_input_file_is_config_error(tmp_path, capsys, command, key):
+    cfg = write_config(tmp_path, {"analysis": {key: str(tmp_path / "no-such-file.txt")}})
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"config error: cannot read analysis.{key}")
+    assert "Traceback" not in err

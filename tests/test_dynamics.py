@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -12,6 +13,9 @@ from darkfocus import (
     SimConfig,
     SimulationUnstableError,
     Trajectory,
+    dft_intensity,
+    dipole_gradient_force,
+    dipole_scattering_force,
     equilibrium_pdf,
     load_trajectory,
     marginal_density,
@@ -22,7 +26,7 @@ from darkfocus import (
     simulate_ensemble,
     simulate_lanes,
 )
-from darkfocus.dynamics import LOCKSTEP_MIN_LANES
+from darkfocus.dynamics import LOCKSTEP_MIN_LANES, _dipole_force
 
 TABLE_COEFFS = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
 
@@ -375,6 +379,39 @@ def test_simulate_reproduces_recorded_positions(beam, particle, name):
                                            time=last * cfg["dt"], step=last)
     else:
         assert traj.escape is None
+
+
+# p = 1 bottle intensities at (rho/w0, z/z_R), recorded before the
+# integrator, the force functions and dft_intensity shared one field kernel
+GOLDEN_INTENSITY = {
+    (0.0, 1.0): 54631903805.029594,
+    (1.0, 0.0): 29574496700.836243,
+    (0.3, 0.2): 6944306577.769751,
+    (0.5, -1.0): 33240132393.780243,
+    (2.0, 1.5): 2884845875.079386,
+    (0.05, 0.01): 22989325.604949076,
+}
+
+
+def test_dft_intensity_reproduces_recorded_values(beam):
+    for (rho, z), expected in GOLDEN_INTENSITY.items():
+        value = dft_intensity(beam, rho * beam.waist, z * beam.rayleigh_range)
+        assert float(value) == expected
+
+
+@pytest.mark.parametrize("scattering", [False, True])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_integrator_dipole_force_matches_array_forces(beam, particle, rng, p, scattering):
+    # the plain-float loop and the array functions evaluate one kernel, on
+    # math's and numpy's functions respectively
+    b = dataclasses.replace(beam, p_index=p)
+    pts = rng.uniform(-0.5, 0.5, (200, 3)) * (b.waist, b.waist, b.rayleigh_range)
+    force = _dipole_force(b, particle, scattering)
+    loop = np.array([force(*q) for q in pts.tolist()])
+    expected = dipole_gradient_force(b, particle, *pts.T)
+    if scattering:
+        expected = expected + dipole_scattering_force(b, particle, *pts.T)
+    np.testing.assert_allclose(loop, expected, rtol=1e-13, atol=0)
 
 
 class TestEquilibriumPdf:

@@ -371,3 +371,9 @@ class TestForceFitting:
         assert loaded.provenance == grid.provenance
         np.testing.assert_array_equal(loaded.positions, grid.positions)
         np.testing.assert_array_equal(loaded.forces, grid.forces)
+
+    def test_grid_file_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# source: external\nx y z fx fy fz\n")
+        with pytest.raises(ValueError, match="empty.txt"):
+            ForceGrid.load(path)
