@@ -195,6 +195,18 @@ def _laguerre_coefficients(n, alpha):
             for k in range(n, -1, -1)]
 
 
+def _bottle_constants(params: BeamParams):
+    """(p, w0^2, z_R, P0, cos and sin of theta_rel, coefficients of L_p and of
+    dL_p/du): every number the bottle-field kernel reads, for the Python
+    closure below and the compiled integrator alike."""
+    p = params.p_index
+    ct, st = _phase_components(params.theta_rel)
+    # dL_p^0/du = -L_{p-1}^1
+    dlag_c = [-c for c in _laguerre_coefficients(p - 1, 1)]
+    return (p, params.waist * params.waist, params.rayleigh_range, params.p_total,
+            ct, st, _laguerre_coefficients(p, 0), dlag_c)
+
+
 def _bottle_field(params: BeamParams, scale=1.0, fns=_ARRAY_MATH):
     """The one implementation of the bottle intensity and its gradient.
 
@@ -202,15 +214,11 @@ def _bottle_field(params: BeamParams, scale=1.0, fns=_ARRAY_MATH):
     the squared distance from the axis.  The radial derivative is divided by
     rho so that the Cartesian components F_x = (...) * x stay finite on the
     axis.  fns = (exp, atan, cos, sin) selects numpy's functions for arrays
-    or math's for plain floats; either way the operation order is the same.
+    or math's for plain floats; either way the operation order is the same,
+    and integrator.c repeats it for the compiled integrator.
     """
     exp, atan, cos, sin = fns
-    p = params.p_index
-    w0sq, zr, p_total = params.waist * params.waist, params.rayleigh_range, params.p_total
-    ct, st = _phase_components(params.theta_rel)
-    lag_c = _laguerre_coefficients(p, 0)
-    # dL_p^0/du = -L_{p-1}^1
-    dlag_c = [-c for c in _laguerre_coefficients(p - 1, 1)]
+    p, w0sq, zr, p_total, ct, st, lag_c, dlag_c = _bottle_constants(params)
 
     def field(rho2, z):
         t = z / zr
@@ -260,7 +268,11 @@ def _bottle_peaks(params: BeamParams):
     """(location, intensity) of the focal-plane and of the on-axis maximum.
 
     Each is the first interior maximum on a 2001-point grid over (0, 4 w0]
-    or (0, 6 z_R], refined by a bounded scalar search.
+    or (0, 6 z_R], refined by a bounded scalar search.  Near a maximum the
+    intensity varies only quadratically with the location, so the search
+    fixes the location only to about sqrt(eps) * hi (1.5e-8 hi), not to its
+    xatol of hi * 1e-12: a last-bit change of the intensity can move it that
+    far.  The peak value is fixed to about eps relative.
     """
     field = _bottle_field(params)
     profiles = (

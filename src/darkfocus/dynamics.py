@@ -10,8 +10,16 @@ The force models are the library's own: the quartic closure of
 darkfocus.forces, and for the dipole model the bottle-field kernel of
 darkfocus.beam evaluated on math's functions, so a run steps through the
 same field that dft_intensity and dipole_gradient_force report.
+
+simulate draws the noise in chunks of _NOISE_CHUNK steps and hands each
+chunk to a stepper: the compiled one of integrator.c (built on first use by
+darkfocus._compiled), or the Python reference loop when no C compiler
+works.  The compiled stepper repeats the reference's operations in the same
+order with constants from the same helpers, so both give the same bits, and
+every ensemble is a loop over simulate.
 """
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -19,7 +27,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.constants import k as BOLTZMANN
 
-from .beam import BeamParams, _bottle_field
+from . import _compiled
+from .beam import BeamParams, _bottle_constants, _bottle_field
 from .forces import (
     ParticleMedium,
     QuarticCoefficients,
@@ -44,12 +53,7 @@ __all__ = [
 ]
 
 _NOISE_CHUNK = 65536
-# simulate_lanes steps ensembles of at least this many lanes in lockstep; below
-# it the fixed cost of one numpy call per operation and step outweighs the
-# saving over the scalar loop
-LOCKSTEP_MIN_LANES = 16
-# steps per noise draw and per position buffer in the lockstep loop
-_LANE_BLOCK = 1024
+_ROWS_PER_BLOCK = 8192
 
 
 class SimulationUnstableError(RuntimeError):
@@ -185,13 +189,20 @@ class Trajectory:
         return self.positions[:, "xyz".index(name)]
 
 
-def _dipole_force(beam: BeamParams, pm: ParticleMedium, include_scattering):
-    """Dipole force as a plain-float function for the integrator's loop: the
-    bottle-field kernel on math's functions, scaled by the potential prefactor."""
+def _dipole_constants(beam: BeamParams, pm: ParticleMedium, include_scattering):
+    """(potential prefactor, scattering prefactor over it): the scale of the
+    bottle-field kernel and the factor of the intensity added to F_z."""
     pref = _potential_prefactor(beam, pm)
-    field = _bottle_field(beam, pref, (math.exp, math.atan, math.cos, math.sin))
     # an index-matched particle has no dipole and no scattering force
     scat = _scattering_prefactor(beam, pm) / pref if include_scattering and pref else 0.0
+    return pref, scat
+
+
+def _dipole_force(beam: BeamParams, pm: ParticleMedium, include_scattering):
+    """Dipole force as a plain-float function for the reference loop: the
+    bottle-field kernel on math's functions, scaled by the potential prefactor."""
+    pref, scat = _dipole_constants(beam, pm, include_scattering)
+    field = _bottle_field(beam, pref, (math.exp, math.atan, math.cos, math.sin))
 
     def force(x, y, z):
         intensity, radial, fz = field(x * x + y * y, z)
@@ -243,7 +254,82 @@ def _force_coefficients(cfg: SimConfig) -> tuple:
     return cfg.stiffness_triple()
 
 
-_LANE_FORCES = {"quartic": _quartic_force, "harmonic": _harmonic_force}
+# outcome of one chunk, as integrator.c reports it
+_RAN, _ESCAPED, _UNSTABLE = 0, 1, 2
+# force model codes of integrator.c
+_MODEL_CODES = {"harmonic": 0, "quartic": 1, "dipole": 2}
+
+
+def _python_stepper(cfg: SimConfig, bound, mob):
+    """The reference chunk stepper: step(noise, out) -> (steps taken, outcome).
+
+    out holds len(noise) + 1 positions; row 0 is the current one and step k
+    writes row k.  A run stops at an escape, whose position is in row k, or
+    at an unstable step k, which writes nothing.
+    """
+    if cfg.force_model == "dipole":
+        force = _dipole_force(cfg.beam, cfg.particle, cfg.include_scattering)
+    elif cfg.force_model == "quartic":
+        force = _quartic_force(*_force_coefficients(cfg))
+    else:
+        force = _harmonic_force(*_force_coefficients(cfg))
+    bound2 = bound * bound
+    reflect = cfg.boundary == "reflect"
+
+    def step(noise, out):
+        x, y, z = out[0].tolist()
+        k = 0
+        # plain floats keep the loop's arithmetic off numpy scalars
+        for nx, ny, nz in noise.tolist():
+            fx, fy, fz = force(x, y, z)
+            dx = fx * mob + nx
+            dy = fy * mob + ny
+            dz = fz * mob + nz
+            if dx * dx + dy * dy + dz * dz > bound2:
+                return k + 1, _UNSTABLE
+            x += dx
+            y += dy
+            z += dz
+            k += 1
+            r2 = x * x + y * y + z * z
+            if r2 > bound2:
+                if not reflect:
+                    out[k] = (x, y, z)
+                    return k, _ESCAPED
+                # radial fold across the spherical wall
+                f = (2.0 * bound - math.sqrt(r2)) / math.sqrt(r2)
+                x *= f
+                y *= f
+                z *= f
+            out[k] = (x, y, z)
+        return k, _RAN
+
+    return step
+
+
+def _compiled_stepper(kernel, cfg: SimConfig, bound, mob):
+    """integrator.c's df_step_chunk behind the reference stepper's signature,
+    with its constants from the helpers the reference loop reads."""
+    if cfg.force_model == "dipole":
+        p, w0sq, zr, p_total, ct, st, lag_c, dlag_c = _bottle_constants(cfg.beam)
+        coef = [p, w0sq, zr, p_total, ct, st, math.pi,
+                *_dipole_constants(cfg.beam, cfg.particle, cfg.include_scattering),
+                *lag_c, *dlag_c]
+    else:
+        coef = _force_coefficients(cfg)
+    coef = np.array(coef, dtype=float)
+    model = _MODEL_CODES[cfg.force_model]
+    reflect = cfg.boundary == "reflect"
+    status = ctypes.c_int()
+
+    def step(noise, out):
+        if out.shape != (len(noise) + 1, 3) or noise.shape[1:] != (3,):
+            raise ValueError("out must hold one more row of three than noise")
+        k = kernel(model, coef, noise, len(noise), out, bound, mob, reflect,
+                   ctypes.byref(status))
+        return k, status.value
+
+    return step
 
 
 def simulate(cfg: SimConfig) -> Trajectory:
@@ -258,61 +344,36 @@ def simulate(cfg: SimConfig) -> Trajectory:
     expansion alone would not confine the particle.
     """
     bound, mob, noise_scale = _integration_constants(cfg)
-    if cfg.force_model == "dipole":
-        force = _dipole_force(cfg.beam, cfg.particle, cfg.include_scattering)
+    kernel = _compiled.load()
+    if kernel is None:
+        step = _python_stepper(cfg, bound, mob)
     else:
-        force = _LANE_FORCES[cfg.force_model](*_force_coefficients(cfg))
-    bound2 = bound * bound
+        step = _compiled_stepper(kernel, cfg, bound, mob)
 
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_steps
     out = np.empty((n + 1, 3))
-    x, y, z = (float(v) for v in cfg.initial_position)
-    out[0] = (x, y, z)
-    escape = None
-
-    reflect = cfg.boundary == "reflect"
+    out[0] = [float(v) for v in cfg.initial_position]
     done = 0
-    step_index = 0
-    while done < n and escape is None:
+    outcome = _RAN
+    while done < n and outcome == _RAN:
         chunk = min(_NOISE_CHUNK, n - done)
         noise = rng.standard_normal((chunk, 3))
         noise *= noise_scale
-        # plain floats keep the loop's arithmetic off numpy scalars
-        for nx, ny, nz in noise.tolist():
-            fx, fy, fz = force(x, y, z)
-            dx = fx * mob + nx
-            dy = fy * mob + ny
-            dz = fz * mob + nz
-            if dx * dx + dy * dy + dz * dz > bound2:
-                raise SimulationUnstableError(
-                    f"step displacement exceeded the domain scale {bound:g} m "
-                    f"at step {step_index + 1}; reduce dt"
-                )
-            x += dx
-            y += dy
-            z += dz
-            step_index += 1
-            r2 = x * x + y * y + z * z
-            if r2 > bound2:
-                if reflect:
-                    # radial fold across the spherical wall
-                    f = (2.0 * bound - math.sqrt(r2)) / math.sqrt(r2)
-                    x *= f
-                    y *= f
-                    z *= f
-                else:
-                    out[step_index] = (x, y, z)
-                    escape = EscapeReport(
-                        position=(x, y, z), time=step_index * cfg.dt, step=step_index
-                    )
-                    break
-            out[step_index] = (x, y, z)
-        done += chunk
+        k, outcome = step(noise, out[done:done + chunk + 1])
+        if outcome == _UNSTABLE:
+            raise SimulationUnstableError(
+                f"step displacement exceeded the domain scale {bound:g} m "
+                f"at step {done + k}; reduce dt"
+            )
+        done += k
 
-    positions = out[: step_index + 1]
+    escape = None
+    if outcome == _ESCAPED:
+        escape = EscapeReport(position=tuple(out[done].tolist()), time=done * cfg.dt,
+                              step=done)
     return Trajectory(
-        dt=cfg.dt, positions=positions, seed=cfg.seed, provenance="simulated",
+        dt=cfg.dt, positions=out[: done + 1], seed=cfg.seed, provenance="simulated",
         escape=escape, config=cfg,
     )
 
@@ -324,126 +385,10 @@ def spawn_seeds(seed: int, n: int, offset: int = 0) -> list:
 
 
 def simulate_lanes(cfgs) -> list:
-    """Integrate one trajectory per config; lane i equals simulate(cfgs[i]) bit
-    for bit.
-
-    LOCKSTEP_MIN_LANES or more quartic or harmonic lanes that share the force
-    model, boundary and step count are stepped together as arrays; any other
-    ensemble runs simulate per lane.  The dipole model always runs per lane,
-    because numpy's vectorized exp and cos need not round like libm.
-    """
-    cfgs = list(cfgs)
-    shared = {(c.force_model, c.boundary, c.n_steps) for c in cfgs}
-    if (len(cfgs) >= LOCKSTEP_MIN_LANES and len(shared) == 1
-            and cfgs[0].force_model in _LANE_FORCES):
-        return _simulate_lockstep(cfgs)
+    """Integrate one trajectory per config, in order: the one entry point of
+    every ensemble.  Each lane is simulate(cfg), so lane i equals a single
+    run of cfgs[i] bit for bit."""
     return [simulate(c) for c in cfgs]
-
-
-def _simulate_lockstep(cfgs) -> list:
-    """simulate for every config at once, one numpy call per operation and
-    step over the (R,) lanes still running.
-
-    Each distinct seed owns one generator whose (_LANE_BLOCK, 3) draws continue
-    the stream simulate draws in chunks, so lanes may share a seed.  Step
-    vectors and positions are buffered per block; the unstable-step check runs
-    on the buffer when it is written out, and an escaped lane is written out
-    and dropped from the arrays at its escape step.
-    """
-    n, n_lanes = cfgs[0].n_steps, len(cfgs)
-    make_force = _LANE_FORCES[cfgs[0].force_model]
-    reflect = cfgs[0].boundary == "reflect"
-    bound, mob, scale = (np.array(v) for v in zip(*map(_integration_constants, cfgs)))
-    coef = [np.array(v) for v in zip(*map(_force_coefficients, cfgs))]
-    generator_of = {}
-    gen_index = np.array([generator_of.setdefault(c.seed, len(generator_of)) for c in cfgs])
-    gens = [np.random.default_rng(seed) for seed in generator_of]
-
-    start = np.array([c.initial_position for c in cfgs], dtype=float)
-    # one array per lane, which can reuse freed heap blocks as one block could not
-    out = [np.empty((n + 1, 3)) for _ in cfgs]
-    for lane_out, position in zip(out, start):
-        lane_out[0] = position
-    x, y, z = start.T.copy()
-    lanes = np.arange(n_lanes)
-    lengths = [n + 1] * n_lanes
-    escapes = [None] * n_lanes
-    force = make_force(*coef)
-    bound2, twice_bound = bound * bound, 2.0 * bound
-
-    def write_out(lo, hi):
-        d = steps[:, lo:hi]
-        unstable = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] > bound2
-        if unstable.any():
-            k, j = np.argwhere(unstable)[0]
-            raise SimulationUnstableError(
-                f"step displacement exceeded the domain scale {bound[j]:g} m "
-                f"at step {done + lo + k + 1} of lane {lanes[j]}; reduce dt"
-            )
-        for j, lane in enumerate(lanes.tolist()):
-            out[lane][done + lo + 1:done + hi + 1] = states[:, lo:hi, j].T
-
-    done = 0
-    # past an unstable step the arithmetic may overflow before write_out raises
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while done < n and len(lanes):
-            block = min(_LANE_BLOCK, n - done)
-            draws = np.stack([g.standard_normal((block, 3)) for g in gens])
-            noise = draws.transpose(2, 1, 0)[:, :, gen_index] * scale
-            steps = np.empty((3, block, len(lanes)))
-            states = np.empty_like(steps)
-            lo = 0
-            for k in range(block):
-                fx, fy, fz = force(x, y, z)
-                dx = np.multiply(fx, mob, out=steps[0, k])
-                dy = np.multiply(fy, mob, out=steps[1, k])
-                dz = np.multiply(fz, mob, out=steps[2, k])
-                dx += noise[0, k]
-                dy += noise[1, k]
-                dz += noise[2, k]
-                x = np.add(x, dx, out=states[0, k])
-                y = np.add(y, dy, out=states[1, k])
-                z = np.add(z, dz, out=states[2, k])
-                r2 = x * x + y * y + z * z
-                over = r2 > bound2
-                if not over.any():
-                    continue
-                if reflect:
-                    # radial fold across the spherical wall
-                    r = np.sqrt(r2)
-                    f = np.where(over, (twice_bound - r) / r, 1.0)
-                    x *= f
-                    y *= f
-                    z *= f
-                    continue
-                write_out(lo, k + 1)
-                lo = k + 1
-                step = done + k + 1
-                for j in np.flatnonzero(over):
-                    lane = lanes[j]
-                    lengths[lane] = step + 1
-                    escapes[lane] = EscapeReport(
-                        position=(float(x[j]), float(y[j]), float(z[j])),
-                        time=step * cfgs[lane].dt, step=step,
-                    )
-                keep = ~over
-                lanes, x, y, z = lanes[keep], x[keep], y[keep], z[keep]
-                bound, mob, scale, bound2, twice_bound = (
-                    a[keep] for a in (bound, mob, scale, bound2, twice_bound))
-                coef = [a[keep] for a in coef]
-                force = make_force(*coef)
-                gen_index = gen_index[keep]
-                noise, steps, states = (a[:, :, keep] for a in (noise, steps, states))
-                if not len(lanes):
-                    break
-            write_out(lo, k + 1)
-            done += block
-
-    return [
-        Trajectory(dt=c.dt, positions=out[i][:lengths[i]], seed=c.seed,
-                   provenance="simulated", escape=escapes[i], config=c)
-        for i, c in enumerate(cfgs)
-    ]
 
 
 def simulate_ensemble(cfg: SimConfig, n_runs: int, seed_offset: int = 0):
@@ -514,6 +459,9 @@ def marginal_density(density, axes, keep_axis: int):
 
 
 def save_trajectory(traj: Trajectory, path):
+    """Write t x y z rows with every float in repr form, so load_trajectory
+    reads back the same bits; rows are converted in blocks of _ROWS_PER_BLOCK
+    to bound the memory the text conversion takes."""
     with open(path, "w") as fh:
         fh.write(f"# dt={traj.dt!r}\n")
         if traj.seed is not None:
@@ -523,8 +471,10 @@ def save_trajectory(traj: Trajectory, path):
             e = traj.escape
             fh.write(f"# escape_step={e.step} escape_time={e.time!r}\n")
         fh.write("t x y z\n")
-        for k, (px, py, pz) in enumerate(traj.positions.tolist()):
-            fh.write(f"{k * traj.dt!r} {px!r} {py!r} {pz!r}\n")
+        for start in range(0, len(traj.positions), _ROWS_PER_BLOCK):
+            rows = traj.positions[start:start + _ROWS_PER_BLOCK].tolist()
+            fh.write("".join([f"{k * traj.dt!r} {px!r} {py!r} {pz!r}\n"
+                              for k, (px, py, pz) in enumerate(rows, start)]))
 
 
 def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:

@@ -200,9 +200,9 @@ def quartic_potential(coeffs: QuarticCoefficients, rho, z):
 def _quartic_force(k_z, k_rz, k_r):
     """The quartic force as a function of (x, y, z) returning (F_x, F_y, F_z).
 
-    The integrator calls it on plain floats, or on (R,) arrays with per-lane
-    coefficients for lanes stepped together; its operation order fixes the
-    integrator's bits.
+    The integrator's reference loop calls it on plain floats and
+    quartic_force on arrays of points; integrator.c repeats its operation
+    order, which fixes the integrator's bits.
     """
 
     def force(x, y, z):

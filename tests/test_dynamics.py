@@ -1,6 +1,10 @@
 import dataclasses
+import logging
 import math
+import shutil
 import warnings
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,8 @@ from darkfocus import (
     simulate_ensemble,
     simulate_lanes,
 )
-from darkfocus.dynamics import LOCKSTEP_MIN_LANES, _dipole_force
+from darkfocus import _compiled, dynamics
+from darkfocus.dynamics import _dipole_force
 
 TABLE_COEFFS = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
 
@@ -247,59 +252,81 @@ class TestEnsembles:
 def lane_cfgs(beam, particle, model, boundary, n_lanes=20):
     """Per-lane coefficients and walls on three shared seeds.  Every lane of a
     reflecting ensemble meets its wall; lanes 3, 10 and 17 of an absorbing one
-    have a close wall and escape within a few hundred steps."""
+    have a close wall and escape within a few hundred steps.  Dipole lanes
+    cover p in {1, 2, 3} with and without scattering, on a 200 nm sphere that
+    radiation pressure does not push out of the trap."""
     qc = quartic_coefficients(beam, particle)
     cfgs = []
     for i in range(n_lanes):
         if model == "quartic":
-            kw = dict(dt=1e-5, coefficients=QuarticCoefficients(
+            kw = dict(dt=1e-5, particle=particle, coefficients=QuarticCoefficients(
                 qc.k_z * (1 + 0.05 * i), qc.k_rho_z, qc.k_rho * (1 - 0.02 * i)))
             wall = 6e-8
-        else:
-            kw = dict(dt=2e-4, force_model="harmonic",
+        elif model == "harmonic":
+            kw = dict(dt=2e-4, particle=particle, force_model="harmonic",
                       stiffness=(1e-6 * (1 + 0.1 * i), 2e-6, 5e-7))
             wall = 1.2e-7
+        else:
+            kw = dict(dt=2e-5, particle=dataclasses.replace(particle, radius=200e-9),
+                      force_model="dipole", beam=dataclasses.replace(beam, p_index=1 + i % 3),
+                      include_scattering=i % 2 == 1)
+            wall = 6e-8
         close = boundary == "reflect" or i % 7 == 3
-        cfgs.append(SimConfig(particle=particle, n_steps=3000, seed=i % 3,
-                              domain_bound=wall if close else None,
+        cfgs.append(SimConfig(n_steps=3000, seed=i % 3, domain_bound=wall if close else None,
                               boundary=boundary, **kw))
     return cfgs
 
 
+def reference_runs(cfgs, monkeypatch):
+    """simulate on the Python reference loop, as when no compiler works."""
+    with monkeypatch.context() as m:
+        m.setattr(_compiled, "load", lambda: None)
+        return [simulate(c) for c in cfgs]
+
+
+needs_cc = pytest.mark.skipif(shutil.which(_compiled.COMPILER) is None,
+                              reason="no C compiler to build the compiled stepper")
+
+
 class TestSimulateLanes:
+    @needs_cc
     @pytest.mark.parametrize("boundary", ["absorb", "reflect"])
-    @pytest.mark.parametrize("model", ["quartic", "harmonic"])
-    def test_lockstep_equals_scalar(self, beam, particle, model, boundary):
+    @pytest.mark.parametrize("model", ["quartic", "harmonic", "dipole"])
+    def test_compiled_equals_reference(self, beam, particle, model, boundary, monkeypatch):
         cfgs = lane_cfgs(beam, particle, model, boundary)
-        assert len(cfgs) >= LOCKSTEP_MIN_LANES
+        assert _compiled.load() is not None
         lanes = simulate_lanes(cfgs)
-        scalar = [simulate(c) for c in cfgs]
-        for lane, ref in zip(lanes, scalar):
+        reference = reference_runs(cfgs, monkeypatch)
+        for lane, ref in zip(lanes, reference):
             assert lane.positions.shape == ref.positions.shape
             assert np.array_equal(lane.positions, ref.positions)
             assert lane.escape == ref.escape
             assert lane.seed == ref.seed and lane.config == ref.config
-        escaped = {i: t.escape.step for i, t in enumerate(scalar) if t.escape is not None}
+        escaped = {i: t.escape.step for i, t in enumerate(reference) if t.escape is not None}
         if boundary == "absorb":
             assert sorted(escaped) == [3, 10, 17]
             assert all(0 < step < 1000 for step in escaped.values())  # mid-chunk
         else:
             assert not escaped
-            for t, c in zip(scalar, cfgs):
+            for t, c in zip(reference, cfgs):
                 r = np.sqrt(np.sum(t.positions**2, axis=1))
                 assert r.max() <= c.domain_bound
                 assert r.max() > 0.95 * c.domain_bound
 
-    def test_unstable_step_raises(self, particle):
-        cfgs = [SimConfig(particle=particle, dt=2e-4, n_steps=100, force_model="harmonic",
-                          stiffness=1e-6, seed=i, domain_bound=1e-9)
-                for i in range(LOCKSTEP_MIN_LANES)]
-        with pytest.raises(SimulationUnstableError, match="at step 1 "):
-            simulate_lanes(cfgs)
+    @needs_cc
+    def test_unstable_step_raises(self, particle, monkeypatch):
+        # the unstable step falls in the second noise chunk
+        cfg = SimConfig(particle=particle, dt=5e-5, n_steps=100_000, force_model="harmonic",
+                        stiffness=1e-5, seed=2, domain_bound=3.5e-8, boundary="reflect")
+        message = "at step 90948; reduce dt"
+        with pytest.raises(SimulationUnstableError, match=message) as compiled:
+            simulate_lanes([cfg])
+        with pytest.raises(SimulationUnstableError, match=message) as reference:
+            reference_runs([cfg], monkeypatch)
+        assert str(compiled.value) == str(reference.value)
 
     def test_small_and_dipole_ensembles_run_per_lane(self, beam, particle, monkeypatch):
-        from darkfocus import dynamics
-
+        # every ensemble, at any width and for every model, is simulate per config
         calls = []
         scalar = dynamics.simulate
 
@@ -308,16 +335,60 @@ class TestSimulateLanes:
             return scalar(cfg)
 
         monkeypatch.setattr(dynamics, "simulate", counted)
-        small = lane_cfgs(beam, particle, "harmonic", "reflect",
-                          n_lanes=LOCKSTEP_MIN_LANES - 1)
-        simulate_lanes(small)
-        dipole = [SimConfig(particle=particle, dt=2e-5, n_steps=20, force_model="dipole",
-                            beam=beam, seed=i) for i in range(LOCKSTEP_MIN_LANES)]
-        simulate_lanes(dipole)
-        assert calls == small + dipole
-        calls.clear()
-        simulate_lanes(lane_cfgs(beam, particle, "harmonic", "reflect"))
-        assert not calls
+        for cfgs in (lane_cfgs(beam, particle, "harmonic", "reflect", n_lanes=1),
+                     lane_cfgs(beam, particle, "dipole", "absorb", n_lanes=5),
+                     lane_cfgs(beam, particle, "quartic", "reflect", n_lanes=40)):
+            calls.clear()
+            runs = simulate_lanes(iter(cfgs))
+            assert calls == cfgs
+            assert [t.config for t in runs] == cfgs
+
+
+@needs_cc
+class TestCompiledStepper:
+    def test_library_cached_per_source_and_compiler(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        first = _compiled.build()
+        assert first.parent == tmp_path / "darkfocus" and first.is_file()
+
+        def no_compile(*args):
+            raise AssertionError("compiler called although the cache holds the library")
+
+        monkeypatch.setattr(_compiled, "_compile", no_compile)
+        assert _compiled.build() == first
+        assert sorted(p.name for p in first.parent.iterdir()) == [first.name]
+
+    def test_failed_compile_falls_back_with_one_warning(self, particle, tmp_path,
+                                                         monkeypatch, caplog):
+        cfg = harmonic_cfg(particle, n_steps=3000, seed=5)
+        expected = simulate(cfg)
+        broken = tmp_path / "broken.c"
+        broken.write_text("long df_step_chunk(void) { return }\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_compiled, "_source", lambda: broken)
+        _compiled.load.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger=_compiled.__name__):
+                runs = [simulate(cfg), simulate(cfg)]
+                assert _compiled.load() is None
+        finally:
+            _compiled.load.cache_clear()
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "broken.c" in record.getMessage() and "error" in record.getMessage()
+        assert not list((tmp_path / "darkfocus").iterdir())
+        for traj in runs:
+            assert np.array_equal(traj.positions, expected.positions)
+
+
+def test_source_ships_with_the_package():
+    source = resources.files("darkfocus").joinpath(_compiled.SOURCE)
+    assert source.is_file()
+    assert "df_step_chunk" in source.read_text()
+    # an installed copy carries the source only if setuptools is told to ship it
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    package_data = pyproject.split("[tool.setuptools.package-data]\n", 1)[1]
+    assert package_data.startswith(f'darkfocus = ["{_compiled.SOURCE}"]\n')
 
 
 # positions recorded from the scalar loop before it iterated noise.tolist();
@@ -363,6 +434,17 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_simulate_reproduces_recorded_positions(beam, particle, name):
+    check_golden(beam, particle, name)
+
+
+def test_python_loop_reproduces_recorded_positions(beam, particle, monkeypatch):
+    # the fallback when no compiler works
+    monkeypatch.setattr(_compiled, "load", lambda: None)
+    for name in sorted(GOLDEN):
+        check_golden(beam, particle, name)
+
+
+def check_golden(beam, particle, name):
     case = GOLDEN[name]
     cfg = dict(case["cfg"])
     if cfg.get("force_model", "quartic") == "dipole":
@@ -494,6 +576,27 @@ class TestTrajectoryIo:
                 fh.write(f"{i * 0.25} {1e-9 * i} 0.0 0.0\n")
         traj = load_trajectory(path)
         assert traj.dt == pytest.approx(0.25)
+
+    def test_written_text_matches_recorded_file(self, tmp_path, monkeypatch):
+        # recorded from the writer that converted all rows at once; blocks of
+        # two rows make the five rows cross two block boundaries
+        monkeypatch.setattr(dynamics, "_ROWS_PER_BLOCK", 2)
+        pos = [[0.0, -0.0, 1e-7], [1 / 3 * 1e-7, -2.5e-8, 7.0e-9],
+               [1.2345678901234567e-8, 1e-300, -3.3e-8], [5e-324, 2.0, -1.0],
+               [-6.02214076e-8, 4.4e-9, 1.1e-7]]
+        traj = Trajectory(dt=2e-5, positions=pos, seed=42, escape=EscapeReport(
+            position=tuple(pos[-1]), time=4 * 2e-5, step=4))
+        path = tmp_path / "recorded.txt"
+        save_trajectory(traj, path)
+        assert path.read_text() == (
+            "# dt=2e-05\n# seed=42\n# provenance=simulated\n"
+            "# escape_step=4 escape_time=8e-05\nt x y z\n"
+            "0.0 0.0 -0.0 1e-07\n"
+            "2e-05 3.333333333333333e-08 -2.5e-08 7e-09\n"
+            "4e-05 1.2345678901234567e-08 1e-300 -3.3e-08\n"
+            "6.000000000000001e-05 5e-324 2.0 -1.0\n"
+            "8e-05 -6.02214076e-08 4.4e-09 1.1e-07\n"
+        )
 
     def test_escape_header_written(self, particle, tmp_path):
         cfg = SimConfig(particle=particle, dt=2e-5, n_steps=500_000,
