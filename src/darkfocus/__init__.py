@@ -74,6 +74,7 @@ from .spectral import (
     CornerFrequencyResult,
     FitError,
     LorentzianFit,
+    NumericalError,
     PsdEstimate,
     corner_frequency_of,
     estimate_psd,

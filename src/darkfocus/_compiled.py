@@ -1,16 +1,23 @@
-"""Build and load integrator.c, the compiled Euler-Maruyama chunk stepper.
+"""Build and load the compiled kernels: integrator.c, the Euler-Maruyama chunk
+stepper of darkfocus.dynamics.simulate, and trajio.c, the row writer and
+parser of save_trajectory and load_trajectory.
 
-The source ships inside the package and is compiled on first use with the
-system C compiler, without floating-point contraction or fast-math so that
-every operation rounds as Python's floats do.  The shared library is cached
-per user under $XDG_CACHE_HOME/darkfocus (default ~/.cache/darkfocus) in a
-file named by a hash of the source, the compiler's version and the flags; it
-is written to a temporary file and renamed into place, so concurrent first
-runs are safe.  When no compiler works, load() logs one warning and returns
-None, and darkfocus.dynamics runs its Python reference loop, which gives the
-same bits.
+Both sources ship inside the package and are compiled together, on first
+use, into one shared library with the system C compiler, without
+floating-point contraction or fast-math so that every operation rounds as
+Python's floats do.  The library is cached per user under
+$XDG_CACHE_HOME/darkfocus (default ~/.cache/darkfocus) in a file named by a
+hash of every source, the compiler's version and the flags; it is written to
+a temporary file and renamed into place, so concurrent first runs are safe.
+When no compiler works, load() logs one warning and returns None, and
+darkfocus.dynamics runs its Python reference code for the stepper and the
+trajectory I/O, which gives the same bits and the same text.
+
+The 128-bit power tables of the I/O kernels are computed here, exactly,
+from Python integers.
 """
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -27,18 +34,31 @@ log = logging.getLogger(__name__)
 
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-SOURCE = "integrator.c"
+SOURCES = ("integrator.c", "trajio.c")
 
-_ARRAY = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-# df_step_chunk(model, coef, noise, rows of noise, out, bound, mobility,
-#               reflect, &status); ndpointer checks dtype and layout
-_ARGTYPES = [ctypes.c_int, _ARRAY, _ARRAY, ctypes.c_long,
-             np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE")),
-             ctypes.c_double, ctypes.c_double, ctypes.c_int, ctypes.POINTER(ctypes.c_int)]
+# ndpointer checks dtype and layout
+_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_OUT_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_WORDS = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+_BYTES = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+_OUT_BYTES = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_LONG_P = ctypes.POINTER(ctypes.c_long)
+_SIGNATURES = {
+    # (model, coef, noise, rows of noise, out, bound, mobility, reflect, &status)
+    "df_step_chunk": [ctypes.c_int, _DOUBLES, _DOUBLES, ctypes.c_long, _OUT_DOUBLES,
+                      ctypes.c_double, ctypes.c_double, ctypes.c_int,
+                      ctypes.POINTER(ctypes.c_int)],
+    # (positions, rows, first row index, dt, inv5, pow5, text, capacity)
+    "df_format_rows": [_DOUBLES, ctypes.c_long, ctypes.c_long, ctypes.c_double,
+                       _WORDS, _WORDS, _OUT_BYTES, ctypes.c_long],
+    # (text, length, final, comma, pow5, &ncols, out, capacity, &nrows)
+    "df_parse_rows": [_BYTES, ctypes.c_long, ctypes.c_int, ctypes.c_int, _WORDS,
+                      _LONG_P, _OUT_DOUBLES, ctypes.c_long, _LONG_P],
+}
 
 
-def _source():
-    return resources.files(__package__).joinpath(SOURCE)
+def _sources():
+    return [resources.files(__package__).joinpath(name) for name in SOURCES]
 
 
 def _cache_dir() -> Path:
@@ -46,13 +66,14 @@ def _cache_dir() -> Path:
     return Path(root) / "darkfocus"
 
 
-def _compile(source, target: Path):
-    """Compile source into the shared library target, renamed into place."""
+def _compile(sources, target: Path):
+    """Compile sources into the shared library target, renamed into place."""
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
     os.close(fd)
     try:
-        with resources.as_file(source) as path:
-            subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(path), "-lm"],
+        with contextlib.ExitStack() as stack:
+            paths = [str(stack.enter_context(resources.as_file(s))) for s in sources]
+            subprocess.run([COMPILER, *FLAGS, "-o", tmp, *paths, "-lm"],
                            check=True, capture_output=True, text=True)
         os.replace(tmp, target)
     finally:
@@ -61,33 +82,77 @@ def _compile(source, target: Path):
 
 
 def build() -> Path:
-    """Path of the compiled stepper; compiles it unless the cache holds it."""
-    source = _source()
+    """Path of the compiled library; compiles it unless the cache holds it."""
+    sources = _sources()
     version = subprocess.run([COMPILER, "--version"], check=True,
                              capture_output=True, text=True).stdout
-    key = hashlib.sha256("\0".join((source.read_text(), version, *FLAGS)).encode())
-    target = _cache_dir() / f"integrator-{key.hexdigest()[:16]}.so"
+    key = hashlib.sha256("\0".join(
+        (*(s.read_text() for s in sources), version, *FLAGS)).encode())
+    target = _cache_dir() / f"darkfocus-{key.hexdigest()[:16]}.so"
     if not target.exists():
         target.parent.mkdir(parents=True, exist_ok=True)
-        _compile(source, target)
+        _compile(sources, target)
     return target
 
 
 @functools.cache
 def load():
-    """The compiled df_step_chunk as a ctypes function, or None when it
-    cannot be built; the outcome is kept for the life of the process."""
+    """The compiled library with df_step_chunk, df_format_rows and
+    df_parse_rows typed, or None when it cannot be built; the outcome is
+    kept for the life of the process."""
+    fallback = "the stepper and the trajectory I/O run their Python reference code"
     try:
         library = ctypes.CDLL(str(build()))
     except subprocess.CalledProcessError as exc:
-        log.warning("compiling %s failed, simulate runs its Python loop:\n%s",
-                    SOURCE, exc.stderr)
+        log.warning("compiling %s failed, %s:\n%s", " ".join(SOURCES), fallback, exc.stderr)
         return None
     except OSError as exc:
         # no compiler on PATH, an unwritable cache or an unloadable library
-        log.warning("cannot build %s (%s), simulate runs its Python loop", SOURCE, exc)
+        log.warning("cannot build %s (%s), %s", " ".join(SOURCES), exc, fallback)
         return None
-    step = library.df_step_chunk
-    step.argtypes = _ARGTYPES
-    step.restype = ctypes.c_long
-    return step
+    for name, argtypes in _SIGNATURES.items():
+        function = getattr(library, name)
+        function.argtypes = argtypes
+        function.restype = ctypes.c_long
+    return library
+
+
+def _words(values):
+    """Unsigned 128-bit integers as a read-only uint64 array of (low, high) pairs."""
+    mask = (1 << 64) - 1
+    words = np.array([(v & mask, v >> 64) for v in values], dtype=np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def shortest_tables():
+    """Ryu's multipliers for df_format_rows, as (inv5, pow5): for q < 292,
+    floor(2^(b(5^q) - 1 + 125) / 5^q) + 1, and for i < 326, 5^i shifted to
+    125 bits (truncated), b being the bit length.  These cover every
+    decimal exponent a finite double needs."""
+    inv5 = [(1 << (5**q).bit_length() - 1 + 125) // 5**q + 1 for q in range(292)]
+    pow5 = []
+    for i in range(326):
+        shift = (5**i).bit_length() - 125
+        pow5.append(5**i >> shift if shift >= 0 else 5**i << -shift)
+    return _words(inv5), _words(pow5)
+
+
+@functools.cache
+def decimal_table():
+    """The Eisel-Lemire powers of five of df_parse_rows, q = -342 .. 308:
+    for q >= 0, 5^q shifted to 128 bits with the top bit set (truncated);
+    for q < 0, floor(2^b / 5^-q) + 1 truncated to 128 bits, where b is
+    z + 127 for q >= -27 and 2z + 128 below, z the bit length of 5^-q."""
+    powers = []
+    for q in range(-342, 309):
+        if q < 0:
+            z = (5**-q).bit_length()
+            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5**-q + 1
+            powers.append(c >> max(c.bit_length() - 128, 0))
+        else:
+            c = 5**q
+            shift = c.bit_length() - 128
+            powers.append(c >> shift if shift >= 0 else c << -shift)
+    return _words(powers)

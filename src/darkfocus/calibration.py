@@ -17,7 +17,7 @@ from scipy.constants import k as BOLTZMANN
 from .beam import BeamParams
 from .dynamics import SimConfig, Trajectory, pooled_positions, simulate_lanes, spawn_seeds
 from .forces import ParticleMedium, QuarticCoefficients, quartic_coefficients
-from .spectral import FitError, estimate_psd, fit_lorentzian
+from .spectral import FitError, NumericalError, estimate_psd, fit_lorentzian
 
 __all__ = [
     "EmpiricalPdf",
@@ -221,7 +221,7 @@ def boltzmann_potential(pdf: EmpiricalPdf, temperature: float):
         raise ValueError("temperature must be positive")
     mask = pdf.density > 0
     if mask.sum() < 3:
-        raise ValueError("density support too narrow to invert")
+        raise NumericalError("density support too narrow to invert")
     v = -BOLTZMANN * temperature * np.log(pdf.density[mask])
     return pdf.centers[mask], v - v.min()
 
@@ -281,7 +281,7 @@ def _fit_quartic_once(positions, temperature, rho_max, z_max, n_bins, min_count)
     mask = binary_erosion(padded, structure=np.array(
         [[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool))[1:]
     if mask.sum() < 8:
-        raise ValueError("too few populated bins to constrain the quartic model")
+        raise NumericalError("too few populated bins to constrain the quartic model")
     # counts ~ exp(-V/kBT) * 2 pi rho drho dz: divide out the radial measure
     v = -BOLTZMANN * temperature * (np.log(counts[mask]) - np.log(rr[mask]))
     design = np.column_stack([
@@ -294,10 +294,10 @@ def _fit_quartic_once(positions, temperature, rho_max, z_max, n_bins, min_count)
     a = design * weights[:, None]
     scale = np.linalg.norm(a, axis=0)
     if np.any(scale == 0.0):
-        raise ValueError("support too narrow to constrain the quartic terms")
+        raise NumericalError("support too narrow to constrain the quartic terms")
     sol, _, rank, sv = np.linalg.lstsq(a / scale, v * weights, rcond=None)
     if rank < 4 or sv[-1] / sv[0] < 1e-10:
-        raise ValueError("ill-conditioned reconstruction: support too narrow")
+        raise NumericalError("ill-conditioned reconstruction: support too narrow")
     sol = sol / scale
     v_grid = np.full(counts.shape, np.nan)
     v_grid[mask] = v

@@ -39,7 +39,7 @@ from .forces import (
     quartic_coefficients,
     sample_force_grid,
 )
-from .spectral import FitError, estimate_psd, fit_lorentzian
+from .spectral import FitError, NumericalError, estimate_psd, fit_lorentzian
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -439,6 +439,9 @@ def main(argv=None) -> int:
     except SimulationEscape as exc:
         print(f"physics signal: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,6 +20,7 @@ __all__ = [
     "PsdEstimate",
     "LorentzianFit",
     "FitError",
+    "NumericalError",
     "CornerFrequencyResult",
     "estimate_psd",
     "fit_lorentzian",
@@ -29,6 +30,11 @@ __all__ = [
 
 class FitError(RuntimeError):
     """Lorentzian fit did not converge or had too little data."""
+
+
+class NumericalError(ValueError):
+    """Valid input that the numerics cannot resolve: too few bins or too
+    narrow a support for a fit or an inversion."""
 
 
 @dataclass(frozen=True)
@@ -164,7 +170,7 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
     f = psd.frequencies[mask]
     s = psd.psd[mask]
     if len(f) < 10:
-        raise ValueError(f"need at least 10 frequency bins in range, got {len(f)}")
+        raise NumericalError(f"need at least 10 frequency bins in range, got {len(f)}")
     if np.any(s <= 0):
         raise FitError("log-PSD fit requires strictly positive PSD values in range")
 

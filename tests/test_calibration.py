@@ -8,6 +8,7 @@ from scipy.stats import norm
 
 from darkfocus import (
     EmpiricalPdf,
+    NumericalError,
     QuarticCoefficients,
     SimConfig,
     boltzmann_potential,
@@ -199,6 +200,14 @@ class TestBoltzmannPotential:
         coeffs = np.polyfit(x, v, 2)
         assert 2 * coeffs[0] == pytest.approx(k, rel=0.03)
         assert v.min() == 0.0
+
+    def test_narrow_support_is_numerical_error(self, particle):
+        # two populated bins cannot be inverted; a ValueError still catches it
+        pdf = EmpiricalPdf(bin_edges=np.arange(5.0), density=np.array([0, 0.5, 0.5, 0]),
+                           n_samples=2)
+        with pytest.raises(NumericalError, match="density support too narrow"):
+            boltzmann_potential(pdf, particle.temperature)
+        assert issubclass(NumericalError, ValueError)
 
     def test_boltzmann_round_trip_error_bound(self, particle):
         # equilibrium density -> inversion reproduces the potential to

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from darkfocus.cli import EXIT_CONFIG, EXIT_OK, EXIT_PHYSICS, main
+from darkfocus import Trajectory, save_trajectory
+from darkfocus.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_PHYSICS, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -280,4 +281,22 @@ def test_missing_input_file_is_config_error(tmp_path, capsys, command, key):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith(f"config error: cannot read analysis.{key}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,analysis,message", [
+    # 1 s of 4 ms samples in 128-sample segments: 2 Hz bins, five of them in range
+    ("psd", {"psd_nperseg": 128, "fit_range": [2.0, 10.0]}, "need at least 10 frequency bins"),
+    # untrapped noise spreads over the (rho, z) grid: no bin reaches min_count
+    ("calibrate", {}, "too few populated bins"),
+])
+def test_numerical_failure_exit_code(tmp_path, capsys, command, analysis, message):
+    positions = np.random.default_rng(3).uniform(-1e-7, 1e-7, size=(4000, 3))
+    path = tmp_path / "degenerate.txt"
+    save_trajectory(Trajectory(dt=4e-3, positions=positions), path)
+    cfg = write_config(tmp_path, {"analysis": {"trajectory": str(path), **analysis}})
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert err.startswith(f"numerical failure: {message}")
     assert "Traceback" not in err

@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import shutil
+import subprocess
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -365,7 +366,7 @@ class TestCompiledStepper:
         broken = tmp_path / "broken.c"
         broken.write_text("long df_step_chunk(void) { return }\n")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(_compiled, "_source", lambda: broken)
+        monkeypatch.setattr(_compiled, "_sources", lambda: [broken])
         _compiled.load.cache_clear()
         try:
             with caplog.at_level(logging.WARNING, logger=_compiled.__name__):
@@ -382,13 +383,28 @@ class TestCompiledStepper:
 
 
 def test_source_ships_with_the_package():
-    source = resources.files("darkfocus").joinpath(_compiled.SOURCE)
-    assert source.is_file()
-    assert "df_step_chunk" in source.read_text()
-    # an installed copy carries the source only if setuptools is told to ship it
+    exports = {"integrator.c": ["df_step_chunk"],
+               "trajio.c": ["df_format_rows", "df_parse_rows"]}
+    assert _compiled.SOURCES == tuple(exports)
+    for name, functions in exports.items():
+        source = resources.files("darkfocus").joinpath(name)
+        assert source.is_file()
+        assert all(f in source.read_text() for f in functions)
+    # an installed copy carries the sources only if setuptools is told to ship them
     pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
     package_data = pyproject.split("[tool.setuptools.package-data]\n", 1)[1]
-    assert package_data.startswith(f'darkfocus = ["{_compiled.SOURCE}"]\n')
+    listed = ", ".join(f'"{name}"' for name in _compiled.SOURCES)
+    assert package_data.startswith(f"darkfocus = [{listed}]\n")
+
+
+@needs_cc
+@pytest.mark.parametrize("name", _compiled.SOURCES)
+def test_source_compiles_without_warnings(name):
+    with resources.as_file(resources.files("darkfocus").joinpath(name)) as path:
+        result = subprocess.run(
+            [_compiled.COMPILER, "-Wall", "-Wextra", "-Werror", "-O2", "-ffp-contract=off",
+             "-fsyntax-only", str(path)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # positions recorded from the scalar loop before it iterated noise.tolist();
@@ -606,3 +622,18 @@ class TestTrajectoryIo:
         save_trajectory(traj, path)
         text = path.read_text()
         assert "# escape_step=" in text
+        loaded = load_trajectory(path)
+        assert traj.escape is not None and loaded.escape == traj.escape
+        assert np.array_equal(loaded.positions, traj.positions)
+        # the escape position is scaled like the rows
+        scaled = load_trajectory(path, meters_per_pixel=2.0)
+        assert scaled.escape.position == tuple(2.0 * v for v in traj.escape.position)
+
+
+class TestTrajectoryIoReference(TestTrajectoryIo):
+    """The same cases on the Python reference writer and numpy.loadtxt, as
+    when no compiler works."""
+
+    @pytest.fixture(autouse=True)
+    def reference_io(self, monkeypatch):
+        monkeypatch.setattr(_compiled, "load", lambda: None)

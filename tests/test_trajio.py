@@ -1,0 +1,207 @@
+"""The compiled trajectory writer and parser against their references:
+repr text byte for byte, and numpy.loadtxt arrays bit for bit."""
+
+import contextlib
+import io
+import json
+import math
+import shutil
+import struct
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from darkfocus import Trajectory, _compiled, dynamics, load_trajectory, save_trajectory
+from darkfocus.cli import main
+
+pytestmark = pytest.mark.skipif(shutil.which(_compiled.COMPILER) is None,
+                                reason="no C compiler to build the compiled I/O")
+
+HEADER = "# dt=0.001\n# seed=7\n# provenance=simulated\nt x y z\n"
+
+
+@pytest.fixture(scope="module")
+def library():
+    lib = _compiled.load()
+    assert lib is not None
+    return lib
+
+
+def assert_rows_match(library, positions, start=0, dt=2e-5):
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    rows = dynamics._compiled_rows(library, len(positions))
+    assert rows(positions, start, dt) == dynamics._python_rows(positions, start, dt)
+
+
+def edge_values():
+    values = [0.0, 5e-324, struct.unpack("<d", struct.pack("<Q", (1 << 52) - 1))[0],
+              1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0),
+              sys.float_info.max]
+    values += [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    return np.array(values + [-v for v in values])
+
+
+class TestWriter:
+    def test_edge_cases(self, library):
+        values = edge_values()
+        assert_rows_match(library, np.resize(values, (len(values) + 2) // 3 * 3))
+        assert_rows_match(library, np.resize(values[1:], (len(values) + 2) // 3 * 3))
+
+    def test_random_bit_patterns(self, library):
+        bits = np.random.default_rng(20240817).integers(0, 2**64, size=100_002,
+                                                        dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        finite = values[np.isfinite(values)]
+        assert_rows_match(library, finite[: len(finite) // 3 * 3])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3,
+                    max_size=60).map(lambda v: v[: len(v) // 3 * 3]),
+           st.integers(0, 2**53), st.floats(min_value=5e-324, allow_infinity=False))
+    def test_finite_floats(self, library, values, start, dt):
+        assert_rows_match(library, values, start, dt)
+
+    @pytest.mark.parametrize("dt", [math.inf, sys.float_info.max, 5e-324])
+    def test_time_column_extremes(self, library, dt):
+        # k * dt can be inf, nan (0 * inf) or a subnormal; repr spells each
+        assert_rows_match(library, np.zeros((4, 3)), start=0, dt=dt)
+        assert_rows_match(library, np.zeros((4, 3)), start=2**62, dt=dt)
+
+
+def load_both(path, monkeypatch):
+    """load_trajectory on the compiled path and on numpy.loadtxt: both
+    results, or the ValueError each raised."""
+    results = []
+    for reference in (False, True):
+        with monkeypatch.context() as m:
+            if reference:
+                m.setattr(_compiled, "load", lambda: None)
+            try:
+                results.append(load_trajectory(path))
+            except ValueError as exc:
+                results.append(exc)
+    return results
+
+
+def assert_same_load(path, monkeypatch):
+    compiled, reference = load_both(path, monkeypatch)
+    if isinstance(reference, ValueError):
+        assert isinstance(compiled, ValueError), compiled
+        return
+    assert not isinstance(compiled, ValueError), compiled
+    assert compiled.dt == reference.dt and compiled.seed == reference.seed
+    assert compiled.positions.shape == reference.positions.shape
+    assert compiled.positions.tobytes() == reference.positions.tobytes()
+    assert compiled.escape == reference.escape
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trajectory_files(draw):
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(4, 6))
+    comma = draw(st.booleans())
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for _ in range(n_rows):
+        digits = draw(st.integers(0, 17))
+        values = draw(st.lists(finite, min_size=n_cols, max_size=n_cols))
+        tokens = [repr(v) if digits == 0 else f"{v:.{digits}g}" for v in values]
+        if comma:
+            sep = draw(st.sampled_from([",", ", ", " , ", "\t,"]))
+        else:
+            sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        line = sep.join(tokens)
+        if draw(st.integers(0, 9)) == 0:
+            line += " # trailing comment"
+        lines.append(line)
+        extra = draw(st.integers(0, 9))
+        if extra == 0:
+            lines.append("")
+        elif extra == 1:
+            lines.append("# a comment line")
+        elif extra == 2 and not comma:
+            lines.append("  \t")
+    text = HEADER + newline.join(lines) + (newline if draw(st.booleans()) else "")
+    if draw(st.integers(0, 4)) == 0:
+        text = text[: len(HEADER) + draw(st.integers(0, len(text) - len(HEADER)))]
+    return text
+
+
+class TestParser:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trajectory_files())
+    def test_generated_files_match_loadtxt(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "generated.txt"
+        path.write_bytes(text.encode())
+        assert_same_load(path, monkeypatch)
+
+    @pytest.mark.parametrize("body", [
+        "0.0 1e-07 -2.5e-08 3.0\n1.0 2 3 4\n",
+        "0.0,1e-07, -2.5e-08 ,3.0\r\n1.0,2,3,4\r\n",
+        "0 1 2 3 4 5\n\n  \n1 2 3 4 5 6",
+        "5e-324 -0.0 .5 5.\n",
+        "1 00000000000000000000123.25 0.000000000000000000000000001 1.7976931348623159e308\n",
+        "1 2.4703282292062328e-324 1e-400 -1e400\n",
+    ])
+    def test_plain_rows_take_the_compiled_path(self, library, tmp_path, monkeypatch, body):
+        path = tmp_path / "plain.txt"
+        path.write_bytes((HEADER + body).encode())
+        rows = dynamics._compiled_read(library, path, HEADER.count("\n"), "," in body)
+        assert rows is not None
+        expected = np.loadtxt(path, delimiter="," if "," in body else None,
+                              skiprows=HEADER.count("\n"), ndmin=2)
+        assert rows.tobytes() == expected[:, :4].tobytes()
+        if np.all(np.isfinite(rows)):
+            assert_same_load(path, monkeypatch)
+
+    @pytest.mark.parametrize("body", [
+        "1 2 3 4\n# comment\n5 6 7 8\n",
+        "1 2 3 4\r5 6 7 8\n",
+        "1 2 3 nan\n",
+        "1 2 3 0x1p3\n",
+        "1 2 3 4\n1 2 3\n",
+        "1 2 3\n",
+        "1 2 3 4,\n",
+        "1 2 3 1e\n",
+        pytest.param("1 2 3 0." + "0" * 100_001 + "1e100005\n", id="six-digit-exponent"),
+    ])
+    def test_other_text_goes_to_loadtxt(self, library, tmp_path, monkeypatch, body):
+        path = tmp_path / "other.txt"
+        path.write_bytes((HEADER + body).encode())
+        assert dynamics._compiled_read(library, path, HEADER.count("\n"), False) is None
+        assert_same_load(path, monkeypatch)
+
+    def test_rows_cross_read_blocks(self, library, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics, "_READ_BYTES", 64)
+        rng = np.random.default_rng(5)
+        traj = Trajectory(dt=1e-3, positions=rng.standard_normal((200, 3)))
+        path = tmp_path / "blocks.txt"
+        save_trajectory(traj, path)
+        assert load_trajectory(path).positions.tobytes() == traj.positions.tobytes()
+        assert_same_load(path, monkeypatch)
+        # a line longer than a block goes to the reference reader
+        path.write_text(HEADER + " ".join(["1.0"] * 40) + "\n")
+        assert dynamics._compiled_read(library, path, HEADER.count("\n"), False) is None
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary(max_size=400))
+    @example(b",")
+    def test_random_bytes_never_crash(self, tmp_path, monkeypatch, junk):
+        path = tmp_path / "junk.txt"
+        path.write_bytes(HEADER.encode() + junk)
+        assert_same_load(path, monkeypatch)
+        config = tmp_path / "psd.json"
+        config.write_text(json.dumps({"analysis": {"trajectory": str(path)}}))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["psd", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
