@@ -1,8 +1,10 @@
 """Build and load the compiled kernels: integrator.c, the Euler-Maruyama chunk
-stepper of darkfocus.dynamics.simulate, and trajio.c, the row writer and
-parser of save_trajectory and load_trajectory.
+stepper of darkfocus.dynamics.simulate; trajio.c, the row writer and parser
+of save_trajectory and load_trajectory; and binning.c, the single (rho, z)
+binning pass of darkfocus.calibration.reconstruct_potential, which counts
+every sample once into the grid of its fold.
 
-Both sources ship inside the package and are compiled together, on first
+The sources ship inside the package and are compiled together, on first
 use, into one shared library with the system C compiler, without
 floating-point contraction or fast-math so that every operation rounds as
 Python's floats do.  The library is cached per user under
@@ -10,8 +12,9 @@ $XDG_CACHE_HOME/darkfocus (default ~/.cache/darkfocus) in a file named by a
 hash of every source, the compiler's version and the flags; it is written to
 a temporary file and renamed into place, so concurrent first runs are safe.
 When no compiler works, load() logs one warning and returns None, and
-darkfocus.dynamics runs its Python reference code for the stepper and the
-trajectory I/O, which gives the same bits and the same text.
+darkfocus.dynamics and darkfocus.calibration run their Python reference code
+for the stepper, the trajectory I/O and the binning, which gives the same
+bits and the same text.
 
 The 128-bit power tables of the I/O kernels are computed here, exactly,
 from Python integers.
@@ -34,7 +37,7 @@ log = logging.getLogger(__name__)
 
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-SOURCES = ("integrator.c", "trajio.c")
+SOURCES = ("integrator.c", "trajio.c", "binning.c")
 
 # ndpointer checks dtype and layout
 _DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
@@ -42,6 +45,7 @@ _OUT_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEA
 _WORDS = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
 _BYTES = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
 _OUT_BYTES = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_OUT_COUNTS = np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
 _LONG_P = ctypes.POINTER(ctypes.c_long)
 _SIGNATURES = {
     # (model, coef, noise, rows of noise, out, bound, mobility, reflect, &status)
@@ -54,6 +58,9 @@ _SIGNATURES = {
     # (text, length, final, comma, pow5, &ncols, out, capacity, &nrows)
     "df_parse_rows": [_BYTES, ctypes.c_long, ctypes.c_int, ctypes.c_int, _WORDS,
                       _LONG_P, _OUT_DOUBLES, ctypes.c_long, _LONG_P],
+    # (rho, positions, samples, folds, rho edges, rho bins, z edges, z bins, counts)
+    "df_bin_rho_z": [_DOUBLES, _DOUBLES, ctypes.c_long, ctypes.c_long, _DOUBLES,
+                     ctypes.c_long, _DOUBLES, ctypes.c_long, _OUT_COUNTS],
 }
 
 
@@ -97,10 +104,11 @@ def build() -> Path:
 
 @functools.cache
 def load():
-    """The compiled library with df_step_chunk, df_format_rows and
-    df_parse_rows typed, or None when it cannot be built; the outcome is
-    kept for the life of the process."""
-    fallback = "the stepper and the trajectory I/O run their Python reference code"
+    """The compiled library with df_step_chunk, df_format_rows,
+    df_parse_rows and df_bin_rho_z typed, or None when it cannot be built;
+    the outcome is kept for the life of the process."""
+    fallback = ("the stepper, the trajectory I/O and the potential binning run their "
+                "Python reference code")
     try:
         library = ctypes.CDLL(str(build()))
     except subprocess.CalledProcessError as exc:

@@ -8,12 +8,14 @@ likelihoods is maximum-likelihood estimation over the sweep family.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special, stats
 from scipy.constants import k as BOLTZMANN
 
+from . import _compiled
 from .beam import BeamParams
 from .dynamics import SimConfig, Trajectory, pooled_positions, simulate_lanes, spawn_seeds
 from .forces import ParticleMedium, QuarticCoefficients, quartic_coefficients
@@ -232,7 +234,8 @@ class PotentialReconstruction:
 
     The potential grid is over (rho, z) with the minimum pinned at zero;
     bins outside the sampled support hold NaN.  Coefficient uncertainties
-    are standard deviations over five-fold splits of the input samples.
+    are standard deviations over the n_folds_fitted of the n_folds splits
+    of the input samples whose fit succeeded (NaN below two).
     """
 
     rho_centers: np.ndarray
@@ -243,6 +246,7 @@ class PotentialReconstruction:
     temperature: float
     n_samples: int
     n_folds: int
+    n_folds_fitted: int
 
     def v_grid_kbt(self):
         return self.v_grid / (BOLTZMANN * self.temperature)
@@ -260,16 +264,41 @@ class PotentialReconstruction:
             fh.write(f"temperature={self.temperature!r}\n")
             fh.write(f"n_samples={self.n_samples}\n")
             fh.write(f"n_folds={self.n_folds}\n")
+            fh.write(f"n_folds_fitted={self.n_folds_fitted}\n")
 
 
-def _fit_quartic_once(positions, temperature, rho_max, z_max, n_bins, min_count):
+def _edges(lo, hi, n_bins):
+    """The edges numpy.histogram2d puts on range (lo, hi): an empty range
+    widened by 0.5 either side, then n_bins equal bins."""
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    return np.linspace(lo, hi, n_bins + 1)
+
+
+def _fold_counts(rho, positions, n_folds, r_edges, z_edges):
+    """(n_folds, rho bins, z bins) int64 histogram of (rho, positions[:, 2])
+    over the contiguous folds of numpy.array_split, binned in one pass by
+    binning.c when it builds, else by numpy.histogram2d per fold; both give
+    the same counts."""
+    if positions.shape != (len(rho), 3):
+        raise ValueError("positions must have shape (len(rho), 3)")
+    counts = np.zeros((n_folds, len(r_edges) - 1, len(z_edges) - 1), dtype=np.int64)
+    library = _compiled.load()
+    if library is None:
+        folds = zip(np.array_split(rho, n_folds), np.array_split(positions[:, 2], n_folds))
+        for grid, (r, z) in zip(counts, folds):
+            grid[...] = np.histogram2d(r, z, bins=[r_edges, z_edges])[0]
+    else:
+        library.df_bin_rho_z(rho, positions, len(rho), n_folds, r_edges, len(r_edges) - 1,
+                             z_edges, len(z_edges) - 1, counts)
+    return counts
+
+
+def _fit_quartic_once(counts, r_edges, z_edges, temperature, min_count):
+    """Quartic strengths (k_z, k_rho_z, k_rho) and the (rho centers, z
+    centers, potential grid) fitted to one (rho, z) count grid."""
     from scipy.ndimage import binary_erosion
 
-    rho = np.hypot(positions[:, 0], positions[:, 1])
-    z = positions[:, 2]
-    counts, r_edges, z_edges = np.histogram2d(
-        rho, z, bins=[n_bins, n_bins], range=[[0.0, rho_max], [-z_max, z_max]]
-    )
     rc = 0.5 * (r_edges[:-1] + r_edges[1:])
     zc = 0.5 * (z_edges[:-1] + z_edges[1:])
     rr, zz = np.meshgrid(rc, zc, indexing="ij")
@@ -315,34 +344,48 @@ def reconstruct_potential(
 ) -> PotentialReconstruction:
     """Fit the quartic trap model to the Boltzmann-inverted sample density.
 
-    samples is an (N, 3) array of positions.  The (rho, z) histogram is
-    inverted to a potential surface, and the three quartic strengths are
+    samples is an (N, 3) array of finite positions.  The (rho, z) histogram
+    is inverted to a potential surface, and the three quartic strengths are
     obtained by count-weighted linear least squares over the populated
     bins.  Uncertainties are the standard deviation of the per-fold
-    estimates over `n_folds` contiguous splits of the samples.
+    estimates over `n_folds` contiguous splits of the samples; folds whose
+    fit fails are dropped and counted out of n_folds_fitted.  Every sample
+    is binned once, into the grid of its fold, and the whole-sample fit
+    takes the sum of the fold grids, which is its histogram exactly.
     """
-    pos = np.asarray(samples, dtype=float)
     if isinstance(samples, Trajectory):
-        pos = samples.positions
+        samples = samples.positions
+    pos = np.ascontiguousarray(samples, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError("samples must have shape (N, 3)")
     if len(pos) < 1000:
         raise ValueError("need at least 1000 samples for a reconstruction")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
+    for name, value in (("n_bins", n_bins), ("n_folds", n_folds), ("min_count", min_count)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not 0 < support_quantile <= 1:
+        raise ValueError(f"support_quantile must lie in (0, 1], got {support_quantile!r}")
 
     rho = np.hypot(pos[:, 0], pos[:, 1])
+    # a NaN or infinite coordinate leaves rho or z NaN or infinite
+    if not (np.isfinite(rho).all() and np.isfinite(pos[:, 2]).all()):
+        raise ValueError("samples must be finite")
     rho_max = float(np.quantile(rho, support_quantile))
     z_max = float(np.quantile(np.abs(pos[:, 2]), support_quantile))
+    r_edges = _edges(0.0, rho_max, n_bins)
+    z_edges = _edges(-z_max, z_max, n_bins)
+    counts = _fold_counts(rho, pos, n_folds, r_edges, z_edges)
 
     coef, (rc, zc, v_grid) = _fit_quartic_once(
-        pos, temperature, rho_max, z_max, n_bins, min_count
+        counts.sum(axis=0), r_edges, z_edges, temperature, min_count
     )
     fold_coefs = []
-    for fold in np.array_split(pos, n_folds):
+    for fold in counts:
         try:
-            fc, _ = _fit_quartic_once(fold, temperature, rho_max, z_max,
-                                      n_bins, max(min_count // n_folds, 4))
+            fc, _ = _fit_quartic_once(fold, r_edges, z_edges, temperature,
+                                      max(min_count // n_folds, 4))
             fold_coefs.append(fc)
         except ValueError:
             continue
@@ -360,6 +403,7 @@ def reconstruct_potential(
         temperature=temperature,
         n_samples=len(pos),
         n_folds=n_folds,
+        n_folds_fitted=len(fold_coefs),
     )
 
 

@@ -109,8 +109,8 @@ class SimConfig:
             raise ValueError(f"unknown force model {self.force_model!r}")
         if self.boundary not in ("absorb", "reflect"):
             raise ValueError(f"boundary must be 'absorb' or 'reflect', got {self.boundary!r}")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.force_model == "dipole" and self.beam is None:
@@ -184,8 +184,8 @@ class Trajectory:
             raise ValueError("positions must have shape (N, 3)")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive")
         object.__setattr__(self, "positions", pos)
 
     def __len__(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -23,7 +24,8 @@ from darkfocus import (
     reconstruct_potential,
     simulate,
 )
-from darkfocus.calibration import _fit_quartic_once, _ks_null_table
+from darkfocus import _compiled
+from darkfocus.calibration import _edges, _fit_quartic_once, _fold_counts, _ks_null_table
 
 
 def sample_quartic_marginal(n, rng):
@@ -268,12 +270,70 @@ class TestReconstructPotential:
         rho = np.hypot(samples[:, 0], samples[:, 1])
         rho_max = float(np.quantile(rho, 0.995))
         z_max = float(np.quantile(np.abs(samples[:, 2]), 0.995))
-        fold_fits = [
-            _fit_quartic_once(fold, particle.temperature, rho_max, z_max, 40, 4)[0]
-            for fold in np.array_split(samples, 5)
-        ]
+        fold_fits = []
+        for fold in np.array_split(samples, 5):
+            counts, r_edges, z_edges = np.histogram2d(
+                np.hypot(fold[:, 0], fold[:, 1]), fold[:, 2], bins=[40, 40],
+                range=[[0.0, rho_max], [-z_max, z_max]])
+            fold_fits.append(_fit_quartic_once(counts, r_edges, z_edges,
+                                               particle.temperature, 4)[0])
         expected = np.std(np.array(fold_fits), axis=0, ddof=1)
-        np.testing.assert_allclose(rec.uncertainties, expected, rtol=1e-12)
+        np.testing.assert_array_equal(rec.uncertainties, expected)
+        assert rec.n_folds_fitted == 5
+
+    @pytest.mark.parametrize("path", ["compiled", "reference"])
+    def test_reproduces_recorded_reconstruction(self, particle, confining_trap, path,
+                                                monkeypatch):
+        # recorded with numpy.histogram2d binning the whole sample and each fold
+        _, samples = confining_trap
+        if path == "reference":
+            monkeypatch.setattr(_compiled, "load", lambda: None)
+        elif _compiled.load() is None:
+            pytest.skip("no C compiler to build the binning kernel")
+        rec = reconstruct_potential(samples, particle.temperature)
+        c = rec.coefficients
+        assert (c.k_z, c.k_rho_z, c.k_rho) == (
+            3.9664191052370287e-07, 86935177.54072866, 223626623.5388889)
+        assert rec.uncertainties == (
+            8.351476582871003e-08, 4078127.966665915, 12176810.949871453)
+        assert np.count_nonzero(np.isnan(rec.v_grid)) == 296
+        assert hashlib.sha256(rec.v_grid.tobytes()).hexdigest() == (
+            "bd19ce6034597b302b4ac519ccd25095ba2ed0865ea641bd13cfab76109555da")
+
+    def test_failed_fold_is_dropped_and_counted(self, particle, confining_trap, tmp_path):
+        # the last fifth sits in one bin: its fold cannot be fitted
+        _, samples = confining_trap
+        m = len(samples) // 5
+        stuck = np.concatenate([samples[:4 * m], np.zeros((m, 3))])
+        rec = reconstruct_potential(stuck, particle.temperature)
+        assert rec.n_folds == 5 and rec.n_folds_fitted == 4
+        assert all(np.isfinite(rec.uncertainties))
+        rec.save(tmp_path / "rec.txt")
+        assert "n_folds=5\nn_folds_fitted=4\n" in (tmp_path / "rec.txt").read_text()
+
+    def test_single_fold_has_no_uncertainty(self, particle, confining_trap):
+        _, samples = confining_trap
+        rec = reconstruct_potential(samples, particle.temperature, n_folds=1)
+        assert rec.n_folds_fitted == 1
+        assert all(math.isnan(u) for u in rec.uncertainties)
+
+    @pytest.mark.parametrize("bad", [
+        dict(sample=math.nan), dict(sample=math.inf), dict(sample=-math.inf),
+        dict(n_bins=0), dict(n_bins=2.5), dict(n_folds=0),
+        dict(n_folds=-1), dict(min_count=0), dict(support_quantile=0.0),
+        dict(support_quantile=1.5), dict(support_quantile=math.nan),
+    ], ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+    def test_bad_input_rejected(self, particle, rng, bad):
+        samples = rng.standard_normal((5000, 3)) * 1e-7
+        options = dict(bad)
+        value = options.pop("sample", None)
+        if value is not None:
+            # NaN in z, infinities in x
+            samples[1234, 2 if math.isnan(value) else 0] = value
+        message = "samples must be finite" if value is not None else f"{[*options][0]} must"
+        with pytest.raises(ValueError, match=message) as info:
+            reconstruct_potential(samples, particle.temperature, **options)
+        assert not isinstance(info.value, NumericalError)
 
     def test_rescaling_property(self, particle, confining_trap):
         # positions in different units: k_z scales as c^-2, the quartic
@@ -310,8 +370,78 @@ class TestReconstructPotential:
         path = tmp_path / "rec.txt"
         rec.save(path)
         text = path.read_text()
-        for key in ("k_z=", "k_z_err=", "k_rho_z=", "k_rho=", "n_folds=5"):
+        for key in ("k_z=", "k_z_err=", "k_rho_z=", "k_rho=", "n_folds=5",
+                    "n_folds_fitted=5"):
             assert key in text
+
+
+def histogram2d_folds(rho, z, n_folds, bins, rho_max, z_max):
+    """numpy.histogram2d on each numpy.array_split fold, on the range
+    reconstruct_potential bins over."""
+    return np.array([
+        np.histogram2d(r, zf, bins=bins, range=[[0.0, rho_max], [-z_max, z_max]])[0]
+        for r, zf in zip(np.array_split(rho, n_folds), np.array_split(z, n_folds))
+    ])
+
+
+class TestFoldCounts:
+    """The single binning pass against numpy.histogram2d per fold, on the
+    compiled kernel and on the reference path."""
+
+    @pytest.fixture(autouse=True, params=["compiled", "reference"])
+    def path(self, request, monkeypatch):
+        if request.param == "reference":
+            monkeypatch.setattr(_compiled, "load", lambda: None)
+        elif _compiled.load() is None:
+            pytest.skip("no C compiler to build the binning kernel")
+
+    @staticmethod
+    def check(rho, z, n_folds, bins, rho_max, z_max):
+        # the x and y columns are not read: rho arrives on its own
+        positions = np.column_stack([np.full_like(z, np.nan), np.full_like(z, np.nan), z])
+        counts = _fold_counts(rho, positions, n_folds, _edges(0.0, rho_max, bins[0]),
+                              _edges(-z_max, z_max, bins[1]))
+        expected = histogram2d_folds(rho, z, n_folds, bins, rho_max, z_max)
+        assert counts.dtype == np.int64 and counts.shape == expected.shape
+        np.testing.assert_array_equal(counts, expected)
+        return counts
+
+    @pytest.mark.parametrize("n,n_folds", [(100_003, 5), (100_000, 5), (10_007, 7),
+                                           (1000, 1), (3, 5)])
+    def test_random_samples(self, rng, n, n_folds):
+        pos = rng.standard_normal((n, 3)) * 1e-7
+        rho = np.hypot(pos[:, 0], pos[:, 1])
+        rho_max = float(np.quantile(rho, 0.995))
+        z_max = float(np.quantile(np.abs(pos[:, 2]), 0.995))
+        counts = self.check(rho, pos[:, 2], n_folds, (40, 40), rho_max, z_max)
+        # the fold grids sum to the whole-sample histogram
+        whole = np.histogram2d(rho, pos[:, 2], bins=[40, 40],
+                               range=[[0.0, rho_max], [-z_max, z_max]])[0]
+        np.testing.assert_array_equal(counts.sum(axis=0), whole)
+
+    @pytest.mark.parametrize("bins", [(1, 1), (7, 9), (40, 40)])
+    def test_edges_their_neighbours_and_outliers(self, rng, bins):
+        rho_max, z_max = 1.234e-7, 0.987e-7
+
+        def around(edges):
+            return np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                   np.nextafter(edges, np.inf)])
+
+        r_values = np.concatenate([around(_edges(0.0, rho_max, bins[0])),
+                                   [-1e-7, 2 * rho_max, math.nan, math.inf]])
+        z_values = np.concatenate([around(_edges(-z_max, z_max, bins[1])),
+                                   [-2 * z_max, 2 * z_max, math.nan, -math.inf]])
+        rho, z = (a.ravel() for a in np.meshgrid(r_values, z_values))
+        order = rng.permutation(len(rho))
+        counts = self.check(rho[order], z[order], 3, bins, rho_max, z_max)
+        # every edge and both neighbours inside the range are counted
+        inside = 3 * (bins[0] + 1) - 2, 3 * (bins[1] + 1) - 2
+        assert counts.sum() == inside[0] * inside[1]
+
+    def test_empty_range_is_widened(self, rng):
+        rho = np.concatenate([np.zeros(500), rng.uniform(-1.0, 1.0, 500)])
+        z = np.concatenate([rng.uniform(-1.0, 1.0, 500), np.zeros(500)])
+        self.check(rho, z, 2, (4, 4), 0.0, 0.0)
 
 
 class TestEstimateNa:

@@ -284,6 +284,18 @@ def test_missing_input_file_is_config_error(tmp_path, capsys, command, key):
     assert "Traceback" not in err
 
 
+def test_calibrate_with_no_bins_is_config_error(tmp_path, capsys):
+    positions = np.random.default_rng(3).normal(0.0, 1e-7, size=(4000, 3))
+    path = tmp_path / "trajectory.txt"
+    save_trajectory(Trajectory(dt=4e-3, positions=positions), path)
+    cfg = write_config(tmp_path, {"analysis": {"trajectory": str(path), "n_bins": 0}})
+    code = main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: n_bins must be an integer >= 1")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,analysis,message", [
     # 1 s of 4 ms samples in 128-sample segments: 2 Hz bins, five of them in range
     ("psd", {"psd_nperseg": 128, "fit_range": [2.0, 10.0]}, "need at least 10 frequency bins"),

@@ -58,6 +58,12 @@ class TestSimConfig:
             SimConfig(particle=particle, dt=1e-4, n_steps=10,
                       force_model="harmonic", stiffness=1e-6, boundary="bounce")
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, -math.inf])
+    def test_non_finite_dt_rejected(self, particle, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            SimConfig(particle=particle, dt=dt, n_steps=10,
+                      force_model="harmonic", stiffness=1e-6)
+
     def test_stability_bound_warning(self, particle):
         # dt above 0.1 gamma/k but still integrable: warn and proceed
         cfg = SimConfig(particle=particle, dt=5e-3, n_steps=10,
@@ -384,7 +390,8 @@ class TestCompiledStepper:
 
 def test_source_ships_with_the_package():
     exports = {"integrator.c": ["df_step_chunk"],
-               "trajio.c": ["df_format_rows", "df_parse_rows"]}
+               "trajio.c": ["df_format_rows", "df_parse_rows"],
+               "binning.c": ["df_bin_rho_z"]}
     assert _compiled.SOURCES == tuple(exports)
     for name, functions in exports.items():
         source = resources.files("darkfocus").joinpath(name)
@@ -547,6 +554,13 @@ class TestEquilibriumPdf:
         marg = marginal_density(dens, [ax, ax, ax], keep_axis=0)
         gauss = np.exp(-0.5 * (ax / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
         np.testing.assert_allclose(marg, gauss, rtol=1e-3)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0])
+def test_trajectory_rejects_non_finite_dt(dt):
+    # an infinite dt would give times [nan, inf] and write them to files
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        Trajectory(dt=dt, positions=[[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0]])
 
 
 class TestTrajectoryIo:
