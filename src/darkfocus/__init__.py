@@ -53,7 +53,6 @@ from .dynamics import (
     save_trajectory,
     simulate,
     simulate_ensemble,
-    simulate_lanes,
     spawn_seeds,
 )
 from .forces import (

@@ -17,9 +17,9 @@ from scipy.constants import k as BOLTZMANN
 
 from . import _compiled
 from .beam import BeamParams
-from .dynamics import SimConfig, Trajectory, pooled_positions, simulate_lanes, spawn_seeds
+from .dynamics import SimConfig, Trajectory, simulate, spawn_seeds
 from .forces import ParticleMedium, QuarticCoefficients, quartic_coefficients
-from .spectral import FitError, NumericalError, estimate_psd, fit_lorentzian
+from .spectral import NumericalError, _run_corner_frequency
 
 __all__ = [
     "EmpiricalPdf",
@@ -85,11 +85,17 @@ def histogram_pdf(samples, bins="fd", range=None, pseudocount: float = 0.0) -> E
     if np.ptp(x) == 0.0:
         raise ValueError("degenerate sample set: zero variance")
     counts, edges = np.histogram(x, bins=bins, range=range)
+    return _counts_pdf(counts, edges, len(x), pseudocount)
+
+
+def _counts_pdf(counts, edges, n_samples, pseudocount) -> EmpiricalPdf:
+    """The density of integer bin counts, with empty bins set to the
+    pseudocount before normalization."""
     counts = counts.astype(float)
     counts[counts == 0.0] = pseudocount
     norm = float(np.sum(counts * np.diff(edges)))
     return EmpiricalPdf(
-        bin_edges=edges, density=counts / norm, n_samples=len(x),
+        bin_edges=edges, density=counts / norm, n_samples=n_samples,
         pseudocount=pseudocount,
     )
 
@@ -214,13 +220,17 @@ def decorrelation_stride(drag: float, stiffness: float, dt: float,
     return max(1, math.ceil(factor * (drag / stiffness) / dt))
 
 
+def _check_temperature(temperature):
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and positive, got {temperature!r}")
+
+
 def boltzmann_potential(pdf: EmpiricalPdf, temperature: float):
     """Invert a 1-D density to a potential profile, V = -kB T ln P, min 0.
 
     Returns (centers, V) over the bins with positive density.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(temperature)
     mask = pdf.density > 0
     if mask.sum() < 3:
         raise NumericalError("density support too narrow to invert")
@@ -360,8 +370,7 @@ def reconstruct_potential(
         raise ValueError("samples must have shape (N, 3)")
     if len(pos) < 1000:
         raise ValueError("need at least 1000 samples for a reconstruction")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    _check_temperature(temperature)
     for name, value in (("n_bins", n_bins), ("n_folds", n_folds), ("min_count", min_count)):
         if not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
@@ -435,15 +444,24 @@ class NaSweepResult:
                 fh.write(f"# fc_interval={self.fc_interval[0]!r} {self.fc_interval[1]!r}\n")
 
 
-def _target_marginals(target, pseudocount=0.0):
+def _target_marginals(target):
     if isinstance(target, Trajectory):
         x, y = target.positions[:, 0], target.positions[:, 1]
     else:
         x, y = target
-    return (
-        histogram_pdf(x, bins="fd", pseudocount=pseudocount),
-        histogram_pdf(y, bins="fd", pseudocount=pseudocount),
-    )
+    return histogram_pdf(x, bins="fd"), histogram_pdf(y, bins="fd")
+
+
+def _reduce_run(traj: Trajectory, burn_in, marginals):
+    """A finished sweep run reduced to the integer counts of its x and y
+    samples after burn_in on the marginals' edges and its corner frequency
+    (None when the fit fails); None for a run that escaped."""
+    if traj.escape is not None:
+        return None
+    positions = traj.positions[burn_in:]
+    counts = [np.histogram(positions[:, axis], bins=p.bin_edges)[0]
+              for axis, p in enumerate(marginals)]
+    return counts, _run_corner_frequency(Trajectory(dt=traj.dt, positions=positions))
 
 
 def estimate_na(
@@ -459,65 +477,59 @@ def estimate_na(
     burn_in: int = 200,
     boundary: str = "absorb",
     domain_bound: float | None = None,
-    q_pseudocount: float = 0.5,
-    psd_nperseg: int | None = None,
-    common_random_numbers: bool = True,
 ) -> NaSweepResult:
     """Locate the trap NA by sweeping simulations against a target ensemble.
 
-    For every NA in the grid, quartic-trap trajectories are simulated with
-    the template beam and particle, and the KL divergence
+    For every NA in the grid, n_reps quartic-trap trajectories are simulated
+    with the template beam and particle, and the KL divergence
     D(target || simulation), averaged over the x and y marginals, is
-    computed on the target's binning with a pseudocount regularizing the
-    simulated histogram.  Each NA also yields a corner frequency
+    computed on the target's binning with a pseudocount of 0.5 regularizing
+    the simulated histogram.  Each NA also yields a corner frequency
     (mean +/- std over repetitions) for the consistency cross-check against
     target_fc = (value, error).  NAs where every repetition escaped are
     marked invalid and excluded from the minimum.
 
-    With common_random_numbers (default) every NA reuses the same noise
-    paths, so sampling noise largely cancels out of the NA-to-NA
-    comparison and the divergence minimum is far more stable for a given
-    simulation budget.  The whole sweep (NA x repetitions) is integrated as
-    one batch of lanes, each with its own generator stream.
+    Every NA reuses the same noise paths (common random numbers), so
+    sampling noise largely cancels out of the NA-to-NA comparison and the
+    divergence minimum is far more stable for a given simulation budget.
+    Each run is reduced as it finishes, to integer x and y histogram counts
+    after burn_in and a corner frequency, and its positions are dropped; the
+    summed counts of an NA are those of its pooled samples.
     """
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps!r}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
+    kept_per_run = n_steps + 1 - burn_in
+    if kept_per_run < 100:
+        raise ValueError(f"burn_in={burn_in!r} leaves {kept_per_run} of the {n_steps + 1} "
+                         "samples of a run; need at least 100")
     na_values = np.asarray(na_values, dtype=float)
-    p_x, p_y = _target_marginals(target)
-    if common_random_numbers:
-        per_na_seeds = [seed] * len(na_values)
-    else:
-        per_na_seeds = spawn_seeds(seed, len(na_values))
-    cfgs = []
-    for na, na_seed in zip(na_values.tolist(), per_na_seeds):
-        cfg = SimConfig(
-            particle=particle, dt=dt, n_steps=n_steps, force_model="quartic",
-            coefficients=quartic_coefficients(beam_template.with_na(na), particle),
-            seed=na_seed, boundary=boundary, domain_bound=domain_bound,
-        )
-        cfgs.extend(cfg.with_seed(s) for s in spawn_seeds(na_seed, n_reps))
-    runs = simulate_lanes(cfgs)
+    p_x, p_y = marginals = _target_marginals(target)
+    seeds = spawn_seeds(seed, n_reps)
 
     kl = np.full(len(na_values), math.inf)
     fc = np.full(len(na_values), math.nan)
     fc_err = np.full(len(na_values), math.nan)
     valid = np.zeros(len(na_values), dtype=bool)
-    for i in range(len(na_values)):
-        survivors = [t for t in runs[i * n_reps:(i + 1) * n_reps] if t.escape is None]
-        if not survivors:
+    for i, na in enumerate(na_values.tolist()):
+        cfg = SimConfig(
+            particle=particle, dt=dt, n_steps=n_steps, force_model="quartic",
+            coefficients=quartic_coefficients(beam_template.with_na(na), particle),
+            seed=seed, boundary=boundary, domain_bound=domain_bound,
+        )
+        reduced = [_reduce_run(simulate(cfg.with_seed(s)), burn_in, marginals) for s in seeds]
+        kept = [r for r in reduced if r is not None]
+        if not kept:
             continue
         valid[i] = True
-        pooled = pooled_positions(survivors, burn_in=burn_in)
         q_x, q_y = (
-            histogram_pdf(pooled[:, axis], bins=p.bin_edges, pseudocount=q_pseudocount)
-            for axis, p in ((0, p_x), (1, p_y))
+            _counts_pdf(sum(counts[axis] for counts, _ in kept), p.bin_edges,
+                        len(kept) * kept_per_run, pseudocount=0.5)
+            for axis, p in enumerate(marginals)
         )
         kl[i] = 0.5 * (kl_divergence(p_x, q_x) + kl_divergence(p_y, q_y))
-        fcs = []
-        for t in survivors:
-            try:
-                sub = Trajectory(dt=t.dt, positions=t.positions[burn_in:], seed=t.seed)
-                fcs.append(fit_lorentzian(estimate_psd(sub, axis="x", nperseg=psd_nperseg)).f_c)
-            except (FitError, ValueError):
-                continue
+        fcs = [f for _, f in kept if f is not None]
         if len(fcs) >= 3:
             fc[i] = np.mean(fcs)
             fc_err[i] = np.std(fcs, ddof=1)

@@ -15,8 +15,9 @@ simulate draws the noise in chunks of _NOISE_CHUNK steps and hands each
 chunk to a stepper: the compiled one of integrator.c (built on first use by
 darkfocus._compiled), or the Python reference loop when no C compiler
 works.  The compiled stepper repeats the reference's operations in the same
-order with constants from the same helpers, so both give the same bits, and
-every ensemble is a loop over simulate.
+order with constants from the same helpers, so both give the same bits.
+Every ensemble is a plain loop over simulate, one run at a time; the
+calibration sweeps reduce each run as it finishes and keep no positions.
 
 Trajectory files are t x y z text rows.  save_trajectory and load_trajectory
 keep the header and the block loops in Python and run the row loops in
@@ -51,7 +52,6 @@ __all__ = [
     "SimulationUnstableError",
     "simulate",
     "simulate_ensemble",
-    "simulate_lanes",
     "spawn_seeds",
     "equilibrium_pdf",
     "save_trajectory",
@@ -388,36 +388,19 @@ def simulate(cfg: SimConfig) -> Trajectory:
     )
 
 
-def spawn_seeds(seed: int, n: int, offset: int = 0) -> list:
-    """n per-run seeds spawned deterministically from seed, after the first offset."""
-    state = np.random.SeedSequence(seed).generate_state(n + offset)
-    return [int(s) for s in state[offset:]]
+def spawn_seeds(seed: int, n: int) -> list:
+    """n per-run seeds spawned deterministically from seed."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
-def simulate_lanes(cfgs) -> list:
-    """Integrate one trajectory per config, in order: the one entry point of
-    every ensemble.  Each lane is simulate(cfg), so lane i equals a single
-    run of cfgs[i] bit for bit."""
-    return [simulate(c) for c in cfgs]
-
-
-def simulate_ensemble(cfg: SimConfig, n_runs: int, seed_offset: int = 0):
+def simulate_ensemble(cfg: SimConfig, n_runs: int):
     """Independent repetitions with per-run seeds spawned from cfg.seed."""
-    return simulate_lanes(cfg.with_seed(s) for s in spawn_seeds(cfg.seed, n_runs, seed_offset))
+    return [simulate(cfg.with_seed(s)) for s in spawn_seeds(cfg.seed, n_runs)]
 
 
-def pooled_positions(trajectories, burn_in: int = 0, drop_last: int = 0):
-    """Concatenate retained samples from an ensemble.
-
-    burn_in initial samples are dropped from each run; drop_last removes the
-    samples just before an escape, where the density is no longer stationary.
-    """
-    parts = []
-    for traj in trajectories:
-        pos = traj.positions
-        stop = len(pos) - (drop_last if traj.escape is not None else 0)
-        if stop > burn_in:
-            parts.append(pos[burn_in:stop])
+def pooled_positions(trajectories, burn_in: int = 0):
+    """Concatenate the samples of an ensemble after the first burn_in of each run."""
+    parts = [t.positions[burn_in:] for t in trajectories if len(t) > burn_in]
     if not parts:
         raise ValueError("no samples retained: all runs escaped before burn_in")
     return np.concatenate(parts, axis=0)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import signal
 from scipy.optimize import least_squares
 
-from .dynamics import SimConfig, Trajectory, simulate_lanes, spawn_seeds
+from .dynamics import SimConfig, Trajectory, simulate, spawn_seeds
 
 __all__ = [
     "PsdEstimate",
@@ -224,48 +224,36 @@ class CornerFrequencyResult:
     n_failed: int
 
 
-def corner_frequency_of(
-    cfg: SimConfig,
-    repetitions: int,
-    axis: str = "x",
-    nperseg: int | None = None,
-    f_range: tuple | None = None,
-    burn_in: int = 0,
-    seeds=None,
-    min_successes: int = 3,
-) -> CornerFrequencyResult:
-    """Simulate `repetitions` independent runs and fit each run's PSD.
+def _run_corner_frequency(traj: Trajectory) -> float | None:
+    """Corner frequency of one run's x PSD; None when the run escaped or the
+    fit fails."""
+    if traj.escape is not None:
+        return None
+    try:
+        return fit_lorentzian(estimate_psd(traj)).f_c
+    except (FitError, ValueError):
+        return None
+
+
+def corner_frequency_of(cfg: SimConfig, repetitions: int, seeds=None) -> CornerFrequencyResult:
+    """Simulate `repetitions` independent runs and fit each run's x PSD.
 
     Per-run seeds are spawned deterministically from cfg.seed unless given
-    explicitly.  Runs whose simulation escapes or whose fit fails are
-    dropped; fewer than `min_successes` survivors is an error.
+    explicitly.  Each run is reduced to its corner frequency as it finishes.
+    Runs whose simulation escapes or whose fit fails are dropped; fewer than
+    three survivors is an error.
     """
     if seeds is None:
         seeds = spawn_seeds(cfg.seed, repetitions)
     elif len(seeds) != repetitions:
         raise ValueError("need exactly one seed per repetition")
 
-    values = []
-    failed = 0
-    for traj in simulate_lanes(cfg.with_seed(int(s)) for s in seeds):
-        if traj.escape is not None:
-            failed += 1
-            continue
-        if burn_in:
-            traj = Trajectory(dt=traj.dt, positions=traj.positions[burn_in:],
-                              seed=traj.seed, provenance=traj.provenance)
-        try:
-            fit = fit_lorentzian(estimate_psd(traj, axis=axis, nperseg=nperseg), f_range)
-        except (FitError, ValueError):
-            failed += 1
-            continue
-        values.append(fit.f_c)
-    if len(values) < min_successes:
+    fits = [_run_corner_frequency(simulate(cfg.with_seed(int(s)))) for s in seeds]
+    values = np.array([f for f in fits if f is not None])
+    if len(values) < 3:
         raise FitError(
             f"only {len(values)} of {repetitions} repetitions produced a corner "
-            f"frequency (need {min_successes})"
+            f"frequency (need 3)"
         )
-    arr = np.array(values)
-    std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    return CornerFrequencyResult(mean=float(arr.mean()), std=std, values=arr,
-                                 n_failed=failed)
+    return CornerFrequencyResult(mean=float(values.mean()), std=float(values.std(ddof=1)),
+                                 values=values, n_failed=repetitions - len(values))

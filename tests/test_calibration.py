@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from darkfocus import (
     QuarticCoefficients,
     SimConfig,
     boltzmann_potential,
+    corner_frequency_of,
     decorrelation_stride,
     equilibrium_pdf,
     estimate_na,
@@ -24,7 +27,7 @@ from darkfocus import (
     reconstruct_potential,
     simulate,
 )
-from darkfocus import _compiled
+from darkfocus import _compiled, calibration, spectral
 from darkfocus.calibration import _edges, _fit_quartic_once, _fold_counts, _ks_null_table
 
 
@@ -463,8 +466,9 @@ class TestEstimateNa:
         assert result.fc_interval is None  # no target_fc supplied
 
     def test_recorded_sweep(self, beam, particle):
-        # kl and argmin recorded from the per-NA scalar sweep; the sweep now
-        # runs as one batch of 20 lanes and must reproduce them exactly
+        # kl and argmin recorded from a sweep that pooled every run's positions
+        # before binning; summing per-run integer counts must reproduce them
+        # exactly
         import warnings
 
         coeffs = quartic_coefficients(beam, particle)
@@ -504,6 +508,31 @@ class TestEstimateNa:
         )
         assert result.kl[0] == 0.0
 
+    @pytest.mark.parametrize("bad,message", [
+        (dict(n_reps=0), "n_reps must be >= 1, got 0"),
+        (dict(burn_in=-50), "burn_in must be >= 0, got -50"),
+        (dict(burn_in=4902), "burn_in=4902 leaves 99 of the 5001 samples of a run"),
+        (dict(burn_in=5000), "burn_in=5000 leaves 1 of the 5001 samples of a run"),
+        (dict(burn_in=9000), "burn_in=9000 leaves -3999 of the 5001 samples of a run"),
+    ], ids=["no_reps", "negative_burn_in", "99_left", "1_left", "past_the_run"])
+    def test_bad_sweep_size_rejected(self, beam, particle, bad, message, monkeypatch):
+        def no_runs(cfg):
+            raise AssertionError("a rejected sweep must not simulate")
+
+        monkeypatch.setattr(calibration, "simulate", no_runs)
+        target = (np.random.default_rng(0).standard_normal(5000) * 1e-8,
+                  np.random.default_rng(1).standard_normal(5000) * 1e-8)
+        with pytest.raises(ValueError, match=message):
+            estimate_na(target, [0.46], particle=particle, beam_template=beam,
+                        dt=2e-5, n_steps=5000, **{"n_reps": 2, "burn_in": 10, **bad})
+
+    def test_burn_in_may_leave_exactly_100_samples(self, beam, particle):
+        target = (np.random.default_rng(0).standard_normal(5000) * 1e-8,
+                  np.random.default_rng(1).standard_normal(5000) * 1e-8)
+        result = estimate_na(target, [0.46], particle=particle, beam_template=beam,
+                             dt=2e-5, n_steps=5000, n_reps=2, seed=3, burn_in=4901)
+        assert result.valid.tolist() == [True]
+
     def test_all_escaped_raises(self, beam, particle):
         import dataclasses
 
@@ -533,3 +562,55 @@ class TestEstimateNa:
         lines = path.read_text().splitlines()
         assert lines[0] == "na kl fc fc_err valid"
         assert len([l for l in lines if not l.startswith("#")]) == 4
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_temperature_must_be_finite_and_positive(rng, temperature):
+    samples = rng.standard_normal((5000, 3)) * 1e-7
+    pdf = histogram_pdf(samples[:, 0])
+    for invert, data in ((boltzmann_potential, pdf), (reconstruct_potential, samples)):
+        with pytest.raises(ValueError, match="temperature must be finite and positive") as info:
+            invert(data, temperature)
+        assert not isinstance(info.value, NumericalError)
+
+
+def watch_runs(monkeypatch, module):
+    """Route module.simulate through a wrapper that, before each run, records
+    how many trajectories it returned earlier are still alive after a full
+    collection: their Trajectory objects and the arrays that own their
+    positions.  Returns that list of counts, one per run."""
+    held, refs = [], []
+    run = module.simulate
+
+    def watched(cfg):
+        gc.collect()
+        held.append(sum(r() is not None for r in refs))
+        traj = run(cfg)
+        owner = traj.positions if traj.positions.base is None else traj.positions.base
+        refs.extend((weakref.ref(traj), weakref.ref(owner)))
+        return traj
+
+    monkeypatch.setattr(module, "simulate", watched)
+    return held
+
+
+@pytest.mark.parametrize("sweep", ["estimate_na", "corner_frequency_of"])
+def test_sweeps_drop_each_run_before_the_next(beam, particle, monkeypatch, sweep):
+    # a sweep reduces every run as it finishes: when it asks for the next run
+    # it holds no earlier trajectory and no array of their positions
+    if sweep == "estimate_na":
+        held = watch_runs(monkeypatch, calibration)
+        target = simulate(SimConfig(particle=particle, dt=1e-5, n_steps=20_000,
+                                    coefficients=quartic_coefficients(beam, particle), seed=4))
+        result = estimate_na(target, [0.44, 0.46, 0.48], particle=particle,
+                             beam_template=beam, dt=1e-5, n_steps=10_000, n_reps=3,
+                             seed=5, burn_in=500)
+        assert result.valid.all() and np.isfinite(result.fc).all()
+        assert len(held) == 9
+    else:
+        held = watch_runs(monkeypatch, spectral)
+        cfg = SimConfig(particle=particle, dt=2e-4, n_steps=20_000, force_model="harmonic",
+                        stiffness=1e-6, seed=6)
+        res = corner_frequency_of(cfg, repetitions=5)
+        assert res.n_failed == 0 and len(held) == 5
+    assert held == [0] * len(held)

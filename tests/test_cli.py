@@ -260,7 +260,11 @@ class TestSweepNaCommand:
         {"na_step": 0.0},
         {"na_start": 0.50, "na_stop": 0.44},
         {"target": "no-such-trajectory.txt"},
-    ], ids=["zero_step", "stop_below_start", "missing_target_file"])
+        {"n_reps": 0},
+        {"burn_in": -50},
+        {"burn_in": 60_000},
+    ], ids=["zero_step", "stop_below_start", "missing_target_file", "no_reps",
+            "negative_burn_in", "burn_in_past_the_run"])
     def test_bad_sweep_is_config_error(self, tmp_path, capsys, sweep):
         target = tmp_path / "target.txt"
         target.write_text("# dt=1e-05\nt x y z\n" + "".join(
@@ -270,6 +274,7 @@ class TestSweepNaCommand:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error: ") and "Traceback" not in err
+        assert next(iter(sweep)) in err  # the message names the bad setting
 
 
 @pytest.mark.parametrize("command,key", [
@@ -293,6 +298,21 @@ def test_calibrate_with_no_bins_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error: n_bins must be an integer >= 1")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf])
+def test_calibrate_with_non_finite_temperature_is_config_error(tmp_path, capsys, temperature):
+    positions = np.random.default_rng(3).normal(0.0, 1e-7, size=(4000, 3))
+    path = tmp_path / "trajectory.txt"
+    save_trajectory(Trajectory(dt=4e-3, positions=positions), path)
+    cfg = write_config(tmp_path, {"particle": {"temperature": temperature},
+                                  "analysis": {"trajectory": str(path)}})
+    code = main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(
+        f"config error: temperature must be finite and positive, got {temperature!r}")
     assert "Traceback" not in err
 
 

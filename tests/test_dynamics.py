@@ -29,7 +29,7 @@ from darkfocus import (
     save_trajectory,
     simulate,
     simulate_ensemble,
-    simulate_lanes,
+    spawn_seeds,
 )
 from darkfocus import _compiled, dynamics
 from darkfocus.dynamics import _dipole_force
@@ -247,11 +247,9 @@ class TestEnsembles:
                         coefficients=TABLE_COEFFS, seed=2)
         runs = simulate_ensemble(cfg, 4)
         assert any(r.escape is not None for r in runs)
-        pooled = pooled_positions(runs, burn_in=10, drop_last=5)
-        total = sum(
-            max(len(r) - 10 - (5 if r.escape is not None else 0), 0) for r in runs
-        )
-        assert pooled.shape == (total, 3)
+        pooled = pooled_positions(runs, burn_in=10)
+        assert pooled.shape == (sum(len(r) - 10 for r in runs), 3)
+        np.testing.assert_array_equal(pooled[:len(runs[0]) - 10], runs[0].positions[10:])
         with pytest.raises(ValueError):
             pooled_positions(runs, burn_in=10**9)
 
@@ -302,7 +300,7 @@ class TestSimulateLanes:
     def test_compiled_equals_reference(self, beam, particle, model, boundary, monkeypatch):
         cfgs = lane_cfgs(beam, particle, model, boundary)
         assert _compiled.load() is not None
-        lanes = simulate_lanes(cfgs)
+        lanes = [simulate(c) for c in cfgs]
         reference = reference_runs(cfgs, monkeypatch)
         for lane, ref in zip(lanes, reference):
             assert lane.positions.shape == ref.positions.shape
@@ -327,13 +325,13 @@ class TestSimulateLanes:
                         stiffness=1e-5, seed=2, domain_bound=3.5e-8, boundary="reflect")
         message = "at step 90948; reduce dt"
         with pytest.raises(SimulationUnstableError, match=message) as compiled:
-            simulate_lanes([cfg])
+            simulate(cfg)
         with pytest.raises(SimulationUnstableError, match=message) as reference:
             reference_runs([cfg], monkeypatch)
         assert str(compiled.value) == str(reference.value)
 
     def test_small_and_dipole_ensembles_run_per_lane(self, beam, particle, monkeypatch):
-        # every ensemble, at any width and for every model, is simulate per config
+        # an ensemble, at any width and for every model, is simulate per spawned seed
         calls = []
         scalar = dynamics.simulate
 
@@ -342,11 +340,12 @@ class TestSimulateLanes:
             return scalar(cfg)
 
         monkeypatch.setattr(dynamics, "simulate", counted)
-        for cfgs in (lane_cfgs(beam, particle, "harmonic", "reflect", n_lanes=1),
-                     lane_cfgs(beam, particle, "dipole", "absorb", n_lanes=5),
-                     lane_cfgs(beam, particle, "quartic", "reflect", n_lanes=40)):
+        for model, boundary, n_runs in (("harmonic", "reflect", 1), ("dipole", "absorb", 5),
+                                        ("quartic", "reflect", 40)):
+            cfg = lane_cfgs(beam, particle, model, boundary, n_lanes=1)[0]
+            cfgs = [cfg.with_seed(s) for s in spawn_seeds(cfg.seed, n_runs)]
             calls.clear()
-            runs = simulate_lanes(iter(cfgs))
+            runs = simulate_ensemble(cfg, n_runs)
             assert calls == cfgs
             assert [t.config for t in runs] == cfgs
 
