@@ -18,7 +18,6 @@ from .absorption import (
 )
 from .beam import (
     BeamParams,
-    CylindricalPoint,
     GridSpec,
     IntensityGrid,
     bottle_geometry,

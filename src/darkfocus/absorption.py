@@ -26,6 +26,8 @@ __all__ = [
     "trap_comparison",
 ]
 
+CURVATURE_STEP = 1e-3  # on-axis second-difference step, in Rayleigh ranges
+
 
 def effective_cross_section(radius: float, lambda0: float) -> float:
     """A_p = V/lambda = (4/3) pi R^3 / lambda0 for a sphere, in m^2."""
@@ -137,8 +139,7 @@ class TrapComparison:
             fh.write(f"longitudinal_depth_ratio={self.longitudinal_depth_ratio!r}\n")
 
 
-def trap_comparison(bottle: BeamParams, gaussian: BeamParams,
-                    curvature_step: float = 1e-3) -> TrapComparison:
+def trap_comparison(bottle: BeamParams, gaussian: BeamParams) -> TrapComparison:
     """Compare trap depths and axial stiffnesses at the beams' set powers.
 
     Depths are potential-barrier heights per unit polarizability magnitude,
@@ -146,7 +147,7 @@ def trap_comparison(bottle: BeamParams, gaussian: BeamParams,
     against the Gaussian's focal peak, and along the axis the bottle
     barrier against the full Gaussian focal depth.  The axial stiffness
     ratio uses central second differences of the on-axis intensities with
-    step `curvature_step` x z_R.
+    step CURVATURE_STEP x z_R.
     """
     _check_same_geometry(bottle, gaussian)
     (_, bottle_transverse), (_, bottle_axial) = _bottle_peaks(bottle)
@@ -155,7 +156,7 @@ def trap_comparison(bottle: BeamParams, gaussian: BeamParams,
     transverse_depth_ratio = bottle_transverse / gauss_peak
     longitudinal_depth_ratio = bottle_axial / gauss_peak
 
-    h = curvature_step * bottle.rayleigh_range
+    h = CURVATURE_STEP * bottle.rayleigh_range
     second = lambda f: (f(h) - 2.0 * f(0.0) + f(-h)) / h**2
     curv_bottle = second(lambda u: float(dft_intensity(bottle, 0.0, u)))
     curv_gauss = second(lambda u: float(gaussian_intensity(gaussian, 0.0, u)))

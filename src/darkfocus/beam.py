@@ -15,7 +15,6 @@ from scipy.special import eval_genlaguerre
 
 __all__ = [
     "BeamParams",
-    "CylindricalPoint",
     "GridSpec",
     "IntensityGrid",
     "lg_mode",
@@ -100,21 +99,6 @@ class BeamParams:
 
     def with_unit_power(self) -> "BeamParams":
         return replace(self, p_total=1.0)
-
-
-@dataclass(frozen=True)
-class CylindricalPoint:
-    """Point in cylindrical coordinates (rho >= 0, phi in rad, z in m)."""
-
-    rho: float
-    phi: float
-    z: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rho) and math.isfinite(self.phi) and math.isfinite(self.z)):
-            raise ValueError("coordinates must be finite")
-        if self.rho < 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
 
 
 def _check_coords(rho, z):
@@ -305,10 +289,8 @@ def bottle_geometry(params: BeamParams, method: str = "auto"):
     """
     if params.p_index < 1:
         raise ValueError("bottle geometry requires p_index >= 1")
-    if method not in ("auto", "closed-form", "search"):
+    if method not in ("auto", "search"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "closed-form" and params.p_index != 1:
-        raise ValueError("closed form only holds for p_index = 1")
 
     if params.p_index == 1 and method != "search":
         return 2.0 * params.waist, 2.0 * params.rayleigh_range

@@ -142,6 +142,8 @@ def kl_divergence(p: EmpiricalPdf, q: EmpiricalPdf) -> float:
 
 
 _KS_NULL_CACHE = {}
+KS_NULL_SEED = 918273  # seed of the Monte Carlo KS null table
+DECORRELATION_TIMES = 3.0  # correlation times gamma/k per decorrelated sample
 
 
 def _ks_statistic_estimated(x):
@@ -187,7 +189,7 @@ class KsResult:
 
 
 def ks_gaussianity_test(samples, significance: float = 0.05,
-                        n_null: int = 500, null_seed: int = 918273) -> KsResult:
+                        n_null: int = 500) -> KsResult:
     """Two-sided KS test of the samples against a Gaussian with their own
     mean and variance.
 
@@ -204,7 +206,7 @@ def ks_gaussianity_test(samples, significance: float = 0.05,
     if not (0 < significance < 1):
         raise ValueError("significance must lie in (0, 1)")
     d = _ks_statistic_estimated(x)
-    table = _ks_null_table(len(x), n_null, null_seed)
+    table = _ks_null_table(len(x), n_null, KS_NULL_SEED)
     n_ge = len(table) - np.searchsorted(table, d, side="left")
     p_value = (1.0 + n_ge) / (n_null + 1.0)
     return KsResult(statistic=float(d), p_value=float(p_value),
@@ -212,12 +214,11 @@ def ks_gaussianity_test(samples, significance: float = 0.05,
                     significance=significance, n_samples=len(x))
 
 
-def decorrelation_stride(drag: float, stiffness: float, dt: float,
-                         factor: float = 3.0) -> int:
-    """Subsampling stride of `factor` correlation times gamma/k."""
+def decorrelation_stride(drag: float, stiffness: float, dt: float) -> int:
+    """Subsampling stride of DECORRELATION_TIMES correlation times gamma/k."""
     if min(drag, stiffness, dt) <= 0:
         raise ValueError("drag, stiffness and dt must be positive")
-    return max(1, math.ceil(factor * (drag / stiffness) / dt))
+    return max(1, math.ceil(DECORRELATION_TIMES * (drag / stiffness) / dt))
 
 
 def _check_temperature(temperature):

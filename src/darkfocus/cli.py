@@ -1,7 +1,8 @@
 """Command-line front end: config-driven runs that emit plot-ready text files.
 
-Every run validates its JSON config (unknown keys rejected), writes a
-resolved copy next to its outputs, and uses distinct exit codes:
+Every run validates its JSON config against the defaults table (unknown
+keys and values of another JSON type than the default's are rejected),
+writes a resolved copy next to its outputs, and uses distinct exit codes:
 0 success, 2 config error, 3 numerical failure, 4 physics signal (escape).
 """
 
@@ -51,37 +52,15 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMA = {
-    "beam": {"lambda0", "n_medium", "na", "p_total", "p_index", "theta_rel"},
-    "particle": {"radius", "n_particle", "n_medium", "viscosity", "temperature"},
-    "simulation": {
-        "force_model", "dt", "n_steps", "seed", "domain_bound", "boundary",
-        "initial_position", "coefficients", "stiffness", "include_scattering",
-    },
-    "analysis": {
-        "trajectory", "meters_per_pixel", "psd_axis", "psd_nperseg", "psd_overlap",
-        "fit_range", "n_folds", "n_bins", "min_count", "burn_in", "force_grid",
-        "fit_box_fraction", "fit_points",
-    },
-    "grid": {
-        "half_width_factor", "half_height_factor", "n_transverse", "n_z",
-        "transverse_kind",
-    },
-    "sweep": {
-        "na_start", "na_stop", "na_step", "n_reps", "n_steps", "dt", "target",
-        "target_fc", "boundary", "domain_bound", "burn_in",
-    },
-    "absorption": {"power_ratio", "r_eff_min", "r_eff_max", "n_r_eff"},
-}
-
 _DEFAULTS = {
     "beam": {
         "lambda0": 780e-9, "n_medium": 1.53, "na": 0.46, "p_total": 50e-3,
         "p_index": 1, "theta_rel": math.pi,
     },
     "particle": {
-        "radius": 575e-9, "n_particle": 1.45, "viscosity": 0.89e-3,
-        "temperature": 293.0,
+        # n_medium None: the medium of the beam
+        "radius": 575e-9, "n_particle": 1.45, "n_medium": None,
+        "viscosity": 0.89e-3, "temperature": 293.0,
     },
     "simulation": {
         "force_model": "quartic", "dt": 2e-5, "n_steps": 200_000, "seed": 1,
@@ -111,6 +90,25 @@ _DEFAULTS = {
 }
 
 
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
+          str: "a string", list: "a list"}
+
+
+def _check_type(name, value, default):
+    """Reject a value whose JSON type differs from its default's; a None
+    default leaves the value to the library constructors."""
+    if default is None:
+        return
+    kind = type(default)
+    if kind is float:
+        # a comparison, not math.isfinite, so that a huge integer cannot overflow
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+
+
 def load_config(path: str | None) -> dict:
     cfg = {section: dict(values) for section, values in _DEFAULTS.items()}
     if path is None:
@@ -123,15 +121,17 @@ def load_config(path: str | None) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     for section, values in user.items():
-        if section not in _SCHEMA:
+        if section not in _DEFAULTS:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        unknown = set(values) - _SCHEMA[section]
+        unknown = set(values) - set(_DEFAULTS[section])
         if unknown:
             raise ConfigError(
                 f"unknown keys in section {section!r}: {sorted(unknown)}"
             )
+        for key, value in values.items():
+            _check_type(f"{section}.{key}", value, _DEFAULTS[section][key])
         cfg[section].update(values)
     return cfg
 
@@ -140,7 +140,7 @@ def _beam_from(cfg) -> BeamParams:
     b = cfg["beam"]
     return BeamParams(
         lambda0=b["lambda0"], n_medium=b["n_medium"], na=b["na"],
-        p_total=b["p_total"], p_index=int(b["p_index"]), theta_rel=b["theta_rel"],
+        p_total=b["p_total"], p_index=b["p_index"], theta_rel=b["theta_rel"],
     )
 
 
@@ -150,7 +150,7 @@ def _particle_from(cfg):
     p = cfg["particle"]
     return ParticleMedium(
         radius=p["radius"], n_particle=p["n_particle"],
-        n_medium=p.get("n_medium", cfg["beam"]["n_medium"]),
+        n_medium=cfg["beam"]["n_medium"] if p["n_medium"] is None else p["n_medium"],
         viscosity=p["viscosity"], temperature=p["temperature"],
     )
 
@@ -159,25 +159,23 @@ def _sim_config_from(cfg) -> SimConfig:
     s = cfg["simulation"]
     coeffs = s["coefficients"]
     if coeffs is not None:
-        coeffs = QuarticCoefficients(
-            k_z=coeffs["k_z"], k_rho_z=coeffs["k_rho_z"], k_rho=coeffs["k_rho"],
-        )
+        coeffs = QuarticCoefficients(**coeffs)
     stiffness = s["stiffness"]
     if isinstance(stiffness, list):
         stiffness = tuple(stiffness)
     return SimConfig(
         particle=_particle_from(cfg),
         dt=s["dt"],
-        n_steps=int(s["n_steps"]),
+        n_steps=s["n_steps"],
         force_model=s["force_model"],
         coefficients=coeffs,
         beam=_beam_from(cfg),
         stiffness=stiffness,
         initial_position=tuple(s["initial_position"]),
-        seed=int(s["seed"]),
+        seed=s["seed"],
         domain_bound=s["domain_bound"],
         boundary=s["boundary"],
-        include_scattering=bool(s["include_scattering"]),
+        include_scattering=s["include_scattering"],
     )
 
 
@@ -196,7 +194,7 @@ def cmd_beam(cfg, out: Path) -> int:
     spec = GridSpec.centered(
         g["half_width_factor"] * beam.waist,
         g["half_height_factor"] * beam.rayleigh_range,
-        int(g["n_transverse"]), int(g["n_z"]),
+        g["n_transverse"], g["n_z"],
         transverse_kind=g["transverse_kind"],
     )
     render_intensity_grid(beam, spec).save(out / "intensity_grid.txt")
@@ -288,13 +286,13 @@ def cmd_psd(cfg, out: Path) -> int:
 def cmd_calibrate(cfg, out: Path) -> int:
     a = cfg["analysis"]
     traj = _get_trajectory(cfg)
-    burn = min(int(a["burn_in"]), max(len(traj) - 1000, 0))
+    burn = min(a["burn_in"], max(len(traj) - 1000, 0))
     rec = reconstruct_potential(
         traj.positions[burn:],
         temperature=cfg["particle"]["temperature"],
-        n_bins=int(a["n_bins"]),
-        n_folds=int(a["n_folds"]),
-        min_count=int(a["min_count"]),
+        n_bins=a["n_bins"],
+        n_folds=a["n_folds"],
+        min_count=a["min_count"],
     )
     rec.save(out / "reconstruction.txt")
     c, u = rec.coefficients, rec.uncertainties
@@ -326,11 +324,11 @@ def cmd_sweep_na(cfg, out: Path) -> int:
         particle=_particle_from(cfg),
         beam_template=_beam_from(cfg),
         dt=s["dt"],
-        n_steps=int(s["n_steps"]),
-        n_reps=int(s["n_reps"]),
-        seed=int(cfg["simulation"]["seed"]),
+        n_steps=s["n_steps"],
+        n_reps=s["n_reps"],
+        seed=cfg["simulation"]["seed"],
         target_fc=tuple(s["target_fc"]) if s["target_fc"] else None,
-        burn_in=int(s["burn_in"]),
+        burn_in=s["burn_in"],
         boundary=s["boundary"],
         domain_bound=s["domain_bound"],
     )
@@ -359,7 +357,7 @@ def cmd_absorb(cfg, out: Path) -> int:
         fh.write(f"cross_section={scenario.cross_section!r}\n")
         fh.write(f"r_eff={scenario.effective_radius!r}\n")
     sweep = absorption_ratio_sweep(
-        scenario, np.linspace(ab["r_eff_min"], ab["r_eff_max"], int(ab["n_r_eff"])),
+        scenario, np.linspace(ab["r_eff_min"], ab["r_eff_max"], ab["n_r_eff"]),
     )
     save_absorption_sweep(sweep, out / "eta_vs_radius.txt")
     print(f"absorb: eta_abs = {eta:.4f} at R_eff = {scenario.effective_radius:.3e} m",
@@ -374,11 +372,11 @@ def cmd_forces_fit(cfg, out: Path) -> int:
     else:
         beam = _beam_from(cfg)
         pm = _particle_from(cfg)
-        frac = float(a["fit_box_fraction"])
+        frac = a["fit_box_fraction"]
         grid = sample_force_grid(
             lambda x, y, z: dipole_gradient_force(beam, pm, x, y, z),
             (frac * beam.waist, frac * beam.waist, frac * beam.rayleigh_range),
-            int(a["fit_points"]),
+            a["fit_points"],
         )
     coeffs, report = fit_polynomial_force(grid)
     with open(out / "force_fit.txt", "w") as fh:
@@ -446,7 +444,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FitError, SimulationUnstableError, np.linalg.LinAlgError,
-            FloatingPointError, RuntimeError) as exc:
+            ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

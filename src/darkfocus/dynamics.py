@@ -400,6 +400,8 @@ def simulate_ensemble(cfg: SimConfig, n_runs: int):
 
 def pooled_positions(trajectories, burn_in: int = 0):
     """Concatenate the samples of an ensemble after the first burn_in of each run."""
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
     parts = [t.positions[burn_in:] for t in trajectories if len(t) > burn_in]
     if not parts:
         raise ValueError("no samples retained: all runs escaped before burn_in")

@@ -53,14 +53,12 @@ class ParticleMedium:
     temperature: float
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.n_particle < 1 or self.n_medium < 1:
-            raise ValueError("refractive indices must be >= 1")
-        if not (self.viscosity > 0):
-            raise ValueError(f"viscosity must be positive, got {self.viscosity}")
-        if not (self.temperature > 0):
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        for name in ("radius", "viscosity", "temperature"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        if not (1 <= self.n_particle < math.inf and 1 <= self.n_medium < math.inf):
+            raise ValueError("refractive indices must be finite and >= 1")
 
     @property
     def index_ratio(self) -> float:

@@ -1,10 +1,11 @@
 """Power spectral density estimation and Lorentzian corner-frequency fits.
 
 One-sided Welch estimates with variance (density) normalization, and
-log-residual least squares of S(f) = A / (f_c^2 + f^2).  For a harmonic
-trap the corner frequency is k / (2 pi gamma); for the quartic trap the
-Lorentzian is an effective description whose corner frequency still tracks
-the trap strength.
+log-residual least squares of S(f) = A / (f_c^2 + f^2).  The fit profiles
+out ln A in closed form (variable projection), so f_c is the root of one
+scalar equation in ln f_c.  For a harmonic trap the corner frequency is
+k / (2 pi gamma); for the quartic trap the Lorentzian is an effective
+description whose corner frequency still tracks the trap strength.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
-from scipy.optimize import least_squares
+from scipy.optimize import brentq
 
 from .dynamics import SimConfig, Trajectory, simulate, spawn_seeds
 
@@ -29,7 +30,8 @@ __all__ = [
 
 
 class FitError(RuntimeError):
-    """Lorentzian fit did not converge or had too little data."""
+    """No corner frequency: the PSD is not strictly positive in the fit range,
+    or too few repetitions of an ensemble produced one."""
 
 
 class NumericalError(ValueError):
@@ -80,7 +82,6 @@ def estimate_psd(
     axis: str = "x",
     nperseg: int | None = None,
     overlap: float = 0.5,
-    window: str = "hann",
 ) -> PsdEstimate:
     """Averaged windowed periodograms of one position component.
 
@@ -101,7 +102,7 @@ def estimate_psd(
     freqs, psd = signal.welch(
         x,
         fs=1.0 / traj.dt,
-        window=window,
+        window="hann",
         nperseg=nperseg,
         noverlap=noverlap,
         detrend="constant",
@@ -115,7 +116,7 @@ def estimate_psd(
         psd=psd[1:],
         nperseg=nperseg,
         overlap=overlap,
-        window=window,
+        window="hann",
         n_segments=n_segments,
         signal_variance=float(np.var(x)),
     )
@@ -155,9 +156,13 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
     """Least-squares Lorentzian fit with uniform weights on log-PSD.
 
     Log residuals equalize the multiplicative periodogram noise across
-    decades.  The initial corner frequency comes from the half-power point
-    of the low-frequency plateau.  Parameter uncertainties are taken from
-    the fit covariance.
+    decades.  ln A enters linearly and is profiled out in closed form
+    (variable projection); f_c is the root in u = ln f_c of the profiled
+    normal equation sum (r - mean r)(d - mean d) = 0, with r the log
+    residual and d = 2 f_c^2 / (f_c^2 + f^2) the u-derivative of the log
+    model.  Without an interior root, f_c is the bracket end the cost falls
+    toward and f_c_in_range is False.  Uncertainties are the Gauss-Newton
+    covariance of (ln A, u), scaled by RSS / (n - 2).
     """
     if f_range is None:
         f_range = default_fit_range(psd)
@@ -167,49 +172,57 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
     if lo < psd.frequencies[0] or hi > psd.frequencies[-1] + psd.df:
         raise ValueError("fit range outside the frequency support of the estimate")
     mask = (psd.frequencies >= lo) & (psd.frequencies <= hi)
-    f = psd.frequencies[mask]
+    f2 = psd.frequencies[mask] ** 2
     s = psd.psd[mask]
-    if len(f) < 10:
-        raise NumericalError(f"need at least 10 frequency bins in range, got {len(f)}")
+    n = len(s)
+    if n < 10:
+        raise NumericalError(f"need at least 10 frequency bins in range, got {n}")
     if np.any(s <= 0):
         raise FitError("log-PSD fit requires strictly positive PSD values in range")
-
     log_s = np.log(s)
-    plateau = float(np.exp(np.mean(log_s[: max(3, len(s) // 20)])))
-    below = f[s < 0.5 * plateau]
-    fc0 = float(below[0]) if len(below) else float(np.median(f))
-    theta0 = np.array([math.log(plateau * fc0**2), math.log(fc0)])
 
-    def residuals(theta):
-        return theta[0] - np.log(np.exp(2.0 * theta[1]) + f**2) - log_s
+    def profile(u):
+        """ln A - r and d at u = ln f_c."""
+        fc2 = math.exp(2.0 * u)
+        return log_s + np.log(fc2 + f2), 2.0 * fc2 / (fc2 + f2)
 
-    def jacobian(theta):
-        fc2 = np.exp(2.0 * theta[1])
-        return np.column_stack([np.ones_like(f), -2.0 * fc2 / (fc2 + f**2)])
+    def slope(u):
+        """d/du of half the profiled sum of squared log residuals."""
+        g, d = profile(u)
+        return float((g - g.mean()) @ (d - d.mean()))
 
-    # an exact Jacobian and tolerances near machine precision: a finite-difference
-    # Jacobian or the default 1e-8 tolerances stop the fit short of the optimum
-    res = least_squares(residuals, theta0, jac=jacobian, method="lm",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000)
-    if not res.success:
-        raise FitError(f"Lorentzian fit did not converge: {res.message}")
+    # e^7 beyond the band the log model differs from a pure power law
+    # (f^0 above, f^-2 below) by less than e^-14 in every bin: f_c is not
+    # identified there, so the bracket ends are the flat and 1/f^2 limits
+    u_lo, u_hi = math.log(lo) - 7.0, math.log(hi) + 7.0
+    if slope(u_hi) <= 0:
+        u = u_hi  # the cost falls toward a flat (white-noise) spectrum
+    elif slope(u_lo) >= 0:
+        u = u_lo  # the cost falls toward a 1/f^2 (free-diffusion) spectrum
+    else:
+        # the root of the gradient converges to machine precision, which a
+        # minimiser of the cost cannot; 4 eps is brentq's tightest tolerance
+        tol = 4.0 * np.finfo(float).eps
+        u = brentq(slope, u_lo, u_hi, xtol=tol, rtol=tol)
 
-    ln_a, ln_fc = res.x
-    amplitude, f_c = math.exp(ln_a), math.exp(ln_fc)
-    dof = max(len(f) - 2, 1)
-    try:
-        cov = np.linalg.inv(res.jac.T @ res.jac) * (2.0 * res.cost / dof)
-        a_err = amplitude * math.sqrt(max(cov[0, 0], 0.0))
-        fc_err = f_c * math.sqrt(max(cov[1, 1], 0.0))
-    except np.linalg.LinAlgError:
-        a_err = fc_err = math.inf
+    g, d = profile(u)
+    ln_a, d_mean = float(g.mean()), float(d.mean())
+    rss = float(np.sum((g - ln_a) ** 2))
+    s_dd = float(np.sum((d - d_mean) ** 2))
+    f_c, amplitude = math.exp(u), math.exp(ln_a)
+    sigma2 = rss / (n - 2)
+    if s_dd > 0:
+        fc_err = f_c * math.sqrt(sigma2 / s_dd)
+        a_err = amplitude * math.sqrt(sigma2 * (1.0 / n + d_mean**2 / s_dd))
+    else:
+        fc_err = a_err = math.inf
     return LorentzianFit(
         f_c=f_c,
         f_c_err=fc_err,
         amplitude=amplitude,
         amplitude_err=a_err,
         f_range=(float(lo), float(hi)),
-        residual_norm=float(math.sqrt(2.0 * res.cost)),
+        residual_norm=math.sqrt(rss),
         f_c_in_range=bool(lo <= f_c <= hi),
     )
 

@@ -7,7 +7,6 @@ from scipy.optimize import curve_fit
 
 from darkfocus import (
     BeamParams,
-    CylindricalPoint,
     GridSpec,
     bottle_geometry,
     dft_intensity,
@@ -55,13 +54,6 @@ class TestBeamParams:
         base.update(kwargs)
         with pytest.raises(ValueError):
             BeamParams(**base)
-
-    def test_cylindrical_point_validation(self):
-        CylindricalPoint(rho=1e-6, phi=0.3, z=-2e-6)
-        with pytest.raises(ValueError):
-            CylindricalPoint(rho=-1e-9, phi=0.0, z=0.0)
-        with pytest.raises(ValueError):
-            CylindricalPoint(rho=math.inf, phi=0.0, z=0.0)
 
 
 class TestLgMode:

@@ -37,6 +37,33 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"beam": {"na": 2.5}})
         assert main(["absorb", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command,text,key", [
+        ("simulate", '{"simulation": {"n_steps": Infinity}}', "simulation.n_steps"),
+        ("simulate", '{"beam": {"p_index": Infinity}}', "beam.p_index"),
+        ("absorb", '{"absorption": {"n_r_eff": 1e400}}', "absorption.n_r_eff"),
+        ("simulate", '{"simulation": {"seed": 1e30}}', "simulation.seed"),
+        ("simulate", '{"simulation": {"n_steps": "1000"}}', "simulation.n_steps"),
+        ("beam", '{"grid": {"n_z": 2.5}}', "grid.n_z"),
+    ])
+    def test_value_of_another_type_rejected(self, tmp_path, capsys, command, text, key):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {key} must be ")
+        assert "Traceback" not in err
+
+    def test_infinite_temperature_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "particle": {"temperature": math.inf},
+            "simulation": {"force_model": "harmonic", "stiffness": 1e-6, "n_steps": 100},
+        })
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "temperature" in err and "Traceback" not in err
+
     def test_resolved_config_written(self, tmp_path):
         out = tmp_path / "o"
         assert main(["absorb", "--out", str(out)]) == EXIT_OK
@@ -108,6 +135,15 @@ class TestSimulateCommand:
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_PHYSICS
         assert "# escape_step=" in (out / "trajectory.txt").read_text()
+
+    def test_arithmetic_failure_is_numerical(self, tmp_path, capsys):
+        # a 1e30 m wavelength underflows the quartic coefficients to zero,
+        # and the default domain bound divides by them
+        cfg = write_config(tmp_path, {"beam": {"lambda0": 1e30}})
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
 
     def test_harmonic_variance_matches_equipartition(self, tmp_path):
         from scipy.constants import k as k_b
@@ -312,7 +348,7 @@ def test_calibrate_with_non_finite_temperature_is_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith(
-        f"config error: temperature must be finite and positive, got {temperature!r}")
+        f"config error: particle.temperature must be a finite number, got {temperature!r}")
     assert "Traceback" not in err
 
 

@@ -253,6 +253,11 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             pooled_positions(runs, burn_in=10**9)
 
+    def test_pooled_positions_rejects_negative_burn_in(self, particle):
+        runs = simulate_ensemble(harmonic_cfg(particle, n_steps=500), 2)
+        with pytest.raises(ValueError, match="burn_in must be >= 0"):
+            pooled_positions(runs, burn_in=-50)
+
 
 def lane_cfgs(beam, particle, model, boundary, n_lanes=20):
     """Per-lane coefficients and walls on three shared seeds.  Every lane of a

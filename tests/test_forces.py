@@ -51,6 +51,8 @@ class TestParticleMedium:
             dict(n_particle=0.5),
             dict(viscosity=-1.0),
             dict(temperature=0.0),
+            dict(n_particle=math.inf),
+            dict(n_medium=math.nan),
         ],
     )
     def test_validation(self, kwargs):
@@ -58,6 +60,15 @@ class TestParticleMedium:
                     viscosity=0.89e-3, temperature=293.0)
         base.update(kwargs)
         with pytest.raises(ValueError):
+            ParticleMedium(**base)
+
+    @pytest.mark.parametrize("name", ["radius", "viscosity", "temperature"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, name, value):
+        base = dict(radius=575e-9, n_particle=1.45, n_medium=1.53,
+                    viscosity=0.89e-3, temperature=293.0)
+        base[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             ParticleMedium(**base)
 
 

@@ -14,6 +14,7 @@ from darkfocus import (
     fit_lorentzian,
     simulate,
 )
+from darkfocus.dynamics import spawn_seeds
 from darkfocus.spectral import FitError, default_fit_range
 
 TABLE_COEFFS = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
@@ -23,6 +24,18 @@ def make_traj(x, dt):
     pos = np.zeros((len(x), 3))
     pos[:, 0] = x
     return Trajectory(dt=dt, positions=pos)
+
+
+def profiled_gradient(psd, f_c):
+    """|sum r_c d_c| / (|r_c| |d_c|) at f_c over the default fit range: the
+    normalised gradient of the profiled log-PSD cost, zero at its optimum."""
+    lo, hi = default_fit_range(psd)
+    mask = (psd.frequencies >= lo) & (psd.frequencies <= hi)
+    f2 = psd.frequencies[mask] ** 2
+    r = np.log(psd.psd[mask]) + np.log(f_c**2 + f2)
+    d = 2.0 * f_c**2 / (f_c**2 + f2)
+    r, d = r - r.mean(), d - d.mean()
+    return abs(r @ d) / (np.linalg.norm(r) * np.linalg.norm(d))
 
 
 def lorentzian_psd(a, f_c, freqs, nperseg=256, dt=1e-3):
@@ -146,6 +159,26 @@ class TestFitLorentzian:
         fit = fit_lorentzian(psd, f_range=(50.0, 800.0))
         assert not fit.f_c_in_range
         assert fit.f_c < 50.0  # not clipped into the range
+
+    def test_converges_to_machine_precision(self, particle):
+        # criterion 6's OU runs; a minimiser of the cost stops up to ~1e-8 short
+        cfg = SimConfig(particle=particle, dt=2e-4, n_steps=120_000,
+                        force_model="harmonic", stiffness=1e-6, seed=606)
+        for seed in spawn_seeds(606, 10):
+            psd = estimate_psd(simulate(cfg.with_seed(int(seed))))
+            assert profiled_gradient(psd, fit_lorentzian(psd).f_c) <= 1e-13
+
+    @pytest.mark.parametrize("exponent,f_c", [
+        (0, 400.0 * math.exp(7.0)),   # flat (white noise): the upper bracket end
+        (2, 0.5 * math.exp(-7.0)),    # 1/f^2 (free diffusion): the lower end
+    ], ids=["flat", "free_diffusion"])
+    def test_no_corner_returns_bracket_end(self, exponent, f_c):
+        freqs = np.linspace(0.5, 400, 400)
+        psd = PsdEstimate(frequencies=freqs, psd=1e-16 / freqs**exponent, nperseg=128,
+                          overlap=0.5, window="hann", n_segments=4, signal_variance=0.0)
+        fit = fit_lorentzian(psd, f_range=(0.5, 400.0))
+        assert fit.f_c == pytest.approx(f_c, rel=1e-12)
+        assert not fit.f_c_in_range
 
     def test_needs_ten_bins(self):
         freqs = np.linspace(1, 9, 9)
