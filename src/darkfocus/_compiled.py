@@ -1,8 +1,9 @@
 """Build and load the compiled kernels: integrator.c, the Euler-Maruyama chunk
 stepper of darkfocus.dynamics.simulate; trajio.c, the row writer and parser
-of save_trajectory and load_trajectory; and binning.c, the single (rho, z)
-binning pass of darkfocus.calibration.reconstruct_potential, which counts
-every sample once into the grid of its fold.
+of darkfocus._text, through which every float table is written and read;
+and binning.c, the single (rho, z) binning pass of
+darkfocus.calibration.reconstruct_potential, which counts every sample once
+into the grid of its fold.
 
 The sources ship inside the package and are compiled together, on first
 use, into one shared library with the system C compiler, without
@@ -12,9 +13,9 @@ $XDG_CACHE_HOME/darkfocus (default ~/.cache/darkfocus) in a file named by a
 hash of every source, the compiler's version and the flags; it is written to
 a temporary file and renamed into place, so concurrent first runs are safe.
 When no compiler works, load() logs one warning and returns None, and
-darkfocus.dynamics and darkfocus.calibration run their Python reference code
-for the stepper, the trajectory I/O and the binning, which gives the same
-bits and the same text.
+darkfocus.dynamics, darkfocus._text and darkfocus.calibration run their
+Python reference code for the stepper, the table I/O and the binning, which
+gives the same bits and the same text.
 
 The 128-bit power tables of the I/O kernels are computed here, exactly,
 from Python integers.
@@ -52,12 +53,12 @@ _SIGNATURES = {
     "df_step_chunk": [ctypes.c_int, _DOUBLES, _DOUBLES, ctypes.c_long, _OUT_DOUBLES,
                       ctypes.c_double, ctypes.c_double, ctypes.c_int,
                       ctypes.POINTER(ctypes.c_int)],
-    # (positions, rows, first row index, dt, inv5, pow5, text, capacity)
-    "df_format_rows": [_DOUBLES, ctypes.c_long, ctypes.c_long, ctypes.c_double,
-                       _WORDS, _WORDS, _OUT_BYTES, ctypes.c_long],
-    # (text, length, final, comma, pow5, &ncols, out, capacity, &nrows)
+    # (values, rows, columns, inv5, pow5, text, capacity)
+    "df_format_rows": [_DOUBLES, ctypes.c_long, ctypes.c_long, _WORDS, _WORDS,
+                       _OUT_BYTES, ctypes.c_long],
+    # (text, length, final, comma, pow5, columns, out, capacity, &nrows)
     "df_parse_rows": [_BYTES, ctypes.c_long, ctypes.c_int, ctypes.c_int, _WORDS,
-                      _LONG_P, _OUT_DOUBLES, ctypes.c_long, _LONG_P],
+                      ctypes.c_long, _OUT_DOUBLES, ctypes.c_long, _LONG_P],
     # (rho, positions, samples, folds, rho edges, rho bins, z edges, z bins, counts)
     "df_bin_rho_z": [_DOUBLES, _DOUBLES, ctypes.c_long, ctypes.c_long, _DOUBLES,
                      ctypes.c_long, _DOUBLES, ctypes.c_long, _OUT_COUNTS],
@@ -107,7 +108,7 @@ def load():
     """The compiled library with df_step_chunk, df_format_rows,
     df_parse_rows and df_bin_rho_z typed, or None when it cannot be built;
     the outcome is kept for the life of the process."""
-    fallback = ("the stepper, the trajectory I/O and the potential binning run their "
+    fallback = ("the stepper, the table I/O and the potential binning run their "
                 "Python reference code")
     try:
         library = ctypes.CDLL(str(build()))

@@ -9,11 +9,12 @@ the focal plane, centered on the axis.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
+from ._text import write_table, write_values
 from .beam import BeamParams, _bottle_peaks, dft_intensity, gaussian_intensity
 from .forces import ParticleMedium
 
@@ -109,8 +110,7 @@ def absorption_ratio_sweep(scenario: AbsorptionScenario, r_eff_values):
 def save_absorption_sweep(table, path):
     with open(path, "w") as fh:
         fh.write("r_eff eta_abs\n")
-        for r, eta in np.asarray(table).tolist():
-            fh.write(f"{r!r} {eta!r}\n")
+        write_table(fh, table)
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,7 @@ class TrapComparison:
             raise ValueError("comparison ratios must be positive")
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"transverse_depth_ratio={self.transverse_depth_ratio!r}\n")
-            fh.write(f"matched_depth_power_ratio={self.matched_depth_power_ratio!r}\n")
-            fh.write(f"longitudinal_stiffness_ratio={self.longitudinal_stiffness_ratio!r}\n")
-            fh.write(f"longitudinal_depth_ratio={self.longitudinal_depth_ratio!r}\n")
+        write_values(path, asdict(self))
 
 
 def trap_comparison(bottle: BeamParams, gaussian: BeamParams) -> TrapComparison:

@@ -13,6 +13,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import eval_genlaguerre
 
+from ._text import read_table, write_table
+
 __all__ = [
     "BeamParams",
     "GridSpec",
@@ -26,6 +28,9 @@ __all__ = [
 
 # Grids above this many cells are almost certainly a misconfigured spec.
 MAX_GRID_CELLS = 50_000_000
+# Bound on the radial order: the Laguerre polynomial of order p is built from
+# p + 1 big-integer coefficients (1 s at p = 3000), and bottle beams use p <= 5.
+_MAX_P_INDEX = 100
 
 
 @dataclass(frozen=True)
@@ -57,19 +62,21 @@ class BeamParams:
     theta_rel: float = math.pi
 
     def __post_init__(self):
-        if not (self.lambda0 > 0):
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
-        if not (self.n_medium >= 1):
-            raise ValueError(f"n_medium must be >= 1, got {self.n_medium}")
+        if not (math.isfinite(self.lambda0) and self.lambda0 > 0):
+            raise ValueError(f"lambda0 must be finite and positive, got {self.lambda0}")
+        if not (math.isfinite(self.n_medium) and self.n_medium >= 1):
+            raise ValueError(f"n_medium must be finite and >= 1, got {self.n_medium}")
         if not (0 < self.na < self.n_medium):
             raise ValueError(
                 f"na must satisfy 0 < na < n_medium, got na={self.na}, "
                 f"n_medium={self.n_medium}"
             )
-        if not (self.p_total > 0):
-            raise ValueError(f"p_total must be positive, got {self.p_total}")
-        if not (isinstance(self.p_index, (int, np.integer)) and self.p_index >= 0):
-            raise ValueError(f"p_index must be a nonnegative integer, got {self.p_index}")
+        if not (math.isfinite(self.p_total) and self.p_total > 0):
+            raise ValueError(f"p_total must be finite and positive, got {self.p_total}")
+        if not (isinstance(self.p_index, (int, np.integer))
+                and 0 <= self.p_index <= _MAX_P_INDEX):
+            raise ValueError(
+                f"p_index must be an integer from 0 to {_MAX_P_INDEX}, got {self.p_index}")
         if not math.isfinite(self.theta_rel):
             raise ValueError("theta_rel must be finite")
 
@@ -314,8 +321,8 @@ class GridSpec:
     def __post_init__(self):
         if self.transverse_kind not in ("rho", "x"):
             raise ValueError("transverse_kind must be 'rho' or 'x'")
-        if self.transverse_step <= 0 or self.z_step <= 0:
-            raise ValueError("grid spacing must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in (self.transverse_step, self.z_step)):
+            raise ValueError("grid spacing must be finite and positive")
         if self.transverse_count < 1 or self.z_count < 1:
             raise ValueError("grid counts must be >= 1")
         for v in (self.transverse_start, self.z_start):
@@ -367,31 +374,20 @@ class IntensityGrid:
                 f"{spec.transverse_step!r} {spec.transverse_count}\n"
             )
             fh.write(f"# axis z: {spec.z_start!r} {spec.z_step!r} {spec.z_count}\n")
-            for v in self.values.ravel(order="C"):
-                fh.write(f"{float(v)!r}\n")
+            write_table(fh, self.values.reshape(-1, 1))
 
 
 def load_intensity_grid_values(path):
     """Read an intensity-grid file back as (GridSpec fields dict, values array)."""
+    header, values = read_table(path)
     axes = {}
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# axis"):
-                head, rest = line[len("# axis "):].split(":", 1)
-                start, step, count = rest.split()
-                axes[head.strip()] = (float(start), float(step), int(count))
-            elif not line.startswith("#"):
-                values.append(float(line))
-    (tkind,) = [k for k in axes if k != "z"]
-    t0, dt, nt = axes[tkind]
-    z0, dz, nz = axes["z"]
-    spec = GridSpec(t0, dt, nt, z0, dz, nz, transverse_kind=tkind)
-    arr = np.array(values).reshape(nt, nz)
-    return spec, arr
+    for line in header:
+        if line.startswith("# axis"):
+            name, start, step, count = line[len("# axis "):].replace(":", " ").split()
+            axes[name] = (float(start), float(step), int(count))
+    (tkind,) = set(axes) - {"z"}
+    spec = GridSpec(*axes[tkind], *axes["z"], transverse_kind=tkind)
+    return spec, values.reshape(spec.transverse_count, spec.z_count)
 
 
 def render_intensity_grid(params: BeamParams, spec: GridSpec) -> IntensityGrid:

@@ -16,6 +16,7 @@ from scipy import special, stats
 from scipy.constants import k as BOLTZMANN
 
 from . import _compiled
+from ._text import write_values
 from .beam import BeamParams
 from .dynamics import SimConfig, Trajectory, simulate, spawn_seeds
 from .forces import ParticleMedium, QuarticCoefficients, quartic_coefficients
@@ -263,19 +264,13 @@ class PotentialReconstruction:
         return self.v_grid / (BOLTZMANN * self.temperature)
 
     def save(self, path):
-        u = self.uncertainties
-        c = self.coefficients
-        with open(path, "w") as fh:
-            fh.write(f"k_z={c.k_z!r}\n")
-            fh.write(f"k_z_err={u[0]!r}\n")
-            fh.write(f"k_rho_z={c.k_rho_z!r}\n")
-            fh.write(f"k_rho_z_err={u[1]!r}\n")
-            fh.write(f"k_rho={c.k_rho!r}\n")
-            fh.write(f"k_rho_err={u[2]!r}\n")
-            fh.write(f"temperature={self.temperature!r}\n")
-            fh.write(f"n_samples={self.n_samples}\n")
-            fh.write(f"n_folds={self.n_folds}\n")
-            fh.write(f"n_folds_fitted={self.n_folds_fitted}\n")
+        c, u = self.coefficients, self.uncertainties
+        write_values(path, {
+            "k_z": c.k_z, "k_z_err": u[0], "k_rho_z": c.k_rho_z, "k_rho_z_err": u[1],
+            "k_rho": c.k_rho, "k_rho_err": u[2], "temperature": self.temperature,
+            "n_samples": self.n_samples, "n_folds": self.n_folds,
+            "n_folds_fitted": self.n_folds_fitted,
+        })
 
 
 def _edges(lo, hi, n_bins):

@@ -23,6 +23,7 @@ from .absorption import (
     save_absorption_sweep,
     trap_comparison,
 )
+from ._text import write_values
 from .beam import BeamParams, GridSpec, bottle_geometry, render_intensity_grid
 from .calibration import estimate_na, reconstruct_potential
 from .dynamics import (
@@ -137,11 +138,11 @@ def load_config(path: str | None) -> dict:
 
 
 def _beam_from(cfg) -> BeamParams:
-    b = cfg["beam"]
-    return BeamParams(
-        lambda0=b["lambda0"], n_medium=b["n_medium"], na=b["na"],
-        p_total=b["p_total"], p_index=b["p_index"], theta_rel=b["theta_rel"],
-    )
+    try:
+        return BeamParams(**cfg["beam"])
+    except ValueError as exc:
+        # each BeamParams message opens with the name of the field at fault
+        raise ConfigError(f"beam.{exc}") from exc
 
 
 def _particle_from(cfg):
@@ -204,13 +205,10 @@ def cmd_beam(cfg, out: Path) -> int:
     except (ValueError, RuntimeError):
         # no dark focus for this phase/order; the grid is still useful
         width = height = w_num = h_num = math.nan
-    with open(out / "geometry.txt", "w") as fh:
-        fh.write(f"waist={beam.waist!r}\n")
-        fh.write(f"rayleigh_range={beam.rayleigh_range!r}\n")
-        fh.write(f"width={width!r}\n")
-        fh.write(f"height={height!r}\n")
-        fh.write(f"width_search={w_num!r}\n")
-        fh.write(f"height_search={h_num!r}\n")
+    write_values(out / "geometry.txt", {
+        "waist": beam.waist, "rayleigh_range": beam.rayleigh_range, "width": width,
+        "height": height, "width_search": w_num, "height_search": h_num,
+    })
     if math.isnan(width):
         print("beam: no bottle structure (geometry not defined)", flush=True)
     else:
@@ -270,8 +268,7 @@ def cmd_psd(cfg, out: Path) -> int:
     fit = fit_lorentzian(psd, f_range)
     accepted = fit.f_c_in_range and fit.f_c_err < 0.5 * fit.f_c
     fit.save(out / "lorentzian.txt")
-    with open(out / "lorentzian.txt", "a") as fh:
-        fh.write(f"accepted={accepted}\n")
+    write_values(out / "lorentzian.txt", {"accepted": accepted}, mode="a")
     if accepted:
         print(f"psd: f_c = {fit.f_c:.4g} +- {fit.f_c_err:.2g} Hz", flush=True)
     else:
@@ -285,6 +282,8 @@ def cmd_psd(cfg, out: Path) -> int:
 
 def cmd_calibrate(cfg, out: Path) -> int:
     a = cfg["analysis"]
+    if a["burn_in"] < 0:
+        raise ConfigError(f"analysis.burn_in must be >= 0, got {a['burn_in']!r}")
     traj = _get_trajectory(cfg)
     burn = min(a["burn_in"], max(len(traj) - 1000, 0))
     rec = reconstruct_potential(
@@ -351,11 +350,10 @@ def cmd_absorb(cfg, out: Path) -> int:
     eta = absorption_ratio(scenario)
     comp = trap_comparison(bottle, gauss)
     comp.save(out / "trap_comparison.txt")
-    with open(out / "absorption.txt", "w") as fh:
-        fh.write(f"eta_abs={eta!r}\n")
-        fh.write(f"power_ratio={scenario.power_ratio!r}\n")
-        fh.write(f"cross_section={scenario.cross_section!r}\n")
-        fh.write(f"r_eff={scenario.effective_radius!r}\n")
+    write_values(out / "absorption.txt", {
+        "eta_abs": eta, "power_ratio": scenario.power_ratio,
+        "cross_section": scenario.cross_section, "r_eff": scenario.effective_radius,
+    })
     sweep = absorption_ratio_sweep(
         scenario, np.linspace(ab["r_eff_min"], ab["r_eff_max"], ab["n_r_eff"]),
     )
@@ -379,16 +377,11 @@ def cmd_forces_fit(cfg, out: Path) -> int:
             a["fit_points"],
         )
     coeffs, report = fit_polynomial_force(grid)
-    with open(out / "force_fit.txt", "w") as fh:
-        fh.write(f"k_z={coeffs.k_z!r}\n")
-        fh.write(f"k_rho_z={coeffs.k_rho_z!r}\n")
-        fh.write(f"k_rho={coeffs.k_rho!r}\n")
-        fh.write(f"rmse_x={report.rmse_x!r}\n")
-        fh.write(f"rmse_y={report.rmse_y!r}\n")
-        fh.write(f"rmse_z={report.rmse_z!r}\n")
-        fh.write(f"rmse_avg={report.rmse_avg!r}\n")
-        fh.write(f"n_samples={report.n_samples}\n")
-        fh.write(f"source={grid.provenance}\n")
+    write_values(out / "force_fit.txt", {
+        **dataclasses.asdict(coeffs), "rmse_x": report.rmse_x, "rmse_y": report.rmse_y,
+        "rmse_z": report.rmse_z, "rmse_avg": report.rmse_avg,
+        "n_samples": report.n_samples, "source": grid.provenance,
+    })
     print(f"forces-fit: rmse_avg = {report.rmse_avg:.4%} ({grid.provenance})", flush=True)
     return EXIT_OK
 

@@ -19,11 +19,9 @@ order with constants from the same helpers, so both give the same bits.
 Every ensemble is a plain loop over simulate, one run at a time; the
 calibration sweeps reduce each run as it finishes and keep no positions.
 
-Trajectory files are t x y z text rows.  save_trajectory and load_trajectory
-keep the header and the block loops in Python and run the row loops in
-trajio.c, built with the stepper; without a compiler they run the Python
-reference writer and numpy.loadtxt, which give the same text and the same
-arrays.
+Trajectory files are t x y z text rows under a '#' header.  save_trajectory
+and load_trajectory write and read the header themselves and the rows
+through darkfocus._text, the one writer and reader of every float table.
 """
 
 import ctypes
@@ -35,6 +33,7 @@ import numpy as np
 from scipy.constants import k as BOLTZMANN
 
 from . import _compiled
+from ._text import _ROWS_PER_BLOCK, read_table, write_table
 from .beam import BeamParams, _bottle_constants, _bottle_field
 from .forces import (
     ParticleMedium,
@@ -59,11 +58,6 @@ __all__ = [
 ]
 
 _NOISE_CHUNK = 65536
-_ROWS_PER_BLOCK = 8192
-# longest row df_format_rows writes: four 24-character numbers, three
-# blanks and the line end
-_ROW_BYTES = 100
-_READ_BYTES = 1 << 20
 
 
 class SimulationUnstableError(RuntimeError):
@@ -453,43 +447,18 @@ def marginal_density(density, axes, keep_axis: int):
     return out
 
 
-def _python_rows(positions, start, dt):
-    """The reference row writer: text of rows start, start + 1, ... of
-    t x y z, every float in repr form."""
-    return "".join([f"{k * dt!r} {px!r} {py!r} {pz!r}\n"
-                    for k, (px, py, pz) in enumerate(positions.tolist(), start)])
-
-
-def _compiled_rows(library, max_rows):
-    """trajio.c's df_format_rows behind the reference writer's signature,
-    for blocks of at most max_rows rows."""
-    inv5, pow5 = _compiled.shortest_tables()
-    text = np.empty(max(max_rows, 1) * _ROW_BYTES, dtype=np.uint8)
-
-    def rows(positions, start, dt):
-        positions = np.ascontiguousarray(positions, dtype=float)
-        if positions.shape[1:] != (3,) or len(positions) > max_rows:
-            raise ValueError(f"expected at most {max_rows} rows of three positions")
-        n = library.df_format_rows(positions, len(positions), start, dt, inv5, pow5,
-                                   text, len(text))
-        if n < 0:
-            raise RuntimeError("df_format_rows found its text buffer too small")
-        return str(memoryview(text)[:n], "ascii")
-
-    return rows
+def _timed_rows(positions, start, dt):
+    """The t x y z rows of positions from row start on: t = k * dt for row k."""
+    # k * dt on Python floats overflows to inf, and 0 * inf gives nan, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        times = np.arange(start, start + len(positions)) * dt
+    return np.column_stack((times, positions))
 
 
 def save_trajectory(traj: Trajectory, path):
     """Write t x y z rows with every float in repr form, so load_trajectory
-    reads back the same bits; the time column is k * dt.  Rows are converted
-    in blocks of _ROWS_PER_BLOCK to bound the memory the text takes, by the
-    compiled writer of trajio.c when it builds and by the Python reference
-    writer otherwise; both write the same bytes."""
-    library = _compiled.load()
-    if library is None:
-        rows = _python_rows
-    else:
-        rows = _compiled_rows(library, min(len(traj), _ROWS_PER_BLOCK))
+    reads back the same bits; the time column is k * dt.  The rows are built
+    and written in blocks of _ROWS_PER_BLOCK to bound the memory they take."""
     # a numpy scalar's repr is not a number
     dt = float(traj.dt)
     with open(path, "w") as fh:
@@ -501,46 +470,9 @@ def save_trajectory(traj: Trajectory, path):
             e = traj.escape
             fh.write(f"# escape_step={e.step} escape_time={float(e.time)!r}\n")
         fh.write("t x y z\n")
-        for start in range(0, len(traj.positions), _ROWS_PER_BLOCK):
-            fh.write(rows(traj.positions[start:start + _ROWS_PER_BLOCK], start, dt))
-
-
-def _compiled_read(library, path, n_header, comma):
-    """The t x y z columns of the data rows after the first n_header lines,
-    parsed by trajio.c's df_parse_rows in blocks of _READ_BYTES; None when
-    the rows are not plain decimal numbers in the forms it reads, and the
-    reference reader must decide.  A first pass counts the lines, so the
-    rows go straight into an array of their final size."""
-    pow5 = _compiled.decimal_table()
-    text = np.empty(_READ_BYTES, dtype=np.uint8)
-    ncols, nrows = ctypes.c_long(0), ctypes.c_long(0)
-    with open(path, "rb") as fh:
-        for _ in range(n_header):
-            # a lone CR ends a line in the text-mode header scan, not here
-            if b"\r" in fh.readline().removesuffix(b"\r\n"):
-                return None
-        start, lines = fh.tell(), 1
-        while read := fh.readinto(text):
-            lines += np.count_nonzero(text[:read] == ord("\n"))
-        fh.seek(start)
-        data = np.empty((lines, 4))
-        done = kept = 0
-        while True:
-            read = fh.readinto(text[kept:])
-            end = kept + read
-            used = library.df_parse_rows(text, end, read == 0, comma, pow5,
-                                         ctypes.byref(ncols), data[done:], lines - done,
-                                         ctypes.byref(nrows))
-            if used < 0:
-                return None
-            done += nrows.value
-            if read == 0:
-                break
-            kept = end - used
-            if kept == len(text):
-                return None  # one line fills the whole block
-            text[:kept] = text[used:end]
-    return data[:done] if done else None
+        for start in range(0, len(traj), _ROWS_PER_BLOCK):
+            block = traj.positions[start:start + _ROWS_PER_BLOCK]
+            write_table(fh, _timed_rows(block, start, dt))
 
 
 def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:
@@ -549,60 +481,28 @@ def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:
     An explicit meters_per_pixel argument overrides the file header.  The
     time column is used only to infer dt when no '# dt=' comment is present.
     An '# escape_step= escape_time=' comment becomes the EscapeReport, at
-    the last row.  The rows are parsed by the compiled parser of trajio.c in
-    bounded blocks when it builds and the file holds only plain decimal
-    rows; otherwise, and for anything it does not read, by numpy.loadtxt,
-    which gives the same bits and raises the errors.
+    the last row.  The file is read by darkfocus._text.read_table.
     """
-    dt = None
-    seed = None
-    provenance = "ingested"
-    file_scale = None
-    escape_step = escape_time = None
-    first_row = None
-    n_header = 0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                for token in body.split():
-                    if token.startswith("dt="):
-                        dt = float(token[3:])
-                    elif token.startswith("seed="):
-                        seed = int(token[5:])
-                    elif token.startswith("meters_per_pixel="):
-                        file_scale = float(token[len("meters_per_pixel="):])
-                    elif token.startswith("provenance="):
-                        provenance = token[len("provenance="):]
-                    elif token.startswith("escape_step="):
-                        escape_step = int(token[len("escape_step="):])
-                    elif token.startswith("escape_time="):
-                        escape_time = float(token[len("escape_time="):])
-            elif line and line.replace(",", " ").split()[:1] not in (["t"], ["x"]):
-                first_row = line
-                break
-            n_header += 1
-    if first_row is None:
-        raise ValueError(f"expected columns t x y z in {path}")
-    library = _compiled.load()
-    comma = "," in first_row
-    data = None if library is None else _compiled_read(library, path, n_header, comma)
-    if data is None:
-        data = np.loadtxt(path, delimiter="," if comma else None, skiprows=n_header,
-                          ndmin=2)
+    header, data = read_table(path)
+    # the last value of each key= token of the comment lines
+    meta = dict(token.split("=", 1) for line in header if line.startswith("#")
+                for token in line.lstrip("#").split() if "=" in token)
     if data.shape[1] < 4:
         raise ValueError(f"expected columns t x y z in {path}")
-    if dt is None:
+    if "dt" in meta:
+        dt = float(meta["dt"])
+    else:
         steps = np.diff(data[:, 0])
         if len(steps) == 0 or np.ptp(steps) > 1e-9 * abs(steps[0]):
             raise ValueError("cannot infer a uniform dt from the time column")
         dt = float(steps[0])
-    scale = meters_per_pixel if meters_per_pixel is not None else file_scale
-    positions = data[:, 1:4] * (scale if scale is not None else 1.0)
+    if meters_per_pixel is None and "meters_per_pixel" in meta:
+        meters_per_pixel = float(meta["meters_per_pixel"])
+    positions = data[:, 1:4] * (meters_per_pixel if meters_per_pixel is not None else 1.0)
     escape = None
-    if escape_step is not None and escape_time is not None:
-        escape = EscapeReport(position=tuple(positions[-1].tolist()), time=escape_time,
-                              step=escape_step)
-    return Trajectory(dt=dt, positions=positions, seed=seed, provenance=provenance,
-                      escape=escape)
+    if "escape_step" in meta and "escape_time" in meta:
+        escape = EscapeReport(position=tuple(positions[-1].tolist()),
+                              time=float(meta["escape_time"]), step=int(meta["escape_step"]))
+    return Trajectory(dt=dt, positions=positions,
+                      seed=int(meta["seed"]) if "seed" in meta else None,
+                      provenance=meta.get("provenance", "ingested"), escape=escape)

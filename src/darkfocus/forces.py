@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
+from ._text import read_table, write_table
 from .beam import BeamParams, _bottle_field, _check_coords, dft_intensity
 
 __all__ = [
@@ -242,27 +243,17 @@ class ForceGrid:
         with open(path, "w") as fh:
             fh.write(f"# source: {self.provenance}\n")
             fh.write("x y z fx fy fz\n")
-            for p, f in zip(self.positions.tolist(), self.forces.tolist()):
-                fh.write(f"{p[0]!r} {p[1]!r} {p[2]!r} {f[0]!r} {f[1]!r} {f[2]!r}\n")
+            write_table(fh, np.hstack((self.positions, self.forces)))
 
     @classmethod
     def load(cls, path):
-        provenance = "imported-external"
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("# source:"):
-                    provenance = line[len("# source:"):].strip()
-                elif line.startswith("#") or line.split()[0] == "x":
-                    continue
-                else:
-                    rows.append([float(v) for v in line.split()])
-        if not rows:
+        header, data = read_table(path)
+        if not len(data):
             raise ValueError(f"no data rows in force grid {path}")
-        data = np.array(rows)
+        provenance = "imported-external"
+        for line in header:
+            if line.startswith("# source:"):
+                provenance = line[len("# source:"):].strip()
         return cls(positions=data[:, :3], forces=data[:, 3:6], provenance=provenance)
 
 

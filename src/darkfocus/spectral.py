@@ -15,6 +15,7 @@ import numpy as np
 from scipy import signal
 from scipy.optimize import brentq
 
+from ._text import write_table, write_values
 from .dynamics import SimConfig, Trajectory, simulate, spawn_seeds
 
 __all__ = [
@@ -73,8 +74,7 @@ class PsdEstimate:
             fh.write(f"# nseg={self.n_segments}\n")
             fh.write(f"# nperseg={self.nperseg} overlap={self.overlap!r}\n")
             fh.write("f psd\n")
-            for fv, pv in zip(self.frequencies.tolist(), self.psd.tolist()):
-                fh.write(f"{fv!r} {pv!r}\n")
+            write_table(fh, np.column_stack((self.frequencies, self.psd)))
 
 
 def estimate_psd(
@@ -135,14 +135,11 @@ class LorentzianFit:
     f_c_in_range: bool
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"f_c={self.f_c!r}\n")
-            fh.write(f"f_c_err={self.f_c_err!r}\n")
-            fh.write(f"A={self.amplitude!r}\n")
-            fh.write(f"A_err={self.amplitude_err!r}\n")
-            fh.write(f"residual={self.residual_norm!r}\n")
-            fh.write(f"f_range={self.f_range[0]!r} {self.f_range[1]!r}\n")
-            fh.write(f"f_c_in_range={self.f_c_in_range}\n")
+        write_values(path, {
+            "f_c": self.f_c, "f_c_err": self.f_c_err, "A": self.amplitude,
+            "A_err": self.amplitude_err, "residual": self.residual_norm,
+            "f_range": self.f_range, "f_c_in_range": self.f_c_in_range,
+        })
 
 
 def default_fit_range(psd: PsdEstimate) -> tuple:

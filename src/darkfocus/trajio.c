@@ -1,6 +1,6 @@
-/* Row loops of darkfocus.dynamics.save_trajectory and load_trajectory.
+/* Row loops of darkfocus._text, the writer and reader of every float table.
 
-   df_format_rows writes "t x y z" rows with every double in the text of
+   df_format_rows writes rows of blank-separated doubles, each in the text of
    Python's repr: the shortest decimal that reads back to the same double,
    found by Ryu (U. Adams, PLDI 2018), in repr's layout.  df_parse_rows reads
    rows of plain decimal numbers into the doubles a correctly rounded strtod
@@ -247,24 +247,24 @@ static char *put_double(char *p, double v, const uint64_t *inv5, const uint64_t 
     return p;
 }
 
-enum { ROW_BYTES = 4 * 24 + 4 };
+/* the longest number put_double writes and its separator */
+enum { NUMBER_BYTES = 24 + 1 };
 
-/* Writes rows start .. start + n - 1 of "t x y z\n" into buf, t = row * dt
-   and x y z the n rows of pos (n x 3), each number as repr writes it.
-   Returns the bytes written, or -1 when cap < n * ROW_BYTES. */
-long df_format_rows(const double *pos, long n, long start, double dt,
-                    const uint64_t *inv5, const uint64_t *pow5, char *buf, long cap)
+/* Writes the n x m doubles of values into buf as n lines of m numbers split
+   by blanks, each as repr writes it.  Returns the bytes written, or -1 when
+   m < 1 or cap < n * m * NUMBER_BYTES. */
+long df_format_rows(const double *values, long n, long m, const uint64_t *inv5,
+                    const uint64_t *pow5, char *buf, long cap)
 {
-    if (n < 0 || cap / ROW_BYTES < n)
+    if (n < 0 || m < 1 || cap / m / NUMBER_BYTES < n)
         return -1;
     char *p = buf;
-    for (long k = 0; k < n; k++, pos += 3) {
-        p = put_double(p, (double)(start + k) * dt, inv5, pow5);
-        for (int c = 0; c < 3; c++) {
+    for (long k = 0; k < n; k++) {
+        for (long c = 0; c < m; c++) {
+            p = put_double(p, *values++, inv5, pow5);
             *p++ = ' ';
-            p = put_double(p, pos[c], inv5, pow5);
         }
-        *p++ = '\n';
+        p[-1] = '\n';
     }
     return (long)(p - buf);
 }
@@ -419,16 +419,14 @@ static const char *parse_double(const char *p, const char *lim, const uint64_t *
 static int is_blank(char c) { return c == ' ' || c == '\t'; }
 
 /* Parses the complete lines of text[0:len), and the unterminated last one
-   when final, as rows of plain decimal numbers split by blanks, or by commas
-   with optional blanks around them when comma is set.  Lines end in LF or
-   CRLF; blank lines are skipped (empty ones only, with commas).  *ncols is
-   the column count of the first row when nonzero on entry, and is set from
-   the first row otherwise; every row must have that many, at least 4.  The
-   first four numbers of each row go to out (cap x 4), their count to
-   *nrows.  Returns the bytes consumed, or -1 when the text breaks any of
-   these rules or out is full, so that the caller can parse it otherwise. */
+   when final, as rows of ncols plain decimal numbers split by blanks, or by
+   commas with optional blanks around them when comma is set.  Lines end in
+   LF or CRLF; blank lines are skipped (empty ones only, with commas).  The
+   rows go to out (cap x ncols), their count to *nrows.  Returns the bytes
+   consumed, or -1 when the text breaks any of these rules or out is full,
+   so that the caller can parse it otherwise. */
 long df_parse_rows(const char *text, long len, int final, int comma, const uint64_t *pow5,
-                   long *ncols, double *out, long cap, long *nrows)
+                   long ncols, double *out, long cap, long *nrows)
 {
     const char *point = localeconv()->decimal_point;
     if (point[0] != '.' || point[1] != '\0')
@@ -452,19 +450,17 @@ long df_parse_rows(const char *text, long len, int final, int comma, const uint6
         }
         if (rows == cap)
             return -1;
-        double *row = out + 4 * rows;
+        double *row = out + ncols * rows;
         long col = 0;
         for (;;) {
             if (comma)
                 while (p < stop && is_blank(*p))
                     p++;
-            double value;
-            p = parse_double(p, stop, pow5, &value);
+            if (col == ncols)
+                return -1;
+            p = parse_double(p, stop, pow5, &row[col++]);
             if (p == NULL)
                 return -1;
-            if (col < 4)
-                row[col] = value;
-            col++;
             const char *end = p;
             while (p < stop && is_blank(*p))
                 p++;
@@ -478,13 +474,8 @@ long df_parse_rows(const char *text, long len, int final, int comma, const uint6
                 return -1; /* no blank after the token */
             }
         }
-        if (*ncols == 0) {
-            if (col < 4)
-                return -1;
-            *ncols = col;
-        } else if (col != *ncols) {
+        if (col != ncols)
             return -1;
-        }
         rows++;
         p = next;
     }

@@ -47,6 +47,10 @@ class TestBeamParams:
             dict(p_total=0.0),
             dict(p_index=-1),
             dict(theta_rel=math.nan),
+            dict(lambda0=math.inf),
+            dict(n_medium=math.inf),
+            dict(p_total=math.inf),
+            dict(p_index=101),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -245,6 +249,14 @@ class TestIntensityGrid:
         spec = GridSpec.centered(beam.waist, beam.rayleigh_range, 20001, 20001)
         with pytest.raises(ValueError, match="cap"):
             render_intensity_grid(beam, spec)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-7])
+    def test_invalid_spacing_rejected(self, step):
+        for spacing in (dict(transverse_step=step), dict(z_step=step)):
+            fields = dict(transverse_start=0.0, transverse_step=1e-7, transverse_count=3,
+                          z_start=0.0, z_step=1e-7, z_count=3)
+            with pytest.raises(ValueError, match="spacing"):
+                GridSpec(**{**fields, **spacing})
 
     def test_export_import_round_trip(self, beam, tmp_path):
         spec = GridSpec.centered(beam.waist, beam.rayleigh_range, 7, 9)

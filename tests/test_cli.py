@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -49,6 +50,21 @@ class TestConfigHandling:
         path = tmp_path / "config.json"
         path.write_text(text)
         code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {key} must be ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,payload,key", [
+        ("beam", {"beam": {"p_index": 10**12}, "grid": {"n_transverse": 5, "n_z": 5}},
+         "beam.p_index"),
+        ("calibrate", {"analysis": {"burn_in": -5}}, "analysis.burn_in"),
+    ])
+    def test_value_out_of_range_names_its_key(self, tmp_path, capsys, command, payload, key):
+        cfg = write_config(tmp_path, payload)
+        start = time.perf_counter()
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 5
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith(f"config error: {key} must be ")

@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from darkfocus.cli import _DEFAULTS, main  # noqa: E402
 
-# sizes that keep every example fast: a short run and a coarse grid
+# sizes that keep every example fast: a short run and coarse grids
 SMALL = copy.deepcopy(_DEFAULTS)
 SMALL["simulation"]["n_steps"] = 2000
 SMALL["grid"].update(n_transverse=41, n_z=41)
+SMALL["analysis"]["fit_points"] = 5
 
 KEYS = [(section, key) for section, values in SMALL.items() for key in values]
 JUNK = st.one_of(
@@ -38,7 +39,7 @@ def test_exit_contract(substitutions):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
-        for command in ("beam", "absorb", "simulate"):
+        for command in ("beam", "absorb", "simulate", "psd", "calibrate", "forces-fit"):
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = main([command, "--config", str(path), "--out", str(Path(tmp) / command)])

@@ -1,5 +1,5 @@
-"""The compiled trajectory writer and parser against their references:
-repr text byte for byte, and numpy.loadtxt arrays bit for bit."""
+"""The compiled table writer and parser against their references: repr
+text byte for byte, and numpy.loadtxt arrays bit for bit."""
 
 import contextlib
 import io
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from darkfocus import Trajectory, _compiled, dynamics, load_trajectory, save_trajectory
+from darkfocus import Trajectory, _compiled, _text, dynamics, load_trajectory, save_trajectory
 from darkfocus.cli import main
 
 pytestmark = pytest.mark.skipif(shutil.which(_compiled.COMPILER) is None,
@@ -30,10 +30,22 @@ def library():
     return lib
 
 
-def assert_rows_match(library, positions, start=0, dt=2e-5):
+def assert_rows_match(library, rows):
+    assert _text._compiled_rows(library, rows) == _text._python_rows(rows)
+
+
+def trajectory_rows(positions, start=0, dt=2e-5):
+    """The t x y z rows save_trajectory writes; t is k * dt for row k."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    rows = dynamics._compiled_rows(library, len(positions))
-    assert rows(positions, start, dt) == dynamics._python_rows(positions, start, dt)
+    rows = dynamics._timed_rows(positions, start, dt)
+    times = [k * dt for k in range(start, start + len(positions))]
+    assert rows[:, 0].tobytes() == np.array(times).tobytes()
+    return rows
+
+
+def column_blocks(values):
+    """values as blocks of 1, 2 and 6 columns, the tail cut to whole rows."""
+    return [values[: len(values) // m * m].reshape(-1, m) for m in (1, 2, 6)]
 
 
 def edge_values():
@@ -47,28 +59,34 @@ def edge_values():
 class TestWriter:
     def test_edge_cases(self, library):
         values = edge_values()
-        assert_rows_match(library, np.resize(values, (len(values) + 2) // 3 * 3))
-        assert_rows_match(library, np.resize(values[1:], (len(values) + 2) // 3 * 3))
+        assert_rows_match(library, trajectory_rows(
+            np.resize(values, (len(values) + 2) // 3 * 3)))
+        assert_rows_match(library, trajectory_rows(
+            np.resize(values[1:], (len(values) + 2) // 3 * 3)))
+        for rows in column_blocks(values) + column_blocks(values[1:]):
+            assert_rows_match(library, rows)
 
     def test_random_bit_patterns(self, library):
         bits = np.random.default_rng(20240817).integers(0, 2**64, size=100_002,
                                                         dtype=np.uint64, endpoint=False)
         values = bits.view(np.float64)
         finite = values[np.isfinite(values)]
-        assert_rows_match(library, finite[: len(finite) // 3 * 3])
+        assert_rows_match(library, trajectory_rows(finite[: len(finite) // 3 * 3]))
+        for rows in column_blocks(finite):
+            assert_rows_match(library, rows)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3,
                     max_size=60).map(lambda v: v[: len(v) // 3 * 3]),
            st.integers(0, 2**53), st.floats(min_value=5e-324, allow_infinity=False))
     def test_finite_floats(self, library, values, start, dt):
-        assert_rows_match(library, values, start, dt)
+        assert_rows_match(library, trajectory_rows(values, start, dt))
 
     @pytest.mark.parametrize("dt", [math.inf, sys.float_info.max, 5e-324])
     def test_time_column_extremes(self, library, dt):
         # k * dt can be inf, nan (0 * inf) or a subnormal; repr spells each
-        assert_rows_match(library, np.zeros((4, 3)), start=0, dt=dt)
-        assert_rows_match(library, np.zeros((4, 3)), start=2**62, dt=dt)
+        assert_rows_match(library, trajectory_rows(np.zeros((4, 3)), start=0, dt=dt))
+        assert_rows_match(library, trajectory_rows(np.zeros((4, 3)), start=2**62, dt=dt))
 
 
 def load_both(path, monkeypatch):
@@ -149,15 +167,18 @@ class TestParser:
         "5e-324 -0.0 .5 5.\n",
         "1 00000000000000000000123.25 0.000000000000000000000000001 1.7976931348623159e308\n",
         "1 2.4703282292062328e-324 1e-400 -1e400\n",
+        "1.5\n-0.0\n\n5e-324\n1.7976931348623157e308\n",
+        "1e-300,-2,3.25,4,5,6\r\n7,8,9,10,11,12e3\r\n",
     ])
     def test_plain_rows_take_the_compiled_path(self, library, tmp_path, monkeypatch, body):
         path = tmp_path / "plain.txt"
         path.write_bytes((HEADER + body).encode())
-        rows = dynamics._compiled_read(library, path, HEADER.count("\n"), "," in body)
-        assert rows is not None
         expected = np.loadtxt(path, delimiter="," if "," in body else None,
                               skiprows=HEADER.count("\n"), ndmin=2)
-        assert rows.tobytes() == expected[:, :4].tobytes()
+        rows = _text._compiled_read(library, path, HEADER.count("\n"), "," in body,
+                                    expected.shape[1])
+        assert rows is not None
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
         if np.all(np.isfinite(rows)):
             assert_same_load(path, monkeypatch)
 
@@ -167,6 +188,7 @@ class TestParser:
         "1 2 3 nan\n",
         "1 2 3 0x1p3\n",
         "1 2 3 4\n1 2 3\n",
+        "1 2 3 4\n5 6 7 8 9\n",
         "1 2 3\n",
         "1 2 3 4,\n",
         "1 2 3 1e\n",
@@ -175,11 +197,11 @@ class TestParser:
     def test_other_text_goes_to_loadtxt(self, library, tmp_path, monkeypatch, body):
         path = tmp_path / "other.txt"
         path.write_bytes((HEADER + body).encode())
-        assert dynamics._compiled_read(library, path, HEADER.count("\n"), False) is None
+        assert _text._compiled_read(library, path, HEADER.count("\n"), False, 4) is None
         assert_same_load(path, monkeypatch)
 
     def test_rows_cross_read_blocks(self, library, tmp_path, monkeypatch):
-        monkeypatch.setattr(dynamics, "_READ_BYTES", 64)
+        monkeypatch.setattr(_text, "_READ_BYTES", 64)
         rng = np.random.default_rng(5)
         traj = Trajectory(dt=1e-3, positions=rng.standard_normal((200, 3)))
         path = tmp_path / "blocks.txt"
@@ -188,7 +210,7 @@ class TestParser:
         assert_same_load(path, monkeypatch)
         # a line longer than a block goes to the reference reader
         path.write_text(HEADER + " ".join(["1.0"] * 40) + "\n")
-        assert dynamics._compiled_read(library, path, HEADER.count("\n"), False) is None
+        assert _text._compiled_read(library, path, HEADER.count("\n"), False, 40) is None
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
