@@ -260,9 +260,6 @@ class PotentialReconstruction:
     n_folds: int
     n_folds_fitted: int
 
-    def v_grid_kbt(self):
-        return self.v_grid / (BOLTZMANN * self.temperature)
-
     def save(self, path):
         c, u = self.coefficients, self.uncertainties
         write_values(path, {
@@ -425,7 +422,6 @@ class NaSweepResult:
     argmin_na: float
     fc_compatible: np.ndarray
     fc_interval: tuple | None
-    intersection: np.ndarray
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -551,11 +547,7 @@ def estimate_na(
     else:
         fc_interval = None
 
-    step = float(np.median(np.diff(na_values))) if len(na_values) > 1 else 0.0
-    near_argmin = np.abs(na_values - argmin_na) <= step * 1.0001
-    intersection = fc_compatible & near_argmin
     return NaSweepResult(
         na_values=na_values, kl=kl, fc=fc, fc_err=fc_err, valid=valid,
-        argmin_na=argmin_na, fc_compatible=fc_compatible,
-        fc_interval=fc_interval, intersection=intersection,
+        argmin_na=argmin_na, fc_compatible=fc_compatible, fc_interval=fc_interval,
     )

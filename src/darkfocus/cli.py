@@ -2,8 +2,17 @@
 
 Every run validates its JSON config against the defaults table (unknown
 keys and values of another JSON type than the default's are rejected),
-writes a resolved copy next to its outputs, and uses distinct exit codes:
-0 success, 2 config error, 3 numerical failure, 4 physics signal (escape).
+writes a resolved copy next to its outputs, and exits with a code chosen by
+the class of what went wrong, with a one-line message and no traceback:
+
+0 success;
+2 config error: a ValueError, TypeError or OSError, such as an invalid
+  value, an unreadable input or an unwritable output;
+3 numerical failure: a NumericalError, LinAlgError, ArithmeticError or
+  RuntimeError, such as too few bins for a fit or a singular least-squares
+  problem;
+4 physics signal: a SimulationEscape, the particle left the simulation
+  domain; the message gives the time, the step and the position.
 """
 
 import argparse
@@ -26,13 +35,7 @@ from .absorption import (
 from ._text import write_values
 from .beam import BeamParams, GridSpec, bottle_geometry, render_intensity_grid
 from .calibration import estimate_na, reconstruct_potential
-from .dynamics import (
-    SimConfig,
-    SimulationUnstableError,
-    load_trajectory,
-    save_trajectory,
-    simulate,
-)
+from .dynamics import SimConfig, load_trajectory, save_trajectory, simulate
 from .forces import (
     ForceGrid,
     QuarticCoefficients,
@@ -41,16 +44,12 @@ from .forces import (
     quartic_coefficients,
     sample_force_grid,
 )
-from .spectral import FitError, NumericalError, estimate_psd, fit_lorentzian
+from .spectral import NumericalError, estimate_psd, fit_lorentzian
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PHYSICS = 4
-
-
-class ConfigError(ValueError):
-    pass
 
 
 _DEFAULTS = {
@@ -107,7 +106,7 @@ def _check_type(name, value, default):
     else:
         ok = type(value) is kind
     if not ok:
-        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
 
 
 def load_config(path: str | None) -> dict:
@@ -118,17 +117,17 @@ def load_config(path: str | None) -> dict:
         with open(path) as fh:
             user = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     for section, values in user.items():
         if section not in _DEFAULTS:
-            raise ConfigError(f"unknown config section {section!r}")
+            raise ValueError(f"unknown config section {section!r}")
         if not isinstance(values, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
+            raise ValueError(f"config section {section!r} must be an object")
         unknown = set(values) - set(_DEFAULTS[section])
         if unknown:
-            raise ConfigError(
+            raise ValueError(
                 f"unknown keys in section {section!r}: {sorted(unknown)}"
             )
         for key, value in values.items():
@@ -142,7 +141,7 @@ def _beam_from(cfg) -> BeamParams:
         return BeamParams(**cfg["beam"])
     except ValueError as exc:
         # each BeamParams message opens with the name of the field at fault
-        raise ConfigError(f"beam.{exc}") from exc
+        raise ValueError(f"beam.{exc}") from exc
 
 
 def _particle_from(cfg):
@@ -216,28 +215,35 @@ def cmd_beam(cfg, out: Path) -> int:
     return EXIT_OK
 
 
+class SimulationEscape(RuntimeError):
+    def __init__(self, report):
+        x, y, z = report.position
+        super().__init__(
+            f"trajectory escaped at t={report.time:g} s (step {report.step}): "
+            f"position ({x:.3e}, {y:.3e}, {z:.3e}) m"
+        )
+        self.report = report
+
+
 def cmd_simulate(cfg, out: Path) -> int:
     sim = _sim_config_from(cfg)
     traj = simulate(sim)
     save_trajectory(traj, out / "trajectory.txt")
     if traj.escape is not None:
-        e = traj.escape
-        print(
-            f"escape at t={e.time:g} s (step {e.step}): position "
-            f"({e.position[0]:.3e}, {e.position[1]:.3e}, {e.position[2]:.3e}) m",
-            file=sys.stderr,
-        )
-        return EXIT_PHYSICS
+        raise SimulationEscape(traj.escape)
     print(f"simulate: {len(traj) - 1} steps, dt={traj.dt:g} s", flush=True)
     return EXIT_OK
 
 
 def _read_input(key, load, path, **kwargs):
     """load(path, **kwargs), reporting an unreadable file as a config error on key."""
+    # open() takes an integer or a bool as a file descriptor
+    if not isinstance(path, str):
+        raise ValueError(f"{key} must be a string, got {path!r}")
     try:
         return load(path, **kwargs)
     except OSError as exc:
-        raise ConfigError(f"cannot read {key}: {exc}") from exc
+        raise ValueError(f"cannot read {key}: {exc}") from exc
 
 
 def _get_trajectory(cfg):
@@ -249,12 +255,6 @@ def _get_trajectory(cfg):
     if traj.escape is not None:
         raise SimulationEscape(traj.escape)
     return traj
-
-
-class SimulationEscape(RuntimeError):
-    def __init__(self, report):
-        super().__init__(f"trajectory escaped at t={report.time:g} s")
-        self.report = report
 
 
 def cmd_psd(cfg, out: Path) -> int:
@@ -283,7 +283,7 @@ def cmd_psd(cfg, out: Path) -> int:
 def cmd_calibrate(cfg, out: Path) -> int:
     a = cfg["analysis"]
     if a["burn_in"] < 0:
-        raise ConfigError(f"analysis.burn_in must be >= 0, got {a['burn_in']!r}")
+        raise ValueError(f"analysis.burn_in must be >= 0, got {a['burn_in']!r}")
     traj = _get_trajectory(cfg)
     burn = min(a["burn_in"], max(len(traj) - 1000, 0))
     rec = reconstruct_potential(
@@ -306,11 +306,11 @@ def cmd_calibrate(cfg, out: Path) -> int:
 def cmd_sweep_na(cfg, out: Path) -> int:
     s = cfg["sweep"]
     if s["target"] is None:
-        raise ConfigError("sweep.target must point at a trajectory file")
+        raise ValueError("sweep.target must point at a trajectory file")
     if not s["na_step"] > 0:
-        raise ConfigError(f"sweep.na_step must be positive, got {s['na_step']!r}")
+        raise ValueError(f"sweep.na_step must be positive, got {s['na_step']!r}")
     if not s["na_stop"] >= s["na_start"]:
-        raise ConfigError(
+        raise ValueError(
             f"sweep.na_stop {s['na_stop']!r} lies below sweep.na_start {s['na_start']!r}"
         )
     target = _read_input("sweep.target", load_trajectory, s["target"],
@@ -419,27 +419,17 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["simulation"]["seed"] = args.seed
         out = _prepare_out(cfg, args.out)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return _COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SimulationEscape as exc:
         print(f"physics signal: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except NumericalError as exc:
+    # before the config clause: NumericalError and LinAlgError are ValueErrors
+    except (NumericalError, np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FitError, SimulationUnstableError, np.linalg.LinAlgError,
-            ArithmeticError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

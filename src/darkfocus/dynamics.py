@@ -134,10 +134,6 @@ class SimConfig:
             raise ValueError("stiffness must be a scalar or a triple")
         return tuple(float(k) for k in self.stiffness)
 
-    @property
-    def duration(self) -> float:
-        return self.n_steps * self.dt
-
     def effective_coefficients(self) -> QuarticCoefficients:
         if self.coefficients is not None:
             return self.coefficients

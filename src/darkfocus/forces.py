@@ -293,15 +293,15 @@ def fit_polynomial_force(grid: ForceGrid):
     if len(pos) < 125:
         raise ValueError(f"need at least 125 samples, got {len(pos)}")
     x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
-    rho2 = x**2 + y**2
-    zero = np.zeros_like(x)
 
-    # Rows: F_x, F_y, F_z equations; columns: k_z, k_rho_z, k_rho.
-    design = np.vstack([
-        np.column_stack([zero, 2.0 * z**2 * x, -rho2 * x]),
-        np.column_stack([zero, 2.0 * z**2 * y, -rho2 * y]),
-        np.column_stack([-z, 2.0 * rho2 * z, zero]),
-    ])
+    # Rows: F_x, F_y, F_z equations; columns: k_z, k_rho_z, k_rho.  The force
+    # is linear in the coefficients, so column j is the integrator's force
+    # expression at the j-th unit coefficient vector.  Adding 0.0 turns the
+    # -0.0 of a zero coefficient times a negative coordinate into +0.0, whose
+    # sign LAPACK's reflections would carry into the last bits of the fit.
+    design = np.column_stack([
+        np.concatenate(_quartic_force(*unit)(x, y, z)) for unit in np.eye(3)
+    ]) + 0.0
     target = np.concatenate([grid.forces[:, 0], grid.forces[:, 1], grid.forces[:, 2]])
     # Columns span many decades in SI units; normalize so the rank test is
     # about geometry, not units.

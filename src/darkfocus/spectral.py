@@ -92,6 +92,10 @@ def estimate_psd(
     n = len(x)
     if nperseg is None:
         nperseg = max(16, n // 8)
+    # below 4 samples a segment leaves fewer than two bins above DC
+    if (isinstance(nperseg, bool) or not isinstance(nperseg, (int, np.integer))
+            or nperseg < 4):
+        raise ValueError(f"nperseg must be an integer >= 4, got {nperseg!r}")
     if nperseg > n // 2:
         raise ValueError(
             f"segment length {nperseg} needs at least two segments in {n} samples"

@@ -45,6 +45,10 @@ class TestConfigHandling:
         ("simulate", '{"simulation": {"seed": 1e30}}', "simulation.seed"),
         ("simulate", '{"simulation": {"n_steps": "1000"}}', "simulation.n_steps"),
         ("beam", '{"grid": {"n_z": 2.5}}', "grid.n_z"),
+        # open() would take these as file descriptors
+        ("psd", '{"analysis": {"trajectory": 0}}', "analysis.trajectory"),
+        ("sweep-na", '{"sweep": {"target": true}}', "sweep.target"),
+        ("forces-fit", '{"analysis": {"force_grid": 1}}', "analysis.force_grid"),
     ])
     def test_value_of_another_type_rejected(self, tmp_path, capsys, command, text, key):
         path = tmp_path / "config.json"
@@ -79,6 +83,15 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "temperature" in err and "Traceback" not in err
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "intensity_grid.txt").mkdir(parents=True)
+        cfg = write_config(tmp_path, {"grid": {"n_transverse": 5, "n_z": 5}})
+        code = main(["beam", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and "Traceback" not in err
 
     def test_resolved_config_written(self, tmp_path):
         out = tmp_path / "o"
@@ -140,7 +153,7 @@ class TestSimulateCommand:
         main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "2"])
         assert (out1 / "trajectory.txt").read_text() != (out2 / "trajectory.txt").read_text()
 
-    def test_escape_exit_code(self, tmp_path):
+    def test_escape_exit_code(self, tmp_path, capsys):
         # the reconstructed-trap strengths do not confine at room temperature
         cfg = write_config(tmp_path, {
             "simulation": {
@@ -149,8 +162,14 @@ class TestSimulateCommand:
             },
         })
         out = tmp_path / "o"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_PHYSICS
-        assert "# escape_step=" in (out / "trajectory.txt").read_text()
+        code = main(["simulate", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PHYSICS
+        text = (out / "trajectory.txt").read_text()
+        assert "# escape_step=" in text
+        step = text.split("# escape_step=")[1].split()[0]
+        assert err.startswith("physics signal: ") and f"(step {step})" in err
+        assert err.count("\n") == 1
 
     def test_arithmetic_failure_is_numerical(self, tmp_path, capsys):
         # a 1e30 m wavelength underflows the quartic coefficients to zero,
@@ -206,6 +225,17 @@ class TestPsdCommand:
         assert main(["psd", "--config", cfg, "--out", str(out)]) == EXIT_OK
         report = read_keyvalues(out / "lorentzian.txt")
         assert report["accepted"] == "False"
+
+
+    @pytest.mark.parametrize("nperseg", [1, 3, True])
+    def test_segment_too_short_is_config_error(self, tmp_path, capsys, nperseg):
+        cfg = write_config(tmp_path, {"analysis": {"psd_nperseg": nperseg},
+                                      "simulation": {"n_steps": 2000}})
+        code = main(["psd", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: nperseg must be an integer >= 4")
+        assert "Traceback" not in err
 
 
 class TestCalibrateCommand:
@@ -276,6 +306,25 @@ class TestForcesFitCommand:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error: ") and str(grid_path) in err
+
+
+    def test_degenerate_grid_is_numerical_failure(self, tmp_path, capsys):
+        # every sample on the z = 0 plane leaves k_z without support
+        from darkfocus import QuarticCoefficients, quartic_force, sample_force_grid
+
+        coeffs = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
+        grid = sample_force_grid(
+            lambda x, y, z: quartic_force(coeffs, x, y, z),
+            (1e-7, 1e-7, 0.0), 5, provenance="planar",
+        )
+        grid_path = tmp_path / "planar.txt"
+        grid.save(grid_path)
+        cfg = write_config(tmp_path, {"analysis": {"force_grid": str(grid_path)}})
+        code = main(["forces-fit", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical failure: degenerate grid geometry")
+        assert "Traceback" not in err
 
 
 class TestSweepNaCommand:
