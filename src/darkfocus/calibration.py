@@ -9,16 +9,17 @@ likelihoods is maximum-likelihood estimation over the sweep family.
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 from scipy.constants import k as BOLTZMANN
 
 from . import _compiled
 from ._text import write_values
 from .beam import BeamParams
-from .dynamics import SimConfig, Trajectory, simulate, spawn_seeds
+from .dynamics import SimConfig, Trajectory, simulate_ensemble
 from .forces import ParticleMedium, QuarticCoefficients, quartic_coefficients
 from .spectral import NumericalError, _run_corner_frequency
 
@@ -130,8 +131,10 @@ def kl_divergence(p: EmpiricalPdf, q: EmpiricalPdf) -> float:
 
     Zero exactly when the densities agree bin-wise; infinite when q
     vanishes where p does not (regularize q with a pseudocount first).
+    The edges must agree to 1e-9 of the narrowest bin.
     """
-    if len(p.bin_edges) != len(q.bin_edges) or not np.allclose(p.bin_edges, q.bin_edges):
+    if len(p.bin_edges) != len(q.bin_edges) or not np.allclose(
+            p.bin_edges, q.bin_edges, rtol=0.0, atol=1e-9 * p.widths.min()):
         raise ValueError("pdfs are on different grids; rebin one of them first")
     widths = p.widths
     mask = p.density > 0
@@ -147,10 +150,16 @@ KS_NULL_SEED = 918273  # seed of the Monte Carlo KS null table
 DECORRELATION_TIMES = 3.0  # correlation times gamma/k per decorrelated sample
 
 
-def _ks_statistic_estimated(x):
-    mu = float(np.mean(x))
-    sigma = float(np.std(x, ddof=1))
-    return stats.kstest(x, "norm", args=(mu, sigma)).statistic
+def _ks_statistics(x):
+    """KS statistic of each row of the 2-D array x against a Gaussian with
+    that row's own mean and standard deviation; sorts the rows in place."""
+    n = x.shape[1]
+    mu = np.mean(x, axis=1, keepdims=True)
+    sigma = np.std(x, axis=1, ddof=1, keepdims=True)
+    x.sort(axis=1)
+    cdf = special.ndtr((x - mu) / sigma)
+    ranks = np.arange(n + 1) / n
+    return np.maximum((ranks[1:] - cdf).max(axis=1), (cdf - ranks[:-1]).max(axis=1))
 
 
 def _ks_null_table(n, n_null, seed):
@@ -165,16 +174,8 @@ def _ks_null_table(n, n_null, seed):
     if table is None:
         rng = np.random.default_rng(seed)
         rows_per_block = max(1, (2 << 20) // n)
-        upper = np.arange(1.0, n + 1) / n
-        lower = np.arange(0.0, n) / n
-        parts = []
-        for start in range(0, n_null, rows_per_block):
-            x = rng.standard_normal((min(rows_per_block, n_null - start), n))
-            mu = np.mean(x, axis=1, keepdims=True)
-            sigma = np.std(x, axis=1, ddof=1, keepdims=True)
-            x.sort(axis=1)
-            cdf = special.ndtr((x - mu) / sigma)
-            parts.append(np.maximum((upper - cdf).max(axis=1), (cdf - lower).max(axis=1)))
+        parts = [_ks_statistics(rng.standard_normal((min(rows_per_block, n_null - start), n)))
+                 for start in range(0, n_null, rows_per_block)]
         table = np.sort(np.concatenate(parts))
         _KS_NULL_CACHE[key] = table
     return table
@@ -206,7 +207,7 @@ def ks_gaussianity_test(samples, significance: float = 0.05,
         raise ValueError(f"need at least 1000 samples, got {len(x)}")
     if not (0 < significance < 1):
         raise ValueError("significance must lie in (0, 1)")
-    d = _ks_statistic_estimated(x)
+    d = _ks_statistics(x[None, :].copy())[0]
     table = _ks_null_table(len(x), n_null, KS_NULL_SEED)
     n_ge = len(table) - np.searchsorted(table, d, side="left")
     p_value = (1.0 + n_ge) / (n_null + 1.0)
@@ -484,9 +485,10 @@ def estimate_na(
     Every NA reuses the same noise paths (common random numbers), so
     sampling noise largely cancels out of the NA-to-NA comparison and the
     divergence minimum is far more stable for a given simulation budget.
-    Each run is reduced as it finishes, to integer x and y histogram counts
-    after burn_in and a corner frequency, and its positions are dropped; the
-    summed counts of an NA are those of its pooled samples.
+    An NA's runs are simulate_ensemble(cfg, n_reps) with cfg.seed = seed, each
+    reduced as it arrives to integer x and y histogram counts after burn_in
+    and a corner frequency, then dropped; the summed counts of an NA are
+    those of its pooled samples.  Every NA is checked before the first run.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps!r}")
@@ -498,20 +500,20 @@ def estimate_na(
                          "samples of a run; need at least 100")
     na_values = np.asarray(na_values, dtype=float)
     p_x, p_y = marginals = _target_marginals(target)
-    seeds = spawn_seeds(seed, n_reps)
+    cfgs = [SimConfig(
+        particle=particle, dt=dt, n_steps=n_steps, force_model="quartic",
+        coefficients=quartic_coefficients(beam_template.with_na(na), particle),
+        seed=seed, boundary=boundary, domain_bound=domain_bound,
+    ) for na in na_values.tolist()]
+    reduce_run = partial(_reduce_run, burn_in=burn_in, marginals=marginals)
 
     kl = np.full(len(na_values), math.inf)
     fc = np.full(len(na_values), math.nan)
     fc_err = np.full(len(na_values), math.nan)
     valid = np.zeros(len(na_values), dtype=bool)
-    for i, na in enumerate(na_values.tolist()):
-        cfg = SimConfig(
-            particle=particle, dt=dt, n_steps=n_steps, force_model="quartic",
-            coefficients=quartic_coefficients(beam_template.with_na(na), particle),
-            seed=seed, boundary=boundary, domain_bound=domain_bound,
-        )
-        reduced = [_reduce_run(simulate(cfg.with_seed(s)), burn_in, marginals) for s in seeds]
-        kept = [r for r in reduced if r is not None]
+    for i, cfg in enumerate(cfgs):
+        # map, unlike a comprehension's loop variable, keeps no run past its reduction
+        kept = [r for r in map(reduce_run, simulate_ensemble(cfg, n_reps)) if r is not None]
         if not kept:
             continue
         valid[i] = True
@@ -528,17 +530,15 @@ def estimate_na(
 
     if not np.any(valid):
         raise RuntimeError("every NA in the sweep escaped; no estimate possible")
-    argmin_idx = int(np.argmin(np.where(valid, kl, math.inf)))
-    argmin_na = float(na_values[argmin_idx])
+    # kl stays inf at an invalid NA
+    argmin_na = float(na_values[np.argmin(kl)])
 
     if target_fc is not None:
         fc_t, fc_t_err = target_fc
         lo_t, hi_t = fc_t - fc_t_err, fc_t + fc_t_err
         spread = np.where(np.isfinite(fc_err), fc_err, 0.0)
-        fc_compatible = (
-            valid & np.isfinite(fc)
-            & (fc - spread <= hi_t) & (fc + spread >= lo_t)
-        )
+        # fc is finite only at a valid NA
+        fc_compatible = np.isfinite(fc) & (fc - spread <= hi_t) & (fc + spread >= lo_t)
     else:
         fc_compatible = np.zeros(len(na_values), dtype=bool)
     if np.any(fc_compatible):

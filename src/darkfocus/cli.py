@@ -41,7 +41,6 @@ from .forces import (
     QuarticCoefficients,
     dipole_gradient_force,
     fit_polynomial_force,
-    quartic_coefficients,
     sample_force_grid,
 )
 from .spectral import NumericalError, estimate_psd, fit_lorentzian

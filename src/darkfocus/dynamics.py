@@ -16,8 +16,9 @@ chunk to a stepper: the compiled one of integrator.c (built on first use by
 darkfocus._compiled), or the Python reference loop when no C compiler
 works.  The compiled stepper repeats the reference's operations in the same
 order with constants from the same helpers, so both give the same bits.
-Every ensemble is a plain loop over simulate, one run at a time; the
-calibration sweeps reduce each run as it finishes and keep no positions.
+simulate_ensemble is the one ensemble path: it yields one run per spawned
+seed, simulated when asked for, and the calibration sweeps reduce each run
+as it arrives and keep no positions.
 
 Trajectory files are t x y z text rows under a '#' header.  save_trajectory
 and load_trajectory write and read the header themselves and the rows
@@ -186,6 +187,8 @@ class Trajectory:
         return self.dt * np.arange(len(self.positions))
 
     def axis(self, name):
+        if name not in ("x", "y", "z"):
+            raise ValueError(f"axis must be 'x', 'y' or 'z', got {name!r}")
         return self.positions[:, "xyz".index(name)]
 
 
@@ -384,12 +387,14 @@ def spawn_seeds(seed: int, n: int) -> list:
 
 
 def simulate_ensemble(cfg: SimConfig, n_runs: int):
-    """Independent repetitions with per-run seeds spawned from cfg.seed."""
-    return [simulate(cfg.with_seed(s)) for s in spawn_seeds(cfg.seed, n_runs)]
+    """Independent repetitions with per-run seeds spawned from cfg.seed at the
+    call: an iterator that simulates each run when asked for and keeps none
+    it has yielded (take list() of it to use the runs twice)."""
+    return (simulate(cfg.with_seed(s)) for s in spawn_seeds(cfg.seed, n_runs))
 
 
 def pooled_positions(trajectories, burn_in: int = 0):
-    """Concatenate the samples of an ensemble after the first burn_in of each run."""
+    """Concatenate the samples of any iterable of runs after the first burn_in of each."""
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
     parts = [t.positions[burn_in:] for t in trajectories if len(t) > burn_in]

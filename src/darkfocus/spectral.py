@@ -16,7 +16,7 @@ from scipy import signal
 from scipy.optimize import brentq
 
 from ._text import write_table, write_values
-from .dynamics import SimConfig, Trajectory, simulate, spawn_seeds
+from .dynamics import SimConfig, Trajectory, simulate_ensemble
 
 __all__ = [
     "PsdEstimate",
@@ -249,20 +249,15 @@ def _run_corner_frequency(traj: Trajectory) -> float | None:
         return None
 
 
-def corner_frequency_of(cfg: SimConfig, repetitions: int, seeds=None) -> CornerFrequencyResult:
-    """Simulate `repetitions` independent runs and fit each run's x PSD.
+def corner_frequency_of(cfg: SimConfig, repetitions: int) -> CornerFrequencyResult:
+    """Fit the x PSD of each run of simulate_ensemble(cfg, repetitions).
 
-    Per-run seeds are spawned deterministically from cfg.seed unless given
-    explicitly.  Each run is reduced to its corner frequency as it finishes.
-    Runs whose simulation escapes or whose fit fails are dropped; fewer than
-    three survivors is an error.
+    Each run is reduced to its corner frequency as it arrives, and dropped
+    before the next is simulated.  Runs whose simulation escapes or whose
+    fit fails are dropped; fewer than three survivors is an error.
     """
-    if seeds is None:
-        seeds = spawn_seeds(cfg.seed, repetitions)
-    elif len(seeds) != repetitions:
-        raise ValueError("need exactly one seed per repetition")
-
-    fits = [_run_corner_frequency(simulate(cfg.with_seed(int(s)))) for s in seeds]
+    # map, unlike a comprehension's loop variable, keeps no run past its reduction
+    fits = map(_run_corner_frequency, simulate_ensemble(cfg, repetitions))
     values = np.array([f for f in fits if f is not None])
     if len(values) < 3:
         raise FitError(

@@ -195,7 +195,7 @@ class TestCriterion5CalibrationRoundTrip:
             particle=pm, dt=1e-5, n_steps=4_000_000, coefficients=TABLE_COEFFS,
             seed=515, domain_bound=1.6e-7, boundary="reflect",
         )
-        runs = simulate_ensemble(cfg, 6)
+        runs = list(simulate_ensemble(cfg, 6))
         assert all(r.escape is None for r in runs)
         assert sum(len(r) - 1 for r in runs) >= 1_000_000
         rec = reconstruct_potential(pooled_positions(runs, burn_in=50_000),

@@ -27,7 +27,7 @@ from darkfocus import (
     reconstruct_potential,
     simulate,
 )
-from darkfocus import _compiled, calibration, spectral
+from darkfocus import _compiled, dynamics
 from darkfocus.calibration import _edges, _fit_quartic_once, _fold_counts, _ks_null_table
 
 
@@ -144,6 +144,15 @@ class TestKlDivergence:
                               bins=edges, pseudocount=0.5)
             assert kl_divergence(p, q) >= 0.0
 
+    def test_grid_shifted_by_one_bin_rejected(self, rng):
+        # 5 nm bins: numpy's default atol of 1e-8 would accept a whole-bin shift
+        x = rng.standard_normal(100_000) * 1e-7
+        edges = np.arange(-100, 101) * 5e-9
+        p = histogram_pdf(x, bins=edges)
+        q = histogram_pdf(x, bins=edges + 5e-9, pseudocount=0.5)
+        with pytest.raises(ValueError, match="different grids"):
+            kl_divergence(p, q)
+
 
 class TestKsGaussianity:
     def test_gaussian_not_rejected(self, rng):
@@ -183,6 +192,15 @@ class TestKsGaussianity:
             for x in (rng.standard_normal(n) for _ in range(120))
         ])
         np.testing.assert_allclose(_ks_null_table(n, 120, 31), expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1000, 50_000])
+    def test_statistic_is_kstest(self, rng, n):
+        # the data's statistic comes from the null table's row routine
+        x = sample_quartic_marginal(n, rng)
+        before = x.copy()
+        expected = stats.kstest(x, "norm", args=(np.mean(x), np.std(x, ddof=1))).statistic
+        assert ks_gaussianity_test(x, n_null=20).statistic == expected
+        assert np.array_equal(x, before)
 
     def test_decorrelation_stride(self, particle):
         stride = decorrelation_stride(particle.drag, 1e-6, 1e-4)
@@ -519,12 +537,26 @@ class TestEstimateNa:
         def no_runs(cfg):
             raise AssertionError("a rejected sweep must not simulate")
 
-        monkeypatch.setattr(calibration, "simulate", no_runs)
+        monkeypatch.setattr(dynamics, "simulate", no_runs)
         target = (np.random.default_rng(0).standard_normal(5000) * 1e-8,
                   np.random.default_rng(1).standard_normal(5000) * 1e-8)
         with pytest.raises(ValueError, match=message):
             estimate_na(target, [0.46], particle=particle, beam_template=beam,
                         dt=2e-5, n_steps=5000, **{"n_reps": 2, "burn_in": 10, **bad})
+
+    def test_bad_na_rejected_before_the_first_run(self, beam, particle, monkeypatch):
+        # the last NA reaches n_medium = 1.53: no NA of the sweep is simulated.
+        # every run starts with _integration_constants, whichever name of
+        # simulate the sweep calls
+        def no_runs(cfg):
+            raise AssertionError("a rejected sweep must not simulate")
+
+        monkeypatch.setattr(dynamics, "_integration_constants", no_runs)
+        target = (np.random.default_rng(0).standard_normal(5000) * 1e-8,
+                  np.random.default_rng(1).standard_normal(5000) * 1e-8)
+        with pytest.raises(ValueError, match="na must satisfy 0 < na < n_medium"):
+            estimate_na(target, [0.44, 0.46, 1.53], particle=particle, beam_template=beam,
+                        dt=2e-5, n_steps=5000, n_reps=2, burn_in=10)
 
     def test_burn_in_may_leave_exactly_100_samples(self, beam, particle):
         target = (np.random.default_rng(0).standard_normal(5000) * 1e-8,
@@ -574,13 +606,13 @@ def test_temperature_must_be_finite_and_positive(rng, temperature):
         assert not isinstance(info.value, NumericalError)
 
 
-def watch_runs(monkeypatch, module):
-    """Route module.simulate through a wrapper that, before each run, records
+def watch_runs(monkeypatch):
+    """Route dynamics.simulate through a wrapper that, before each run, records
     how many trajectories it returned earlier are still alive after a full
     collection: their Trajectory objects and the arrays that own their
     positions.  Returns that list of counts, one per run."""
     held, refs = [], []
-    run = module.simulate
+    run = dynamics.simulate
 
     def watched(cfg):
         gc.collect()
@@ -590,16 +622,17 @@ def watch_runs(monkeypatch, module):
         refs.extend((weakref.ref(traj), weakref.ref(owner)))
         return traj
 
-    monkeypatch.setattr(module, "simulate", watched)
+    monkeypatch.setattr(dynamics, "simulate", watched)
     return held
 
 
-@pytest.mark.parametrize("sweep", ["estimate_na", "corner_frequency_of"])
+@pytest.mark.parametrize("sweep", ["estimate_na", "corner_frequency_of",
+                                   "simulate_ensemble"])
 def test_sweeps_drop_each_run_before_the_next(beam, particle, monkeypatch, sweep):
     # a sweep reduces every run as it finishes: when it asks for the next run
     # it holds no earlier trajectory and no array of their positions
+    held = watch_runs(monkeypatch)
     if sweep == "estimate_na":
-        held = watch_runs(monkeypatch, calibration)
         target = simulate(SimConfig(particle=particle, dt=1e-5, n_steps=20_000,
                                     coefficients=quartic_coefficients(beam, particle), seed=4))
         result = estimate_na(target, [0.44, 0.46, 0.48], particle=particle,
@@ -608,9 +641,12 @@ def test_sweeps_drop_each_run_before_the_next(beam, particle, monkeypatch, sweep
         assert result.valid.all() and np.isfinite(result.fc).all()
         assert len(held) == 9
     else:
-        held = watch_runs(monkeypatch, spectral)
         cfg = SimConfig(particle=particle, dt=2e-4, n_steps=20_000, force_model="harmonic",
                         stiffness=1e-6, seed=6)
-        res = corner_frequency_of(cfg, repetitions=5)
-        assert res.n_failed == 0 and len(held) == 5
+        if sweep == "corner_frequency_of":
+            assert corner_frequency_of(cfg, repetitions=5).n_failed == 0
+        else:
+            # the ensemble itself keeps no run it has yielded
+            assert list(map(len, dynamics.simulate_ensemble(cfg, 5))) == [20_001] * 5
+        assert len(held) == 5
     assert held == [0] * len(held)

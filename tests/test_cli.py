@@ -237,6 +237,16 @@ class TestPsdCommand:
         assert err.startswith("config error: nperseg must be an integer >= 4")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("axis", ["", "xy", "yz", "w"])
+    def test_unknown_axis_is_config_error(self, tmp_path, capsys, axis):
+        cfg = write_config(tmp_path, {"analysis": {"psd_axis": axis},
+                                      "simulation": {"n_steps": 2000}})
+        code = main(["psd", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: axis must be 'x', 'y' or 'z', got {axis!r}")
+        assert "Traceback" not in err
+
 
 class TestCalibrateCommand:
     def test_reconstruction_report(self, tmp_path):

@@ -176,7 +176,8 @@ class TestSimulate:
     def test_dipole_model_confines(self, beam, particle):
         cfg = SimConfig(particle=particle, dt=2e-4, n_steps=30_000,
                         force_model="dipole", beam=beam, seed=14)
-        traj = simulate(cfg)
+        with pytest.warns(UserWarning, match="exceeds the stability bound"):
+            traj = simulate(cfg)
         assert traj.escape is None
         assert np.abs(traj.positions[:, 0]).max() < beam.waist
 
@@ -236,16 +237,22 @@ class TestSimulate:
 class TestEnsembles:
     def test_simulate_ensemble_seeds_differ(self, particle):
         cfg = harmonic_cfg(particle, n_steps=500)
-        runs = simulate_ensemble(cfg, 3)
+        runs = list(simulate_ensemble(cfg, 3))
         assert len({r.seed for r in runs}) == 3
-        again = simulate_ensemble(cfg, 3)
+        again = list(simulate_ensemble(cfg, 3))
+        assert len(runs) == len(again) == 3
         for a, b in zip(runs, again):
             assert np.array_equal(a.positions, b.positions)
+
+    def test_bad_size_raises_at_the_call(self, particle):
+        # the seeds are spawned when the ensemble is asked for, not when iterated
+        with pytest.raises(ValueError, match="negative dimensions"):
+            simulate_ensemble(harmonic_cfg(particle, n_steps=500), -1)
 
     def test_pooled_positions_burn_in_and_escapes(self, particle):
         cfg = SimConfig(particle=particle, dt=2e-5, n_steps=20_000,
                         coefficients=TABLE_COEFFS, seed=2)
-        runs = simulate_ensemble(cfg, 4)
+        runs = list(simulate_ensemble(cfg, 4))
         assert any(r.escape is not None for r in runs)
         pooled = pooled_positions(runs, burn_in=10)
         assert pooled.shape == (sum(len(r) - 10 for r in runs), 3)
@@ -350,7 +357,7 @@ class TestSimulateLanes:
             cfg = lane_cfgs(beam, particle, model, boundary, n_lanes=1)[0]
             cfgs = [cfg.with_seed(s) for s in spawn_seeds(cfg.seed, n_runs)]
             calls.clear()
-            runs = simulate_ensemble(cfg, n_runs)
+            runs = list(simulate_ensemble(cfg, n_runs))
             assert calls == cfgs
             assert [t.config for t in runs] == cfgs
 

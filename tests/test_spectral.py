@@ -213,12 +213,13 @@ class TestCornerFrequencyOf:
         assert res.std > 0
         assert len(res.values) == 5
 
-    def test_identical_seeds_zero_spread(self, particle):
+    def test_runs_on_seeds_spawned_from_cfg_seed(self, particle):
         cfg = SimConfig(particle=particle, dt=2e-4, n_steps=60_000,
                         force_model="harmonic", stiffness=1e-6, seed=17)
-        res = corner_frequency_of(cfg, repetitions=4, seeds=[3, 3, 3, 3])
-        assert res.std == 0.0
-        assert np.ptp(res.values) == 0.0
+        res = corner_frequency_of(cfg, repetitions=4)
+        expected = [fit_lorentzian(estimate_psd(simulate(cfg.with_seed(s)))).f_c
+                    for s in spawn_seeds(cfg.seed, 4)]
+        assert res.values.tolist() == expected
 
     def test_spread_shrinks_with_repetitions(self, particle):
         cfg = SimConfig(particle=particle, dt=2e-4, n_steps=60_000,
