@@ -199,7 +199,7 @@ def cmd_beam(cfg, out: Path) -> int:
     render_intensity_grid(beam, spec).save(out / "intensity_grid.txt")
     try:
         w_num, h_num = bottle_geometry(beam, method="search")
-        width, height = bottle_geometry(beam) if beam.p_index == 1 else (w_num, h_num)
+        width, height = bottle_geometry(beam)
     except (ValueError, RuntimeError):
         # no dark focus for this phase/order; the grid is still useful
         width = height = w_num = h_num = math.nan

@@ -14,8 +14,10 @@ same field that dft_intensity and dipole_gradient_force report.
 simulate draws the noise in chunks of _NOISE_CHUNK steps and hands each
 chunk to a stepper: the compiled one of integrator.c (built on first use by
 darkfocus._compiled), or the Python reference loop when no C compiler
-works.  The compiled stepper repeats the reference's operations in the same
-order with constants from the same helpers, so both give the same bits.
+works.  _force_model resolves a run's force once, as integrator.c's model
+code with the numbers it reads and as the reference loop's plain-float
+closure built from those same numbers; the compiled stepper repeats the
+reference's operations in the same order, so both give the same bits.
 simulate_ensemble is the one ensemble path: it yields one run per spawned
 seed, simulated when asked for, and the calibration sweeps reduce each run
 as it arrives and keep no positions.
@@ -27,7 +29,6 @@ through darkfocus._text, the one writer and reader of every float table.
 
 import ctypes
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +43,7 @@ from .forces import (
     _potential_prefactor,
     _quartic_force,
     _scattering_prefactor,
+    _warn,
     quartic_coefficients,
 )
 
@@ -81,9 +83,11 @@ class SimConfig:
     force_model selects "quartic" (requires coefficients, or beam+particle
     from which they are derived), "dipole" (requires beam), or "harmonic"
     (requires stiffness: a scalar or per-axis triple, zero meaning free
-    diffusion).  domain_bound None picks the model default: 3 max(w0, z_R)
-    for the dipole field, 1.5x the distance to the escape saddle for the
-    quartic model, twelve thermal standard deviations for the harmonic one.
+    diffusion).  coefficients, stiffness and include_scattering are rejected
+    under any other model, which would ignore them.  domain_bound None picks
+    the model default: 3 max(w0, z_R) for the dipole field, 1.5x the
+    distance to the escape saddle for the quartic model, twelve thermal
+    standard deviations for the harmonic one.
     """
 
     particle: ParticleMedium
@@ -123,8 +127,12 @@ class SimConfig:
             raise ValueError("initial_position must be three finite coordinates")
         if self.domain_bound is not None and not (self.domain_bound > 0):
             raise ValueError("domain_bound must be positive")
-        if self.include_scattering and self.beam is None:
-            raise ValueError("scattering force requires beam parameters")
+        for name, model, given in (
+                ("coefficients", "quartic", self.coefficients is not None),
+                ("stiffness", "harmonic", self.stiffness is not None),
+                ("include_scattering", "dipole", self.include_scattering)):
+            if given and self.force_model != model:
+                raise ValueError(f"{name} applies only to the {model} force model")
 
     def stiffness_triple(self) -> tuple:
         if self.stiffness is None:
@@ -192,20 +200,54 @@ class Trajectory:
         return self.positions[:, "xyz".index(name)]
 
 
-def _dipole_constants(beam: BeamParams, pm: ParticleMedium, include_scattering):
-    """(potential prefactor, scattering prefactor over it): the scale of the
-    bottle-field kernel and the factor of the intensity added to F_z."""
-    pref = _potential_prefactor(beam, pm)
+def _integration_constants(cfg: SimConfig):
+    """(domain bound, mobility dt/gamma, noise scale) of one run; warns when dt
+    exceeds the stability bound 0.1 gamma/k_max, with k_max the largest local
+    stiffness the trajectory is expected to probe (N/m)."""
+    gamma = cfg.particle.drag
+    kbt = BOLTZMANN * cfg.particle.temperature
+    if cfg.force_model == "harmonic":
+        k_max = max(*cfg.stiffness_triple(), 0.0)
+    else:
+        qc = cfg.effective_coefficients()
+        rho_th2 = math.sqrt(4.0 * kbt / qc.k_rho)
+        z_th2 = kbt / qc.k_z
+        k_max = max(qc.k_z, 3.0 * qc.k_rho * rho_th2, 2.0 * qc.k_rho_z * (rho_th2 + z_th2))
+    if k_max > 0 and cfg.dt > 0.1 * gamma / k_max:
+        _warn(f"dt={cfg.dt:g} exceeds the stability bound 0.1 gamma/k_max="
+              f"{0.1 * gamma / k_max:g}; results may be inaccurate")
+    bound = cfg.domain_bound if cfg.domain_bound is not None else cfg.default_domain_bound()
+    return bound, cfg.dt / gamma, math.sqrt(2.0 * kbt * cfg.dt / gamma)
+
+
+# outcome of one chunk, and force model codes, as integrator.c names them
+_RAN, _ESCAPED, _UNSTABLE = 0, 1, 2
+_HARMONIC, _QUARTIC, _DIPOLE = 0, 1, 2
+
+
+def _force_model(cfg: SimConfig):
+    """(model, coef, force) of one run: integrator.c's model code, the numbers
+    its force reads, and the plain-float force(x, y, z) -> (F_x, F_y, F_z) of
+    the reference loop, built from those same numbers."""
+    if cfg.force_model == "harmonic":
+        k_x, k_y, k_z = coef = cfg.stiffness_triple()
+
+        def force(x, y, z):
+            return -k_x * x, -k_y * y, -k_z * z
+
+        return _HARMONIC, coef, force
+    if cfg.force_model == "quartic":
+        qc = cfg.effective_coefficients()
+        coef = (qc.k_z, qc.k_rho_z, qc.k_rho)
+        return _QUARTIC, coef, _quartic_force(*coef)
+
+    pref = _potential_prefactor(cfg.beam, cfg.particle)
     # an index-matched particle has no dipole and no scattering force
-    scat = _scattering_prefactor(beam, pm) / pref if include_scattering and pref else 0.0
-    return pref, scat
-
-
-def _dipole_force(beam: BeamParams, pm: ParticleMedium, include_scattering):
-    """Dipole force as a plain-float function for the reference loop: the
-    bottle-field kernel on math's functions, scaled by the potential prefactor."""
-    pref, scat = _dipole_constants(beam, pm, include_scattering)
-    field = _bottle_field(beam, pref, (math.exp, math.atan, math.cos, math.sin))
+    scat = (_scattering_prefactor(cfg.beam, cfg.particle) / pref
+            if cfg.include_scattering and pref else 0.0)
+    p, w0sq, zr, p_total, ct, st, lag_c, dlag_c = _bottle_constants(cfg.beam)
+    coef = (p, w0sq, zr, p_total, ct, st, math.pi, pref, scat, *lag_c, *dlag_c)
+    field = _bottle_field(cfg.beam, pref, (math.exp, math.atan, math.cos, math.sin))
 
     def force(x, y, z):
         intensity, radial, fz = field(x * x + y * y, z)
@@ -213,71 +255,17 @@ def _dipole_force(beam: BeamParams, pm: ParticleMedium, include_scattering):
             fz += scat * intensity
         return radial * x, radial * y, fz
 
-    return force
+    return _DIPOLE, coef, force
 
 
-def _harmonic_force(k_x, k_y, k_z):
-    def force(x, y, z):
-        return -k_x * x, -k_y * y, -k_z * z
-
-    return force
-
-
-def stiffness_scale(cfg: SimConfig) -> float:
-    """Largest local stiffness the trajectory is expected to probe (N/m)."""
-    if cfg.force_model == "harmonic":
-        return max(*cfg.stiffness_triple(), 0.0)
-    qc = cfg.effective_coefficients()
-    kbt = BOLTZMANN * cfg.particle.temperature
-    rho_th2 = math.sqrt(4.0 * kbt / qc.k_rho)
-    z_th2 = kbt / qc.k_z
-    return max(qc.k_z, 3.0 * qc.k_rho * rho_th2, 2.0 * qc.k_rho_z * (rho_th2 + z_th2))
-
-
-def _integration_constants(cfg: SimConfig):
-    """(domain bound, mobility dt/gamma, noise scale) of one run; warns when dt
-    exceeds the stability bound 0.1 gamma/k_max."""
-    gamma = cfg.particle.drag
-    k_max = stiffness_scale(cfg)
-    if k_max > 0 and cfg.dt > 0.1 * gamma / k_max:
-        warnings.warn(
-            f"dt={cfg.dt:g} exceeds the stability bound 0.1 gamma/k_max="
-            f"{0.1 * gamma / k_max:g}; results may be inaccurate",
-            stacklevel=3,
-        )
-    bound = cfg.domain_bound if cfg.domain_bound is not None else cfg.default_domain_bound()
-    kbt = BOLTZMANN * cfg.particle.temperature
-    return bound, cfg.dt / gamma, math.sqrt(2.0 * kbt * cfg.dt / gamma)
-
-
-def _force_coefficients(cfg: SimConfig) -> tuple:
-    if cfg.force_model == "quartic":
-        qc = cfg.effective_coefficients()
-        return qc.k_z, qc.k_rho_z, qc.k_rho
-    return cfg.stiffness_triple()
-
-
-# outcome of one chunk, as integrator.c reports it
-_RAN, _ESCAPED, _UNSTABLE = 0, 1, 2
-# force model codes of integrator.c
-_MODEL_CODES = {"harmonic": 0, "quartic": 1, "dipole": 2}
-
-
-def _python_stepper(cfg: SimConfig, bound, mob):
+def _python_stepper(force, bound, mob, reflect):
     """The reference chunk stepper: step(noise, out) -> (steps taken, outcome).
 
     out holds len(noise) + 1 positions; row 0 is the current one and step k
     writes row k.  A run stops at an escape, whose position is in row k, or
     at an unstable step k, which writes nothing.
     """
-    if cfg.force_model == "dipole":
-        force = _dipole_force(cfg.beam, cfg.particle, cfg.include_scattering)
-    elif cfg.force_model == "quartic":
-        force = _quartic_force(*_force_coefficients(cfg))
-    else:
-        force = _harmonic_force(*_force_coefficients(cfg))
     bound2 = bound * bound
-    reflect = cfg.boundary == "reflect"
 
     def step(noise, out):
         x, y, z = out[0].tolist()
@@ -310,19 +298,9 @@ def _python_stepper(cfg: SimConfig, bound, mob):
     return step
 
 
-def _compiled_stepper(kernel, cfg: SimConfig, bound, mob):
-    """integrator.c's df_step_chunk behind the reference stepper's signature,
-    with its constants from the helpers the reference loop reads."""
-    if cfg.force_model == "dipole":
-        p, w0sq, zr, p_total, ct, st, lag_c, dlag_c = _bottle_constants(cfg.beam)
-        coef = [p, w0sq, zr, p_total, ct, st, math.pi,
-                *_dipole_constants(cfg.beam, cfg.particle, cfg.include_scattering),
-                *lag_c, *dlag_c]
-    else:
-        coef = _force_coefficients(cfg)
+def _compiled_stepper(kernel, model, coef, bound, mob, reflect):
+    """integrator.c's df_step_chunk behind the reference stepper's signature."""
     coef = np.array(coef, dtype=float)
-    model = _MODEL_CODES[cfg.force_model]
-    reflect = cfg.boundary == "reflect"
     status = ctypes.c_int()
 
     def step(noise, out):
@@ -347,11 +325,13 @@ def simulate(cfg: SimConfig) -> Trajectory:
     expansion alone would not confine the particle.
     """
     bound, mob, noise_scale = _integration_constants(cfg)
+    model, coef, force = _force_model(cfg)
+    reflect = cfg.boundary == "reflect"
     library = _compiled.load()
     if library is None:
-        step = _python_stepper(cfg, bound, mob)
+        step = _python_stepper(force, bound, mob, reflect)
     else:
-        step = _compiled_stepper(library.df_step_chunk, cfg, bound, mob)
+        step = _compiled_stepper(library.df_step_chunk, model, coef, bound, mob, reflect)
 
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_steps

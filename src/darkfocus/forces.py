@@ -13,6 +13,7 @@ with, so these functions and a simulation evaluate the same expressions.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +37,16 @@ __all__ = [
     "fit_polynomial_force",
     "sample_force_grid",
 ]
+
+
+def _warn(message):
+    """The library's one warning path: a UserWarning at the line of the first
+    caller outside darkfocus, however deep in the library it is raised."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and (
+            frame.f_globals.get("__name__", "").partition(".")[0] == "darkfocus"):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -96,10 +107,8 @@ class QuarticCoefficients:
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
         if min(self.k_z, self.k_rho_z, self.k_rho) <= 0:
-            warnings.warn(
-                "non-positive quartic coefficients: potential is not a "
-                "confining dark-focus trap", stacklevel=2,
-            )
+            _warn("non-positive quartic coefficients: potential is not a "
+                  "confining dark-focus trap")
 
 
 def _potential_prefactor(beam: BeamParams, pm: ParticleMedium) -> float:
@@ -170,10 +179,8 @@ def quartic_coefficients(beam: BeamParams, pm: ParticleMedium) -> QuarticCoeffic
     if beam.p_index < 1:
         raise ValueError("quartic expansion requires p_index >= 1 (no bottle for p = 0)")
     if pm.index_ratio >= 1:
-        warnings.warn(
-            "index ratio >= 1: particle is attracted to light, dark focus "
-            "does not confine it", stacklevel=2,
-        )
+        _warn("index ratio >= 1: particle is attracted to light, dark focus "
+              "does not confine it")
     p = beam.p_index
     w0 = beam.waist
     zr = beam.rayleigh_range

@@ -6,8 +6,8 @@
    darkfocus.dynamics operation for operation, left to right, with only
    + - * /, sqrt and libm's exp, atan, cos and sin, so compiled without
    floating-point contraction or fast-math it reproduces the reference bit
-   for bit.  Every constant arrives in coef, computed by the Python helpers
-   the reference uses. */
+   for bit.  model and coef come from darkfocus.dynamics._force_model,
+   which builds the reference loop's force from the same numbers. */
 
 #include <math.h>
 
@@ -37,7 +37,7 @@ static vec3 quartic(const double *c, double x, double y, double z)
 /* coef = p, w0^2, z_R, P0, cos and sin of theta_rel, pi, potential
    prefactor, scattering prefactor over it (0 without scattering), then the
    p + 1 coefficients of L_p and the p of dL_p/du, highest power first;
-   darkfocus.beam._bottle_field and darkfocus.dynamics._dipole_force */
+   darkfocus.beam._bottle_field and darkfocus.dynamics._force_model */
 static vec3 dipole(const double *c, double x, double y, double z)
 {
     int p = (int)c[0];

@@ -48,7 +48,6 @@ class PsdEstimate:
     psd: np.ndarray          # signal-units^2 / Hz
     nperseg: int
     overlap: float
-    window: str
     n_segments: int
     signal_variance: float
 
@@ -70,7 +69,7 @@ class PsdEstimate:
 
     def save(self, path):
         with open(path, "w") as fh:
-            fh.write(f"# window={self.window}\n")
+            fh.write("# window=hann\n")
             fh.write(f"# nseg={self.n_segments}\n")
             fh.write(f"# nperseg={self.nperseg} overlap={self.overlap!r}\n")
             fh.write("f psd\n")
@@ -120,7 +119,6 @@ def estimate_psd(
         psd=psd[1:],
         nperseg=nperseg,
         overlap=overlap,
-        window="hann",
         n_segments=n_segments,
         signal_variance=float(np.var(x)),
     )

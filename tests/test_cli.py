@@ -84,6 +84,24 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "temperature" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("model,option,value", [
+        ("quartic", "include_scattering", True),
+        ("harmonic", "include_scattering", True),
+        ("quartic", "stiffness", 1e-6),
+        ("dipole", "coefficients", {"k_z": 3.86e-7, "k_rho_z": 8.81e7, "k_rho": 2.26e8}),
+    ], ids=["scattering-quartic", "scattering-harmonic", "stiffness-quartic",
+            "coefficients-dipole"])
+    def test_option_of_another_model_rejected(self, tmp_path, capsys, model, option, value):
+        sim = {"force_model": model, "n_steps": 100, option: value}
+        if model == "harmonic":
+            sim["stiffness"] = 1e-6
+        cfg = write_config(tmp_path, {"simulation": sim})
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {option} applies only to the ")
+        assert "Traceback" not in err
+
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         (out / "intensity_grid.txt").mkdir(parents=True)

@@ -18,21 +18,23 @@ from darkfocus import (
     SimConfig,
     SimulationUnstableError,
     Trajectory,
+    corner_frequency_of,
     dft_intensity,
     dipole_gradient_force,
     dipole_scattering_force,
     equilibrium_pdf,
+    estimate_na,
     load_trajectory,
     marginal_density,
     pooled_positions,
     quartic_coefficients,
+    quartic_force,
     save_trajectory,
     simulate,
     simulate_ensemble,
     spawn_seeds,
 )
 from darkfocus import _compiled, dynamics
-from darkfocus.dynamics import _dipole_force
 
 TABLE_COEFFS = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
 
@@ -70,6 +72,19 @@ class TestSimConfig:
                         force_model="harmonic", stiffness=1e-6)
         with pytest.warns(UserWarning, match="stability"):
             simulate(cfg)
+
+    @pytest.mark.parametrize("option,model", [
+        ("include_scattering", "quartic"), ("include_scattering", "harmonic"),
+        ("stiffness", "quartic"), ("stiffness", "dipole"),
+        ("coefficients", "harmonic"), ("coefficients", "dipole"),
+    ])
+    def test_option_of_another_model_rejected(self, beam, particle, option, model):
+        kw = dict(quartic=dict(beam=beam), dipole=dict(beam=beam),
+                  harmonic=dict(stiffness=1e-6))[model]
+        kw[option] = dict(include_scattering=True, stiffness=1e-6,
+                          coefficients=TABLE_COEFFS)[option]
+        with pytest.raises(ValueError, match=f"^{option} applies only to the "):
+            SimConfig(particle=particle, dt=1e-5, n_steps=10, force_model=model, **kw)
 
     def test_default_bounds(self, beam, particle):
         quartic = SimConfig(particle=particle, dt=1e-5, n_steps=10,
@@ -264,6 +279,31 @@ class TestEnsembles:
         runs = simulate_ensemble(harmonic_cfg(particle, n_steps=500), 2)
         with pytest.raises(ValueError, match="burn_in must be >= 0"):
             pooled_positions(runs, burn_in=-50)
+
+
+def hot_harmonic_cfg(particle):
+    # dt five times the stability bound 0.1 gamma/k, still integrable
+    return harmonic_cfg(particle, dt=5e-3, n_steps=4000)
+
+
+GAUSSIAN_TARGET = (np.random.default_rng(0).standard_normal(5000) * 1e-8,
+                   np.random.default_rng(1).standard_normal(5000) * 1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda beam, pm: simulate(hot_harmonic_cfg(pm)),
+    lambda beam, pm: list(simulate_ensemble(hot_harmonic_cfg(pm), 2)),
+    lambda beam, pm: corner_frequency_of(hot_harmonic_cfg(pm), 3),
+    lambda beam, pm: estimate_na(GAUSSIAN_TARGET, [0.60], particle=pm, beam_template=beam,
+                                 dt=2e-5, n_steps=2000, n_reps=2, burn_in=100),
+    lambda beam, pm: QuarticCoefficients(-1, 1, 1),
+    lambda beam, pm: quartic_coefficients(beam, dataclasses.replace(pm, n_particle=1.6)),
+], ids=["simulate", "simulate_ensemble", "corner_frequency_of", "estimate_na",
+        "QuarticCoefficients", "quartic_coefficients"])
+def test_library_warning_names_the_calling_line(beam, particle, call):
+    with pytest.warns(UserWarning) as record:
+        call(beam, particle)
+    assert record[0].filename == __file__
 
 
 def lane_cfgs(beam, particle, model, boundary, n_lanes=20):
@@ -515,19 +555,33 @@ def test_dft_intensity_reproduces_recorded_values(beam):
         assert float(value) == expected
 
 
-@pytest.mark.parametrize("scattering", [False, True])
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_integrator_dipole_force_matches_array_forces(beam, particle, rng, p, scattering):
-    # the plain-float loop and the array functions evaluate one kernel, on
-    # math's and numpy's functions respectively
+@pytest.mark.parametrize("model,p,scattering", [
+    *(pytest.param("dipole", p, s, id=f"{p}-{s}") for p in (1, 2, 3) for s in (False, True)),
+    pytest.param("quartic", 1, False, id="quartic"),
+    pytest.param("harmonic", 1, False, id="harmonic"),
+])
+def test_integrator_dipole_force_matches_array_forces(beam, particle, rng, model, p,
+                                                      scattering):
+    # the reference loop's plain-float force and the array functions evaluate
+    # one expression, on math's and numpy's functions respectively
     b = dataclasses.replace(beam, p_index=p)
     pts = rng.uniform(-0.5, 0.5, (200, 3)) * (b.waist, b.waist, b.rayleigh_range)
-    force = _dipole_force(b, particle, scattering)
+    k = (1e-6, 2e-6, 5e-7)
+    kw = dict(dipole=dict(beam=b, include_scattering=scattering), quartic=dict(beam=b),
+              harmonic=dict(stiffness=k))[model]
+    cfg = SimConfig(particle=particle, dt=1e-5, n_steps=1, force_model=model, **kw)
+    _, _, force = dynamics._force_model(cfg)
     loop = np.array([force(*q) for q in pts.tolist()])
-    expected = dipole_gradient_force(b, particle, *pts.T)
-    if scattering:
-        expected = expected + dipole_scattering_force(b, particle, *pts.T)
-    np.testing.assert_allclose(loop, expected, rtol=1e-13, atol=0)
+    if model == "quartic":
+        np.testing.assert_array_equal(
+            loop, quartic_force(cfg.effective_coefficients(), *pts.T))
+    elif model == "harmonic":
+        np.testing.assert_array_equal(loop, -np.array(k) * pts)
+    else:
+        expected = dipole_gradient_force(b, particle, *pts.T)
+        if scattering:
+            expected = expected + dipole_scattering_force(b, particle, *pts.T)
+        np.testing.assert_allclose(loop, expected, rtol=1e-13, atol=0)
 
 
 class TestEquilibriumPdf:

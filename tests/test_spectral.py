@@ -41,7 +41,7 @@ def profiled_gradient(psd, f_c):
 def lorentzian_psd(a, f_c, freqs, nperseg=256, dt=1e-3):
     return PsdEstimate(
         frequencies=freqs, psd=a / (f_c**2 + freqs**2), nperseg=nperseg,
-        overlap=0.5, window="hann", n_segments=1, signal_variance=0.0,
+        overlap=0.5, n_segments=1, signal_variance=0.0,
     )
 
 
@@ -131,11 +131,10 @@ class TestFitLorentzian:
         noisy = (2.4e-16 / (25.0**2 + freqs**2)
                  * np.exp(0.3 * rng.standard_normal(len(freqs))))
         base = PsdEstimate(frequencies=freqs, psd=noisy, nperseg=128, overlap=0.5,
-                           window="hann", n_segments=4, signal_variance=0.0)
+                           n_segments=4, signal_variance=0.0)
         c = 3.7
         scaled = PsdEstimate(frequencies=freqs, psd=c**2 * noisy, nperseg=128,
-                             overlap=0.5, window="hann", n_segments=4,
-                             signal_variance=0.0)
+                             overlap=0.5, n_segments=4, signal_variance=0.0)
         f1 = fit_lorentzian(base, f_range=(0.5, 400.0))
         f2 = fit_lorentzian(scaled, f_range=(0.5, 400.0))
         assert f2.f_c == pytest.approx(f1.f_c, rel=1e-8)
@@ -147,8 +146,7 @@ class TestFitLorentzian:
         psd = estimate_psd(simulate(cfg))
         sub = PsdEstimate(frequencies=psd.frequencies[::2], psd=psd.psd[::2],
                           nperseg=psd.nperseg, overlap=psd.overlap,
-                          window=psd.window, n_segments=psd.n_segments,
-                          signal_variance=psd.signal_variance)
+                          n_segments=psd.n_segments, signal_variance=psd.signal_variance)
         f1 = fit_lorentzian(psd)
         f2 = fit_lorentzian(sub, f_range=f1.f_range)
         assert f2.f_c == pytest.approx(f1.f_c, rel=0.1)
@@ -175,7 +173,7 @@ class TestFitLorentzian:
     def test_no_corner_returns_bracket_end(self, exponent, f_c):
         freqs = np.linspace(0.5, 400, 400)
         psd = PsdEstimate(frequencies=freqs, psd=1e-16 / freqs**exponent, nperseg=128,
-                          overlap=0.5, window="hann", n_segments=4, signal_variance=0.0)
+                          overlap=0.5, n_segments=4, signal_variance=0.0)
         fit = fit_lorentzian(psd, f_range=(0.5, 400.0))
         assert fit.f_c == pytest.approx(f_c, rel=1e-12)
         assert not fit.f_c_in_range
