@@ -12,7 +12,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._text import write_table, write_values
 from .beam import BeamParams, _bottle_peaks, dft_intensity, gaussian_intensity
@@ -28,6 +27,15 @@ __all__ = [
 ]
 
 CURVATURE_STEP = 1e-3  # on-axis second-difference step, in Rayleigh ranges
+# 64-point Gauss-Legendre rule on [0, 1], computed once, applied to each
+# 2-waist piece of a disk: for disks of 1e-3 to 1000 waists it gives the
+# Gaussian's power fraction to 2e-15 of its closed form
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
+_NODES, _WEIGHTS = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
+_PIECE_WAISTS = 2.0
+# outside 20 waists a bottle of p <= 100 carries less than exp(-200) of its
+# power, so a larger disk is integrated to there
+_REACH_WAISTS = 20.0
 
 
 def effective_cross_section(radius: float, lambda0: float) -> float:
@@ -74,11 +82,14 @@ class AbsorptionScenario:
         return math.sqrt(self.cross_section / (4.0 * math.pi))
 
 
-def _disk_power_fraction(profile, r_eff: float) -> float:
-    """Fraction of unit beam power inside a focal-plane disk of radius r_eff."""
-    val, _ = quad(lambda r: profile(r) * 2.0 * math.pi * r, 0.0, r_eff,
-                  epsabs=0.0, epsrel=1e-8, limit=200)
-    return val
+def _disk_power_fraction(profile, r_eff: float, waist: float) -> float:
+    """Fraction of unit beam power inside a focal-plane disk of radius r_eff,
+    for a beam of the given waist."""
+    top = min(r_eff, _REACH_WAISTS * waist)
+    edges = np.append(np.arange(0.0, top, _PIECE_WAISTS * waist), top)
+    width = np.diff(edges)
+    r = edges[:-1, None] + width[:, None] * _NODES
+    return float(width @ ((profile(r) * 2.0 * math.pi * r) @ _WEIGHTS))
 
 
 def absorption_ratio(scenario: AbsorptionScenario,
@@ -87,7 +98,8 @@ def absorption_ratio(scenario: AbsorptionScenario,
 
     eta = (P_B/P_G) x (bottle power through the disk)/(Gaussian power
     through the disk), with both mode intensities normalized to unit total
-    power, integrated by adaptive radial quadrature (rel. tol. 1e-8).
+    power, integrated over the radius by a fixed 64-point Gauss-Legendre rule
+    on each 2-waist piece of the disk.
     """
     if r_eff is None:
         r_eff = scenario.effective_radius
@@ -95,8 +107,10 @@ def absorption_ratio(scenario: AbsorptionScenario,
         raise ValueError("effective radius must be positive")
     bottle_unit = scenario.bottle.with_unit_power()
     gauss_unit = scenario.gaussian.with_unit_power()
-    num = _disk_power_fraction(lambda r: dft_intensity(bottle_unit, r, 0.0), r_eff)
-    den = _disk_power_fraction(lambda r: gaussian_intensity(gauss_unit, r, 0.0), r_eff)
+    waist = scenario.bottle.waist
+    num = _disk_power_fraction(lambda r: dft_intensity(bottle_unit, r, 0.0), r_eff, waist)
+    den = _disk_power_fraction(lambda r: gaussian_intensity(gauss_unit, r, 0.0), r_eff,
+                               waist)
     return scenario.power_ratio * num / den
 
 

@@ -10,9 +10,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import eval_genlaguerre
 
+from ._roots import bracketed_root
 from ._text import read_table, write_table
 
 __all__ = [
@@ -155,11 +154,16 @@ def lg_mode(params: BeamParams, ell: int, p: int, rho, z, phi=0.0):
     norm = math.sqrt(2.0 / math.pi) * math.sqrt(
         math.factorial(p) / math.factorial(la + p)
     )
+    # L_p^|l|(x) by its three-term recurrence, which stays accurate at large
+    # p where the monomial sum of _laguerre_coefficients cancels
+    lag_prev, lag = 0.0, np.ones_like(x)
+    for k in range(p):
+        lag_prev, lag = lag, ((2 * k + 1 + la - x) * lag - (k + la) * lag_prev) / (k + 1)
     amp = (
         norm
         / np.sqrt(w2)
         * (np.sqrt(2.0) * rho / np.sqrt(w2)) ** la
-        * eval_genlaguerre(p, la, x)
+        * lag
         * np.exp(-(rho**2) / w2)
     )
     phase = km * z + 0.5 * km * rho**2 * inv_r - gouy + ell * phi
@@ -259,31 +263,33 @@ def _bottle_peaks(params: BeamParams):
     """(location, intensity) of the focal-plane and of the on-axis maximum.
 
     Each is the first interior maximum on a 2001-point grid over (0, 4 w0]
-    or (0, 6 z_R], refined by a bounded scalar search.  Near a maximum the
-    intensity varies only quadratically with the location, so the search
-    fixes the location only to about sqrt(eps) * hi (1.5e-8 hi), not to its
-    xatol of hi * 1e-12: a last-bit change of the intensity can move it that
-    far.  The peak value is fixed to about eps relative.
+    or (0, 6 z_R], located as the root of the bottle field's radial or
+    axial gradient between the grid points either side of it.  The
+    gradient crosses zero with a nonzero slope, so the root, unlike the
+    argmax of the intensity, is fixed to a few ulps.
     """
     field = _bottle_field(params)
+    # (intensity, its gradient along the profile) at distance s; the radial
+    # gradient comes divided by rho, which leaves its sign
     profiles = (
-        (lambda s: field(s * s, 0.0)[0], 4.0 * params.waist),
-        (lambda s: field(0.0, s)[0], 6.0 * params.rayleigh_range),
+        (lambda s: field(s * s, 0.0)[:2], 4.0 * params.waist),
+        (lambda s: field(0.0, s)[::2], 6.0 * params.rayleigh_range),
     )
     peaks = []
     for profile, hi in profiles:
         s = np.linspace(0.0, hi, 2001)
-        k = int(np.argmax(profile(s)))
+        k = int(np.argmax(profile(s)[0]))
         if k == 0 or k == len(s) - 1:
             raise RuntimeError(
                 "intensity maximum not bracketed by the search grid; "
                 "no bottle structure for these parameters"
             )
-        res = minimize_scalar(
-            lambda u: -profile(u), bounds=(s[k - 1], s[k + 1]), method="bounded",
-            options={"xatol": hi * 1e-12},
-        )
-        peaks.append((float(res.x), float(-res.fun)))
+        try:
+            peak = bracketed_root(lambda u: float(profile(u)[1]), float(s[k - 1]),
+                                  float(s[k + 1]))
+        except ValueError as exc:  # the grid maximum is round-off, not a peak
+            raise RuntimeError(f"intensity maximum not resolved: {exc}") from None
+        peaks.append((peak, float(profile(peak)[0])))
     return peaks
 
 

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import special
-from scipy.constants import k as BOLTZMANN
 
 from . import _compiled
 from ._text import write_values
 from .beam import BeamParams
 from .dynamics import SimConfig, Trajectory, simulate_ensemble
-from .forces import ParticleMedium, QuarticCoefficients, quartic_coefficients
+from .forces import BOLTZMANN, ParticleMedium, QuarticCoefficients, quartic_coefficients
 from .spectral import NumericalError, _run_corner_frequency
 
 __all__ = [
@@ -153,11 +151,14 @@ DECORRELATION_TIMES = 3.0  # correlation times gamma/k per decorrelated sample
 def _ks_statistics(x):
     """KS statistic of each row of the 2-D array x against a Gaussian with
     that row's own mean and standard deviation; sorts the rows in place."""
+    # the Gaussian CDF is the only scipy the package uses, loaded on first call
+    from scipy.special import ndtr
+
     n = x.shape[1]
     mu = np.mean(x, axis=1, keepdims=True)
     sigma = np.std(x, axis=1, ddof=1, keepdims=True)
     x.sort(axis=1)
-    cdf = special.ndtr((x - mu) / sigma)
+    cdf = ndtr((x - mu) / sigma)
     ranks = np.arange(n + 1) / n
     return np.maximum((ranks[1:] - cdf).max(axis=1), (cdf - ranks[:-1]).max(axis=1))
 
@@ -301,18 +302,18 @@ def _fold_counts(rho, positions, n_folds, r_edges, z_edges):
 def _fit_quartic_once(counts, r_edges, z_edges, temperature, min_count):
     """Quartic strengths (k_z, k_rho_z, k_rho) and the (rho centers, z
     centers, potential grid) fitted to one (rho, z) count grid."""
-    from scipy.ndimage import binary_erosion
-
     rc = 0.5 * (r_edges[:-1] + r_edges[1:])
     zc = 0.5 * (z_edges[:-1] + z_edges[1:])
     rr, zz = np.meshgrid(rc, zc, indexing="ij")
     mask = counts >= min_count
     # bins at the support edge are partially covered (domain walls, range
     # clipping) and bias the inverted potential; keep interior bins only.
-    # the rho = 0 column is a true interior boundary, so pad it as populated.
-    padded = np.concatenate([mask[:1], mask], axis=0)
-    mask = binary_erosion(padded, structure=np.array(
-        [[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool))[1:]
+    # the rho = 0 column is a true interior boundary, so pad it as populated;
+    # every other border is empty.  a bin stays if its four neighbours are kept.
+    padded = np.pad(mask, 1)
+    padded[0, 1:-1] = mask[0]
+    mask = (mask & padded[:-2, 1:-1] & padded[2:, 1:-1]
+            & padded[1:-1, :-2] & padded[1:-1, 2:])
     if mask.sum() < 8:
         raise NumericalError("too few populated bins to constrain the quartic model")
     # counts ~ exp(-V/kBT) * 2 pi rho drho dz: divide out the radial measure

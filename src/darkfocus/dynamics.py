@@ -32,12 +32,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.constants import k as BOLTZMANN
 
 from . import _compiled
 from ._text import _ROWS_PER_BLOCK, read_table, write_table
 from .beam import BeamParams, _bottle_constants, _bottle_field
 from .forces import (
+    BOLTZMANN,
     ParticleMedium,
     QuarticCoefficients,
     _potential_prefactor,

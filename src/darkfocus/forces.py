@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from ._text import read_table, write_table
 from .beam import BeamParams, _bottle_field, _check_coords, dft_intensity
@@ -37,6 +36,10 @@ __all__ = [
     "fit_polynomial_force",
     "sample_force_grid",
 ]
+
+# exact SI values (2019 definitions), the same doubles as scipy.constants' k and c
+BOLTZMANN = 1.380649e-23  # J/K
+SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
 def _warn(message):

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
-from scipy.optimize import brentq
 
+from ._roots import bracketed_root
 from ._text import write_table, write_values
 from .dynamics import SimConfig, Trajectory, simulate_ensemble
 
@@ -102,18 +101,21 @@ def estimate_psd(
     if not (0 <= overlap < 1):
         raise ValueError("overlap fraction must lie in [0, 1)")
     noverlap = int(nperseg * overlap)
-    freqs, psd = signal.welch(
-        x,
-        fs=1.0 / traj.dt,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=noverlap,
-        detrend="constant",
-        return_onesided=True,
-        scaling="density",
-    )
     step = nperseg - noverlap
     n_segments = 1 + (n - nperseg) // step
+    # Welch: a periodic Hann window scaled to unit power density, each
+    # segment's own mean removed, every bin but DC (and Nyquist, for even
+    # nperseg) doubled, and the segments averaged per bin
+    fs = 1.0 / traj.dt
+    window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, nperseg + 1))[:-1]
+    window = window / np.sqrt(fs * np.sum(window**2))
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step]
+    segments = segments - segments.mean(axis=1, keepdims=True)
+    spectra = np.fft.rfft(segments * window, axis=1)
+    power = spectra.real**2 + spectra.imag**2
+    power[:, 1:(nperseg + 1) // 2] *= 2.0
+    psd = power.mean(axis=0)
+    freqs = np.fft.rfftfreq(nperseg, 1.0 / fs)
     return PsdEstimate(
         frequencies=freqs[1:],
         psd=psd[1:],
@@ -200,9 +202,8 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
         u = u_lo  # the cost falls toward a 1/f^2 (free-diffusion) spectrum
     else:
         # the root of the gradient converges to machine precision, which a
-        # minimiser of the cost cannot; 4 eps is brentq's tightest tolerance
-        tol = 4.0 * np.finfo(float).eps
-        u = brentq(slope, u_lo, u_hi, xtol=tol, rtol=tol)
+        # minimiser of the cost cannot
+        u = bracketed_root(slope, u_lo, u_hi)
 
     g, d = profile(u)
     ln_a, d_mean = float(g.mean()), float(d.mean())

@@ -15,7 +15,7 @@ from darkfocus import (
     gaussian_intensity,
     trap_comparison,
 )
-from darkfocus.absorption import save_absorption_sweep
+from darkfocus.absorption import _disk_power_fraction, save_absorption_sweep
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +175,26 @@ class TestTrapComparison:
             total, _ = quad(lambda r: profile(r) * 2 * math.pi * r, 0, 20e-6,
                             epsabs=0.0, epsrel=1e-10, limit=200)
             assert total == pytest.approx(1.0, rel=1e-8)
+
+
+class TestDiskPowerFraction:
+    RADII = np.geomspace(1e-3, 1e3, 61)  # in waists
+
+    def test_gaussian_equals_closed_form(self, beams):
+        gauss = beams[1].with_unit_power()
+        w0 = gauss.waist
+        for r in self.RADII * w0:
+            got = _disk_power_fraction(lambda u: gaussian_intensity(gauss, u, 0.0), r, w0)
+            assert got == pytest.approx(-math.expm1(-2 * r**2 / w0**2), rel=1e-13)
+
+    def test_bottle_equals_adaptive_quadrature(self, beams):
+        bottle = beams[0].with_unit_power()
+
+        def profile(u):
+            return dft_intensity(bottle, u, 0.0)
+
+        for r in self.RADII * bottle.waist:
+            expected, _ = quad(lambda u: profile(u) * 2 * math.pi * u, 0.0, r,
+                               epsabs=0.0, epsrel=1e-13, limit=200)
+            got = _disk_power_fraction(profile, r, bottle.waist)
+            assert got == pytest.approx(expected, rel=1e-10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import curve_fit
+from scipy.special import eval_genlaguerre
 
 from darkfocus import (
     BeamParams,
@@ -85,6 +86,26 @@ class TestLgMode:
         u1 = lg_mode(beam, 1, 0, 0.3e-6, 0.5e-6, phi=1.2)
         assert abs(u0) == pytest.approx(abs(u1), rel=1e-12)
         assert np.angle(u1 / u0) == pytest.approx(1.2, rel=1e-9)
+
+    @pytest.mark.parametrize("ell", [-3, -2, -1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5, 20, 39, 100])
+    def test_matches_scipy_laguerre(self, beam, ell, p):
+        # the textbook mode with scipy's L_p^|l|: equal to 1e-12 relative,
+        # or absolute (of the largest amplitude) near the polynomial's zeros
+        rho = np.linspace(0.0, 4.0, 801)[:, None] * beam.waist
+        z = np.array([0.0, 0.4, 2.0])[None, :] * beam.rayleigh_range
+        zr, la = beam.rayleigh_range, abs(ell)
+        w2 = beam.waist**2 * (1 + (z / zr) ** 2)
+        x = 2 * rho**2 / w2
+        amp = (math.sqrt(2 * math.factorial(p) / (math.pi * math.factorial(p + la)))
+               / np.sqrt(w2) * x ** (la / 2) * eval_genlaguerre(p, la, x) * np.exp(-x / 2))
+        km = beam.wavenumber
+        phase = (km * z + km * rho**2 * z / (2 * (z**2 + zr**2))
+                 - (2 * p + la + 1) * np.arctan(z / zr) + ell * 0.7)
+        expected = amp * np.exp(1j * phase)
+        u = lg_mode(beam, ell, p, rho, z, phi=0.7)
+        np.testing.assert_allclose(u, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
 
     def test_rejects_bad_inputs(self, beam):
         with pytest.raises(ValueError):
@@ -192,6 +213,23 @@ class TestBottleGeometry:
         w_s, h_s = bottle_geometry(beam, method="search")
         assert w_s == pytest.approx(w_cf, rel=1e-6)
         assert h_s == pytest.approx(h_cf, rel=1e-6)
+
+    @pytest.mark.parametrize("na", [0.3, 0.46, 0.9])
+    def test_search_equals_closed_form_to_rounding(self, na):
+        # each peak is a root of the intensity gradient, which the search
+        # fixes to the last bits, unlike a maximiser of the intensity
+        b = BeamParams(lambda0=780e-9, n_medium=1.53, na=na, p_total=0.05)
+        w, h = bottle_geometry(b, method="search")
+        eps = np.finfo(float).eps
+        assert w == pytest.approx(2 * b.waist, rel=4 * eps, abs=0.0)
+        assert h == pytest.approx(2 * b.rayleigh_range, rel=4 * eps, abs=0.0)
+
+    def test_unresolved_maximum_is_numerical_error(self):
+        # at p = 39 the grid maximum of the radial profile sits at 3.96 w0,
+        # where the Laguerre polynomial's round-off exceeds its value
+        b = BeamParams(lambda0=780e-9, n_medium=1.53, na=0.46, p_total=0.05, p_index=39)
+        with pytest.raises(RuntimeError, match="intensity maximum not resolved"):
+            bottle_geometry(b)
 
     def test_trap_size_range_over_na(self):
         for na, lo, hi in [(0.46, 1.01e-6, 1.08e-6), (0.49, 1.01e-6, 1.08e-6)]:

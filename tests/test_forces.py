@@ -14,6 +14,7 @@ from darkfocus import (
     dipole_potential,
     dipole_scattering_force,
     fit_polynomial_force,
+    forces,
     quartic_coefficients,
     quartic_force,
     quartic_potential,
@@ -35,6 +36,11 @@ def finite_difference_force(beam, pm, point, h):
         v_lo = dipole_potential(beam, pm, math.hypot(lo[0], lo[1]), lo[2])
         out[i] = -(v_hi - v_lo) / (2 * h)
     return out
+
+
+def test_constants_equal_scipy_to_the_bit():
+    assert forces.BOLTZMANN == k_b
+    assert forces.SPEED_OF_LIGHT == c_light
 
 
 class TestParticleMedium:

@@ -1,0 +1,93 @@
+"""darkfocus starts on numpy alone: neither the import nor any simulate, psd,
+calibrate, sweep, beam, absorption or force-fit path loads scipy.  Each check
+runs in a fresh interpreter, since this one has scipy loaded by the tests."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import darkfocus
+
+SRC = Path(darkfocus.__file__).resolve().parent.parent
+
+PRINT_SCIPY = """
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+# small runs of every path a benchmark task or a default CLI command takes
+RUN_EVERY_PATH = """
+from pathlib import Path
+
+from darkfocus import calibration, cli, dynamics, spectral
+
+out = Path(sys.argv[1])
+quartic = {"n_steps": 20_000, "dt": 2e-5, "seed": 3, "boundary": "reflect",
+           "domain_bound": 1.6e-7,
+           "coefficients": {"k_z": 3.86e-7, "k_rho_z": 8.81e7, "k_rho": 2.26e8}}
+target = str(out / "quartic" / "trajectory.txt")
+runs = [
+    ("simulate", "quartic", {"simulation": quartic}),
+    ("simulate", "harmonic", {"simulation": {
+        "force_model": "harmonic", "stiffness": 1e-6, "n_steps": 5000, "dt": 2e-4}}),
+    ("simulate", "dipole", {"simulation": {
+        "force_model": "dipole", "include_scattering": True, "boundary": "reflect",
+        "n_steps": 5000}}),
+    ("psd", "psd", {"analysis": {"trajectory": target}}),
+    ("calibrate", "calibrate", {"simulation": dict(quartic, n_steps=300_000),
+                                "analysis": {"burn_in": 20_000}}),
+    ("sweep-na", "sweep", {"sweep": {
+        "na_start": 0.44, "na_stop": 0.48, "na_step": 0.02, "n_reps": 3,
+        "n_steps": 20_000, "dt": 1e-5, "target": target, "burn_in": 2000}}),
+    ("beam", "beam", {"beam": {"p_index": 2}, "grid": {"n_transverse": 21, "n_z": 21}}),
+    ("absorb", "absorb", {}),
+    ("forces-fit", "forces", {}),
+]
+for command, name, payload in runs:
+    config = out / f"{name}.json"
+    config.write_text(json.dumps(payload))
+    code = cli.main([command, "--config", str(config), "--out", str(out / name)])
+    assert code == 0, (command, name, code)
+
+
+def sim_config(name):
+    return cli._sim_config_from(cli.load_config(str(out / f"{name}.json")))
+
+
+spectral.corner_frequency_of(sim_config("harmonic"), 3)
+calibration.reconstruct_potential(dynamics.simulate(sim_config("calibrate")).positions, 293.0)
+""" + PRINT_SCIPY
+
+KS_CALL = """
+import numpy as np
+
+from darkfocus import calibration
+
+calibration.ks_gaussianity_test(np.random.default_rng(1).standard_normal(2000), n_null=50)
+""" + PRINT_SCIPY
+
+
+def scipy_modules(script, *args):
+    """The scipy modules loaded once `script` has run in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", "import json, sys\n" + script, *args],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules("import darkfocus, darkfocus.cli\n" + PRINT_SCIPY) == []
+
+
+def test_every_command_and_analysis_runs_without_scipy(tmp_path):
+    assert scipy_modules(RUN_EVERY_PATH, str(tmp_path)) == []
+
+
+def test_ks_test_loads_only_scipy_special():
+    special = scipy_modules("import scipy.special\n" + PRINT_SCIPY)
+    loaded = scipy_modules(KS_CALL)
+    assert "scipy.special" in loaded
+    assert set(loaded) <= set(special)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal
 from scipy.constants import k as k_b
+from scipy.optimize import brentq
 
 from darkfocus import (
     PsdEstimate,
@@ -12,8 +14,10 @@ from darkfocus import (
     corner_frequency_of,
     estimate_psd,
     fit_lorentzian,
+    quartic_coefficients,
     simulate,
 )
+from darkfocus import spectral
 from darkfocus.dynamics import spawn_seeds
 from darkfocus.spectral import FitError, default_fit_range
 
@@ -103,6 +107,46 @@ class TestEstimatePsd:
         assert "# nseg=" in text
 
 
+    # n = 10007 is prime, so no segment step divides it
+    @pytest.mark.parametrize("n", [4096, 10007])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+    @pytest.mark.parametrize("nperseg", [256, 333, 1000, 1001])
+    def test_matches_scipy_welch(self, rng, n, overlap, nperseg):
+        dt = 2e-4
+        x = 1e-7 + 3e-11 * np.cumsum(rng.standard_normal(n))  # offset random walk
+        psd = estimate_psd(make_traj(x, dt), nperseg=nperseg, overlap=overlap)
+        f, p = signal.welch(x, fs=1.0 / dt, window="hann", nperseg=nperseg,
+                            noverlap=int(nperseg * overlap), detrend="constant",
+                            return_onesided=True, scaling="density")
+        np.testing.assert_array_equal(psd.frequencies, f[1:])
+        np.testing.assert_allclose(psd.psd, p[1:], rtol=1e-12, atol=0.0)
+        assert psd.n_segments == 1 + (n - nperseg) // (nperseg - int(nperseg * overlap))
+
+
+def brentq_root(f, a, b):
+    """scipy's brentq at its tightest tolerance, as an oracle of the root."""
+    tol = 4.0 * np.finfo(float).eps
+    return brentq(f, a, b, xtol=tol, rtol=tol)
+
+
+def fc_by_brentq(psd, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "bracketed_root", brentq_root)
+        return fit_lorentzian(psd).f_c
+
+
+def criterion6_spectra(beam, particle):
+    """x PSDs of criterion 6's ten OU runs and five quartic runs."""
+    ou = SimConfig(particle=particle, dt=2e-4, n_steps=120_000,
+                   force_model="harmonic", stiffness=1e-6, seed=606)
+    quartic = SimConfig(particle=particle, dt=2e-5, n_steps=150_000,
+                        coefficients=quartic_coefficients(beam, particle), seed=616)
+    cfgs = ([ou.with_seed(int(s)) for s in spawn_seeds(606, 10)]
+            + [quartic.with_seed(int(s))
+               for s in np.random.SeedSequence(616).generate_state(5)])
+    return [estimate_psd(simulate(cfg)) for cfg in cfgs]
+
+
 class TestFitLorentzian:
     def test_exact_model_recovery(self):
         freqs = np.linspace(0.5, 400, 800)
@@ -165,6 +209,24 @@ class TestFitLorentzian:
         for seed in spawn_seeds(606, 10):
             psd = estimate_psd(simulate(cfg.with_seed(int(seed))))
             assert profiled_gradient(psd, fit_lorentzian(psd).f_c) <= 1e-13
+
+    def test_corner_frequency_equals_brentq(self, beam, particle, monkeypatch):
+        for psd in criterion6_spectra(beam, particle):
+            assert fit_lorentzian(psd).f_c == pytest.approx(
+                fc_by_brentq(psd, monkeypatch), rel=1e-14)
+
+    def test_corner_frequency_near_one_hertz_equals_brentq(self, particle, monkeypatch):
+        # ln f_c near 0: the bracket in u = ln f_c straddles zero
+        freqs = np.linspace(0.05, 20.0, 400)
+        spectra = [lorentzian_psd(1e-16, 1.0, freqs)]
+        k = 2 * math.pi * particle.drag * 1.0  # f_c = 1 Hz
+        cfg = SimConfig(particle=particle, dt=1e-3, n_steps=2**17,
+                        force_model="harmonic", stiffness=k, seed=41)
+        spectra.append(estimate_psd(simulate(cfg)))
+        for psd in spectra:
+            f_c = fit_lorentzian(psd).f_c
+            assert f_c == pytest.approx(1.0, rel=0.2)
+            assert f_c == pytest.approx(fc_by_brentq(psd, monkeypatch), rel=1e-14)
 
     @pytest.mark.parametrize("exponent,f_c", [
         (0, 400.0 * math.exp(7.0)),   # flat (white noise): the upper bracket end
