@@ -10,14 +10,13 @@ likelihoods is maximum-likelihood estimation over the sweep family.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from . import _compiled
+from . import _compiled, dynamics
 from ._text import write_values
 from .beam import BeamParams
-from .dynamics import SimConfig, Trajectory, simulate_ensemble
+from .dynamics import SimConfig, Trajectory, spawn_seeds
 from .forces import BOLTZMANN, ParticleMedium, QuarticCoefficients, quartic_coefficients
 from .spectral import NumericalError, _run_corner_frequency
 
@@ -486,11 +485,25 @@ def estimate_na(
     Every NA reuses the same noise paths (common random numbers), so
     sampling noise largely cancels out of the NA-to-NA comparison and the
     divergence minimum is far more stable for a given simulation budget.
-    An NA's runs are simulate_ensemble(cfg, n_reps) with cfg.seed = seed, each
-    reduced as it arrives to integer x and y histogram counts after burn_in
-    and a corner frequency, then dropped; the summed counts of an NA are
-    those of its pooled samples.  Every NA is checked before the first run.
+    The repetitions run one after another on the seeds spawn_seeds(seed,
+    n_reps): a repetition's noise is drawn once, and every NA's run of that
+    seed steps through it, so an NA's runs are those of
+    simulate_ensemble(cfg, n_reps) with cfg.seed = seed, to the bit.  Each
+    run is reduced as it finishes to integer x and y histogram counts after
+    burn_in and a corner frequency, then dropped; the summed counts of an
+    NA are those of its pooled samples.  The inputs and every NA are checked
+    before the first run.
     """
+    bad_na_values = "na_values must be a non-empty 1-D sequence of finite NAs"
+    try:
+        na_values = np.asarray(na_values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(bad_na_values) from exc
+    if na_values.ndim != 1 or len(na_values) == 0 or not np.isfinite(na_values).all():
+        raise ValueError(bad_na_values)
+    for name, value in (("n_reps", n_reps), ("burn_in", burn_in)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps!r}")
     if burn_in < 0:
@@ -499,22 +512,30 @@ def estimate_na(
     if kept_per_run < 100:
         raise ValueError(f"burn_in={burn_in!r} leaves {kept_per_run} of the {n_steps + 1} "
                          "samples of a run; need at least 100")
-    na_values = np.asarray(na_values, dtype=float)
     p_x, p_y = marginals = _target_marginals(target)
     cfgs = [SimConfig(
         particle=particle, dt=dt, n_steps=n_steps, force_model="quartic",
         coefficients=quartic_coefficients(beam_template.with_na(na), particle),
         seed=seed, boundary=boundary, domain_bound=domain_bound,
     ) for na in na_values.tolist()]
-    reduce_run = partial(_reduce_run, burn_in=burn_in, marginals=marginals)
+
+    # the reduced runs of each NA in rep order; escaped runs leave none
+    tallies = [[] for _ in cfgs]
+    for s in spawn_seeds(seed, n_reps):
+        # the configs differ only in their coefficients, and a run's noise
+        # depends on its seed, particle, dt and n_steps: one draw serves all
+        noise = list(dynamics._noise_chunks(cfgs[0].with_seed(s)))
+        for cfg, kept in zip(cfgs, tallies):
+            reduced = _reduce_run(dynamics.simulate(cfg.with_seed(s), noise=noise),
+                                  burn_in, marginals)
+            if reduced is not None:
+                kept.append(reduced)
 
     kl = np.full(len(na_values), math.inf)
     fc = np.full(len(na_values), math.nan)
     fc_err = np.full(len(na_values), math.nan)
     valid = np.zeros(len(na_values), dtype=bool)
-    for i, cfg in enumerate(cfgs):
-        # map, unlike a comprehension's loop variable, keeps no run past its reduction
-        kept = [r for r in map(reduce_run, simulate_ensemble(cfg, n_reps)) if r is not None]
+    for i, kept in enumerate(tallies):
         if not kept:
             continue
         valid[i] = True

@@ -11,16 +11,21 @@ darkfocus.forces, and for the dipole model the bottle-field kernel of
 darkfocus.beam evaluated on math's functions, so a run steps through the
 same field that dft_intensity and dipole_gradient_force report.
 
-simulate draws the noise in chunks of _NOISE_CHUNK steps and hands each
-chunk to a stepper: the compiled one of integrator.c (built on first use by
-darkfocus._compiled), or the Python reference loop when no C compiler
-works.  _force_model resolves a run's force once, as integrator.c's model
-code with the numbers it reads and as the reference loop's plain-float
-closure built from those same numbers; the compiled stepper repeats the
+_noise_chunks is the one place noise is drawn and scaled: a run's noise is
+default_rng(seed)'s standard normals in draws of _NOISE_CHUNK steps, times
+sqrt(2 kB T dt / gamma).  simulate hands each chunk to a stepper: the
+compiled one of integrator.c (built on first use by darkfocus._compiled),
+or the Python reference loop when no C compiler works.  It draws the
+chunks from cfg.seed as it steps, or takes a run's chunks drawn beforehand:
+estimate_na draws each repetition's noise once and steps every NA's run of
+that seed through it, since its configs share the particle and dt.
+_force_model resolves a run's force once, as integrator.c's model code
+with the numbers it reads and as the reference loop's plain-float closure
+built from those same numbers; the compiled stepper repeats the
 reference's operations in the same order, so both give the same bits.
-simulate_ensemble is the one ensemble path: it yields one run per spawned
-seed, simulated when asked for, and the calibration sweeps reduce each run
-as it arrives and keep no positions.
+simulate_ensemble is the one ensemble path of independent runs: it yields
+one run per spawned seed, simulated when asked for.  The calibration
+sweeps reduce each run as it arrives and keep no positions.
 
 Trajectory files are t x y z text rows under a '#' header.  save_trajectory
 and load_trajectory write and read the header themselves and the rows
@@ -29,6 +34,7 @@ through darkfocus._text, the one writer and reader of every float table.
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,6 +116,8 @@ class SimConfig:
             raise ValueError(f"boundary must be 'absorb' or 'reflect', got {self.boundary!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be finite and positive")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.force_model == "dipole" and self.beam is None:
@@ -201,9 +209,9 @@ class Trajectory:
 
 
 def _integration_constants(cfg: SimConfig):
-    """(domain bound, mobility dt/gamma, noise scale) of one run; warns when dt
-    exceeds the stability bound 0.1 gamma/k_max, with k_max the largest local
-    stiffness the trajectory is expected to probe (N/m)."""
+    """(domain bound, mobility dt/gamma) of one run; warns when dt exceeds the
+    stability bound 0.1 gamma/k_max, with k_max the largest local stiffness
+    the trajectory is expected to probe (N/m)."""
     gamma = cfg.particle.drag
     kbt = BOLTZMANN * cfg.particle.temperature
     if cfg.force_model == "harmonic":
@@ -217,7 +225,21 @@ def _integration_constants(cfg: SimConfig):
         _warn(f"dt={cfg.dt:g} exceeds the stability bound 0.1 gamma/k_max="
               f"{0.1 * gamma / k_max:g}; results may be inaccurate")
     bound = cfg.domain_bound if cfg.domain_bound is not None else cfg.default_domain_bound()
-    return bound, cfg.dt / gamma, math.sqrt(2.0 * kbt * cfg.dt / gamma)
+    return bound, cfg.dt / gamma
+
+
+def _noise_chunks(cfg: SimConfig):
+    """The noise of cfg's run: default_rng(cfg.seed)'s standard normals drawn
+    _NOISE_CHUNK rows of three at a time (the last draw shorter, n_steps rows
+    in all), each draw scaled by sqrt(2 kB T dt / gamma) as it is yielded.
+    Configs of the same seed, particle, dt and n_steps get the same bits."""
+    kbt = BOLTZMANN * cfg.particle.temperature
+    noise_scale = math.sqrt(2.0 * kbt * cfg.dt / cfg.particle.drag)
+    rng = np.random.default_rng(cfg.seed)
+    for done in range(0, cfg.n_steps, _NOISE_CHUNK):
+        noise = rng.standard_normal((min(_NOISE_CHUNK, cfg.n_steps - done), 3))
+        noise *= noise_scale
+        yield noise
 
 
 # outcome of one chunk, and force model codes, as integrator.c names them
@@ -313,7 +335,7 @@ def _compiled_stepper(kernel, model, coef, bound, mob, reflect):
     return step
 
 
-def simulate(cfg: SimConfig) -> Trajectory:
+def simulate(cfg: SimConfig, *, noise=None) -> Trajectory:
     """Integrate one trajectory; deterministic for a given config and seed.
 
     With boundary="absorb" (default) a particle leaving the domain bound
@@ -323,8 +345,22 @@ def simulate(cfg: SimConfig) -> Trajectory:
     beam, and makes the stationary density the Boltzmann density of the
     force model restricted to the domain.  Use it when the local quartic
     expansion alone would not confine the particle.
+
+    noise is the run's scaled noise drawn beforehand, as
+    list(_noise_chunks(c)) of a config c with cfg's particle, dt and n_steps:
+    arrays of rows of three, n_steps rows in all, else ValueError.  Runs
+    that share it share their noise paths; by default it is drawn from
+    cfg.seed, so simulate(cfg, noise=list(_noise_chunks(cfg))) is
+    simulate(cfg) to the bit.
     """
-    bound, mob, noise_scale = _integration_constants(cfg)
+    if noise is None:
+        noise = _noise_chunks(cfg)
+    else:
+        noise = [np.ascontiguousarray(chunk, dtype=float) for chunk in noise]
+        if (any(chunk.ndim != 2 or chunk.shape[1] != 3 for chunk in noise)
+                or sum(map(len, noise)) != cfg.n_steps):
+            raise ValueError(f"noise must hold n_steps={cfg.n_steps} rows of three")
+    bound, mob = _integration_constants(cfg)
     model, coef, force = _force_model(cfg)
     reflect = cfg.boundary == "reflect"
     library = _compiled.load()
@@ -333,23 +369,20 @@ def simulate(cfg: SimConfig) -> Trajectory:
     else:
         step = _compiled_stepper(library.df_step_chunk, model, coef, bound, mob, reflect)
 
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n_steps
-    out = np.empty((n + 1, 3))
+    out = np.empty((cfg.n_steps + 1, 3))
     out[0] = [float(v) for v in cfg.initial_position]
     done = 0
     outcome = _RAN
-    while done < n and outcome == _RAN:
-        chunk = min(_NOISE_CHUNK, n - done)
-        noise = rng.standard_normal((chunk, 3))
-        noise *= noise_scale
-        k, outcome = step(noise, out[done:done + chunk + 1])
+    for chunk in noise:
+        k, outcome = step(chunk, out[done:done + len(chunk) + 1])
         if outcome == _UNSTABLE:
             raise SimulationUnstableError(
                 f"step displacement exceeded the domain scale {bound:g} m "
                 f"at step {done + k}; reduce dt"
             )
         done += k
+        if outcome == _ESCAPED:
+            break
 
     escape = None
     if outcome == _ESCAPED:

@@ -528,21 +528,32 @@ class TestEstimateNa:
 
     @pytest.mark.parametrize("bad,message", [
         (dict(n_reps=0), "n_reps must be >= 1, got 0"),
+        (dict(n_reps=True), "n_reps must be an integer, got True"),
+        (dict(n_reps=2.5), "n_reps must be an integer, got 2.5"),
         (dict(burn_in=-50), "burn_in must be >= 0, got -50"),
+        (dict(burn_in=True), "burn_in must be an integer, got True"),
+        (dict(burn_in=2.5), "burn_in must be an integer, got 2.5"),
         (dict(burn_in=4902), "burn_in=4902 leaves 99 of the 5001 samples of a run"),
         (dict(burn_in=5000), "burn_in=5000 leaves 1 of the 5001 samples of a run"),
         (dict(burn_in=9000), "burn_in=9000 leaves -3999 of the 5001 samples of a run"),
-    ], ids=["no_reps", "negative_burn_in", "99_left", "1_left", "past_the_run"])
+        *((dict(na_values=na_values), "na_values must be a non-empty 1-D sequence")
+          for na_values in ([], 0.46, [[0.44, 0.46]], [[0.44], [0.46, 0.48]],
+                            [0.44, math.nan], [0.44, math.inf], "0.46", None)),
+    ], ids=["no_reps", "bool_reps", "fractional_reps", "negative_burn_in", "bool_burn_in",
+            "fractional_burn_in", "99_left", "1_left", "past_the_run", "no_na", "scalar_na",
+            "2d_na", "ragged_na", "nan_na", "inf_na", "text_na", "none_na"])
     def test_bad_sweep_size_rejected(self, beam, particle, bad, message, monkeypatch):
-        def no_runs(cfg):
+        def no_runs(cfg, **kwargs):
             raise AssertionError("a rejected sweep must not simulate")
 
         monkeypatch.setattr(dynamics, "simulate", no_runs)
+        monkeypatch.setattr(dynamics, "_noise_chunks", no_runs)
         target = (np.random.default_rng(0).standard_normal(5000) * 1e-8,
                   np.random.default_rng(1).standard_normal(5000) * 1e-8)
         with pytest.raises(ValueError, match=message):
-            estimate_na(target, [0.46], particle=particle, beam_template=beam,
-                        dt=2e-5, n_steps=5000, **{"n_reps": 2, "burn_in": 10, **bad})
+            estimate_na(target, particle=particle, beam_template=beam, dt=2e-5,
+                        n_steps=5000, **{"na_values": [0.46], "n_reps": 2, "burn_in": 10,
+                                         **bad})
 
     def test_bad_na_rejected_before_the_first_run(self, beam, particle, monkeypatch):
         # the last NA reaches n_medium = 1.53: no NA of the sweep is simulated.
@@ -614,16 +625,35 @@ def watch_runs(monkeypatch):
     held, refs = [], []
     run = dynamics.simulate
 
-    def watched(cfg):
+    def watched(cfg, **kwargs):
         gc.collect()
         held.append(sum(r() is not None for r in refs))
-        traj = run(cfg)
+        traj = run(cfg, **kwargs)
         owner = traj.positions if traj.positions.base is None else traj.positions.base
         refs.extend((weakref.ref(traj), weakref.ref(owner)))
         return traj
 
     monkeypatch.setattr(dynamics, "simulate", watched)
     return held
+
+
+def test_sweep_draws_each_repetitions_noise_once(beam, particle, monkeypatch):
+    # 5 NAs x 3 reps: one draw per repetition, which all five NAs' runs share
+    draws = []
+    noise_chunks = dynamics._noise_chunks
+
+    def counted(cfg):
+        draws.append(cfg.seed)
+        return noise_chunks(cfg)
+
+    monkeypatch.setattr(dynamics, "_noise_chunks", counted)
+    target = (np.random.default_rng(0).standard_normal(5000) * 3e-8,
+              np.random.default_rng(1).standard_normal(5000) * 3e-8)
+    result = estimate_na(target, [0.42, 0.44, 0.46, 0.48, 0.50], particle=particle,
+                         beam_template=beam, dt=1e-5, n_steps=5000, n_reps=3, seed=7,
+                         burn_in=500)
+    assert result.valid.all()
+    assert draws == dynamics.spawn_seeds(7, 3)
 
 
 @pytest.mark.parametrize("sweep", ["estimate_na", "corner_frequency_of",

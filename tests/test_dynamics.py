@@ -66,6 +66,14 @@ class TestSimConfig:
             SimConfig(particle=particle, dt=dt, n_steps=10,
                       force_model="harmonic", stiffness=1e-6)
 
+    @pytest.mark.parametrize("n_steps", [True, 2000.5, 2000.0, "2000", None])
+    def test_non_integer_n_steps_rejected(self, particle, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an integer, got "):
+            harmonic_cfg(particle, n_steps=n_steps)
+
+    def test_numpy_integer_n_steps(self, particle):
+        assert len(simulate(harmonic_cfg(particle, n_steps=np.int64(2000)))) == 2001
+
     def test_stability_bound_warning(self, particle):
         # dt above 0.1 gamma/k but still integrable: warn and proceed
         cfg = SimConfig(particle=particle, dt=5e-3, n_steps=10,
@@ -168,6 +176,15 @@ class TestSimulate:
             warnings.simplefilter("ignore")
             with pytest.raises(SimulationUnstableError):
                 simulate(cfg)
+
+    def test_given_noise_equals_the_drawn_noise_and_is_checked(self, particle):
+        cfg = harmonic_cfg(particle, n_steps=1000)
+        noise = list(dynamics._noise_chunks(cfg))
+        assert np.array_equal(simulate(cfg, noise=noise).positions, simulate(cfg).positions)
+        for bad in ([noise[0][:-1]], [noise[0], noise[0][:1]], [noise[0][:, :2]],
+                    [noise[0].ravel()], []):
+            with pytest.raises(ValueError, match="noise must hold n_steps=1000 rows of three"):
+                simulate(cfg, noise=bad)
 
     def test_scattering_force_pushes_along_beam(self, beam):
         # Rayleigh-sized cold particle parked on the axial barrier maximum,
@@ -345,6 +362,16 @@ needs_cc = pytest.mark.skipif(shutil.which(_compiled.COMPILER) is None,
                               reason="no C compiler to build the compiled stepper")
 
 
+# domain bound, boundary, sweep seed and each run's outcome in sweep order
+# (rep 0's NAs 0.40, 0.46, 0.55, then rep 1's): None for a full run, the step
+# of an escape, or the end of an unstable step's message
+SHARED_NOISE_SWEEPS = {
+    "absorb": (9e-8, "absorb", 1, [1261, None, None, 834, 12840, None]),
+    "reflect": (9e-8, "reflect", 1, [None] * 6),
+    "unstable": (1.4e-8, "reflect", 3, [None] * 5 + ["at step 54674; reduce dt"]),
+}
+
+
 class TestSimulateLanes:
     @needs_cc
     @pytest.mark.parametrize("boundary", ["absorb", "reflect"])
@@ -381,6 +408,58 @@ class TestSimulateLanes:
         with pytest.raises(SimulationUnstableError, match=message) as reference:
             reference_runs([cfg], monkeypatch)
         assert str(compiled.value) == str(reference.value)
+
+    @pytest.mark.parametrize("stepper", [pytest.param("compiled", marks=needs_cc),
+                                         "reference"])
+    @pytest.mark.parametrize("case", sorted(SHARED_NOISE_SWEEPS))
+    def test_shared_noise_sweep_runs_are_their_own_simulations(
+            self, beam, particle, monkeypatch, case, stepper):
+        # every (NA, rep) run of estimate_na steps through its repetition's
+        # shared noise and must be simulate(cfg.with_seed(s)) to the bit,
+        # escape and unstable step included
+        domain_bound, boundary, seed, outcomes = SHARED_NOISE_SWEEPS[case]
+        if stepper == "reference":
+            monkeypatch.setattr(_compiled, "load", lambda: None)
+        runs = []
+        run = dynamics.simulate
+
+        def recorded(cfg, **kwargs):
+            try:
+                traj = run(cfg, **kwargs)
+            except SimulationUnstableError as exc:
+                runs.append((cfg, str(exc)))
+                raise
+            runs.append((cfg, traj))
+            return traj
+
+        monkeypatch.setattr(dynamics, "simulate", recorded)
+        rng = np.random.default_rng(0)
+        target = (rng.standard_normal(5000) * 3e-8, rng.standard_normal(5000) * 3e-8)
+        nas = [0.40, 0.46, 0.55]
+        sweep = dict(particle=particle, beam_template=beam, dt=1e-5,
+                     n_steps=dynamics._NOISE_CHUNK + 300, n_reps=2, seed=seed,
+                     burn_in=1000, boundary=boundary, domain_bound=domain_bound)
+        if case == "unstable":
+            with pytest.raises(SimulationUnstableError):
+                estimate_na(target, nas, **sweep)
+        else:
+            estimate_na(target, nas, **sweep)
+
+        assert [(c.seed, c.coefficients) for c, _ in runs] == [
+            (s, quartic_coefficients(beam.with_na(na), particle))
+            for s in spawn_seeds(seed, 2) for na in nas]
+        for (cfg, shared), outcome in zip(runs, outcomes):
+            if isinstance(shared, str):
+                with pytest.raises(SimulationUnstableError) as own:
+                    simulate(cfg)
+                assert shared == str(own.value)
+                assert shared.endswith(outcome)
+                continue
+            own = simulate(cfg)
+            assert shared.positions.shape == own.positions.shape
+            assert np.array_equal(shared.positions, own.positions)
+            assert shared.escape == own.escape
+            assert (shared.escape and shared.escape.step) == outcome
 
     def test_small_and_dipole_ensembles_run_per_lane(self, beam, particle, monkeypatch):
         # an ensemble, at any width and for every model, is simulate per spawned seed
