@@ -3,7 +3,8 @@ stepper of darkfocus.dynamics.simulate; trajio.c, the row writer and parser
 of darkfocus._text, through which every float table is written and read;
 and binning.c, the single (rho, z) binning pass of
 darkfocus.calibration.reconstruct_potential, which counts every sample once
-into the grid of its fold.
+into the grid of its fold, and the x and y histograms of every run of
+darkfocus.calibration.estimate_na.
 
 The sources ship inside the package and are compiled together, on first
 use, into one shared library with the system C compiler, without
@@ -62,6 +63,9 @@ _SIGNATURES = {
     # (rho, positions, samples, folds, rho edges, rho bins, z edges, z bins, counts)
     "df_bin_rho_z": [_DOUBLES, _DOUBLES, ctypes.c_long, ctypes.c_long, _DOUBLES,
                      ctypes.c_long, _DOUBLES, ctypes.c_long, _OUT_COUNTS],
+    # (positions, rows, x edges, x bins, y edges, y bins, x counts, y counts)
+    "df_bin_xy": [_DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long,
+                  _OUT_COUNTS, _OUT_COUNTS],
 }
 
 
@@ -106,9 +110,9 @@ def build() -> Path:
 @functools.cache
 def load():
     """The compiled library with df_step_chunk, df_format_rows,
-    df_parse_rows and df_bin_rho_z typed, or None when it cannot be built;
-    the outcome is kept for the life of the process."""
-    fallback = ("the stepper, the table I/O and the potential binning run their "
+    df_parse_rows, df_bin_rho_z and df_bin_xy typed, or None when it
+    cannot be built; the outcome is kept for the life of the process."""
+    fallback = ("the stepper, the table I/O and the binning run their "
                 "Python reference code")
     try:
         library = ctypes.CDLL(str(build()))

@@ -5,15 +5,19 @@ reads back to the same bits; callers write and read their own header lines.
 The row loops run in trajio.c when darkfocus._compiled builds it, and
 otherwise in the Python reference writer and numpy.loadtxt, which give the
 same text and the same bits.  Text the compiled parser does not read goes
-to numpy.loadtxt as well, which raises the errors.  A report is key=value
-lines.
+to numpy.loadtxt as well, which raises the errors.  The compiled reader
+parses a table larger than _READ_BYTES in pieces, one per usable core, on
+the threads of darkfocus._parallel; the array is the same at every width.
+A report is key=value lines.
 """
 
 import ctypes
+import functools
+import os
 
 import numpy as np
 
-from . import _compiled
+from . import _compiled, _parallel
 
 _ROWS_PER_BLOCK = 8192
 # longest number df_format_rows writes, with the blank or line end after it
@@ -48,40 +52,98 @@ def write_table(fh, rows):
         fh.write(_python_rows(block) if library is None else _compiled_rows(library, block))
 
 
+def _count_lines(fh, start, stop, text):
+    """The number of line ends in the bytes [start, stop) of the open binary
+    file fh, read through the uint8 buffer text."""
+    lines, left = 0, stop - start
+    fh.seek(start)
+    while left and (read := fh.readinto(text[:left])):
+        lines += int(np.count_nonzero(text[:read] == ord("\n")))
+        left -= read
+    return lines
+
+
+def _parse_rows(fh, start, stop, text, library, pow5, comma, out):
+    """Parse the rows in the bytes [start, stop) of the open binary file fh
+    into out with df_parse_rows, in blocks of the uint8 buffer text; the
+    number of rows, or -1 when df_parse_rows cannot read them or one line
+    fills a whole block."""
+    nrows = ctypes.c_long(0)
+    done = kept = 0
+    fh.seek(start)
+    left = stop - start
+    while True:
+        read = fh.readinto(text[kept:kept + left])
+        left -= read
+        end = kept + read
+        used = library.df_parse_rows(text, end, read == 0, comma, pow5, out.shape[1],
+                                     out[done:], len(out) - done, ctypes.byref(nrows))
+        if used < 0:
+            return -1
+        done += nrows.value
+        if read == 0:
+            return done
+        kept = end - used
+        if kept == len(text):
+            return -1
+        text[:kept] = text[used:end]
+
+
+def _on_piece(path, step, piece, *args):
+    """step(fh, start, stop, text, *args) on a handle and a buffer of its own,
+    for one piece (start, stop) of path parsed on a thread."""
+    with open(path, "rb") as fh:
+        return step(fh, *piece, np.empty(_READ_BYTES, dtype=np.uint8), *args)
+
+
 def _compiled_read(library, path, n_header, comma, ncols):
     """The data rows after the first n_header lines, ncols numbers each,
     parsed by trajio.c's df_parse_rows in blocks of _READ_BYTES; None when
     the rows are not plain decimal numbers in the forms it reads, and the
     reference reader must decide.  A first pass counts the lines, so the
-    rows go straight into an array of their final size."""
+    rows go straight into an array of their final size.  Data larger than
+    _READ_BYTES is cut, each cut just after a line end, into one piece per
+    _READ_BYTES up to one per usable core; the pieces are counted and then
+    parsed on darkfocus._parallel's threads, each into its own rows of the
+    one array, which is compacted in place when blank lines leave a piece
+    short."""
     pow5 = _compiled.decimal_table()
-    text = np.empty(_READ_BYTES, dtype=np.uint8)
-    nrows = ctypes.c_long(0)
     with open(path, "rb") as fh:
         for _ in range(n_header):
             # a lone CR ends a line in the text-mode header scan, not here
             if b"\r" in fh.readline().removesuffix(b"\r\n"):
                 return None
-        start, lines = fh.tell(), 1
-        while read := fh.readinto(text):
-            lines += np.count_nonzero(text[:read] == ord("\n"))
-        fh.seek(start)
-        data = np.empty((lines, ncols))
-        done = kept = 0
-        while True:
-            read = fh.readinto(text[kept:])
-            end = kept + read
-            used = library.df_parse_rows(text, end, read == 0, comma, pow5, ncols,
-                                         data[done:], lines - done, ctypes.byref(nrows))
-            if used < 0:
-                return None
-            done += nrows.value
-            if read == 0:
-                break
-            kept = end - used
-            if kept == len(text):
-                return None  # one line fills the whole block
-            text[:kept] = text[used:end]
+        start = fh.tell()
+        stop = fh.seek(0, os.SEEK_END)
+        n = min(_parallel.width(), -(-(stop - start) // _READ_BYTES))
+        if n <= 1:
+            text = np.empty(_READ_BYTES, dtype=np.uint8)
+            # only the last line can lack a line end
+            data = np.empty((_count_lines(fh, start, stop, text) + 1, ncols))
+            done = _parse_rows(fh, start, stop, text, library, pow5, comma, data)
+            return data[:done] if done > 0 else None
+        cuts = [start]
+        for k in range(1, n):
+            fh.seek(start + (stop - start) * k // n)
+            cuts.append(fh.tell() + len(fh.readline()))
+    cuts.append(stop)
+    # a cut lands on the end of the data when no line end follows it
+    pieces = [piece for piece in zip(cuts, cuts[1:]) if piece[0] < piece[1]]
+    lines = list(_parallel.ordered_map(
+        functools.partial(_on_piece, path, _count_lines), pieces))
+    lines[-1] += 1  # only the last piece can end without a line end
+    offsets = np.cumsum([0, *lines]).tolist()
+    data = np.empty((offsets[-1], ncols))
+    parsed = list(_parallel.ordered_map(
+        lambda k: _on_piece(path, _parse_rows, pieces[k], library, pow5, comma,
+                            data[offsets[k]:offsets[k + 1]]), range(len(pieces))))
+    if min(parsed) < 0:
+        return None
+    done = 0
+    for offset, rows in zip(offsets, parsed):
+        if offset != done:
+            data[done:done + rows] = data[offset:offset + rows]
+        done += rows
     return data[:done] if done else None
 
 

@@ -1,13 +1,15 @@
-/* Per-fold (rho, z) histogram of darkfocus.calibration.reconstruct_potential.
+/* Per-fold (rho, z) histogram of darkfocus.calibration.reconstruct_potential,
+   and the x and y histograms of each run of darkfocus.calibration.estimate_na.
 
    One pass over the samples counts each one into the grid of its fold, the
    folds being the contiguous pieces numpy.array_split cuts: the first
    n % n_folds hold n / n_folds + 1 samples, the others n / n_folds.  A
-   value's bin is the one numpy.histogramdd gives it against the same
-   edges: the last edge e[k] <= v (searchsorted right), with v equal to the
-   last edge in the last bin, and values outside [e[0], e[m]] or NaN
-   dropped.  Arithmetic only guesses the bin; comparisons against the edges
-   decide it, so rounding in the guess cannot move a sample. */
+   value's bin is the one numpy.histogram and numpy.histogramdd give it
+   against the same edges: the last edge e[k] <= v (searchsorted right),
+   with v equal to the last edge in the last bin, and values outside
+   [e[0], e[m]] or NaN dropped.  Arithmetic only guesses the bin;
+   comparisons against the edges decide it, so rounding in the guess cannot
+   move a sample. */
 
 #include <stdint.h>
 
@@ -52,4 +54,24 @@ long df_bin_rho_z(const double *rho, const double *pos, long n, long n_folds,
         }
     }
     return counted;
+}
+
+/* Counts the x and y columns of the n rows of three numbers pos into the
+   mx bins of x_edges and the my bins of y_edges, as numpy.histogram(pos[:,
+   0], x_edges) and numpy.histogram(pos[:, 1], y_edges) do: x_counts and
+   y_counts hold mx and my zeroed int64.  Returns the rows read. */
+long df_bin_xy(const double *pos, long n, const double *x_edges, long mx,
+               const double *y_edges, long my, int64_t *x_counts, int64_t *y_counts)
+{
+    double x_scale = mx / (x_edges[mx] - x_edges[0]);
+    double y_scale = my / (y_edges[my] - y_edges[0]);
+    for (long i = 0; i < n; i++) {
+        long kx = bin_of(pos[3 * i], x_edges, mx, x_scale);
+        long ky = bin_of(pos[3 * i + 1], y_edges, my, y_scale);
+        if (kx >= 0)
+            x_counts[kx]++;
+        if (ky >= 0)
+            y_counts[ky]++;
+    }
+    return n;
 }

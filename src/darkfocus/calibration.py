@@ -7,13 +7,15 @@ NA by Kullback-Leibler divergence minimization, which for histogram
 likelihoods is maximum-likelihood estimation over the sweep family.
 """
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _compiled, dynamics
+from . import _compiled, _parallel, dynamics
 from ._text import write_values
 from .beam import BeamParams
 from .dynamics import SimConfig, Trajectory, spawn_seeds
@@ -445,6 +447,21 @@ def _target_marginals(target):
     return histogram_pdf(x, bins="fd"), histogram_pdf(y, bins="fd")
 
 
+def _xy_counts(positions, x_edges, y_edges):
+    """numpy.histogram(positions[:, axis], bins=edges)[0] of an (n, 3) array
+    for its x and y columns, counted in one pass by binning.c when it builds;
+    both give the same counts."""
+    library = _compiled.load()
+    if library is None:
+        return [np.histogram(positions[:, axis], bins=edges)[0]
+                for axis, edges in enumerate((x_edges, y_edges))]
+    x_edges, y_edges = (np.ascontiguousarray(e, dtype=float) for e in (x_edges, y_edges))
+    counts = [np.zeros(len(e) - 1, dtype=np.int64) for e in (x_edges, y_edges)]
+    library.df_bin_xy(np.ascontiguousarray(positions), len(positions), x_edges,
+                      len(x_edges) - 1, y_edges, len(y_edges) - 1, *counts)
+    return counts
+
+
 def _reduce_run(traj: Trajectory, burn_in, marginals):
     """A finished sweep run reduced to the integer counts of its x and y
     samples after burn_in on the marginals' edges and its corner frequency
@@ -452,8 +469,7 @@ def _reduce_run(traj: Trajectory, burn_in, marginals):
     if traj.escape is not None:
         return None
     positions = traj.positions[burn_in:]
-    counts = [np.histogram(positions[:, axis], bins=p.bin_edges)[0]
-              for axis, p in enumerate(marginals)]
+    counts = _xy_counts(positions, *(p.bin_edges for p in marginals))
     return counts, _run_corner_frequency(Trajectory(dt=traj.dt, positions=positions))
 
 
@@ -488,11 +504,14 @@ def estimate_na(
     The repetitions run one after another on the seeds spawn_seeds(seed,
     n_reps): a repetition's noise is drawn once, and every NA's run of that
     seed steps through it, so an NA's runs are those of
-    simulate_ensemble(cfg, n_reps) with cfg.seed = seed, to the bit.  Each
-    run is reduced as it finishes to integer x and y histogram counts after
-    burn_in and a corner frequency, then dropped; the summed counts of an
-    NA are those of its pooled samples.  The inputs and every NA are checked
-    before the first run.
+    simulate_ensemble(cfg, n_reps) with cfg.seed = seed, to the bit.  The
+    runs are simulated on the calling thread in that order.  Each run is
+    reduced as it finishes to integer x and y histogram counts after burn_in
+    and a corner frequency, on a thread of darkfocus._parallel.ordered_map
+    while the next run is simulated, then dropped: at most one run per
+    usable core awaits its reduction.  The summed counts of an NA are those
+    of its pooled samples, and the result is the same bits at every width.
+    The inputs and every NA are checked before the first run.
     """
     bad_na_values = "na_values must be a non-empty 1-D sequence of finite NAs"
     try:
@@ -519,17 +538,21 @@ def estimate_na(
         seed=seed, boundary=boundary, domain_bound=domain_bound,
     ) for na in na_values.tolist()]
 
+    def runs():
+        for s in spawn_seeds(seed, n_reps):
+            # the configs differ only in their coefficients, and a run's noise
+            # depends on its seed, particle, dt and n_steps: one draw serves all
+            noise = list(dynamics._noise_chunks(cfgs[0].with_seed(s)))
+            for cfg in cfgs:
+                yield dynamics.simulate(cfg.with_seed(s), noise=noise)
+
     # the reduced runs of each NA in rep order; escaped runs leave none
     tallies = [[] for _ in cfgs]
-    for s in spawn_seeds(seed, n_reps):
-        # the configs differ only in their coefficients, and a run's noise
-        # depends on its seed, particle, dt and n_steps: one draw serves all
-        noise = list(dynamics._noise_chunks(cfgs[0].with_seed(s)))
-        for cfg, kept in zip(cfgs, tallies):
-            reduced = _reduce_run(dynamics.simulate(cfg.with_seed(s), noise=noise),
-                                  burn_in, marginals)
-            if reduced is not None:
-                kept.append(reduced)
+    reduced = _parallel.ordered_map(functools.partial(_reduce_run, burn_in=burn_in,
+                                                      marginals=marginals), runs())
+    for kept, run in zip(itertools.cycle(tallies), reduced):
+        if run is not None:
+            kept.append(run)
 
     kl = np.full(len(na_values), math.inf)
     fc = np.full(len(na_values), math.nan)

@@ -79,7 +79,7 @@ _DEFAULTS = {
     },
     "sweep": {
         "na_start": 0.40, "na_stop": 0.60, "na_step": 0.01, "n_reps": 4,
-        "n_steps": 60_000, "dt": 2e-4, "target": None, "target_fc": None,
+        "n_steps": 60_000, "dt": 2e-5, "target": None, "target_fc": None,
         "boundary": "absorb", "domain_bound": None, "burn_in": 500,
     },
     "absorption": {

@@ -24,8 +24,11 @@ with the numbers it reads and as the reference loop's plain-float closure
 built from those same numbers; the compiled stepper repeats the
 reference's operations in the same order, so both give the same bits.
 simulate_ensemble is the one ensemble path of independent runs: it yields
-one run per spawned seed, simulated when asked for.  The calibration
-sweeps reduce each run as it arrives and keep no positions.
+one run per spawned seed, simulated when asked for.  Every run is
+simulated on the calling thread, in sweep order, so its warnings and
+errors come from there.  The calibration sweeps reduce each run as it
+arrives and keep no positions; estimate_na reduces on up to one thread
+per usable core (darkfocus._parallel) while the next run is simulated.
 
 Trajectory files are t x y z text rows under a '#' header.  save_trajectory
 and load_trajectory write and read the header themselves and the rows

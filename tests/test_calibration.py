@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import os
 import weakref
 
 import numpy as np
@@ -28,7 +29,13 @@ from darkfocus import (
     simulate,
 )
 from darkfocus import _compiled, dynamics
-from darkfocus.calibration import _edges, _fit_quartic_once, _fold_counts, _ks_null_table
+from darkfocus.calibration import (
+    _edges,
+    _fit_quartic_once,
+    _fold_counts,
+    _ks_null_table,
+    _xy_counts,
+)
 
 
 def sample_quartic_marginal(n, rng):
@@ -465,6 +472,52 @@ class TestFoldCounts:
         self.check(rho, z, 2, (4, 4), 0.0, 0.0)
 
 
+class TestXyCounts:
+    """The x and y histograms of a sweep run against numpy.histogram of each
+    column, on the compiled kernel and on the reference path."""
+
+    @pytest.fixture(autouse=True, params=["compiled", "reference"])
+    def path(self, request, monkeypatch):
+        if request.param == "reference":
+            monkeypatch.setattr(_compiled, "load", lambda: None)
+        elif _compiled.load() is None:
+            pytest.skip("no C compiler to build the binning kernel")
+
+    @staticmethod
+    def check(positions, x_edges, y_edges):
+        counts = _xy_counts(positions, x_edges, y_edges)
+        for axis, edges in enumerate((x_edges, y_edges)):
+            expected = np.histogram(positions[:, axis], bins=edges)[0]
+            assert counts[axis].dtype == np.int64
+            assert counts[axis].tobytes() == expected.tobytes()
+        return counts
+
+    def test_random_samples(self, rng):
+        pos = rng.standard_normal((100_003, 3)) * 1e-7
+        counts = self.check(pos, np.linspace(-3e-7, 3e-7, 41), np.linspace(-2e-7, 2.5e-7, 17))
+        assert 0 < counts[0].sum() < len(pos)
+
+    @pytest.mark.parametrize("n_bins", [1, 7, 40])
+    def test_edges_their_neighbours_and_outliers(self, rng, n_bins):
+        x_edges = np.linspace(-0.987e-7, 1.234e-7, n_bins + 1)
+        y_edges = np.linspace(-2.5e-8, 7.5e-8, n_bins + 1)
+
+        def around(edges):
+            return rng.permutation(np.concatenate([
+                edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                [-2e-7, 3e-7, math.nan, math.inf, -math.inf]]))
+
+        pos = np.column_stack([around(x_edges), around(y_edges), np.zeros(3 * n_bins + 8)])
+        counts = self.check(pos, x_edges, y_edges)
+        # every edge and both neighbours inside the range are counted
+        assert counts[0].sum() == counts[1].sum() == 3 * (n_bins + 1) - 2
+
+    def test_uneven_edges(self, rng):
+        pos = rng.uniform(-1.0, 1.0, (5000, 3))
+        edges = np.array([-0.9, -0.8999, -0.5, 0.0, 1e-9, 0.3, 0.95])
+        self.check(pos, edges, np.sort(rng.uniform(-1.0, 1.0, 12)))
+
+
 class TestEstimateNa:
     def test_round_trip_coarse(self, beam, particle):
         true_na = 0.46
@@ -659,8 +712,10 @@ def test_sweep_draws_each_repetitions_noise_once(beam, particle, monkeypatch):
 @pytest.mark.parametrize("sweep", ["estimate_na", "corner_frequency_of",
                                    "simulate_ensemble"])
 def test_sweeps_drop_each_run_before_the_next(beam, particle, monkeypatch, sweep):
-    # a sweep reduces every run as it finishes: when it asks for the next run
-    # it holds no earlier trajectory and no array of their positions
+    # on one core a sweep reduces every run as it finishes: when it asks for
+    # the next run it holds no earlier trajectory and no array of their
+    # positions
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     held = watch_runs(monkeypatch)
     if sweep == "estimate_na":
         target = simulate(SimConfig(particle=particle, dt=1e-5, n_steps=20_000,
@@ -680,3 +735,18 @@ def test_sweeps_drop_each_run_before_the_next(beam, particle, monkeypatch, sweep
             assert list(map(len, dynamics.simulate_ensemble(cfg, 5))) == [20_001] * 5
         assert len(held) == 5
     assert held == [0] * len(held)
+
+
+def test_sweeps_hold_at_most_width_runs(beam, particle, monkeypatch):
+    # on two cores at most two runs await their reduction when the next run
+    # is simulated, however many runs the sweep has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    held = watch_runs(monkeypatch)
+    target = simulate(SimConfig(particle=particle, dt=1e-5, n_steps=20_000,
+                                coefficients=quartic_coefficients(beam, particle), seed=4))
+    result = estimate_na(target, [0.44, 0.45, 0.46, 0.47], particle=particle,
+                         beam_template=beam, dt=1e-5, n_steps=10_000, n_reps=4,
+                         seed=5, burn_in=500)
+    assert result.valid.all() and np.isfinite(result.fc).all()
+    assert len(held) == 16
+    assert max(held) <= 2

@@ -385,6 +385,16 @@ class TestSweepNaCommand:
     def test_missing_target_is_config_error(self, tmp_path):
         assert main(["sweep-na", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_default_sweep_runs(self, tmp_path):
+        # the default grid, step and run length need only a target
+        target_out = tmp_path / "target"
+        assert main(["simulate", "--out", str(target_out)]) == EXIT_OK
+        cfg = write_config(tmp_path, {"sweep": {"target": str(target_out / "trajectory.txt")}})
+        out = tmp_path / "o"
+        assert main(["sweep-na", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = np.loadtxt(out / "na_sweep.txt", skiprows=1)
+        assert len(rows) == 21 and rows[:, 4].all()
+
     @pytest.mark.parametrize("sweep", [
         {"na_step": 0.0},
         {"na_start": 0.50, "na_stop": 0.44},

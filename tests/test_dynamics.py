@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import os
 import shutil
 import subprocess
 import warnings
@@ -461,6 +462,32 @@ class TestSimulateLanes:
             assert shared.escape == own.escape
             assert (shared.escape and shared.escape.step) == outcome
 
+    @pytest.mark.parametrize("case", [*sorted(SHARED_NOISE_SWEEPS), "no wall"])
+    def test_shared_noise_sweeps_do_not_depend_on_width(self, beam, particle, monkeypatch,
+                                                        case):
+        # every array of the result, or the error, is the same at widths 1 and 2
+        domain_bound, boundary, seed, _ = SHARED_NOISE_SWEEPS.get(
+            case, (None, "absorb", 5, None))
+        rng = np.random.default_rng(0)
+        target = (rng.standard_normal(5000) * 3e-8, rng.standard_normal(5000) * 3e-8)
+        sweep = dict(particle=particle, beam_template=beam, dt=1e-5,
+                     n_steps=dynamics._NOISE_CHUNK + 300, n_reps=2, seed=seed,
+                     burn_in=1000, boundary=boundary, domain_bound=domain_bound,
+                     target_fc=(40.0, 20.0))
+        outcomes = []
+        for width in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=width: set(range(n)))
+            try:
+                result = estimate_na(target, [0.40, 0.46, 0.55], **sweep)
+            except SimulationUnstableError as exc:
+                outcomes.append(str(exc))
+                continue
+            outcomes.append([v.tobytes() for v in (
+                result.na_values, result.kl, result.fc, result.fc_err, result.valid,
+                result.fc_compatible)] + [result.argmin_na, result.fc_interval])
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (case == "unstable")
+
     def test_small_and_dipole_ensembles_run_per_lane(self, beam, particle, monkeypatch):
         # an ensemble, at any width and for every model, is simulate per spawned seed
         calls = []
@@ -521,7 +548,7 @@ class TestCompiledStepper:
 def test_source_ships_with_the_package():
     exports = {"integrator.c": ["df_step_chunk"],
                "trajio.c": ["df_format_rows", "df_parse_rows"],
-               "binning.c": ["df_bin_rho_z"]}
+               "binning.c": ["df_bin_rho_z", "df_bin_xy"]}
     assert _compiled.SOURCES == tuple(exports)
     for name, functions in exports.items():
         source = resources.files("darkfocus").joinpath(name)

@@ -215,6 +215,32 @@ class TestFitLorentzian:
             assert fit_lorentzian(psd).f_c == pytest.approx(
                 fc_by_brentq(psd, monkeypatch), rel=1e-14)
 
+    def test_slope_is_the_plain_profiled_gradient(self, beam, particle, monkeypatch):
+        # the root search's in-place slope gives, wherever it is evaluated,
+        # the bits of sum (r - mean r)(d - mean d) written out plainly
+        calls = []
+        root = spectral.bracketed_root
+
+        def recorded(f, a, b):
+            def evaluated(u):
+                calls.append((u, f(u)))
+                return calls[-1][1]
+            return root(evaluated, a, b)
+
+        monkeypatch.setattr(spectral, "bracketed_root", recorded)
+        for psd in criterion6_spectra(beam, particle)[::3]:
+            calls.clear()
+            fit_lorentzian(psd)
+            lo, hi = default_fit_range(psd)
+            mask = (psd.frequencies >= lo) & (psd.frequencies <= hi)
+            f2, log_s = psd.frequencies[mask] ** 2, np.log(psd.psd[mask])
+            assert len(calls) > 10
+            for u, value in calls:
+                fc2 = math.exp(2.0 * u)
+                g = log_s + np.log(fc2 + f2)
+                d = 2.0 * fc2 / (fc2 + f2)
+                assert value == float((g - g.mean()) @ (d - d.mean()))
+
     def test_corner_frequency_near_one_hertz_equals_brentq(self, particle, monkeypatch):
         # ln f_c near 0: the bracket in u = ln f_c straddles zero
         freqs = np.linspace(0.05, 20.0, 400)

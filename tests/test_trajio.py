@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import struct
 import sys
@@ -227,3 +228,86 @@ class TestParser:
             code = main(["psd", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in stderr.getvalue()
+
+
+def read_both(path, monkeypatch):
+    """read_table on the compiled path and on numpy.loadtxt: each rows
+    array, or the type and message of the error each raised."""
+    results = []
+    for reference in (False, True):
+        with monkeypatch.context() as m:
+            if reference:
+                m.setattr(_compiled, "load", lambda: None)
+            try:
+                results.append(_text.read_table(path)[1])
+            except ValueError as exc:
+                results.append((type(exc), str(exc)))
+    return results
+
+
+ROW_LINES = [f"{k} {k}.5 -{k}e-7 {k % 3}\n" for k in range(24)]
+ROWS = "".join(ROW_LINES)
+TABLE_BODIES = {
+    # the blank lines hold the middle byte, where two pieces are cut
+    "blank lines at a cut": "".join(ROW_LINES[:12]) + "\n \n\n\t\n" * 8
+                            + "".join(ROW_LINES[12:]),
+    "crlf": ROWS.replace("\n", "\r\n"),
+    "comma rows": ROWS.replace(" ", ", "),
+    "no trailing newline": ROWS.rstrip("\n"),
+    "smaller than a block": ROWS[:42],
+    "fewer rows than pieces": "1.5 2.5 3.5 4.5\n" + "\n" * 60,
+    "nan in the last piece": ROWS + "1 2 3 nan\n",
+    "ragged row in the last piece": ROWS + "1 2 3\n",
+}
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("body", sorted(TABLE_BODIES))
+def test_read_table_does_not_depend_on_width(library, tmp_path, monkeypatch, body, width):
+    # the data is cut into one piece per _READ_BYTES up to width pieces,
+    # each parsed on its own thread into its own rows: loadtxt's array or
+    # error whatever the pieces
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)))
+    path = tmp_path / "table.txt"
+    path.write_bytes((HEADER + TABLE_BODIES[body]).encode())
+    pieces = []
+    parse_rows = _text._parse_rows
+
+    def parsed(fh, start, stop, *args):
+        pieces.append((start, stop))
+        return parse_rows(fh, start, stop, *args)
+
+    monkeypatch.setattr(_text, "_parse_rows", parsed)
+    for read_bytes in (32, 64, 1 << 20):
+        monkeypatch.setattr(_text, "_READ_BYTES", read_bytes)
+        pieces.clear()
+        rows = _text._compiled_read(library, path, HEADER.count("\n"),
+                                    "," in TABLE_BODIES[body], 4)
+        if read_bytes == 32:
+            assert len(pieces) == width
+        elif read_bytes == 1 << 20:
+            assert len(pieces) == 1
+        assert (rows is None) == body.endswith("last piece")
+        compiled, reference = read_both(path, monkeypatch)
+        if isinstance(reference, tuple):
+            assert compiled == reference
+        else:
+            assert compiled.shape == reference.shape
+            assert compiled.tobytes() == reference.tobytes()
+
+
+def test_read_table_stress_more_pieces_than_cores(library, tmp_path, monkeypatch):
+    # eight threads write disjoint row ranges of one array, switching often
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(_text, "_READ_BYTES", 4096)
+    rng = np.random.default_rng(11)
+    traj = Trajectory(dt=1e-3, positions=rng.standard_normal((20_000, 3)))
+    path = tmp_path / "stress.txt"
+    save_trajectory(traj, path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert load_trajectory(path).positions.tobytes() == traj.positions.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
