@@ -27,8 +27,8 @@ __all__ = [
 
 # Grids above this many cells are almost certainly a misconfigured spec.
 MAX_GRID_CELLS = 50_000_000
-# Bound on the radial order: the Laguerre polynomial of order p is built from
-# p + 1 big-integer coefficients (1 s at p = 3000), and bottle beams use p <= 5.
+# Bound on the radial order: bottle beams use p <= 5, and the power of a mode
+# of p <= 100 lies within absorption._REACH_WAISTS of the axis.
 _MAX_P_INDEX = 100
 
 
@@ -126,6 +126,18 @@ def _phase_components(theta_rel):
     return math.cos(theta_rel), math.sin(theta_rel)
 
 
+def _laguerre(n, alpha, u):
+    """(L_n^alpha(u), dL_n^alpha/du) by the three-term recurrence, which stays
+    accurate up to n = 100 where a sum of monomials cancels.  The derivative
+    is -L_{n-1}^{alpha+1} = -(L_0^alpha + ... + L_{n-1}^alpha), summed in the
+    same loop; integrator.c repeats the loop for alpha = 0."""
+    lag_prev, lag, dlag = 0.0, 1.0, 0.0
+    for k in range(n):
+        dlag = dlag - lag
+        lag_prev, lag = lag, ((2 * k + 1 + alpha - u) * lag - (k + alpha) * lag_prev) / (k + 1)
+    return lag, dlag
+
+
 def lg_mode(params: BeamParams, ell: int, p: int, rho, z, phi=0.0):
     """Normalized Laguerre-Gauss amplitude u_{l,p}(rho, phi, z) in 1/m.
 
@@ -154,11 +166,7 @@ def lg_mode(params: BeamParams, ell: int, p: int, rho, z, phi=0.0):
     norm = math.sqrt(2.0 / math.pi) * math.sqrt(
         math.factorial(p) / math.factorial(la + p)
     )
-    # L_p^|l|(x) by its three-term recurrence, which stays accurate at large
-    # p where the monomial sum of _laguerre_coefficients cancels
-    lag_prev, lag = 0.0, np.ones_like(x)
-    for k in range(p):
-        lag_prev, lag = lag, ((2 * k + 1 + la - x) * lag - (k + la) * lag_prev) / (k + 1)
+    lag, _ = _laguerre(p, la, x)
     amp = (
         norm
         / np.sqrt(w2)
@@ -184,22 +192,13 @@ def gaussian_intensity(params: BeamParams, rho, z):
 _ARRAY_MATH = (np.exp, np.arctan, np.cos, np.sin)
 
 
-def _laguerre_coefficients(n, alpha):
-    """Coefficients of L_n^alpha, highest power first, each rounded once."""
-    return [(-1) ** k * math.comb(n + alpha, n - k) / math.factorial(k)
-            for k in range(n, -1, -1)]
-
-
 def _bottle_constants(params: BeamParams):
-    """(p, w0^2, z_R, P0, cos and sin of theta_rel, coefficients of L_p and of
-    dL_p/du): every number the bottle-field kernel reads, for the Python
-    closure below and the compiled integrator alike."""
-    p = params.p_index
+    """(p, w0^2, z_R, P0, cos and sin of theta_rel): every number the
+    bottle-field kernel reads, for the Python closure below and the compiled
+    integrator alike."""
     ct, st = _phase_components(params.theta_rel)
-    # dL_p^0/du = -L_{p-1}^1
-    dlag_c = [-c for c in _laguerre_coefficients(p - 1, 1)]
-    return (p, params.waist * params.waist, params.rayleigh_range, params.p_total,
-            ct, st, _laguerre_coefficients(p, 0), dlag_c)
+    return (params.p_index, params.waist * params.waist, params.rayleigh_range,
+            params.p_total, ct, st)
 
 
 def _bottle_field(params: BeamParams, scale=1.0, fns=_ARRAY_MATH):
@@ -213,18 +212,14 @@ def _bottle_field(params: BeamParams, scale=1.0, fns=_ARRAY_MATH):
     and integrator.c repeats it for the compiled integrator.
     """
     exp, atan, cos, sin = fns
-    p, w0sq, zr, p_total, ct, st, lag_c, dlag_c = _bottle_constants(params)
+    p, w0sq, zr, p_total, ct, st = _bottle_constants(params)
 
     def field(rho2, z):
         t = z / zr
         one_t2 = 1.0 + t * t
         w2 = w0sq * one_t2
         u = 2.0 * rho2 / w2
-        lag = dlag = 0.0
-        for c in lag_c:
-            lag = lag * u + c
-        for c in dlag_c:
-            dlag = dlag * u + c
+        lag, dlag = _laguerre(p, 0, u)
         tau = atan(t)
         c2p, s2p = cos(2 * p * tau), sin(2 * p * tau)
         cos_rel = ct * c2p + st * s2p
@@ -263,9 +258,11 @@ def _bottle_peaks(params: BeamParams):
     """(location, intensity) of the focal-plane and of the on-axis maximum.
 
     Each is the first interior maximum on a 2001-point grid over (0, 4 w0]
-    or (0, 6 z_R], located as the root of the bottle field's radial or
-    axial gradient between the grid points either side of it.  The
-    gradient crosses zero with a nonzero slope, so the root, unlike the
+    or (0, 6 z_R]: the first grid point above its left neighbour and not
+    below its right one, and above the profile's value at 0, so that a
+    bright centre is no bottle.  The peak is the root of the bottle field's
+    radial or axial gradient between the grid points either side of it.
+    The gradient crosses zero with a nonzero slope, so the root, unlike the
     argmax of the intensity, is fixed to a few ulps.
     """
     field = _bottle_field(params)
@@ -278,12 +275,14 @@ def _bottle_peaks(params: BeamParams):
     peaks = []
     for profile, hi in profiles:
         s = np.linspace(0.0, hi, 2001)
-        k = int(np.argmax(profile(s)[0]))
-        if k == 0 or k == len(s) - 1:
+        i = profile(s)[0]
+        maxima = np.flatnonzero((i[1:-1] > i[:-2]) & (i[1:-1] >= i[2:])) + 1
+        if not (len(maxima) and i[0] < i[maxima[0]]):
             raise RuntimeError(
                 "intensity maximum not bracketed by the search grid; "
                 "no bottle structure for these parameters"
             )
+        k = maxima[0]
         try:
             peak = bracketed_root(lambda u: float(profile(u)[1]), float(s[k - 1]),
                                   float(s[k + 1]))

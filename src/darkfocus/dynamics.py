@@ -270,8 +270,7 @@ def _force_model(cfg: SimConfig):
     # an index-matched particle has no dipole and no scattering force
     scat = (_scattering_prefactor(cfg.beam, cfg.particle) / pref
             if cfg.include_scattering and pref else 0.0)
-    p, w0sq, zr, p_total, ct, st, lag_c, dlag_c = _bottle_constants(cfg.beam)
-    coef = (p, w0sq, zr, p_total, ct, st, math.pi, pref, scat, *lag_c, *dlag_c)
+    coef = (*_bottle_constants(cfg.beam), math.pi, pref, scat)
     field = _bottle_field(cfg.beam, pref, (math.exp, math.atan, math.cos, math.sin))
 
     def force(x, y, z):

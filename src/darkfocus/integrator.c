@@ -35,26 +35,27 @@ static vec3 quartic(const double *c, double x, double y, double z)
 }
 
 /* coef = p, w0^2, z_R, P0, cos and sin of theta_rel, pi, potential
-   prefactor, scattering prefactor over it (0 without scattering), then the
-   p + 1 coefficients of L_p and the p of dL_p/du, highest power first;
+   prefactor, scattering prefactor over it (0 without scattering);
    darkfocus.beam._bottle_field and darkfocus.dynamics._force_model */
 static vec3 dipole(const double *c, double x, double y, double z)
 {
     int p = (int)c[0];
     double w0sq = c[1], zr = c[2], p_total = c[3], ct = c[4], st = c[5];
     double pi = c[6], scale = c[7], scat = c[8];
-    const double *lag_c = c + 9, *dlag_c = c + 10 + p;
 
     double rho2 = x * x + y * y;
     double t = z / zr;
     double one_t2 = 1.0 + t * t;
     double w2 = w0sq * one_t2;
     double u = 2.0 * rho2 / w2;
-    double lag = 0.0, dlag = 0.0;
-    for (int k = 0; k <= p; k++)
-        lag = lag * u + lag_c[k];
-    for (int k = 0; k < p; k++)
-        dlag = dlag * u + dlag_c[k];
+    /* L_p(u) and dL_p/du: the recurrence of darkfocus.beam._laguerre */
+    double lag_prev = 0.0, lag = 1.0, dlag = 0.0;
+    for (int k = 0; k < p; k++) {
+        double next = ((2 * k + 1 - u) * lag - k * lag_prev) / (k + 1);
+        dlag = dlag - lag;
+        lag_prev = lag;
+        lag = next;
+    }
     double tau = atan(t);
     double c2p = cos(2 * p * tau), s2p = sin(2 * p * tau);
     double cos_rel = ct * c2p + st * s2p;

@@ -15,6 +15,7 @@ from darkfocus import (
     lg_mode,
     render_intensity_grid,
 )
+from darkfocus import beam as beam_module
 from darkfocus.beam import load_intensity_grid_values
 
 
@@ -224,12 +225,32 @@ class TestBottleGeometry:
         assert w == pytest.approx(2 * b.waist, rel=4 * eps, abs=0.0)
         assert h == pytest.approx(2 * b.rayleigh_range, rel=4 * eps, abs=0.0)
 
-    def test_unresolved_maximum_is_numerical_error(self):
-        # at p = 39 the grid maximum of the radial profile sits at 3.96 w0,
-        # where the Laguerre polynomial's round-off exceeds its value
-        b = BeamParams(lambda0=780e-9, n_medium=1.53, na=0.46, p_total=0.05, p_index=39)
+    def test_unresolved_maximum_is_numerical_error(self, monkeypatch):
+        # a gradient without a sign change about the grid maximum is round-off,
+        # not a peak; no BeamParams reaches this, so the root finder is stubbed
+        def no_sign_change(f, a, b):
+            raise ValueError("f(a) and f(b) have the same sign")
+
+        monkeypatch.setattr(beam_module, "bracketed_root", no_sign_change)
+        b = BeamParams(lambda0=780e-9, n_medium=1.53, na=0.46, p_total=0.05, p_index=2)
         with pytest.raises(RuntimeError, match="intensity maximum not resolved"):
             bottle_geometry(b)
+
+    @pytest.mark.parametrize("p", [39, 69, 100])
+    def test_large_order_bottle_is_the_first_maximum(self, p):
+        # on axis at theta = pi the intensity goes as (1 - cos 2p atan t)/(1 + t^2),
+        # whose first maximum lies just inside t = tan(pi/2p); at p = 69 a
+        # later axial maximum is the brightest point of the search grid
+        b = BeamParams(lambda0=780e-9, n_medium=1.53, na=0.46, p_total=0.05, p_index=p)
+        w, h = bottle_geometry(b)
+        assert h / 2 == pytest.approx(math.tan(math.pi / (2 * p)) * b.rayleigh_range,
+                                      rel=2e-3)
+        # the focal-plane peak is the first maximum of exp(-u) (1 - L_p(u))^2
+        rho = np.linspace(0.0, w, 200_001)
+        u = 2 * rho**2 / b.waist**2
+        focal = np.exp(-u) * (1 - eval_genlaguerre(p, 0, u)) ** 2
+        first = np.flatnonzero(np.diff(focal) < 0)[0]
+        assert abs(rho[first] - w / 2) <= rho[1]
 
     def test_trap_size_range_over_na(self):
         for na, lo, hi in [(0.46, 1.01e-6, 1.08e-6), (0.49, 1.01e-6, 1.08e-6)]:
@@ -256,10 +277,12 @@ class TestBottleGeometry:
                           p_index=0)
         with pytest.raises(ValueError):
             bottle_geometry(flat)
-        bright = BeamParams(lambda0=780e-9, n_medium=1.53, na=0.46, p_total=0.05,
-                            theta_rel=0.0)
-        with pytest.raises(RuntimeError):
-            bottle_geometry(bright, method="search")
+        for p in (1, 39):
+            # later rings are maxima too, but dimmer than the bright centre
+            bright = BeamParams(lambda0=780e-9, n_medium=1.53, na=0.46, p_total=0.05,
+                                p_index=p, theta_rel=0.0)
+            with pytest.raises(RuntimeError, match="not bracketed"):
+                bottle_geometry(bright, method="search")
 
 
 class TestIntensityGrid:

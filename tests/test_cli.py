@@ -135,6 +135,18 @@ class TestBeamCommand:
         arr = np.array(values).reshape(41, 41)
         assert arr[20, 20] == 0.0  # dark focus at the grid center
 
+    def test_large_radial_order_geometry(self, tmp_path):
+        # p = 39 has a bottle about a fifth of the p = 1 one
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {"beam": {"p_index": 39},
+                                      "grid": {"n_transverse": 21, "n_z": 21}})
+        assert main(["beam", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = read_keyvalues(out / "geometry.txt")
+        for key in ("width_search", "height_search"):
+            assert math.isfinite(float(report[key]))
+        assert 0 < float(report["width_search"]) < 2 * float(report["waist"])
+        assert 0 < float(report["height_search"]) < 2 * float(report["rayleigh_range"])
+
     def test_bright_center_for_zero_phase(self, tmp_path):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, {

@@ -328,8 +328,9 @@ def lane_cfgs(beam, particle, model, boundary, n_lanes=20):
     """Per-lane coefficients and walls on three shared seeds.  Every lane of a
     reflecting ensemble meets its wall; lanes 3, 10 and 17 of an absorbing one
     have a close wall and escape within a few hundred steps.  Dipole lanes
-    cover p in {1, 2, 3} with and without scattering, on a 200 nm sphere that
-    radiation pressure does not push out of the trap."""
+    cover p in {1, 2, 3} with and without scattering, and lane 19 a p = 40
+    bottle, whose stiffness needs a 200 times shorter step and a closer wall,
+    on a 200 nm sphere that radiation pressure does not push out of the trap."""
     qc = quartic_coefficients(beam, particle)
     cfgs = []
     for i in range(n_lanes):
@@ -342,10 +343,12 @@ def lane_cfgs(beam, particle, model, boundary, n_lanes=20):
                       stiffness=(1e-6 * (1 + 0.1 * i), 2e-6, 5e-7))
             wall = 1.2e-7
         else:
-            kw = dict(dt=2e-5, particle=dataclasses.replace(particle, radius=200e-9),
-                      force_model="dipole", beam=dataclasses.replace(beam, p_index=1 + i % 3),
+            p = 40 if i == 19 else 1 + i % 3
+            kw = dict(dt=1e-7 if p == 40 else 2e-5,
+                      particle=dataclasses.replace(particle, radius=200e-9),
+                      force_model="dipole", beam=dataclasses.replace(beam, p_index=p),
                       include_scattering=i % 2 == 1)
-            wall = 6e-8
+            wall = 1e-8 if p == 40 else 6e-8
         close = boundary == "reflect" or i % 7 == 3
         cfgs.append(SimConfig(n_steps=3000, seed=i % 3, domain_bound=wall if close else None,
                               boundary=boundary, **kw))
@@ -662,7 +665,8 @@ def test_dft_intensity_reproduces_recorded_values(beam):
 
 
 @pytest.mark.parametrize("model,p,scattering", [
-    *(pytest.param("dipole", p, s, id=f"{p}-{s}") for p in (1, 2, 3) for s in (False, True)),
+    *(pytest.param("dipole", p, s, id=f"{p}-{s}") for p in (1, 2, 3, 40)
+      for s in (False, True)),
     pytest.param("quartic", 1, False, id="quartic"),
     pytest.param("harmonic", 1, False, id="harmonic"),
 ])
@@ -684,6 +688,10 @@ def test_integrator_dipole_force_matches_array_forces(beam, particle, rng, model
     elif model == "harmonic":
         np.testing.assert_array_equal(loop, -np.array(k) * pts)
     else:
+        # the compiled dipole reads nine numbers whatever the order p
+        for q in (0, 1, 40):
+            c = dataclasses.replace(cfg, beam=dataclasses.replace(b, p_index=q))
+            assert len(dynamics._force_model(c)[1]) == 9
         expected = dipole_gradient_force(b, particle, *pts.T)
         if scattering:
             expected = expected + dipole_scattering_force(b, particle, *pts.T)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.constants import c as c_light, k as k_b
+from scipy.special import eval_genlaguerre
 
 from darkfocus import (
     BeamParams,
@@ -166,6 +167,47 @@ class TestDipoleGradientForce:
                 jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1],
             ])
             assert np.linalg.norm(curl) <= 1e-8 * np.linalg.norm(f(p)) / beam.waist
+
+
+def bottle_closed_form(beam, pm, x, y, z):
+    """Independent oracle: the bottle intensity and gradient force from scipy's
+    Laguerre polynomials, with dL_p/du = -L_{p-1}^1, differentiated through
+    u, w(z)^2 and the Gouy phase by the chain rule."""
+    p, w0, zr = beam.p_index, beam.waist, beam.rayleigh_range
+    w2 = w0**2 * (1 + (z / zr) ** 2)
+    u = 2 * (x**2 + y**2) / w2
+    lag = eval_genlaguerre(p, 0, u)
+    dlag = -eval_genlaguerre(p - 1, 1, u)
+    phase = beam.theta_rel - 2 * p * np.arctan(z / zr)
+    envelope = beam.p_total / (math.pi * w2) * np.exp(-u)
+    intensity = envelope * (1 + lag**2 + 2 * lag * np.cos(phase))
+    di_du = envelope * 2 * dlag * (lag + np.cos(phase)) - intensity
+    di_dw2 = -(intensity + u * di_du) / w2  # u = 2 rho^2 / w^2 moves with w^2
+    di_dphase = -2 * envelope * lag * np.sin(phase)
+    grad = np.stack([
+        di_du * 4 * x / w2,
+        di_du * 4 * y / w2,
+        di_dw2 * 2 * w0**2 * z / zr**2 - di_dphase * 2 * p / (zr * (1 + (z / zr) ** 2)),
+    ], axis=-1)
+    prefactor = 2 * math.pi * pm.n_medium * pm.radius**3 * pm.polarizability_factor / c_light
+    return intensity, prefactor * grad
+
+
+@pytest.mark.parametrize("theta", [math.pi, 1.0])
+@pytest.mark.parametrize("p", [1, 20, 39, 100])
+def test_bottle_field_matches_scipy_laguerre(beam, particle, p, theta):
+    # to 1e-9 of the largest value over rho <= 4 w0, |z| <= 2 z_R: a bound
+    # that L_p summed from its monomials misses from p = 20 on
+    b = BeamParams(lambda0=beam.lambda0, n_medium=beam.n_medium, na=beam.na,
+                   p_total=beam.p_total, p_index=p, theta_rel=theta)
+    rho = np.linspace(0.0, 4.0, 401)[:, None] * b.waist
+    z = np.linspace(-2.0, 2.0, 201)[None, :] * b.rayleigh_range
+    x, y = rho * math.cos(0.3), rho * math.sin(0.3)
+    intensity, force = bottle_closed_form(b, particle, x, y, z)
+    np.testing.assert_allclose(dft_intensity(b, rho, z), intensity, rtol=0,
+                               atol=1e-9 * intensity.max())
+    np.testing.assert_allclose(dipole_gradient_force(b, particle, x, y, z), force, rtol=0,
+                               atol=1e-9 * np.abs(force).max())
 
 
 class TestDipoleScatteringForce:
