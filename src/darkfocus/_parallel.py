@@ -7,11 +7,17 @@ Threads pay where fn spends its time in numpy or compiled code that
 releases the interpreter lock.  The items are produced on the calling
 thread, results and errors come out in item order, and no thread outlives
 the iteration.  State fn builds lazily and shares, such as
-darkfocus._compiled.load(), must be built by the caller beforehand.
+darkfocus._compiled.load(), must be built by the caller beforehand, and
+fn must not warn: a warning raised on a pool thread names that thread's
+code, not the caller's line.  The compiled reader's pieces, the compiled
+writer's blocks, estimate_na's reductions and the runs of
+simulate_ensemble and corner_frequency_of (each started on the calling
+thread and finished by fn) are the paths that use it.
 """
 
 import os
 from collections import deque
+from collections.abc import Sized
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -24,14 +30,17 @@ def width() -> int:
 
 
 def ordered_map(fn, items):
-    """The results of fn over items, in item order.  At width 1 this is
-    map(fn, items), on the calling thread.  Otherwise items is consumed on
-    the calling thread while at most width() calls of fn are pending on a
-    pool of width() threads, which is shut down when the iteration ends.
-    Errors come out in serial order: when producing an item raises, the
-    results of the items before it come out first."""
+    """The results of fn over items, in item order.  At width 1, and for a
+    sized collection of fewer than two items, this is map(fn, items), on
+    the calling thread.  Otherwise items is consumed on the calling thread
+    while at most width() calls of fn are pending on a pool of width()
+    threads, which is shut down when the iteration ends.  Errors come out
+    in serial order: when producing an item raises, the results of the
+    items before it come out first."""
     n = width()
-    return map(fn, items) if n == 1 else _threaded_map(fn, items, n)
+    if n == 1 or (isinstance(items, Sized) and len(items) < 2):
+        return map(fn, items)
+    return _threaded_map(fn, items, n)
 
 
 def _threaded_map(fn, items, n):

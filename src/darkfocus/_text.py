@@ -4,7 +4,9 @@ A table is rows of floats split by blanks, each in repr form, so that a file
 reads back to the same bits; callers write and read their own header lines.
 The row loops run in trajio.c when darkfocus._compiled builds it, and
 otherwise in the Python reference writer and numpy.loadtxt, which give the
-same text and the same bits.  Text the compiled parser does not read goes
+same text and the same bits.  The compiled writer formats a table's blocks
+of _ROWS_PER_BLOCK rows on the threads of darkfocus._parallel and writes
+them in order.  Text the compiled parser does not read goes
 to numpy.loadtxt as well, which raises the errors.  The compiled reader
 parses a table larger than _READ_BYTES in pieces, one per usable core, on
 the threads of darkfocus._parallel; the array is the same at every width.
@@ -46,10 +48,24 @@ def write_table(fh, rows):
     """Write the rows of a 2-D float array to the open text file fh, in
     blocks of _ROWS_PER_BLOCK to bound the memory the text takes."""
     rows = np.asarray(rows, dtype=float)
+    # a list, so that a table of one block starts no thread
+    write_blocks(fh, [rows[start:start + _ROWS_PER_BLOCK]
+                      for start in range(0, len(rows), _ROWS_PER_BLOCK)])
+
+
+def write_blocks(fh, blocks):
+    """Write the rows of each 2-D float array of the iterable blocks to the
+    open text file fh, in order.  The compiled writer formats the blocks on
+    darkfocus._parallel.ordered_map, which takes the next block from blocks
+    only when fewer than one per usable core are pending: a lazy iterable
+    keeps at most that many and one more in memory."""
     library = _compiled.load()
-    for start in range(0, len(rows), _ROWS_PER_BLOCK):
-        block = rows[start:start + _ROWS_PER_BLOCK]
-        fh.write(_python_rows(block) if library is None else _compiled_rows(library, block))
+    if library is None:
+        for block in blocks:
+            fh.write(_python_rows(block))
+        return
+    _compiled.shortest_tables()  # built once, before any thread reads it
+    fh.writelines(_parallel.ordered_map(functools.partial(_compiled_rows, library), blocks))
 
 
 def _count_lines(fh, start, stop, text):

@@ -468,9 +468,8 @@ def _reduce_run(traj: Trajectory, burn_in, marginals):
     (None when the fit fails); None for a run that escaped."""
     if traj.escape is not None:
         return None
-    positions = traj.positions[burn_in:]
-    counts = _xy_counts(positions, *(p.bin_edges for p in marginals))
-    return counts, _run_corner_frequency(Trajectory(dt=traj.dt, positions=positions))
+    counts = _xy_counts(traj.positions[burn_in:], *(p.bin_edges for p in marginals))
+    return counts, _run_corner_frequency(traj, burn_in)
 
 
 def estimate_na(
@@ -504,8 +503,10 @@ def estimate_na(
     The repetitions run one after another on the seeds spawn_seeds(seed,
     n_reps): a repetition's noise is drawn once, and every NA's run of that
     seed steps through it, so an NA's runs are those of
-    simulate_ensemble(cfg, n_reps) with cfg.seed = seed, to the bit.  The
-    runs are simulated on the calling thread in that order.  Each run is
+    simulate_ensemble(cfg, n_reps) with cfg.seed = seed, to the bit.  Unlike
+    simulate_ensemble's, which are finished on worker threads, the runs are
+    simulated on the calling thread in that order, each through the noise
+    drawn there for its repetition.  Each run is
     reduced as it finishes to integer x and y histogram counts after burn_in
     and a corner frequency, on a thread of darkfocus._parallel.ordered_map
     while the next run is simulated, then dropped: at most one run per

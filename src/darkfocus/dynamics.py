@@ -23,12 +23,16 @@ _force_model resolves a run's force once, as integrator.c's model code
 with the numbers it reads and as the reference loop's plain-float closure
 built from those same numbers; the compiled stepper repeats the
 reference's operations in the same order, so both give the same bits.
-simulate_ensemble is the one ensemble path of independent runs: it yields
-one run per spawned seed, simulated when asked for.  Every run is
-simulated on the calling thread, in sweep order, so its warnings and
-errors come from there.  The calibration sweeps reduce each run as it
-arrives and keep no positions; estimate_na reduces on up to one thread
-per usable core (darkfocus._parallel) while the next run is simulated.
+simulate is _start, which warns and allocates on the calling thread, then
+_finish, which draws, steps and may run on any thread.  simulate_ensemble
+is the one ensemble path of independent runs: it yields one run per
+spawned seed, started on the calling thread in sweep order when asked for,
+and finished on up to one thread per usable core (darkfocus._parallel),
+where the noise draws and the compiled stepper release the interpreter
+lock; corner_frequency_of reduces each run on the thread that finishes it.
+estimate_na simulates its runs, which share noise, on the calling thread
+and reduces them on up to one thread per usable core.  The calibration
+sweeps keep no positions.
 
 Trajectory files are t x y z text rows under a '#' header.  save_trajectory
 and load_trajectory write and read the header themselves and the rows
@@ -42,8 +46,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _compiled
-from ._text import _ROWS_PER_BLOCK, read_table, write_table
+from . import _compiled, _parallel
+from ._text import _ROWS_PER_BLOCK, read_table, write_blocks
 from .beam import BeamParams, _bottle_constants, _bottle_field
 from .forces import (
     BOLTZMANN,
@@ -355,9 +359,16 @@ def simulate(cfg: SimConfig, *, noise=None) -> Trajectory:
     cfg.seed, so simulate(cfg, noise=list(_noise_chunks(cfg))) is
     simulate(cfg) to the bit.
     """
-    if noise is None:
-        noise = _noise_chunks(cfg)
-    else:
+    return _finish(*_start(cfg, noise))
+
+
+def _start(cfg: SimConfig, noise=None):
+    """The calling thread's part of simulate(cfg, noise=noise): the noise
+    checked, the integration constants with their dt warning, the force
+    model, the stepper and the run's positions array, allocated here so that
+    glibc's main arena, not a worker thread's, recycles it.  Returns the
+    arguments of _finish, which may run on any thread."""
+    if noise is not None:
         noise = [np.ascontiguousarray(chunk, dtype=float) for chunk in noise]
         if (any(chunk.ndim != 2 or chunk.shape[1] != 3 for chunk in noise)
                 or sum(map(len, noise)) != cfg.n_steps):
@@ -373,6 +384,15 @@ def simulate(cfg: SimConfig, *, noise=None) -> Trajectory:
 
     out = np.empty((cfg.n_steps + 1, 3))
     out[0] = [float(v) for v in cfg.initial_position]
+    return cfg, noise, step, bound, out
+
+
+def _finish(cfg, noise, step, bound, out) -> Trajectory:
+    """The rest of a run _start began: its noise drawn from cfg.seed unless
+    given, stepped chunk by chunk into out, and the Trajectory.  It calls no
+    public function and raises no warning, so it may run on a worker thread."""
+    if noise is None:
+        noise = _noise_chunks(cfg)
     done = 0
     outcome = _RAN
     for chunk in noise:
@@ -401,11 +421,23 @@ def spawn_seeds(seed: int, n: int) -> list:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
+def _map_runs(cfg: SimConfig, n_runs: int, reduce=lambda traj: traj):
+    """reduce(run) of each run of simulate_ensemble(cfg, n_runs), in run
+    order.  The seeds are spawned at the call; each run is started on the
+    calling thread as it is asked for, and finished and reduced on
+    darkfocus._parallel.ordered_map, so at most one run per usable core is
+    in flight."""
+    started = (_start(cfg.with_seed(s)) for s in spawn_seeds(cfg.seed, n_runs))
+    return _parallel.ordered_map(lambda run: reduce(_finish(*run)), started)
+
+
 def simulate_ensemble(cfg: SimConfig, n_runs: int):
     """Independent repetitions with per-run seeds spawned from cfg.seed at the
-    call: an iterator that simulates each run when asked for and keeps none
-    it has yielded (take list() of it to use the runs twice)."""
-    return (simulate(cfg.with_seed(s)) for s in spawn_seeds(cfg.seed, n_runs))
+    call: an iterator that simulates each run when asked for, on up to one
+    thread per usable core, and keeps none it has yielded (take list() of it
+    to use the runs twice).  Each run is simulate(cfg.with_seed(s)) to the
+    bit, and its warnings name the line that asks for it."""
+    return _map_runs(cfg, n_runs)
 
 
 def pooled_positions(trajectories, burn_in: int = 0):
@@ -474,7 +506,8 @@ def _timed_rows(positions, start, dt):
 def save_trajectory(traj: Trajectory, path):
     """Write t x y z rows with every float in repr form, so load_trajectory
     reads back the same bits; the time column is k * dt.  The rows are built
-    and written in blocks of _ROWS_PER_BLOCK to bound the memory they take."""
+    in blocks of _ROWS_PER_BLOCK as darkfocus._text.write_blocks asks for
+    them, to bound the memory they take."""
     # a numpy scalar's repr is not a number
     dt = float(traj.dt)
     with open(path, "w") as fh:
@@ -486,9 +519,9 @@ def save_trajectory(traj: Trajectory, path):
             e = traj.escape
             fh.write(f"# escape_step={e.step} escape_time={float(e.time)!r}\n")
         fh.write("t x y z\n")
-        for start in range(0, len(traj), _ROWS_PER_BLOCK):
-            block = traj.positions[start:start + _ROWS_PER_BLOCK]
-            write_table(fh, _timed_rows(block, start, dt))
+        blocks = (_timed_rows(traj.positions[start:start + _ROWS_PER_BLOCK], start, dt)
+                  for start in range(0, len(traj), _ROWS_PER_BLOCK))
+        write_blocks(fh, blocks)
 
 
 def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:

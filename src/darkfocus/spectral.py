@@ -8,6 +8,7 @@ k / (2 pi gamma); for the quartic trap the Lorentzian is an effective
 description whose corner frequency still tracks the trap strength.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from ._roots import bracketed_root
 from ._text import write_table, write_values
-from .dynamics import SimConfig, Trajectory, simulate_ensemble
+from . import dynamics
+from .dynamics import SimConfig, Trajectory
 
 __all__ = [
     "PsdEstimate",
@@ -75,18 +77,19 @@ class PsdEstimate:
             write_table(fh, np.column_stack((self.frequencies, self.psd)))
 
 
-def estimate_psd(
-    traj: Trajectory,
-    axis: str = "x",
-    nperseg: int | None = None,
-    overlap: float = 0.5,
-) -> PsdEstimate:
-    """Averaged windowed periodograms of one position component.
+@functools.lru_cache(maxsize=8)
+def _hann(nperseg, fs):
+    """The periodic Hann window of nperseg samples scaled to unit power
+    density at sampling rate fs, read-only: built once per (nperseg, fs)."""
+    window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, nperseg + 1))[:-1]
+    window = window / np.sqrt(fs * np.sum(window**2))
+    window.flags.writeable = False
+    return window
 
-    The DC bin is dropped.  Default segment length is len/8, giving about
-    fifteen 50%-overlapped Hann segments.
-    """
-    x = traj.axis(axis)
+
+def _welch(x, dt, nperseg=None, overlap=0.5, signal_variance=math.nan) -> PsdEstimate:
+    """The Welch estimate of the samples x taken every dt, as estimate_psd
+    describes it, carrying signal_variance as given."""
     n = len(x)
     if nperseg is None:
         nperseg = max(16, n // 8)
@@ -106,13 +109,15 @@ def estimate_psd(
     # Welch: a periodic Hann window scaled to unit power density, each
     # segment's own mean removed, every bin but DC (and Nyquist, for even
     # nperseg) doubled, and the segments averaged per bin
-    fs = 1.0 / traj.dt
-    window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, nperseg + 1))[:-1]
-    window = window / np.sqrt(fs * np.sum(window**2))
+    fs = 1.0 / dt
     segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step]
     segments = segments - segments.mean(axis=1, keepdims=True)
-    spectra = np.fft.rfft(segments * window, axis=1)
-    power = spectra.real**2 + spectra.imag**2
+    segments *= _hann(nperseg, fs)
+    spectra = np.fft.rfft(segments, axis=1)
+    # re^2 + im^2, squared in place on the interleaved parts
+    parts = spectra.view(float)
+    np.square(parts, out=parts)
+    power = np.add(parts[:, 0::2], parts[:, 1::2])
     power[:, 1:(nperseg + 1) // 2] *= 2.0
     psd = power.mean(axis=0)
     freqs = np.fft.rfftfreq(nperseg, 1.0 / fs)
@@ -122,8 +127,23 @@ def estimate_psd(
         nperseg=nperseg,
         overlap=overlap,
         n_segments=n_segments,
-        signal_variance=float(np.var(x)),
+        signal_variance=signal_variance,
     )
+
+
+def estimate_psd(
+    traj: Trajectory,
+    axis: str = "x",
+    nperseg: int | None = None,
+    overlap: float = 0.5,
+) -> PsdEstimate:
+    """Averaged windowed periodograms of one position component.
+
+    The DC bin is dropped.  Default segment length is len/8, giving about
+    fifteen 50%-overlapped Hann segments.
+    """
+    x = traj.axis(axis)
+    return _welch(x, traj.dt, nperseg, overlap, signal_variance=float(np.var(x)))
 
 
 @dataclass(frozen=True)
@@ -248,13 +268,13 @@ class CornerFrequencyResult:
     n_failed: int
 
 
-def _run_corner_frequency(traj: Trajectory) -> float | None:
-    """Corner frequency of one run's x PSD; None when the run escaped or the
-    fit fails."""
+def _run_corner_frequency(traj: Trajectory, burn_in: int = 0) -> float | None:
+    """Corner frequency of the x samples of one run after burn_in; None when
+    the run escaped or the fit fails."""
     if traj.escape is not None:
         return None
     try:
-        return fit_lorentzian(estimate_psd(traj)).f_c
+        return fit_lorentzian(_welch(traj.positions[burn_in:, 0], traj.dt)).f_c
     except (FitError, ValueError):
         return None
 
@@ -262,12 +282,13 @@ def _run_corner_frequency(traj: Trajectory) -> float | None:
 def corner_frequency_of(cfg: SimConfig, repetitions: int) -> CornerFrequencyResult:
     """Fit the x PSD of each run of simulate_ensemble(cfg, repetitions).
 
-    Each run is reduced to its corner frequency as it arrives, and dropped
-    before the next is simulated.  Runs whose simulation escapes or whose
-    fit fails are dropped; fewer than three survivors is an error.
+    Each run is reduced to its corner frequency on the thread that finished
+    it, and dropped there: at most one run per usable core is in memory,
+    besides the one being started.
+    Runs whose simulation escapes or whose fit fails are dropped; fewer than
+    three survivors is an error.
     """
-    # map, unlike a comprehension's loop variable, keeps no run past its reduction
-    fits = map(_run_corner_frequency, simulate_ensemble(cfg, repetitions))
+    fits = dynamics._map_runs(cfg, repetitions, _run_corner_frequency)
     values = np.array([f for f in fits if f is not None])
     if len(values) < 3:
         raise FitError(

@@ -670,23 +670,24 @@ def test_temperature_must_be_finite_and_positive(rng, temperature):
         assert not isinstance(info.value, NumericalError)
 
 
-def watch_runs(monkeypatch):
-    """Route dynamics.simulate through a wrapper that, before each run, records
-    how many trajectories it returned earlier are still alive after a full
-    collection: their Trajectory objects and the arrays that own their
-    positions.  Returns that list of counts, one per run."""
+def watch_runs(monkeypatch, name="simulate"):
+    """Route dynamics.<name>, simulate or the _finish of an ensemble's runs,
+    through a wrapper that, before each run, records how many trajectories
+    it returned earlier are still alive after a full collection: their
+    Trajectory objects and the arrays that own their positions.  Returns
+    that list of counts, one per run."""
     held, refs = [], []
-    run = dynamics.simulate
+    run = getattr(dynamics, name)
 
-    def watched(cfg, **kwargs):
+    def watched(cfg, *args, **kwargs):
         gc.collect()
         held.append(sum(r() is not None for r in refs))
-        traj = run(cfg, **kwargs)
+        traj = run(cfg, *args, **kwargs)
         owner = traj.positions if traj.positions.base is None else traj.positions.base
         refs.extend((weakref.ref(traj), weakref.ref(owner)))
         return traj
 
-    monkeypatch.setattr(dynamics, "simulate", watched)
+    monkeypatch.setattr(dynamics, name, watched)
     return held
 
 
@@ -716,7 +717,8 @@ def test_sweeps_drop_each_run_before_the_next(beam, particle, monkeypatch, sweep
     # the next run it holds no earlier trajectory and no array of their
     # positions
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    held = watch_runs(monkeypatch)
+    # the sweep's runs are simulate's; an ensemble's are finished by _finish
+    held = watch_runs(monkeypatch, "simulate" if sweep == "estimate_na" else "_finish")
     if sweep == "estimate_na":
         target = simulate(SimConfig(particle=particle, dt=1e-5, n_steps=20_000,
                                     coefficients=quartic_coefficients(beam, particle), seed=4))
@@ -749,4 +751,33 @@ def test_sweeps_hold_at_most_width_runs(beam, particle, monkeypatch):
                          seed=5, burn_in=500)
     assert result.valid.all() and np.isfinite(result.fc).all()
     assert len(held) == 16
+    assert max(held) <= 2
+
+
+@pytest.mark.parametrize("sweep", ["corner_frequency_of", "simulate_ensemble"])
+def test_ensembles_hold_at_most_width_runs(particle, monkeypatch, sweep):
+    # on two cores, when an ensemble starts a run, at most two earlier runs
+    # are in memory, on the pool or held by the consumer: with the new one,
+    # width + 1.  Each run's positions array is the last item _start returns
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    held, arrays = [], []
+    start = dynamics._start
+
+    def watched(cfg, noise=None):
+        gc.collect()
+        held.append(sum(a() is not None for a in arrays))
+        run = start(cfg, noise)
+        arrays.append(weakref.ref(run[-1]))
+        return run
+
+    monkeypatch.setattr(dynamics, "_start", watched)
+    cfg = SimConfig(particle=particle, dt=2e-4, n_steps=20_000, force_model="harmonic",
+                    stiffness=1e-6, seed=6)
+    if sweep == "corner_frequency_of":
+        assert corner_frequency_of(cfg, repetitions=8).n_failed == 0
+    else:
+        # the loop holds each run while the next is started
+        for traj in dynamics.simulate_ensemble(cfg, 8):
+            assert len(traj) == 20_001
+    assert len(held) == 8
     assert max(held) <= 2

@@ -4,6 +4,7 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -14,6 +15,7 @@ from scipy.constants import k as k_b
 
 from darkfocus import (
     EscapeReport,
+    FitError,
     ParticleMedium,
     QuarticCoefficients,
     SimConfig,
@@ -376,6 +378,21 @@ SHARED_NOISE_SWEEPS = {
 }
 
 
+# small ensembles of every model and wall, long enough that the runs that do
+# not escape fit a corner frequency inside the fit range; run 3 of the
+# absorbing quartic one escapes at step 336
+ENSEMBLES = {
+    "harmonic": lambda beam, pm: lane_cfgs(beam, pm, "harmonic", "reflect", n_lanes=1)[0],
+    "quartic absorb": lambda beam, pm: SimConfig(
+        particle=pm, dt=1e-5, n_steps=8000, coefficients=quartic_coefficients(beam, pm),
+        seed=3, domain_bound=9e-8),
+    "quartic reflect": lambda beam, pm: dataclasses.replace(
+        lane_cfgs(beam, pm, "quartic", "reflect", n_lanes=1)[0], n_steps=20_000),
+    "dipole": lambda beam, pm: dataclasses.replace(
+        lane_cfgs(beam, pm, "dipole", "absorb", n_lanes=1)[0], n_steps=20_000),
+}
+
+
 class TestSimulateLanes:
     @needs_cc
     @pytest.mark.parametrize("boundary", ["absorb", "reflect"])
@@ -492,15 +509,16 @@ class TestSimulateLanes:
         assert isinstance(outcomes[0], str) == (case == "unstable")
 
     def test_small_and_dipole_ensembles_run_per_lane(self, beam, particle, monkeypatch):
-        # an ensemble, at any width and for every model, is simulate per spawned seed
+        # an ensemble, at any width and for every model, is one run per
+        # spawned seed, started in seed order on the calling thread
         calls = []
-        scalar = dynamics.simulate
+        start = dynamics._start
 
-        def counted(cfg):
+        def counted(cfg, noise=None):
             calls.append(cfg)
-            return scalar(cfg)
+            return start(cfg, noise)
 
-        monkeypatch.setattr(dynamics, "simulate", counted)
+        monkeypatch.setattr(dynamics, "_start", counted)
         for model, boundary, n_runs in (("harmonic", "reflect", 1), ("dipole", "absorb", 5),
                                         ("quartic", "reflect", 40)):
             cfg = lane_cfgs(beam, particle, model, boundary, n_lanes=1)[0]
@@ -509,6 +527,78 @@ class TestSimulateLanes:
             runs = list(simulate_ensemble(cfg, n_runs))
             assert calls == cfgs
             assert [t.config for t in runs] == cfgs
+
+
+    @pytest.mark.parametrize("stepper", [pytest.param("compiled", marks=needs_cc),
+                                         "reference"])
+    @pytest.mark.parametrize("case", sorted(ENSEMBLES))
+    def test_ensembles_do_not_depend_on_width(self, beam, particle, monkeypatch, case,
+                                              stepper):
+        # every run of simulate_ensemble and every corner frequency (or the
+        # error) is the same at widths 1 and 2, and each run is simulate's
+        if stepper == "reference":
+            monkeypatch.setattr(_compiled, "load", lambda: None)
+        cfg = ENSEMBLES[case](beam, particle)
+
+        def runs_of(trajectories):
+            return [(t.positions.tobytes(), t.escape, t.config) for t in trajectories]
+
+        outcomes = []
+        for width in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=width: set(range(n)))
+            try:
+                fits = corner_frequency_of(cfg, 5).values.tobytes()
+            except FitError as exc:
+                fits = str(exc)
+            outcomes.append((runs_of(simulate_ensemble(cfg, 5)), fits))
+        assert outcomes[0] == outcomes[1]
+        own = [simulate(cfg.with_seed(s)) for s in spawn_seeds(cfg.seed, 5)]
+        assert outcomes[0][0] == runs_of(own)
+        escapes = [t.escape and t.escape.step for t in own]
+        assert escapes == ([None, None, None, 336, None] if case == "quartic absorb"
+                           else [None] * 5)
+
+    @pytest.mark.parametrize("stepper", [pytest.param("compiled", marks=needs_cc),
+                                         "reference"])
+    def test_unstable_ensemble_run_raises_after_the_earlier_runs(self, particle,
+                                                                 monkeypatch, stepper):
+        # the fourth run of five takes an unstable step: at both widths the
+        # first three come out, then the error of the fourth
+        if stepper == "reference":
+            monkeypatch.setattr(_compiled, "load", lambda: None)
+        cfg = SimConfig(particle=particle, dt=5e-5, n_steps=3000, force_model="harmonic",
+                        stiffness=1e-5, seed=42, domain_bound=3.5e-8, boundary="reflect")
+        outcomes = []
+        for width in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=width: set(range(n)))
+            runs = []
+            with pytest.raises(SimulationUnstableError,
+                               match="at step 159; reduce dt") as ensemble:
+                for traj in simulate_ensemble(cfg, 5):
+                    runs.append(traj.positions.tobytes())
+            with pytest.raises(SimulationUnstableError) as fits:
+                corner_frequency_of(cfg, 5)
+            outcomes.append((runs, str(ensemble.value), str(fits.value)))
+        assert len(outcomes[0][0]) == 3
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == outcomes[0][2]
+
+
+    def test_ensemble_stress_more_runs_than_cores(self, particle, monkeypatch):
+        # eight threads finish and reduce twelve runs, switching often: every
+        # run and corner frequency is the one of width 1
+        cfg = harmonic_cfg(particle, n_steps=20_000, seed=8)
+        outcomes = []
+        for width in (1, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=width: set(range(n)))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                outcomes.append(([t.positions.tobytes() for t in simulate_ensemble(cfg, 12)],
+                                 corner_frequency_of(cfg, 12).values.tobytes()))
+            finally:
+                sys.setswitchinterval(interval)
+        assert outcomes[0] == outcomes[1]
 
 
 @needs_cc

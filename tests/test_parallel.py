@@ -52,6 +52,22 @@ def test_width_one_is_map_on_the_calling_thread(monkeypatch):
     assert seen == [(threading.current_thread(), before)] * 4
 
 
+@pytest.mark.parametrize("items", [[], [7], range(1)])
+def test_fewer_than_two_items_run_on_the_calling_thread(monkeypatch, items):
+    set_width(monkeypatch, 2)
+    before = threading.active_count()
+    seen = []
+
+    def record(k):
+        seen.append((threading.current_thread(), threading.active_count()))
+        return -k
+
+    results = _parallel.ordered_map(record, items)
+    assert isinstance(results, map)
+    assert list(results) == [-k for k in items]
+    assert seen == [(threading.current_thread(), before)] * len(items)
+
+
 @pytest.mark.parametrize("width", [2, 3])
 def test_at_most_width_calls_pending(monkeypatch, width):
     set_width(monkeypatch, width)

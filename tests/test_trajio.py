@@ -2,6 +2,7 @@
 text byte for byte, and numpy.loadtxt arrays bit for bit."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import os
 import shutil
 import struct
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -311,3 +313,36 @@ def test_read_table_stress_more_pieces_than_cores(library, tmp_path, monkeypatch
             assert load_trajectory(path).positions.tobytes() == traj.positions.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n_rows", [100, 3 * _text._ROWS_PER_BLOCK + 17])
+def test_save_trajectory_does_not_depend_on_width(library, tmp_path, monkeypatch, n_rows):
+    # the blocks are formatted on as many threads as cores and written in
+    # order: the reference writer's bytes at widths 1 and 2, from a table
+    # shorter than one block and one that ends mid-block.  The rows of a
+    # block are built when the writer asks for it, so with the one being
+    # built at most width + 1 blocks exist
+    rng = np.random.default_rng(n_rows)
+    traj = Trajectory(dt=2e-5, positions=rng.standard_normal((n_rows, 3)) * 1e-7, seed=3)
+    path = tmp_path / "saved.txt"
+    timed_rows = dynamics._timed_rows
+    texts = []
+    for width in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=width: set(range(n)))
+        held, blocks = [], []
+
+        def watched(*args):
+            gc.collect()
+            held.append(sum(b() is not None for b in blocks))
+            block = timed_rows(*args)
+            blocks.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(dynamics, "_timed_rows", watched)
+        save_trajectory(traj, path)
+        texts.append(path.read_bytes())
+        assert len(held) == -(-n_rows // _text._ROWS_PER_BLOCK)
+        assert max(held) <= width
+    monkeypatch.setattr(_compiled, "load", lambda: None)
+    save_trajectory(traj, path)
+    assert texts == [path.read_bytes()] * 2
