@@ -132,12 +132,6 @@ def _compiled_read(library, path, n_header, comma, ncols):
         start = fh.tell()
         stop = fh.seek(0, os.SEEK_END)
         n = min(_parallel.width(), -(-(stop - start) // _READ_BYTES))
-        if n <= 1:
-            text = np.empty(_READ_BYTES, dtype=np.uint8)
-            # only the last line can lack a line end
-            data = np.empty((_count_lines(fh, start, stop, text) + 1, ncols))
-            done = _parse_rows(fh, start, stop, text, library, pow5, comma, data)
-            return data[:done] if done > 0 else None
         cuts = [start]
         for k in range(1, n):
             fh.seek(start + (stop - start) * k // n)

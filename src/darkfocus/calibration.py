@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _compiled, _parallel, dynamics
+from . import _compiled, dynamics
 from ._text import write_values
 from .beam import BeamParams
 from .dynamics import SimConfig, Trajectory, spawn_seeds
@@ -503,15 +503,13 @@ def estimate_na(
     The repetitions run one after another on the seeds spawn_seeds(seed,
     n_reps): a repetition's noise is drawn once, and every NA's run of that
     seed steps through it, so an NA's runs are those of
-    simulate_ensemble(cfg, n_reps) with cfg.seed = seed, to the bit.  Unlike
-    simulate_ensemble's, which are finished on worker threads, the runs are
-    simulated on the calling thread in that order, each through the noise
-    drawn there for its repetition.  Each run is
-    reduced as it finishes to integer x and y histogram counts after burn_in
-    and a corner frequency, on a thread of darkfocus._parallel.ordered_map
-    while the next run is simulated, then dropped: at most one run per
-    usable core awaits its reduction.  The summed counts of an NA are those
-    of its pooled samples, and the result is the same bits at every width.
+    simulate_ensemble(cfg, n_reps) with cfg.seed = seed, to the bit.  The
+    runs go through dynamics._map_runs, as an ensemble's do: each is started
+    on the calling thread, then finished and reduced on a thread of
+    darkfocus._parallel.ordered_map to integer x and y histogram counts
+    after burn_in and a corner frequency, and dropped: at most one run per
+    usable core is in flight.  The summed counts of an NA are those of its
+    pooled samples, and the result is the same bits at every width.
     The inputs and every NA are checked before the first run.
     """
     bad_na_values = "na_values must be a non-empty 1-D sequence of finite NAs"
@@ -545,12 +543,12 @@ def estimate_na(
             # depends on its seed, particle, dt and n_steps: one draw serves all
             noise = list(dynamics._noise_chunks(cfgs[0].with_seed(s)))
             for cfg in cfgs:
-                yield dynamics.simulate(cfg.with_seed(s), noise=noise)
+                yield cfg.with_seed(s), noise
 
     # the reduced runs of each NA in rep order; escaped runs leave none
     tallies = [[] for _ in cfgs]
-    reduced = _parallel.ordered_map(functools.partial(_reduce_run, burn_in=burn_in,
-                                                      marginals=marginals), runs())
+    reduced = dynamics._map_runs(runs(), functools.partial(_reduce_run, burn_in=burn_in,
+                                                           marginals=marginals))
     for kept, run in zip(itertools.cycle(tallies), reduced):
         if run is not None:
             kept.append(run)

@@ -13,26 +13,24 @@ same field that dft_intensity and dipole_gradient_force report.
 
 _noise_chunks is the one place noise is drawn and scaled: a run's noise is
 default_rng(seed)'s standard normals in draws of _NOISE_CHUNK steps, times
-sqrt(2 kB T dt / gamma).  simulate hands each chunk to a stepper: the
+sqrt(2 kB T dt / gamma).  A run hands each chunk to a stepper: the
 compiled one of integrator.c (built on first use by darkfocus._compiled),
-or the Python reference loop when no C compiler works.  It draws the
-chunks from cfg.seed as it steps, or takes a run's chunks drawn beforehand:
-estimate_na draws each repetition's noise once and steps every NA's run of
-that seed through it, since its configs share the particle and dt.
+or the Python reference loop when no C compiler works.
 _force_model resolves a run's force once, as integrator.c's model code
 with the numbers it reads and as the reference loop's plain-float closure
 built from those same numbers; the compiled stepper repeats the
 reference's operations in the same order, so both give the same bits.
-simulate is _start, which warns and allocates on the calling thread, then
-_finish, which draws, steps and may run on any thread.  simulate_ensemble
-is the one ensemble path of independent runs: it yields one run per
-spawned seed, started on the calling thread in sweep order when asked for,
-and finished on up to one thread per usable core (darkfocus._parallel),
+A run is _start, which warns and allocates on the calling thread, then
+_finish, which draws, steps and may run on any thread; simulate is one
+run.  _map_runs is the one path of every batch of runs: it starts each run
+on the calling thread in batch order when asked for, and finishes and
+reduces it on up to one thread per usable core (darkfocus._parallel),
 where the noise draws and the compiled stepper release the interpreter
-lock; corner_frequency_of reduces each run on the thread that finishes it.
-estimate_na simulates its runs, which share noise, on the calling thread
-and reduces them on up to one thread per usable core.  The calibration
-sweeps keep no positions.
+lock.  The runs of simulate_ensemble and corner_frequency_of draw their
+own noise from seeds spawned at the call; estimate_na draws each
+repetition's noise once and hands it to every NA's run of that seed, since
+its configs share the particle and dt.  The calibration sweeps keep no
+positions.
 
 Trajectory files are t x y z text rows under a '#' header.  save_trajectory
 and load_trajectory write and read the header themselves and the rows
@@ -341,7 +339,7 @@ def _compiled_stepper(kernel, model, coef, bound, mob, reflect):
     return step
 
 
-def simulate(cfg: SimConfig, *, noise=None) -> Trajectory:
+def simulate(cfg: SimConfig) -> Trajectory:
     """Integrate one trajectory; deterministic for a given config and seed.
 
     With boundary="absorb" (default) a particle leaving the domain bound
@@ -351,30 +349,24 @@ def simulate(cfg: SimConfig, *, noise=None) -> Trajectory:
     beam, and makes the stationary density the Boltzmann density of the
     force model restricted to the domain.  Use it when the local quartic
     expansion alone would not confine the particle.
-
-    noise is the run's scaled noise drawn beforehand, as
-    list(_noise_chunks(c)) of a config c with cfg's particle, dt and n_steps:
-    arrays of rows of three, n_steps rows in all, else ValueError.  Runs
-    that share it share their noise paths; by default it is drawn from
-    cfg.seed, so simulate(cfg, noise=list(_noise_chunks(cfg))) is
-    simulate(cfg) to the bit.
     """
-    return _finish(*_start(cfg, noise))
+    return _finish(*_start(cfg))
 
 
 def _start(cfg: SimConfig, noise=None):
-    """The calling thread's part of simulate(cfg, noise=noise): the noise
-    checked, the integration constants with their dt warning, the force
-    model, the stepper and the run's positions array, allocated here so that
-    glibc's main arena, not a worker thread's, recycles it.  Returns the
-    arguments of _finish, which may run on any thread."""
-    if noise is not None:
-        noise = [np.ascontiguousarray(chunk, dtype=float) for chunk in noise]
-        if (any(chunk.ndim != 2 or chunk.shape[1] != 3 for chunk in noise)
-                or sum(map(len, noise)) != cfg.n_steps):
-            raise ValueError(f"noise must hold n_steps={cfg.n_steps} rows of three")
-    bound, mob = _integration_constants(cfg)
-    model, coef, force = _force_model(cfg)
+    """The calling thread's part of one run: the integration constants with
+    their dt warning, the force model, the stepper and the run's positions
+    array, allocated here so that glibc's main arena, not a worker thread's,
+    recycles it.  noise is None, or list(_noise_chunks(c)) of a config c
+    with cfg's particle, dt and n_steps, which the run then steps through.
+    Returns the arguments of _finish, which may run on any thread."""
+    resolved = cfg
+    if cfg.force_model == "quartic" and cfg.coefficients is None:
+        # the stability bound, the domain bound and the force share one
+        # expansion of the beam, and its warnings come once per run
+        resolved = replace(cfg, coefficients=cfg.effective_coefficients())
+    bound, mob = _integration_constants(resolved)
+    model, coef, force = _force_model(resolved)
     reflect = cfg.boundary == "reflect"
     library = _compiled.load()
     if library is None:
@@ -418,16 +410,18 @@ def _finish(cfg, noise, step, bound, out) -> Trajectory:
 
 def spawn_seeds(seed: int, n: int) -> list:
     """n per-run seeds spawned deterministically from seed."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"the number of runs must be an integer >= 0, got {n!r}")
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
-def _map_runs(cfg: SimConfig, n_runs: int, reduce=lambda traj: traj):
-    """reduce(run) of each run of simulate_ensemble(cfg, n_runs), in run
-    order.  The seeds are spawned at the call; each run is started on the
+def _map_runs(runs, reduce=lambda traj: traj):
+    """reduce(run) of each run of runs, (cfg, noise) pairs with noise None
+    to draw it from cfg.seed, in run order.  Each run is started on the
     calling thread as it is asked for, and finished and reduced on
     darkfocus._parallel.ordered_map, so at most one run per usable core is
     in flight."""
-    started = (_start(cfg.with_seed(s)) for s in spawn_seeds(cfg.seed, n_runs))
+    started = (_start(cfg, noise) for cfg, noise in runs)
     return _parallel.ordered_map(lambda run: reduce(_finish(*run)), started)
 
 
@@ -437,7 +431,7 @@ def simulate_ensemble(cfg: SimConfig, n_runs: int):
     thread per usable core, and keeps none it has yielded (take list() of it
     to use the runs twice).  Each run is simulate(cfg.with_seed(s)) to the
     bit, and its warnings name the line that asks for it."""
-    return _map_runs(cfg, n_runs)
+    return _map_runs((cfg.with_seed(s), None) for s in spawn_seeds(cfg.seed, n_runs))
 
 
 def pooled_positions(trajectories, burn_in: int = 0):

@@ -288,7 +288,8 @@ def corner_frequency_of(cfg: SimConfig, repetitions: int) -> CornerFrequencyResu
     Runs whose simulation escapes or whose fit fails are dropped; fewer than
     three survivors is an error.
     """
-    fits = dynamics._map_runs(cfg, repetitions, _run_corner_frequency)
+    runs = ((cfg.with_seed(s), None) for s in dynamics.spawn_seeds(cfg.seed, repetitions))
+    fits = dynamics._map_runs(runs, _run_corner_frequency)
     values = np.array([f for f in fits if f is not None])
     if len(values) < 3:
         raise FitError(

@@ -596,10 +596,10 @@ class TestEstimateNa:
             "fractional_burn_in", "99_left", "1_left", "past_the_run", "no_na", "scalar_na",
             "2d_na", "ragged_na", "nan_na", "inf_na", "text_na", "none_na"])
     def test_bad_sweep_size_rejected(self, beam, particle, bad, message, monkeypatch):
-        def no_runs(cfg, **kwargs):
+        def no_runs(cfg, *args):
             raise AssertionError("a rejected sweep must not simulate")
 
-        monkeypatch.setattr(dynamics, "simulate", no_runs)
+        monkeypatch.setattr(dynamics, "_start", no_runs)
         monkeypatch.setattr(dynamics, "_noise_chunks", no_runs)
         target = (np.random.default_rng(0).standard_normal(5000) * 1e-8,
                   np.random.default_rng(1).standard_normal(5000) * 1e-8)
@@ -670,24 +670,24 @@ def test_temperature_must_be_finite_and_positive(rng, temperature):
         assert not isinstance(info.value, NumericalError)
 
 
-def watch_runs(monkeypatch, name="simulate"):
-    """Route dynamics.<name>, simulate or the _finish of an ensemble's runs,
-    through a wrapper that, before each run, records how many trajectories
-    it returned earlier are still alive after a full collection: their
-    Trajectory objects and the arrays that own their positions.  Returns
-    that list of counts, one per run."""
+def watch_runs(monkeypatch):
+    """Route dynamics._finish, which finishes every run of a batch, through a
+    wrapper that, before each run, records how many trajectories it returned
+    earlier are still alive after a full collection: their Trajectory
+    objects and the arrays that own their positions.  Returns that list of
+    counts, one per run."""
     held, refs = [], []
-    run = getattr(dynamics, name)
+    finish = dynamics._finish
 
-    def watched(cfg, *args, **kwargs):
+    def watched(*run):
         gc.collect()
         held.append(sum(r() is not None for r in refs))
-        traj = run(cfg, *args, **kwargs)
+        traj = finish(*run)
         owner = traj.positions if traj.positions.base is None else traj.positions.base
         refs.extend((weakref.ref(traj), weakref.ref(owner)))
         return traj
 
-    monkeypatch.setattr(dynamics, name, watched)
+    monkeypatch.setattr(dynamics, "_finish", watched)
     return held
 
 
@@ -717,11 +717,11 @@ def test_sweeps_drop_each_run_before_the_next(beam, particle, monkeypatch, sweep
     # the next run it holds no earlier trajectory and no array of their
     # positions
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    # the sweep's runs are simulate's; an ensemble's are finished by _finish
-    held = watch_runs(monkeypatch, "simulate" if sweep == "estimate_na" else "_finish")
     if sweep == "estimate_na":
         target = simulate(SimConfig(particle=particle, dt=1e-5, n_steps=20_000,
                                     coefficients=quartic_coefficients(beam, particle), seed=4))
+    held = watch_runs(monkeypatch)
+    if sweep == "estimate_na":
         result = estimate_na(target, [0.44, 0.46, 0.48], particle=particle,
                              beam_template=beam, dt=1e-5, n_steps=10_000, n_reps=3,
                              seed=5, burn_in=500)
@@ -739,27 +739,17 @@ def test_sweeps_drop_each_run_before_the_next(beam, particle, monkeypatch, sweep
     assert held == [0] * len(held)
 
 
-def test_sweeps_hold_at_most_width_runs(beam, particle, monkeypatch):
-    # on two cores at most two runs await their reduction when the next run
-    # is simulated, however many runs the sweep has
+@pytest.mark.parametrize("sweep", ["estimate_na", "corner_frequency_of",
+                                   "simulate_ensemble"])
+def test_ensembles_hold_at_most_width_runs(beam, particle, monkeypatch, sweep):
+    # on two cores, when a batch starts a run, at most two earlier runs are
+    # in memory, on the pool or held by the consumer, however many runs the
+    # batch has: with the new one, width + 1.  Each run's positions array is
+    # the last item _start returns
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    held = watch_runs(monkeypatch)
-    target = simulate(SimConfig(particle=particle, dt=1e-5, n_steps=20_000,
-                                coefficients=quartic_coefficients(beam, particle), seed=4))
-    result = estimate_na(target, [0.44, 0.45, 0.46, 0.47], particle=particle,
-                         beam_template=beam, dt=1e-5, n_steps=10_000, n_reps=4,
-                         seed=5, burn_in=500)
-    assert result.valid.all() and np.isfinite(result.fc).all()
-    assert len(held) == 16
-    assert max(held) <= 2
-
-
-@pytest.mark.parametrize("sweep", ["corner_frequency_of", "simulate_ensemble"])
-def test_ensembles_hold_at_most_width_runs(particle, monkeypatch, sweep):
-    # on two cores, when an ensemble starts a run, at most two earlier runs
-    # are in memory, on the pool or held by the consumer: with the new one,
-    # width + 1.  Each run's positions array is the last item _start returns
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if sweep == "estimate_na":
+        target = simulate(SimConfig(particle=particle, dt=1e-5, n_steps=20_000,
+                                    coefficients=quartic_coefficients(beam, particle), seed=4))
     held, arrays = [], []
     start = dynamics._start
 
@@ -773,11 +763,18 @@ def test_ensembles_hold_at_most_width_runs(particle, monkeypatch, sweep):
     monkeypatch.setattr(dynamics, "_start", watched)
     cfg = SimConfig(particle=particle, dt=2e-4, n_steps=20_000, force_model="harmonic",
                     stiffness=1e-6, seed=6)
-    if sweep == "corner_frequency_of":
+    if sweep == "estimate_na":
+        result = estimate_na(target, [0.44, 0.45, 0.46, 0.47], particle=particle,
+                             beam_template=beam, dt=1e-5, n_steps=10_000, n_reps=4,
+                             seed=5, burn_in=500)
+        assert result.valid.all() and np.isfinite(result.fc).all()
+        assert len(held) == 16
+    elif sweep == "corner_frequency_of":
         assert corner_frequency_of(cfg, repetitions=8).n_failed == 0
+        assert len(held) == 8
     else:
         # the loop holds each run while the next is started
         for traj in dynamics.simulate_ensemble(cfg, 8):
             assert len(traj) == 20_001
-    assert len(held) == 8
+        assert len(held) == 8
     assert max(held) <= 2

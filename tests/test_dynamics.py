@@ -180,14 +180,36 @@ class TestSimulate:
             with pytest.raises(SimulationUnstableError):
                 simulate(cfg)
 
-    def test_given_noise_equals_the_drawn_noise_and_is_checked(self, particle):
+    def test_given_noise_equals_the_drawn_noise(self, particle):
         cfg = harmonic_cfg(particle, n_steps=1000)
         noise = list(dynamics._noise_chunks(cfg))
-        assert np.array_equal(simulate(cfg, noise=noise).positions, simulate(cfg).positions)
-        for bad in ([noise[0][:-1]], [noise[0], noise[0][:1]], [noise[0][:, :2]],
-                    [noise[0].ravel()], []):
-            with pytest.raises(ValueError, match="noise must hold n_steps=1000 rows of three"):
-                simulate(cfg, noise=bad)
+        given = dynamics._finish(*dynamics._start(cfg, noise))
+        assert np.array_equal(given.positions, simulate(cfg).positions)
+
+    def test_quartic_coefficients_resolved_once_per_run(self, beam, particle, monkeypatch):
+        # a quartic run of a beam expands it once for its stability bound,
+        # domain bound and force: one call and one warning per run, and the
+        # run keeps the caller's config
+        cfg = SimConfig(particle=dataclasses.replace(particle, n_particle=1.60), dt=1e-5,
+                        n_steps=1000, beam=beam, seed=1)
+        calls = []
+        expand = dynamics.quartic_coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return expand(*args)
+
+        monkeypatch.setattr(dynamics, "quartic_coefficients", counted)
+        for n_runs, run in ((1, lambda: [simulate(cfg)]),
+                            (3, lambda: list(simulate_ensemble(cfg, 3)))):
+            calls.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                runs = run()
+            assert len(calls) == n_runs
+            assert [str(w.message)[:16] for w in caught] == ["index ratio >= 1"] * n_runs
+            assert [t.config for t in runs] == [cfg.with_seed(t.seed) for t in runs]
+            assert all(t.config.coefficients is None for t in runs)
 
     def test_scattering_force_pushes_along_beam(self, beam):
         # Rayleigh-sized cold particle parked on the axial barrier maximum,
@@ -280,9 +302,14 @@ class TestEnsembles:
             assert np.array_equal(a.positions, b.positions)
 
     def test_bad_size_raises_at_the_call(self, particle):
-        # the seeds are spawned when the ensemble is asked for, not when iterated
-        with pytest.raises(ValueError, match="negative dimensions"):
-            simulate_ensemble(harmonic_cfg(particle, n_steps=500), -1)
+        # the seeds are spawned when the ensemble is asked for, not when
+        # iterated, and the error names the bad count
+        cfg = harmonic_cfg(particle, n_steps=500)
+        for batch in (simulate_ensemble, corner_frequency_of):
+            for n_runs in (-1, 2.5, True, "3"):
+                with pytest.raises(ValueError, match=(
+                        f"the number of runs must be an integer >= 0, got {n_runs!r}$")):
+                    batch(cfg, n_runs)
 
     def test_pooled_positions_burn_in_and_escapes(self, particle):
         cfg = SimConfig(particle=particle, dt=2e-5, n_steps=20_000,
@@ -441,30 +468,40 @@ class TestSimulateLanes:
         domain_bound, boundary, seed, outcomes = SHARED_NOISE_SWEEPS[case]
         if stepper == "reference":
             monkeypatch.setattr(_compiled, "load", lambda: None)
+        # [cfg, positions array] of each run in start order; its _finish,
+        # on any thread, puts the trajectory or the error's text in place
+        # of the array
         runs = []
-        run = dynamics.simulate
+        start, finish = dynamics._start, dynamics._finish
 
-        def recorded(cfg, **kwargs):
+        def started(cfg, noise=None):
+            run = start(cfg, noise)
+            runs.append([cfg, run[-1]])
+            return run
+
+        def finished(*run):
+            slot = next(slot for slot in runs if slot[1] is run[-1])
             try:
-                traj = run(cfg, **kwargs)
+                slot[1] = finish(*run)
             except SimulationUnstableError as exc:
-                runs.append((cfg, str(exc)))
+                slot[1] = str(exc)
                 raise
-            runs.append((cfg, traj))
-            return traj
+            return slot[1]
 
-        monkeypatch.setattr(dynamics, "simulate", recorded)
         rng = np.random.default_rng(0)
         target = (rng.standard_normal(5000) * 3e-8, rng.standard_normal(5000) * 3e-8)
         nas = [0.40, 0.46, 0.55]
         sweep = dict(particle=particle, beam_template=beam, dt=1e-5,
                      n_steps=dynamics._NOISE_CHUNK + 300, n_reps=2, seed=seed,
                      burn_in=1000, boundary=boundary, domain_bound=domain_bound)
-        if case == "unstable":
-            with pytest.raises(SimulationUnstableError):
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_start", started)
+            m.setattr(dynamics, "_finish", finished)
+            if case == "unstable":
+                with pytest.raises(SimulationUnstableError):
+                    estimate_na(target, nas, **sweep)
+            else:
                 estimate_na(target, nas, **sweep)
-        else:
-            estimate_na(target, nas, **sweep)
 
         assert [(c.seed, c.coefficients) for c, _ in runs] == [
             (s, quartic_coefficients(beam.with_na(na), particle))
