@@ -530,6 +530,16 @@ def estimate_na(
     if kept_per_run < 100:
         raise ValueError(f"burn_in={burn_in!r} leaves {kept_per_run} of the {n_steps + 1} "
                          "samples of a run; need at least 100")
+    if target_fc is not None:
+        bad_fc = ValueError("target_fc must be None or a pair (value, error) of finite "
+                            f"numbers with error >= 0, got {target_fc!r}")
+        try:
+            fc_t, fc_t_err = target_fc
+        except (TypeError, ValueError) as exc:
+            raise bad_fc from exc
+        if not (all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in target_fc) and fc_t_err >= 0):
+            raise bad_fc
     p_x, p_y = marginals = _target_marginals(target)
     cfgs = [SimConfig(
         particle=particle, dt=dt, n_steps=n_steps, force_model="quartic",
@@ -578,7 +588,6 @@ def estimate_na(
     argmin_na = float(na_values[np.argmin(kl)])
 
     if target_fc is not None:
-        fc_t, fc_t_err = target_fc
         lo_t, hi_t = fc_t - fc_t_err, fc_t + fc_t_err
         spread = np.where(np.isfinite(fc_err), fc_err, 0.0)
         # fc is finite only at a valid NA

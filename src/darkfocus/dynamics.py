@@ -16,10 +16,12 @@ default_rng(seed)'s standard normals in draws of _NOISE_CHUNK steps, times
 sqrt(2 kB T dt / gamma).  A run hands each chunk to a stepper: the
 compiled one of integrator.c (built on first use by darkfocus._compiled),
 or the Python reference loop when no C compiler works.
-_force_model resolves a run's force once, as integrator.c's model code
-with the numbers it reads and as the reference loop's plain-float closure
-built from those same numbers; the compiled stepper repeats the
-reference's operations in the same order, so both give the same bits.
+_force_model, the only code that knows a force model, resolves a run's
+force once: integrator.c's model code with the numbers it reads, the
+reference loop's plain-float closure built from those same numbers, and
+the run's k_max and default domain bound, derived from them too.  The
+compiled stepper repeats the reference's operations in the same order,
+so both give the same bits.
 A run is _start, which warns and allocates on the calling thread, then
 _finish, which draws, steps and may run on any thread; simulate is one
 run.  _map_runs is the one path of every batch of runs: it starts each run
@@ -40,11 +42,12 @@ through darkfocus._text, the one writer and reader of every float table.
 import ctypes
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _compiled, _parallel
+from ._roots import bracketed_root
 from ._text import _ROWS_PER_BLOCK, read_table, write_blocks
 from .beam import BeamParams, _bottle_constants, _bottle_field
 from .forces import (
@@ -156,25 +159,6 @@ class SimConfig:
             raise ValueError("stiffness must be a scalar or a triple")
         return tuple(float(k) for k in self.stiffness)
 
-    def effective_coefficients(self) -> QuarticCoefficients:
-        if self.coefficients is not None:
-            return self.coefficients
-        return quartic_coefficients(self.beam, self.particle)
-
-    def default_domain_bound(self) -> float:
-        if self.force_model == "dipole":
-            return 3.0 * max(self.beam.waist, self.beam.rayleigh_range)
-        if self.force_model == "harmonic":
-            ks = [k for k in self.stiffness_triple() if k > 0]
-            if not ks:
-                return math.inf
-            kbt = BOLTZMANN * self.particle.temperature
-            return 12.0 * math.sqrt(kbt / min(ks))
-        qc = self.effective_coefficients()
-        rho_s2 = qc.k_z / (2.0 * qc.k_rho_z)
-        z_s2 = qc.k_rho * qc.k_z / (4.0 * qc.k_rho_z**2)
-        return 1.5 * math.sqrt(rho_s2 + z_s2)
-
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)
 
@@ -213,26 +197,6 @@ class Trajectory:
         return self.positions[:, "xyz".index(name)]
 
 
-def _integration_constants(cfg: SimConfig):
-    """(domain bound, mobility dt/gamma) of one run; warns when dt exceeds the
-    stability bound 0.1 gamma/k_max, with k_max the largest local stiffness
-    the trajectory is expected to probe (N/m)."""
-    gamma = cfg.particle.drag
-    kbt = BOLTZMANN * cfg.particle.temperature
-    if cfg.force_model == "harmonic":
-        k_max = max(*cfg.stiffness_triple(), 0.0)
-    else:
-        qc = cfg.effective_coefficients()
-        rho_th2 = math.sqrt(4.0 * kbt / qc.k_rho)
-        z_th2 = kbt / qc.k_z
-        k_max = max(qc.k_z, 3.0 * qc.k_rho * rho_th2, 2.0 * qc.k_rho_z * (rho_th2 + z_th2))
-    if k_max > 0 and cfg.dt > 0.1 * gamma / k_max:
-        _warn(f"dt={cfg.dt:g} exceeds the stability bound 0.1 gamma/k_max="
-              f"{0.1 * gamma / k_max:g}; results may be inaccurate")
-    bound = cfg.domain_bound if cfg.domain_bound is not None else cfg.default_domain_bound()
-    return bound, cfg.dt / gamma
-
-
 def _noise_chunks(cfg: SimConfig):
     """The noise of cfg's run: default_rng(cfg.seed)'s standard normals drawn
     _NOISE_CHUNK rows of three at a time (the last draw shorter, n_steps rows
@@ -253,20 +217,44 @@ _HARMONIC, _QUARTIC, _DIPOLE = 0, 1, 2
 
 
 def _force_model(cfg: SimConfig):
-    """(model, coef, force) of one run: integrator.c's model code, the numbers
-    its force reads, and the plain-float force(x, y, z) -> (F_x, F_y, F_z) of
-    the reference loop, built from those same numbers."""
+    """(model, coef, force, k_max, bound) of one run: integrator.c's model
+    code, the numbers its force reads, the reference loop's plain-float
+    force(x, y, z) -> (F_x, F_y, F_z) built from those same numbers, the
+    largest local stiffness the run is expected to probe (N/m), and
+    cfg.domain_bound, or the model's default bound when that is None."""
+    kbt = BOLTZMANN * cfg.particle.temperature
+    bound = cfg.domain_bound
     if cfg.force_model == "harmonic":
         k_x, k_y, k_z = coef = cfg.stiffness_triple()
 
         def force(x, y, z):
             return -k_x * x, -k_y * y, -k_z * z
 
-        return _HARMONIC, coef, force
+        if bound is None:
+            ks = [k for k in coef if k > 0]
+            bound = 12.0 * math.sqrt(kbt / min(ks)) if ks else math.inf
+        return _HARMONIC, coef, force, max(*coef, 0.0), bound
     if cfg.force_model == "quartic":
-        qc = cfg.effective_coefficients()
+        qc = cfg.coefficients or quartic_coefficients(cfg.beam, cfg.particle)
         coef = (qc.k_z, qc.k_rho_z, qc.k_rho)
-        return _QUARTIC, coef, _quartic_force(*coef)
+        # the stiffness at the thermal lengths sqrt(4 kB T / k_rho) and kB T / k_z
+        if not (qc.k_rho > 0 and qc.k_z):
+            name = "k_z" if qc.k_rho > 0 else "k_rho"
+            raise ValueError("the stability bound 0.1 gamma/k_max needs quartic k_rho > 0 "
+                             f"and k_z != 0, got {name}={getattr(qc, name)!r}")
+        rho_th2 = math.sqrt(4.0 * kbt / qc.k_rho)
+        z_th2 = kbt / qc.k_z
+        k_max = max(qc.k_z, 3.0 * qc.k_rho * rho_th2, 2.0 * qc.k_rho_z * (rho_th2 + z_th2))
+        if bound is None:
+            # 1.5x the distance to the escape saddle
+            s2 = (qc.k_z / (2.0 * qc.k_rho_z) + qc.k_rho * qc.k_z / (4.0 * qc.k_rho_z**2)
+                  if qc.k_rho_z else 0.0)
+            if not s2 > 0:
+                name = "k_z" if qc.k_z < 0 else "k_rho_z"
+                raise ValueError("the default domain bound needs an escape saddle, which quartic "
+                                 f"{name}={getattr(qc, name)!r} does not give; set domain_bound")
+            bound = 1.5 * math.sqrt(s2)
+        return _QUARTIC, coef, _quartic_force(*coef), k_max, bound
 
     pref = _potential_prefactor(cfg.beam, cfg.particle)
     # an index-matched particle has no dipole and no scattering force
@@ -281,7 +269,34 @@ def _force_model(cfg: SimConfig):
             fz += scat * intensity
         return radial * x, radial * y, fz
 
-    return _DIPOLE, coef, force
+    reach = 3.0 * max(cfg.beam.waist, cfg.beam.rayleigh_range)
+    k_max = _field_k_max(_bottle_field(cfg.beam, pref), field, kbt, reach)
+    return _DIPOLE, coef, force, k_max, reach if bound is None else bound
+
+
+def _field_k_max(grid, field, kbt, reach):
+    """Largest eigenvalue of -(J + J^T)/2, J the central-difference Jacobian
+    of the gradient force (the scattering force is not conservative), at the
+    focus and one thermal length off it along rho, z and both: where the
+    potential -field(rho^2, z)[0] first rises kB T above the focus's on a
+    2001-point grid (on arrays) out to reach, then by bracketed_root."""
+    s = np.linspace(0.0, reach, 2001)
+    top = field(0.0, 0.0)[0] - kbt  # -I has risen kB T where top - I = 0
+    lengths = []
+    for a, b in ((1.0, 0.0), (0.0, 1.0)):  # along rho, along z
+        with np.errstate(over="ignore", invalid="ignore"):  # L_p^2 of p = 100 overflows
+            above = np.flatnonzero(top - grid(a * s * s, b * s)[0] >= 0)
+        lengths.append(bracketed_root(lambda t: top - field(a * t * t, b * t)[0],
+                                      *s[above[0] - 1:above[0] + 1].tolist())
+                       if len(above) else 0.0)  # no new point
+    h = 1e-6 * reach
+    steps = h * np.vstack((np.eye(3), -np.eye(3)))
+    points = [(r, 0.0, w) for r in (0.0, lengths[0]) for w in (0.0, lengths[1])]
+    x, y, z = np.moveaxis(np.array(points)[:, None] + steps, -1, 0)
+    _, radial, fz = grid(x * x + y * y, z)
+    f = np.stack((radial * x, radial * y, fz), axis=-1)
+    jac = (f[:, :3] - f[:, 3:]) / (2.0 * h)  # jac[n, j, i] = dF_i/dx_j at points[n]
+    return float(np.linalg.eigvalsh(-0.5 * (jac + jac.transpose(0, 2, 1)))[:, -1].max())
 
 
 def _python_stepper(force, bound, mob, reflect):
@@ -354,19 +369,18 @@ def simulate(cfg: SimConfig) -> Trajectory:
 
 
 def _start(cfg: SimConfig, noise=None):
-    """The calling thread's part of one run: the integration constants with
-    their dt warning, the force model, the stepper and the run's positions
-    array, allocated here so that glibc's main arena, not a worker thread's,
-    recycles it.  noise is None, or list(_noise_chunks(c)) of a config c
-    with cfg's particle, dt and n_steps, which the run then steps through.
-    Returns the arguments of _finish, which may run on any thread."""
-    resolved = cfg
-    if cfg.force_model == "quartic" and cfg.coefficients is None:
-        # the stability bound, the domain bound and the force share one
-        # expansion of the beam, and its warnings come once per run
-        resolved = replace(cfg, coefficients=cfg.effective_coefficients())
-    bound, mob = _integration_constants(resolved)
-    model, coef, force = _force_model(resolved)
+    """The calling thread's part of one run: the force model, a warning when
+    dt exceeds the stability bound 0.1 gamma/k_max, the stepper and the run's
+    positions array, allocated here so that glibc's main arena, not a worker
+    thread's, recycles it.  noise is None, or list(_noise_chunks(c)) of a
+    config c with cfg's particle, dt and n_steps, which the run then steps
+    through.  Returns the arguments of _finish, which may run on any thread."""
+    model, coef, force, k_max, bound = _force_model(cfg)
+    gamma = cfg.particle.drag
+    if k_max > 0 and cfg.dt > 0.1 * gamma / k_max:
+        _warn(f"dt={cfg.dt:g} exceeds the stability bound 0.1 gamma/k_max="
+              f"{0.1 * gamma / k_max:g}; results may be inaccurate")
+    mob = cfg.dt / gamma
     reflect = cfg.boundary == "reflect"
     library = _compiled.load()
     if library is None:

@@ -185,6 +185,9 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
     toward and f_c_in_range is False.  Uncertainties are the Gauss-Newton
     covariance of (ln A, u), scaled by RSS / (n - 2).
     """
+    if len(psd.frequencies) < 10:
+        raise NumericalError("need at least 10 frequency bins in range, the spectrum has "
+                             f"{len(psd.frequencies)}")
     if f_range is None:
         f_range = default_fit_range(psd)
     lo, hi = f_range

@@ -592,9 +592,14 @@ class TestEstimateNa:
         *((dict(na_values=na_values), "na_values must be a non-empty 1-D sequence")
           for na_values in ([], 0.46, [[0.44, 0.46]], [[0.44], [0.46, 0.48]],
                             [0.44, math.nan], [0.44, math.inf], "0.46", None)),
+        *((dict(target_fc=target_fc), "^target_fc must be None or a pair ")
+          for target_fc in ([90.0], (90.0, "a"), (90.0, -1.0), 90.0, (90.0, 1.0, 2.0),
+                            (math.nan, 1.0), (90.0, math.inf), (True, 1.0), "ab")),
     ], ids=["no_reps", "bool_reps", "fractional_reps", "negative_burn_in", "bool_burn_in",
             "fractional_burn_in", "99_left", "1_left", "past_the_run", "no_na", "scalar_na",
-            "2d_na", "ragged_na", "nan_na", "inf_na", "text_na", "none_na"])
+            "2d_na", "ragged_na", "nan_na", "inf_na", "text_na", "none_na", "one_number_fc",
+            "text_fc_error", "negative_fc_error", "scalar_fc", "three_number_fc", "nan_fc",
+            "inf_fc_error", "bool_fc", "text_fc"])
     def test_bad_sweep_size_rejected(self, beam, particle, bad, message, monkeypatch):
         def no_runs(cfg, *args):
             raise AssertionError("a rejected sweep must not simulate")
@@ -610,12 +615,12 @@ class TestEstimateNa:
 
     def test_bad_na_rejected_before_the_first_run(self, beam, particle, monkeypatch):
         # the last NA reaches n_medium = 1.53: no NA of the sweep is simulated.
-        # every run starts with _integration_constants, whichever name of
-        # simulate the sweep calls
+        # every run starts with _force_model, whichever name of simulate the
+        # sweep calls
         def no_runs(cfg):
             raise AssertionError("a rejected sweep must not simulate")
 
-        monkeypatch.setattr(dynamics, "_integration_constants", no_runs)
+        monkeypatch.setattr(dynamics, "_force_model", no_runs)
         target = (np.random.default_rng(0).standard_normal(5000) * 1e-8,
                   np.random.default_rng(1).standard_normal(5000) * 1e-8)
         with pytest.raises(ValueError, match="na must satisfy 0 < na < n_medium"):

@@ -210,6 +210,16 @@ class TestSimulateCommand:
         assert code == EXIT_NUMERICAL
         assert err.startswith("numerical failure: ") and "Traceback" not in err
 
+    def test_bright_tweezer_dipole_run(self, tmp_path):
+        # p = 0 has no quartic expansion; the dipole model steps its own field
+        cfg = write_config(tmp_path, {
+            "beam": {"p_index": 0, "theta_rel": 0.0}, "particle": {"n_particle": 1.6},
+            "simulation": {"force_model": "dipole", "n_steps": 2000, "dt": 1e-6},
+        })
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(np.loadtxt(out / "trajectory.txt", skiprows=4)) == 2001
+
     def test_harmonic_variance_matches_equipartition(self, tmp_path):
         from scipy.constants import k as k_b
 
@@ -414,8 +424,9 @@ class TestSweepNaCommand:
         {"n_reps": 0},
         {"burn_in": -50},
         {"burn_in": 60_000},
+        {"target_fc": [90]},
     ], ids=["zero_step", "stop_below_start", "missing_target_file", "no_reps",
-            "negative_burn_in", "burn_in_past_the_run"])
+            "negative_burn_in", "burn_in_past_the_run", "one_number_target_fc"])
     def test_bad_sweep_is_config_error(self, tmp_path, capsys, sweep):
         target = tmp_path / "target.txt"
         target.write_text("# dt=1e-05\nt x y z\n" + "".join(

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -102,14 +104,75 @@ class TestSimConfig:
                             coefficients=TABLE_COEFFS)
         rho_s2 = TABLE_COEFFS.k_z / (2 * TABLE_COEFFS.k_rho_z)
         z_s2 = TABLE_COEFFS.k_rho * TABLE_COEFFS.k_z / (4 * TABLE_COEFFS.k_rho_z**2)
-        assert quartic.default_domain_bound() == pytest.approx(
+        assert dynamics._force_model(quartic)[4] == pytest.approx(
             1.5 * math.sqrt(rho_s2 + z_s2)
         )
         dipole = SimConfig(particle=particle, dt=1e-5, n_steps=10,
                            force_model="dipole", beam=beam)
-        assert dipole.default_domain_bound() == pytest.approx(
+        assert dynamics._force_model(dipole)[4] == pytest.approx(
             3 * max(beam.waist, beam.rayleigh_range)
         )
+
+    @pytest.mark.filterwarnings("ignore:non-positive quartic coefficients")
+    @pytest.mark.parametrize("bound", [None, 1e-6])
+    @pytest.mark.parametrize("signs", list(itertools.product((1, 0, -1), repeat=3)),
+                             ids=lambda signs: "".join("+0-"[1 - v] for v in signs))
+    def test_degenerate_quartic_coefficients_named(self, beam, particle, signs, bound):
+        # the stability bound needs k_rho > 0 and k_z != 0; the default domain
+        # bound, evaluated only when no bound is given, needs an escape saddle
+        s_z, s_rz, s_r = signs
+        qc = quartic_coefficients(beam, particle)
+        cfg = SimConfig(particle=particle, dt=2e-5, n_steps=200, seed=3, domain_bound=bound,
+                        coefficients=QuarticCoefficients(s_z * qc.k_z, s_rz * qc.k_rho_z,
+                                                         s_r * qc.k_rho))
+        if s_r <= 0 or s_z == 0:
+            fault, what = ("k_rho" if s_r <= 0 else "k_z"), "the stability bound 0.1 gamma/k_max"
+        elif bound is None and not (s_z > 0 and s_rz != 0):
+            fault, what = ("k_z" if s_z < 0 else "k_rho_z"), "the default domain bound"
+        else:
+            assert len(simulate(cfg)) > 1
+            return
+        what, named = re.escape(what), re.escape(f"{fault}={getattr(cfg.coefficients, fault)!r}")
+        with pytest.raises(ValueError, match=f"^{what} needs .*quartic .*\\b{named}\\b"):
+            simulate(cfg)
+
+    def test_default_dipole_k_max(self, beam, particle):
+        # the field's own stiffness: k_z of the expansion, where k_z dominates
+        cfg = SimConfig(particle=particle, dt=2e-5, n_steps=10, force_model="dipole", beam=beam)
+        assert dynamics._force_model(cfg)[3] == pytest.approx(2.90503e-5, rel=1e-3)
+
+    def test_dipole_k_max_of_a_high_order_bottle(self, beam, particle):
+        # L_p^2 of p = 100 overflows far out on the thermal-length grid at NA 0.1
+        b = dataclasses.replace(beam, na=0.1, p_index=100)
+        cfg = SimConfig(particle=particle, dt=1e-9, n_steps=10, force_model="dipole", beam=b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0 < dynamics._force_model(cfg)[3] < math.inf
+
+    @pytest.mark.parametrize("case", ["tweezer", "dense", "index_matched"])
+    def test_dipole_runs_without_the_quartic_expansion(self, beam, particle, case):
+        # a p = 0 tweezer, a particle denser than the medium in the dark focus
+        # and an index-matched one have no confining quartic expansion
+        dense = dataclasses.replace(particle, n_particle=1.6)
+        pm, b = dict(tweezer=(dense, dataclasses.replace(beam, p_index=0, theta_rel=0.0)),
+                     dense=(dense, beam),
+                     index_matched=(dataclasses.replace(particle, n_particle=1.53), beam))[case]
+        cfg = SimConfig(particle=pm, dt=1e-6, n_steps=2000, force_model="dipole", beam=b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate(cfg)
+        assert len(traj) == 2001 and traj.escape is None
+        if case == "tweezer":
+            # 0.1 gamma / k_max = 1.74 us: the field's stiffness at its bright focus
+            with pytest.warns(UserWarning, match="stability bound 0.1 gamma/k_max=1.74"):
+                simulate(dataclasses.replace(cfg, dt=2e-5))
+
+    def test_index_matched_quartic_names_its_coefficient(self, beam, particle):
+        cfg = SimConfig(particle=dataclasses.replace(particle, n_particle=1.53), dt=2e-5,
+                        n_steps=10, beam=beam)
+        with pytest.warns(UserWarning), pytest.raises(
+                ValueError, match="^the stability bound .* got k_rho=0.0$"):
+            simulate(cfg)
 
 
 class TestSimulate:
@@ -159,7 +222,7 @@ class TestSimulate:
         assert traj.escape.step == len(traj) - 1
         assert traj.escape.time == pytest.approx(traj.escape.step * cfg.dt)
         r = np.linalg.norm(traj.escape.position)
-        assert r > cfg.default_domain_bound()
+        assert r > dynamics._force_model(cfg)[4]
 
     def test_reflecting_wall_keeps_particle_inside(self, particle):
         bound = 1.6e-7
@@ -345,8 +408,12 @@ GAUSSIAN_TARGET = (np.random.default_rng(0).standard_normal(5000) * 1e-8,
                                  dt=2e-5, n_steps=2000, n_reps=2, burn_in=100),
     lambda beam, pm: QuarticCoefficients(-1, 1, 1),
     lambda beam, pm: quartic_coefficients(beam, dataclasses.replace(pm, n_particle=1.6)),
+    # a p = 0 tweezer at twelve times its stability bound
+    lambda beam, pm: simulate(SimConfig(
+        particle=dataclasses.replace(pm, n_particle=1.6), dt=2e-5, n_steps=10,
+        force_model="dipole", beam=dataclasses.replace(beam, p_index=0, theta_rel=0.0))),
 ], ids=["simulate", "simulate_ensemble", "corner_frequency_of", "estimate_na",
-        "QuarticCoefficients", "quartic_coefficients"])
+        "QuarticCoefficients", "quartic_coefficients", "dipole"])
 def test_library_warning_names_the_calling_line(beam, particle, call):
     with pytest.warns(UserWarning) as record:
         call(beam, particle)
@@ -807,11 +874,11 @@ def test_integrator_dipole_force_matches_array_forces(beam, particle, rng, model
     kw = dict(dipole=dict(beam=b, include_scattering=scattering), quartic=dict(beam=b),
               harmonic=dict(stiffness=k))[model]
     cfg = SimConfig(particle=particle, dt=1e-5, n_steps=1, force_model=model, **kw)
-    _, _, force = dynamics._force_model(cfg)
+    force = dynamics._force_model(cfg)[2]
     loop = np.array([force(*q) for q in pts.tolist()])
     if model == "quartic":
         np.testing.assert_array_equal(
-            loop, quartic_force(cfg.effective_coefficients(), *pts.T))
+            loop, quartic_force(quartic_coefficients(b, particle), *pts.T))
     elif model == "harmonic":
         np.testing.assert_array_equal(loop, -np.array(k) * pts)
     else:

@@ -19,7 +19,7 @@ from darkfocus import (
 )
 from darkfocus import spectral
 from darkfocus.dynamics import spawn_seeds
-from darkfocus.spectral import FitError, default_fit_range
+from darkfocus.spectral import FitError, NumericalError, default_fit_range
 
 TABLE_COEFFS = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
 
@@ -270,6 +270,13 @@ class TestFitLorentzian:
         freqs = np.linspace(1, 9, 9)
         with pytest.raises(ValueError, match="10"):
             fit_lorentzian(lorentzian_psd(1e-16, 3.0, freqs), f_range=(1.0, 9.0))
+
+    @pytest.mark.parametrize("n_bins", [0, 1])
+    @pytest.mark.parametrize("f_range", [None, (1.0, 2.0)])
+    def test_too_short_spectrum_is_a_numerical_error(self, n_bins, f_range):
+        psd = lorentzian_psd(1e-16, 3.0, np.arange(1.0, 1.0 + n_bins))
+        with pytest.raises(NumericalError, match=f"10 frequency bins .* has {n_bins}$"):
+            fit_lorentzian(psd, f_range)
 
     def test_default_range(self, rng):
         psd = estimate_psd(make_traj(rng.standard_normal(2**14), 1e-3))
