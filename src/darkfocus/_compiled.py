@@ -3,8 +3,9 @@ stepper of darkfocus.dynamics.simulate; trajio.c, the row writer and parser
 of darkfocus._text, through which every float table is written and read;
 and binning.c, the single (rho, z) binning pass of
 darkfocus.calibration.reconstruct_potential, which counts every sample once
-into the grid of its fold, and the x and y histograms of every run of
-darkfocus.calibration.estimate_na.
+into the grid of its fold, the x and y histograms of every run of
+darkfocus.calibration.estimate_na, and the Gaussian CDF (scipy's ndtr, bit
+for bit) and KS statistics of darkfocus.calibration.ks_gaussianity_test.
 
 The sources ship inside the package and are compiled together, on first
 use, into one shared library with the system C compiler, without
@@ -15,8 +16,8 @@ hash of every source, the compiler's version and the flags; it is written to
 a temporary file and renamed into place, so concurrent first runs are safe.
 When no compiler works, load() logs one warning and returns None, and
 darkfocus.dynamics, darkfocus._text and darkfocus.calibration run their
-Python reference code for the stepper, the table I/O and the binning, which
-gives the same bits and the same text.
+Python reference code for the stepper, the table I/O, the binning and the
+Gaussian CDF, which gives the same bits and the same text.
 
 The 128-bit power tables of the I/O kernels are computed here, exactly,
 from Python integers.
@@ -66,6 +67,10 @@ _SIGNATURES = {
     # (positions, rows, x edges, x bins, y edges, y bins, x counts, y counts)
     "df_bin_xy": [_DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long,
                   _OUT_COUNTS, _OUT_COUNTS],
+    # (values, count, out)
+    "df_ndtr": [_DOUBLES, ctypes.c_long, _OUT_DOUBLES],
+    # (sorted rows, rows, columns, row means, row standard deviations, out)
+    "df_ks_rows": [_DOUBLES, ctypes.c_long, ctypes.c_long, _DOUBLES, _DOUBLES, _OUT_DOUBLES],
 }
 
 
@@ -110,10 +115,11 @@ def build() -> Path:
 @functools.cache
 def load():
     """The compiled library with df_step_chunk, df_format_rows,
-    df_parse_rows, df_bin_rho_z and df_bin_xy typed, or None when it
-    cannot be built; the outcome is kept for the life of the process."""
-    fallback = ("the stepper, the table I/O and the binning run their "
-                "Python reference code")
+    df_parse_rows, df_bin_rho_z, df_bin_xy, df_ndtr and df_ks_rows typed,
+    or None when it cannot be built; the outcome is kept for the life of
+    the process."""
+    fallback = ("the stepper, the table I/O, the binning and the Gaussian CDF "
+                "run their Python reference code")
     try:
         library = ctypes.CDLL(str(build()))
     except subprocess.CalledProcessError as exc:

@@ -10,9 +10,10 @@ the iteration.  State fn builds lazily and shares, such as
 darkfocus._compiled.load(), must be built by the caller beforehand, and
 fn must not warn: a warning raised on a pool thread names that thread's
 code, not the caller's line.  The compiled reader's pieces, the compiled
-writer's blocks and every batch of runs (darkfocus.dynamics._map_runs:
-each run started on the calling thread and finished by fn) are the paths
-that use it.
+writer's blocks, every batch of runs (darkfocus.dynamics._map_runs: each
+run started on the calling thread and finished by fn) and the blocks of
+rows of the KS null table (darkfocus.calibration._ks_null_table) are the
+paths that use it.
 """
 
 import os

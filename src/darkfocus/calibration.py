@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _compiled, dynamics
+from . import _compiled, _parallel, dynamics
 from ._text import write_values
 from .beam import BeamParams
 from .dynamics import SimConfig, Trajectory, spawn_seeds
@@ -149,17 +149,79 @@ KS_NULL_SEED = 918273  # seed of the Monte Carlo KS null table
 DECORRELATION_TIMES = 3.0  # correlation times gamma/k per decorrelated sample
 
 
-def _ks_statistics(x):
-    """KS statistic of each row of the 2-D array x against a Gaussian with
-    that row's own mean and standard deviation; sorts the rows in place."""
-    # the Gaussian CDF is the only scipy the package uses, loaded on first call
-    from scipy.special import ndtr
+# Cephes' ndtr coefficients and constants, as binning.c holds them
+_NDTR_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_NDTR_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_NDTR_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_NDTR_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_NDTR_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+           7.00332514112805075473E3, 5.55923013010394962768E4)
+_NDTR_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+           2.26290000613890934246E4, 4.92673942608635921086E4)
+_SQRT1_2 = 7.07106781186547524401E-1
+_MAXLOG = 7.09782712893383996843E2
 
+
+def _polevl(x, c, leading_one=False):
+    """The polynomial of coefficients c (highest first, after an implied
+    leading 1 if leading_one) at x, by Horner, as Cephes' polevl/p1evl."""
+    y = x + c[0] if leading_one else c[0]
+    for coefficient in c[1:]:
+        y = y * x + coefficient
+    return y
+
+
+def _erf_small(x):
+    """erf(x) for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _NDTR_T) / _polevl(z, _NDTR_U, True)
+
+
+def _ndtr(a):
+    """The standard normal CDF of the array a, with the bits of
+    scipy.special.ndtr and of binning.c's df_ndtr: each Cephes branch
+    evaluated with numpy's rounded operations, and exp from libm through
+    math.exp (numpy's vectorised exp differs in the last bit)."""
+    x = np.ravel(a) * _SQRT1_2
+    z = np.abs(x)
+    y = np.full(x.shape, np.nan)  # NaN is in no mask below
+    inner = z < _SQRT1_2
+    y[inner] = 0.5 + 0.5 * _erf_small(x[inner])
+    # erfc(z) on z >= 1/sqrt(2); 0 where exp(-z * z) underflows
+    erfc = np.zeros(x.shape)
+    middle = (z >= _SQRT1_2) & (z < 1.0)
+    erfc[middle] = 1.0 - _erf_small(z[middle])
+    far = (z >= 8.0) & (-z * z >= -_MAXLOG)
+    for tail, p, q in ((z >= 1.0) & (z < 8.0), _NDTR_P, _NDTR_Q), (far, _NDTR_R, _NDTR_S):
+        zt = z[tail]
+        e = np.fromiter(map(math.exp, (-zt * zt).tolist()), float, len(zt))
+        erfc[tail] = e * _polevl(zt, p) / _polevl(zt, q, True)
+    outer = z >= _SQRT1_2
+    half = 0.5 * erfc[outer]
+    y[outer] = np.where(x[outer] > 0, 1.0 - half, half)
+    return y.reshape(np.shape(a))
+
+
+def _ks_statistics(x, library):
+    """KS statistic of each row of the 2-D array x of finite values against
+    a Gaussian with that row's own mean and standard deviation, by
+    binning.c's df_ks_rows when library is the compiled library, else by
+    the same arithmetic in numpy; sorts the rows in place."""
     n = x.shape[1]
-    mu = np.mean(x, axis=1, keepdims=True)
-    sigma = np.std(x, axis=1, ddof=1, keepdims=True)
+    mu = np.mean(x, axis=1)
+    sigma = np.std(x, axis=1, ddof=1)
     x.sort(axis=1)
-    cdf = ndtr((x - mu) / sigma)
+    if library is not None:
+        out = np.empty(len(x))
+        library.df_ks_rows(x, len(x), n, mu, sigma, out)
+        return out
+    cdf = _ndtr((x - mu[:, None]) / sigma[:, None])
     ranks = np.arange(n + 1) / n
     return np.maximum((ranks[1:] - cdf).max(axis=1), (cdf - ranks[:-1]).max(axis=1))
 
@@ -168,17 +230,21 @@ def _ks_null_table(n, n_null, seed):
     """Sorted KS statistics of n_null standard-normal samples of size n, each
     against a Gaussian with its own mean and standard deviation.
 
-    Rows are drawn in blocks of about 16 MB, which continues the stream of
-    one standard_normal(n) draw per row.
+    Rows are drawn on the calling thread, in blocks of at most about 16 MB
+    and at least four per usable core, which continues the stream of one
+    standard_normal(n) draw per row; the blocks are reduced on
+    darkfocus._parallel.ordered_map, so the table is the same at every
+    width.
     """
     key = (n, n_null, seed)
     table = _KS_NULL_CACHE.get(key)
     if table is None:
         rng = np.random.default_rng(seed)
-        rows_per_block = max(1, (2 << 20) // n)
-        parts = [_ks_statistics(rng.standard_normal((min(rows_per_block, n_null - start), n)))
-                 for start in range(0, n_null, rows_per_block)]
-        table = np.sort(np.concatenate(parts))
+        rows = max(1, min((2 << 20) // n, math.ceil(n_null / (4 * _parallel.width()))))
+        blocks = (rng.standard_normal((min(rows, n_null - start), n))
+                  for start in range(0, n_null, rows))
+        reduce = functools.partial(_ks_statistics, library=_compiled.load())
+        table = np.sort(np.concatenate(list(_parallel.ordered_map(reduce, blocks))))
         _KS_NULL_CACHE[key] = table
     return table
 
@@ -202,14 +268,27 @@ def ks_gaussianity_test(samples, significance: float = 0.05,
     distribution of the statistic is therefore calibrated by Monte Carlo
     (it depends only on the sample size), so that the stated significance
     is the actual false-positive rate.  Samples should be decorrelated
-    beforehand (see decorrelation_stride).
+    beforehand (see decorrelation_stride).  Fewer than 1000 samples, a NaN
+    or infinite sample, samples of zero spread and an n_null that is not
+    an integer >= 1 raise ValueError.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) < 1000:
         raise ValueError(f"need at least 1000 samples, got {len(x)}")
     if not (0 < significance < 1):
         raise ValueError("significance must lie in (0, 1)")
-    d = _ks_statistics(x[None, :].copy())[0]
+    if isinstance(n_null, bool) or not isinstance(n_null, numbers.Integral) or n_null < 1:
+        raise ValueError(f"n_null must be an integer >= 1, got {n_null!r}")
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite, got NaN or inf")
+    if x.min() == x.max():
+        raise ValueError("samples have zero spread: every sample is the same")
+    with np.errstate(all="ignore"):
+        spread = np.std(x, ddof=1)
+    if not 0 < spread < math.inf:
+        raise ValueError(f"the samples' standard deviation underflows or overflows "
+                         f"({spread!r}); rescale them")
+    d = _ks_statistics(x[None, :].copy(), _compiled.load())[0]
     table = _ks_null_table(len(x), n_null, KS_NULL_SEED)
     n_ge = len(table) - np.searchsorted(table, d, side="left")
     p_value = (1.0 + n_ge) / (n_null + 1.0)

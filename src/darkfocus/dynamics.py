@@ -247,8 +247,16 @@ def _force_model(cfg: SimConfig):
         k_max = max(qc.k_z, 3.0 * qc.k_rho * rho_th2, 2.0 * qc.k_rho_z * (rho_th2 + z_th2))
         if bound is None:
             # 1.5x the distance to the escape saddle
-            s2 = (qc.k_z / (2.0 * qc.k_rho_z) + qc.k_rho * qc.k_z / (4.0 * qc.k_rho_z**2)
-                  if qc.k_rho_z else 0.0)
+            s2 = 0.0
+            if qc.k_rho_z:
+                square = 4.0 * qc.k_rho_z**2
+                if not square:
+                    from .spectral import NumericalError  # spectral imports this module
+
+                    raise NumericalError(
+                        f"the default domain bound divides by 4 k_rho_z**2, which underflows "
+                        f"to 0 at quartic k_rho_z={qc.k_rho_z!r}; set domain_bound")
+                s2 = qc.k_z / (2.0 * qc.k_rho_z) + qc.k_rho * qc.k_z / square
             if not s2 > 0:
                 name = "k_z" if qc.k_z < 0 else "k_rho_z"
                 raise ValueError("the default domain bound needs an escape saddle, which quartic "

@@ -166,8 +166,16 @@ class LorentzianFit:
         })
 
 
+def _check_bins(psd: PsdEstimate):
+    if len(psd.frequencies) < 10:
+        raise NumericalError("need at least 10 frequency bins in range, the spectrum has "
+                             f"{len(psd.frequencies)}")
+
+
 def default_fit_range(psd: PsdEstimate) -> tuple:
-    """Second retained bin up to a quarter of the Nyquist frequency."""
+    """Second retained bin up to a quarter of the Nyquist frequency, of a
+    spectrum of at least 10 bins (else NumericalError)."""
+    _check_bins(psd)
     f = psd.frequencies
     nyquist = f[-1] + psd.df  # welch grid ends at Nyquist
     return (float(f[1]), float(nyquist / 4.0))
@@ -185,9 +193,7 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
     toward and f_c_in_range is False.  Uncertainties are the Gauss-Newton
     covariance of (ln A, u), scaled by RSS / (n - 2).
     """
-    if len(psd.frequencies) < 10:
-        raise NumericalError("need at least 10 frequency bins in range, the spectrum has "
-                             f"{len(psd.frequencies)}")
+    _check_bins(psd)
     if f_range is None:
         f_range = default_fit_range(psd)
     lo, hi = f_range

@@ -2,12 +2,14 @@ import gc
 import hashlib
 import math
 import os
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 from scipy.constants import k as k_b
 from scipy import stats
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from darkfocus import (
@@ -28,12 +30,13 @@ from darkfocus import (
     reconstruct_potential,
     simulate,
 )
-from darkfocus import _compiled, dynamics
+from darkfocus import _compiled, _parallel, calibration, dynamics
 from darkfocus.calibration import (
     _edges,
     _fit_quartic_once,
     _fold_counts,
     _ks_null_table,
+    _ndtr,
     _xy_counts,
 )
 
@@ -208,6 +211,79 @@ class TestKsGaussianity:
         expected = stats.kstest(x, "norm", args=(np.mean(x), np.std(x, ddof=1))).statistic
         assert ks_gaussianity_test(x, n_null=20).statistic == expected
         assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("path", ["compiled", "reference"])
+    def test_gaussian_cdf_is_scipy_ndtr(self, path):
+        # bit for bit on 4.5e5 points: draws, a grid over +-40, both sides of
+        # the branch thresholds 1 and 8 in a / sqrt(2), the underflow edge of
+        # the far tail, subnormals, signed zeros, infinities and NaN
+        rng = np.random.default_rng(8)
+        edges = np.sqrt(2.0) * np.array([1.0, -1.0, 8.0, -8.0])
+        edges = np.concatenate([np.nextafter(edges, np.inf), edges, np.nextafter(edges, -np.inf)])
+        a = np.concatenate([
+            rng.normal(0.0, 3.0, 200_000), rng.standard_normal(100_000),
+            np.linspace(-40.0, 40.0, 100_001), np.linspace(-38.5, -37.0, 40_001),
+            np.linspace(37.0, 38.5, 10_001), edges,
+            [5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 0.0, -0.0,
+             np.inf, -np.inf, np.nan],
+        ])
+        if path == "compiled":
+            out = np.empty_like(a)
+            _compiled.load().df_ndtr(a, len(a), out)
+        else:
+            out = _ndtr(a)
+        expected = ndtr(a)
+        assert np.isnan(out[-1]) and np.isnan(expected[-1])
+        assert np.array_equal(out[:-1].view(np.int64), expected[:-1].view(np.int64))
+
+    @pytest.mark.parametrize("n, n_null", [(1000, 120), (4000, 60), (50_001, 40)])
+    def test_null_table_at_every_width_and_path(self, monkeypatch, n, n_null):
+        # rows in blocks, reduced on the pool, compiled or not: the same bits
+        # as every row drawn at once and reduced by scipy's ndtr
+        x = np.random.default_rng(5).standard_normal((n_null, n))
+        mu, sigma = np.mean(x, axis=1, keepdims=True), np.std(x, axis=1, ddof=1, keepdims=True)
+        x.sort(axis=1)
+        cdf = ndtr((x - mu) / sigma)
+        ranks = np.arange(n + 1) / n
+        expected = np.sort(np.maximum((ranks[1:] - cdf).max(axis=1),
+                                      (cdf - ranks[:-1]).max(axis=1)))
+        for path in ("compiled", "reference"):
+            if path == "reference":
+                monkeypatch.setattr(_compiled, "load", lambda: None)
+            for width in (1, 2):
+                monkeypatch.setattr(_parallel, "width", lambda width=width: width)
+                monkeypatch.setattr(calibration, "_KS_NULL_CACHE", {})
+                table = _ks_null_table(n, n_null, 5)
+                assert np.array_equal(table.view(np.int64), expected.view(np.int64)), (path, width)
+
+    @pytest.mark.parametrize("n", [1000, 50_000])
+    def test_reference_path_gives_the_same_result(self, monkeypatch, rng, n):
+        x = sample_quartic_marginal(n, rng)
+        compiled = ks_gaussianity_test(x, n_null=30)
+        monkeypatch.setattr(_compiled, "load", lambda: None)
+        monkeypatch.setattr(calibration, "_KS_NULL_CACHE", {})
+        assert ks_gaussianity_test(x, n_null=30) == compiled
+
+    @pytest.mark.parametrize("samples, n_null, message", [
+        (np.r_[np.nan, np.zeros(1999)], 500, "finite, got NaN or inf"),
+        (np.r_[np.inf, np.arange(1999.0)], 500, "finite, got NaN or inf"),
+        (np.r_[-np.inf, np.arange(1999.0)], 500, "finite, got NaN or inf"),
+        (np.full(2000, 0.1), 500, "zero spread"),
+        (np.zeros(2000), 500, "zero spread"),
+        (np.r_[1e-170, np.zeros(1999)], 500, "standard deviation underflows or overflows"),
+        (np.r_[-1e308, 1e308, np.zeros(1998)], 500, "standard deviation underflows or overflows"),
+        (np.arange(2000.0), 0, "n_null must be an integer >= 1, got 0$"),
+        (np.arange(2000.0), -3, "n_null must be an integer >= 1, got -3$"),
+        (np.arange(2000.0), 2.5, "n_null must be an integer >= 1, got 2.5$"),
+        (np.arange(2000.0), True, "n_null must be an integer >= 1, got True$"),
+    ])
+    def test_bad_input_named_before_any_table(self, monkeypatch, samples, n_null, message):
+        monkeypatch.setattr(calibration, "_KS_NULL_CACHE", {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                ks_gaussianity_test(samples, n_null=n_null)
+        assert calibration._KS_NULL_CACHE == {}
 
     def test_decorrelation_stride(self, particle):
         stride = decorrelation_stride(particle.drag, 1e-6, 1e-4)

@@ -18,6 +18,7 @@ from scipy.constants import k as k_b
 from darkfocus import (
     EscapeReport,
     FitError,
+    NumericalError,
     ParticleMedium,
     QuarticCoefficients,
     SimConfig,
@@ -135,6 +136,18 @@ class TestSimConfig:
         what, named = re.escape(what), re.escape(f"{fault}={getattr(cfg.coefficients, fault)!r}")
         with pytest.raises(ValueError, match=f"^{what} needs .*quartic .*\\b{named}\\b"):
             simulate(cfg)
+
+    def test_underflowing_saddle_divisor_is_numerical(self, beam, particle):
+        # the quartic expansion of a 1e30 m wavelength: 4 k_rho_z**2 underflows
+        # to 0 although k_rho_z does not, and only the default bound divides by it
+        qc = QuarticCoefficients(k_z=1.075298587169427e-149, k_rho_z=4.491324970072189e-209,
+                                 k_rho=4.968687439717386e-208)
+        cfg = SimConfig(particle=particle, dt=2e-5, n_steps=10, coefficients=qc)
+        with pytest.raises(NumericalError, match=r"4 k_rho_z\*\*2, which underflows to 0 at "
+                           r"quartic k_rho_z=4.491324970072189e-209; set domain_bound$"):
+            dynamics._force_model(cfg)
+        given = dataclasses.replace(cfg, domain_bound=1e-6)
+        assert dynamics._force_model(given)[4] == 1e-6
 
     def test_default_dipole_k_max(self, beam, particle):
         # the field's own stiffness: k_z of the expansion, where k_z dominates

@@ -1,6 +1,7 @@
-"""darkfocus starts on numpy alone: neither the import nor any simulate, psd,
-calibrate, sweep, beam, absorption or force-fit path loads scipy.  Each check
-runs in a fresh interpreter, since this one has scipy loaded by the tests."""
+"""darkfocus runs on numpy alone: neither the import nor any simulate, psd,
+calibrate, sweep, beam, absorption, force-fit or KS path loads scipy.  Each
+check runs in a fresh interpreter, since this one has scipy loaded by the
+tests."""
 
 import json
 import os
@@ -56,7 +57,9 @@ def sim_config(name):
 
 
 spectral.corner_frequency_of(sim_config("harmonic"), 3)
-calibration.reconstruct_potential(dynamics.simulate(sim_config("calibrate")).positions, 293.0)
+calibrate = dynamics.simulate(sim_config("calibrate")).positions
+calibration.reconstruct_potential(calibrate, 293.0)
+calibration.ks_gaussianity_test(calibrate[::20, 0], n_null=50)
 """ + PRINT_SCIPY
 
 KS_CALL = """
@@ -86,8 +89,5 @@ def test_every_command_and_analysis_runs_without_scipy(tmp_path):
     assert scipy_modules(RUN_EVERY_PATH, str(tmp_path)) == []
 
 
-def test_ks_test_loads_only_scipy_special():
-    special = scipy_modules("import scipy.special\n" + PRINT_SCIPY)
-    loaded = scipy_modules(KS_CALL)
-    assert "scipy.special" in loaded
-    assert set(loaded) <= set(special)
+def test_ks_test_loads_no_scipy():
+    assert scipy_modules(KS_CALL) == []

@@ -278,6 +278,12 @@ class TestFitLorentzian:
         with pytest.raises(NumericalError, match=f"10 frequency bins .* has {n_bins}$"):
             fit_lorentzian(psd, f_range)
 
+    @pytest.mark.parametrize("n_bins", [0, 1, 9])
+    def test_default_range_of_a_short_spectrum_is_a_numerical_error(self, n_bins):
+        psd = lorentzian_psd(1e-16, 3.0, np.arange(1.0, 1.0 + n_bins))
+        with pytest.raises(NumericalError, match=f"10 frequency bins .* has {n_bins}$"):
+            default_fit_range(psd)
+
     def test_default_range(self, rng):
         psd = estimate_psd(make_traj(rng.standard_normal(2**14), 1e-3))
         lo, hi = default_fit_range(psd)
