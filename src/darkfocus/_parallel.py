@@ -11,9 +11,11 @@ darkfocus._compiled.load(), must be built by the caller beforehand, and
 fn must not warn: a warning raised on a pool thread names that thread's
 code, not the caller's line.  The compiled reader's pieces, the compiled
 writer's blocks, every batch of runs (darkfocus.dynamics._map_runs: each
-run started on the calling thread and finished by fn) and the blocks of
-rows of the KS null table (darkfocus.calibration._ks_null_table) are the
-paths that use it.
+run started on the calling thread and finished by fn), the blocks of rows
+of the KS null table (darkfocus.calibration._ks_null_table) and the three
+stages of a potential reconstruction (darkfocus.calibration's
+_rho_abs_z blocks of rows, its two quantile selections and the
+_fold_counts folds) are the paths that use it.
 """
 
 import os

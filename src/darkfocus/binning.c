@@ -1,17 +1,15 @@
-/* Per-fold (rho, z) histogram of darkfocus.calibration.reconstruct_potential,
-   the x and y histograms of each run of darkfocus.calibration.estimate_na,
-   and the Gaussian CDF and KS statistics of
-   darkfocus.calibration.ks_gaussianity_test.
+/* The rho and |z| columns and the per-fold (rho, z) histograms of
+   darkfocus.calibration.reconstruct_potential, the x and y histograms of
+   each run of darkfocus.calibration.estimate_na, and the Gaussian CDF and
+   KS statistics of darkfocus.calibration.ks_gaussianity_test.
 
-   One pass over the samples counts each one into the grid of its fold, the
-   folds being the contiguous pieces numpy.array_split cuts: the first
-   n % n_folds hold n / n_folds + 1 samples, the others n / n_folds.  A
-   value's bin is the one numpy.histogram and numpy.histogramdd give it
-   against the same edges: the last edge e[k] <= v (searchsorted right),
-   with v equal to the last edge in the last bin, and values outside
-   [e[0], e[m]] or NaN dropped.  Arithmetic only guesses the bin;
-   comparisons against the edges decide it, so rounding in the guess cannot
-   move a sample.
+   rho is libm's hypot and |z| its fabs, the functions numpy.hypot and
+   numpy.abs call, so both have numpy's bits.  A value's bin is the one
+   numpy.histogram and numpy.histogram2d give it against the same edges:
+   the last edge e[k] <= v (searchsorted right), with v equal to the last
+   edge in the last bin, and values outside [e[0], e[m]] or NaN dropped.
+   Arithmetic only guesses the bin; comparisons against the edges decide
+   it, so rounding in the guess cannot move a sample.
 
    The CDF is Cephes' ndtr, as scipy.special.ndtr computes it: the same
    coefficients, thresholds and Horner order, and exp from libm, so that
@@ -37,27 +35,34 @@ static long bin_of(double v, const double *e, long m, double scale)
     return k;
 }
 
-/* Counts the n samples (rho[i], pos[3 i + 2]) into counts, which holds
-   n_folds zeroed grids of n_rho x n_z int64, rho along the rows.  r_edges
-   and z_edges hold n_rho + 1 and n_z + 1 edges.  Returns the samples
-   counted. */
-long df_bin_rho_z(const double *rho, const double *pos, long n, long n_folds,
-                  const double *r_edges, long n_rho, const double *z_edges, long n_z,
-                  int64_t *counts)
+/* rho[i] = hypot(x, y) and abs_z[i] = |z| of the n rows (x, y, z) of
+   pos.  Returns the rows whose rho or |z| is not finite. */
+long df_rho_abs_z(const double *pos, long n, double *rho, double *abs_z)
+{
+    long bad = 0;
+    for (long i = 0; i < n; i++) {
+        rho[i] = hypot(pos[3 * i], pos[3 * i + 1]);
+        abs_z[i] = fabs(pos[3 * i + 2]);
+        bad += !(isfinite(rho[i]) && isfinite(abs_z[i]));
+    }
+    return bad;
+}
+
+/* Counts the n samples (rho[i], pos[3 i + 2]) into counts, a zeroed grid
+   of n_rho x n_z int64, rho along the rows.  r_edges and z_edges hold
+   n_rho + 1 and n_z + 1 edges.  Returns the samples counted. */
+long df_bin_rho_z(const double *rho, const double *pos, long n, const double *r_edges,
+                  long n_rho, const double *z_edges, long n_z, int64_t *counts)
 {
     double r_scale = n_rho / (r_edges[n_rho] - r_edges[0]);
     double z_scale = n_z / (z_edges[n_z] - z_edges[0]);
-    long base = n / n_folds, extra = n % n_folds, i = 0, counted = 0;
-    for (long f = 0; f < n_folds; f++) {
-        int64_t *grid = counts + f * n_rho * n_z;
-        long end = i + base + (f < extra);
-        for (; i < end; i++) {
-            long r = bin_of(rho[i], r_edges, n_rho, r_scale);
-            long z = bin_of(pos[3 * i + 2], z_edges, n_z, z_scale);
-            if (r >= 0 && z >= 0) {
-                grid[r * n_z + z]++;
-                counted++;
-            }
+    long counted = 0;
+    for (long i = 0; i < n; i++) {
+        long r = bin_of(rho[i], r_edges, n_rho, r_scale);
+        long z = bin_of(pos[3 * i + 2], z_edges, n_z, z_scale);
+        if (r >= 0 && z >= 0) {
+            counts[r * n_z + z]++;
+            counted++;
         }
     }
     return counted;

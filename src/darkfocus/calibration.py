@@ -360,11 +360,65 @@ def _edges(lo, hi, n_bins):
     return np.linspace(lo, hi, n_bins + 1)
 
 
+_BLOCK_ROWS = 1 << 16  # fewest rows of a block of the rho and |z| pass
+
+
+def _rho_abs_z(pos):
+    """rho = numpy.hypot(x, y) and |z| of the C-contiguous (n, 3) positions
+    pos, by binning.c's df_rho_abs_z when it builds, else by numpy; the same
+    bits either way.  The compiled pass writes into
+    arrays allocated here, on the calling thread, in blocks of contiguous
+    rows on darkfocus._parallel.ordered_map, at least four per usable core
+    and none shorter than _BLOCK_ROWS.  A NaN or infinite coordinate, or an
+    x and y whose hypot overflows, raises ValueError."""
+    n = len(pos)
+    library = _compiled.load()
+    if library is None:
+        with np.errstate(over="ignore"):
+            rho = np.hypot(pos[:, 0], pos[:, 1])
+        abs_z = np.abs(pos[:, 2])
+        bad = not (np.isfinite(rho).all() and np.isfinite(abs_z).all())
+    else:
+        rho, abs_z = np.empty(n), np.empty(n)
+        rows = max(_BLOCK_ROWS, -(-n // (4 * _parallel.width())))
+
+        def block(start):
+            stop = min(start + rows, n)
+            return library.df_rho_abs_z(pos[start:stop], stop - start, rho[start:stop],
+                                        abs_z[start:stop])
+
+        bad = sum(_parallel.ordered_map(block, range(0, n, rows)))
+    if bad:
+        raise ValueError("samples must be finite")
+    return rho, abs_z
+
+
+def _quantile(values, q):
+    """numpy.quantile(values, q) of a 1-D float64 array of finite values, by
+    one partition of values in place.  No value may be -0.0, as none of rho
+    and |z| is: a partition may put -0.0 and 0.0 in either order.  This is
+    numpy's linear method: the virtual index (n - 1) q falls between the
+    order statistics k = floor of it and k + 1, the smallest value above
+    the partition at k, and numpy's _lerp between them counts back from the
+    upper one once the fraction reaches 1/2.  At an index of n - 1 or more
+    it is the maximum."""
+    n = len(values)
+    index = (n - 1) * q
+    if index >= n - 1:
+        return float(values.max())
+    k = math.floor(index)
+    values.partition(k)
+    below, above = float(values[k]), float(values[k + 1:].min())
+    gamma = index - k
+    diff = above - below
+    return above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
+
+
 def _fold_counts(rho, positions, n_folds, r_edges, z_edges):
     """(n_folds, rho bins, z bins) int64 histogram of (rho, positions[:, 2])
-    over the contiguous folds of numpy.array_split, binned in one pass by
-    binning.c when it builds, else by numpy.histogram2d per fold; both give
-    the same counts."""
+    over the contiguous folds of numpy.array_split, binned once per fold by
+    binning.c on darkfocus._parallel.ordered_map when it builds, else by
+    numpy.histogram2d per fold; both give the same counts."""
     if positions.shape != (len(rho), 3):
         raise ValueError("positions must have shape (len(rho), 3)")
     counts = np.zeros((n_folds, len(r_edges) - 1, len(z_edges) - 1), dtype=np.int64)
@@ -373,9 +427,19 @@ def _fold_counts(rho, positions, n_folds, r_edges, z_edges):
         folds = zip(np.array_split(rho, n_folds), np.array_split(positions[:, 2], n_folds))
         for grid, (r, z) in zip(counts, folds):
             grid[...] = np.histogram2d(r, z, bins=[r_edges, z_edges])[0]
-    else:
-        library.df_bin_rho_z(rho, positions, len(rho), n_folds, r_edges, len(r_edges) - 1,
-                             z_edges, len(z_edges) - 1, counts)
+        return counts
+    # numpy.array_split's folds: the first n % n_folds are one sample longer
+    base, extra = divmod(len(rho), n_folds)
+    starts = [f * base + min(f, extra) for f in range(n_folds + 1)]
+
+    def count(f):
+        start, stop = starts[f], starts[f + 1]
+        return library.df_bin_rho_z(rho[start:stop], positions[start:stop], stop - start,
+                                    r_edges, len(r_edges) - 1, z_edges, len(z_edges) - 1,
+                                    counts[f])
+
+    for _ in _parallel.ordered_map(count, range(n_folds)):
+        pass
     return counts
 
 
@@ -434,9 +498,15 @@ def reconstruct_potential(
     obtained by count-weighted linear least squares over the populated
     bins.  Uncertainties are the standard deviation of the per-fold
     estimates over `n_folds` contiguous splits of the samples; folds whose
-    fit fails are dropped and counted out of n_folds_fitted.  Every sample
-    is binned once, into the grid of its fold, and the whole-sample fit
-    takes the sum of the fold grids, which is its histogram exactly.
+    fit fails are dropped and counted out of n_folds_fitted.
+
+    The grid spans the support_quantile quantiles of rho and |z|, which are
+    numpy.quantile's to the bit.  rho, |z| and the finiteness check are one
+    pass over the samples, the two quantiles are one selection each, side by
+    side, and every sample is binned once, into the grid of its fold, the
+    folds side by side; the whole-sample fit takes the sum of the fold
+    grids, which is its histogram exactly.  Every output is the same bits
+    at every width and on the no-compiler reference path.
     """
     if isinstance(samples, Trajectory):
         samples = samples.positions
@@ -452,12 +522,11 @@ def reconstruct_potential(
     if not 0 < support_quantile <= 1:
         raise ValueError(f"support_quantile must lie in (0, 1], got {support_quantile!r}")
 
-    rho = np.hypot(pos[:, 0], pos[:, 1])
-    # a NaN or infinite coordinate leaves rho or z NaN or infinite
-    if not (np.isfinite(rho).all() and np.isfinite(pos[:, 2]).all()):
-        raise ValueError("samples must be finite")
-    rho_max = float(np.quantile(rho, support_quantile))
-    z_max = float(np.quantile(np.abs(pos[:, 2]), support_quantile))
+    rho, abs_z = _rho_abs_z(pos)
+    # a selection reorders what it is given, and rho is binned after them:
+    # the |z| selection runs while rho is copied, here, for its own
+    z_max, rho_max = _parallel.ordered_map(functools.partial(_quantile, q=support_quantile),
+                                           itertools.chain([abs_z], map(np.copy, [rho])))
     r_edges = _edges(0.0, rho_max, n_bins)
     z_edges = _edges(-z_max, z_max, n_bins)
     counts = _fold_counts(rho, pos, n_folds, r_edges, z_edges)

@@ -457,7 +457,10 @@ def simulate_ensemble(cfg: SimConfig, n_runs: int):
 
 
 def pooled_positions(trajectories, burn_in: int = 0):
-    """Concatenate the samples of any iterable of runs after the first burn_in of each."""
+    """Concatenate the samples of any iterable of runs after the first burn_in
+    of each; a burn_in that is not an integer >= 0 raises ValueError."""
+    if isinstance(burn_in, bool) or not isinstance(burn_in, numbers.Integral):
+        raise ValueError(f"burn_in must be an integer, got {burn_in!r}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
     parts = [t.positions[burn_in:] for t in trajectories if len(t) > burn_in]

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import math
 import os
 import warnings
@@ -7,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.constants import k as k_b
 from scipy import stats
 from scipy.special import ndtr
@@ -37,6 +40,8 @@ from darkfocus.calibration import (
     _fold_counts,
     _ks_null_table,
     _ndtr,
+    _quantile,
+    _rho_abs_z,
     _xy_counts,
 )
 
@@ -404,6 +409,28 @@ class TestReconstructPotential:
         assert hashlib.sha256(rec.v_grid.tobytes()).hexdigest() == (
             "bd19ce6034597b302b4ac519ccd25095ba2ed0865ea641bd13cfab76109555da")
 
+    @pytest.mark.parametrize("n_folds, rows", [(5, None), (1, 200_001), (7, 100_003),
+                                               (2000, 1500)])
+    def test_same_result_at_every_width_and_path(self, particle, confining_trap, monkeypatch,
+                                                 n_folds, rows):
+        # every field, bit for bit, at widths 1 and 2, compiled or not; seven
+        # folds outnumber the threads, and 2000 folds the samples
+        samples = confining_trap[1][:rows]
+        options = dict(n_bins=8, min_count=5) if n_folds > len(samples) else {}
+        paths = ["reference"] if _compiled.load() is None else ["compiled", "reference"]
+        results = []
+        for path in paths:
+            if path == "reference":
+                monkeypatch.setattr(_compiled, "load", lambda: None)
+            for width in (1, 2):
+                monkeypatch.setattr(_parallel, "width", lambda width=width: width)
+                rec = reconstruct_potential(samples, particle.temperature, n_folds=n_folds,
+                                            **options)
+                results.append({name: value.tobytes() if isinstance(value, np.ndarray)
+                                else repr(value) for name, value in vars(rec).items()})
+        assert all(result == results[0] for result in results[1:])
+        assert int(results[0]["n_folds_fitted"]) == (0 if n_folds > len(samples) else n_folds)
+
     def test_failed_fold_is_dropped_and_counted(self, particle, confining_trap, tmp_path):
         # the last fifth sits in one bin: its fold cannot be fitted
         _, samples = confining_trap
@@ -546,6 +573,82 @@ class TestFoldCounts:
         rho = np.concatenate([np.zeros(500), rng.uniform(-1.0, 1.0, 500)])
         z = np.concatenate([rng.uniform(-1.0, 1.0, 500), np.zeros(500)])
         self.check(rho, z, 2, (4, 4), 0.0, 0.0)
+
+
+# finite coordinates whose hypot is finite, with subnormals, both zeros and
+# values whose squares overflow
+FINITE_COORDINATES = [0.0, -0.0, 5e-324, -1e-320, 2.2250738585072014e-308, 1e-310, 1e-200,
+                      -1.5e-160, 1.0, -3.5, 1e154, -2e200, 8.98846567431158e307]
+# coordinates that make rho or |z| non-finite: rho overflows for the first
+# when x and y both hold it
+NON_FINITE_COORDINATES = [1.7976931348623157e308, math.nan, math.inf, -math.inf]
+
+
+class TestRhoAbsZ:
+    """The rho and |z| columns against numpy.hypot and numpy.abs, bit for
+    bit, on the compiled kernel and on the reference path."""
+
+    @staticmethod
+    def rows(values):
+        return np.array(list(itertools.product(values, repeat=3)))
+
+    @staticmethod
+    def bits(a):
+        return a.view(np.int64).tolist()
+
+    def test_kernel_against_numpy(self):
+        library = _compiled.load()
+        if library is None:
+            pytest.skip("no C compiler to build the binning kernel")
+        pos = self.rows(FINITE_COORDINATES + NON_FINITE_COORDINATES)
+        rho, abs_z = np.empty(len(pos)), np.empty(len(pos))
+        bad = library.df_rho_abs_z(pos, len(pos), rho, abs_z)
+        with np.errstate(over="ignore"):
+            expected_rho = np.hypot(pos[:, 0], pos[:, 1])
+        expected_abs_z = np.abs(pos[:, 2])
+        assert self.bits(rho) == self.bits(expected_rho)
+        assert self.bits(abs_z) == self.bits(expected_abs_z)
+        finite = np.isfinite(expected_rho) & np.isfinite(expected_abs_z)
+        assert bad == np.count_nonzero(~finite) > 0
+
+    @pytest.mark.parametrize("path", ["compiled", "reference"])
+    def test_blocks_on_every_width(self, monkeypatch, path, rng):
+        if path == "reference":
+            monkeypatch.setattr(_compiled, "load", lambda: None)
+        elif _compiled.load() is None:
+            pytest.skip("no C compiler to build the binning kernel")
+        # enough rows for several blocks at every width
+        pos = self.rows(FINITE_COORDINATES)[rng.integers(0, 13**3, 600_001)]
+        for width in (1, 2, 3):
+            monkeypatch.setattr(_parallel, "width", lambda width=width: width)
+            rho, abs_z = _rho_abs_z(pos)
+            assert self.bits(rho) == self.bits(np.hypot(pos[:, 0], pos[:, 1]))
+            assert self.bits(abs_z) == self.bits(np.abs(pos[:, 2]))
+            for row in (0, 300_000, 600_000):
+                for columns, value in (([0, 1], NON_FINITE_COORDINATES[0]), ([0], math.nan),
+                                       ([2], math.nan), ([1], math.inf), ([2], -math.inf)):
+                    bad = pos.copy()
+                    bad[row, columns] = value
+                    with pytest.raises(ValueError, match="samples must be finite"):
+                        _rho_abs_z(bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1000, 50_000),
+       q=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+       distinct=st.integers(1, 50_000), seed=st.integers(0, 2**63),
+       scale=st.sampled_from([1.0, 1e-7, 5e-324, 1e300]))
+@example(n=1000, q=1.0, distinct=1, seed=0, scale=1.0)
+@example(n=27_000, q=0.995, distinct=50_000, seed=1, scale=1e-7)
+@example(n=1002, q=0.5, distinct=1002, seed=15, scale=1.0)  # gamma 1/2, a + d / 2 != b - d / 2
+@example(n=1000, q=5e-324, distinct=1000, seed=3, scale=1.0)
+def test_selection_equals_numpy_quantile(n, q, distinct, seed, scale):
+    # values drawn from a pool of `distinct`, so with heavy ties for a small
+    # pool; + 0.0 turns -0.0 into 0.0, which rho and |z| never hold
+    rng = np.random.default_rng(seed)
+    values = rng.choice(rng.standard_normal(min(distinct, n)) * scale + 0.0, n)
+    expected = np.quantile(values, q)
+    assert np.float64(_quantile(values.copy(), q)).tobytes() == expected.tobytes()
 
 
 class TestXyCounts:

@@ -403,6 +403,14 @@ class TestEnsembles:
         with pytest.raises(ValueError, match="burn_in must be >= 0"):
             pooled_positions(runs, burn_in=-50)
 
+    @pytest.mark.parametrize("burn_in", [2.5, True, "10", None])
+    def test_pooled_positions_rejects_non_integer_burn_in(self, particle, burn_in):
+        runs = list(simulate_ensemble(harmonic_cfg(particle, n_steps=500), 2))
+        with pytest.raises(ValueError, match=f"burn_in must be an integer, got {burn_in!r}$"):
+            pooled_positions(runs, burn_in=burn_in)
+        # a numpy integer is an integer
+        assert len(pooled_positions(runs, burn_in=np.int64(10))) == 2 * 491
+
 
 def hot_harmonic_cfg(particle):
     # dt five times the stability bound 0.1 gamma/k, still integrable
@@ -756,14 +764,13 @@ class TestCompiledStepper:
 
 
 def test_source_ships_with_the_package():
-    exports = {"integrator.c": ["df_step_chunk"],
-               "trajio.c": ["df_format_rows", "df_parse_rows"],
-               "binning.c": ["df_bin_rho_z", "df_bin_xy"]}
-    assert _compiled.SOURCES == tuple(exports)
-    for name, functions in exports.items():
-        source = resources.files("darkfocus").joinpath(name)
-        assert source.is_file()
-        assert all(f in source.read_text() for f in functions)
+    assert _compiled.SOURCES == ("integrator.c", "trajio.c", "binning.c")
+    sources = [resources.files("darkfocus").joinpath(name) for name in _compiled.SOURCES]
+    assert all(source.is_file() for source in sources)
+    # every kernel load() types is defined, once, in a shipped source
+    text = "\n".join(source.read_text() for source in sources)
+    for kernel in _compiled._SIGNATURES:
+        assert len(re.findall(rf"^long {kernel}\(", text, re.MULTILINE)) == 1, kernel
     # an installed copy carries the sources only if setuptools is told to ship them
     pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
     package_data = pyproject.split("[tool.setuptools.package-data]\n", 1)[1]
