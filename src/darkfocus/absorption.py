@@ -9,10 +9,11 @@ the focal plane, centered on the axis.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import _checks
 from ._text import write_table, write_values
 from .beam import BeamParams, _bottle_peaks, dft_intensity, gaussian_intensity
 from .forces import ParticleMedium
@@ -40,8 +41,8 @@ _REACH_WAISTS = 20.0
 
 def effective_cross_section(radius: float, lambda0: float) -> float:
     """A_p = V/lambda = (4/3) pi R^3 / lambda0 for a sphere, in m^2."""
-    if radius <= 0 or lambda0 <= 0:
-        raise ValueError("radius and wavelength must be positive")
+    _checks.real("radius", radius, above=0.0)
+    _checks.real("lambda0", lambda0, above=0.0)
     return 4.0 * math.pi * radius**3 / (3.0 * lambda0)
 
 
@@ -62,8 +63,7 @@ class AbsorptionScenario:
 
     def __post_init__(self):
         _check_same_geometry(self.bottle, self.gaussian)
-        if not (self.cross_section > 0):
-            raise ValueError("cross-section must be positive")
+        _checks.real("cross_section", self.cross_section, above=0.0)
 
     @classmethod
     def for_particle(cls, bottle: BeamParams, gaussian: BeamParams,
@@ -103,8 +103,7 @@ def absorption_ratio(scenario: AbsorptionScenario,
     """
     if r_eff is None:
         r_eff = scenario.effective_radius
-    if r_eff <= 0:
-        raise ValueError("effective radius must be positive")
+    _checks.real("r_eff", r_eff, above=0.0)
     bottle_unit = scenario.bottle.with_unit_power()
     gauss_unit = scenario.gaussian.with_unit_power()
     waist = scenario.bottle.waist
@@ -137,13 +136,8 @@ class TrapComparison:
     longitudinal_depth_ratio: float
 
     def __post_init__(self):
-        if min(
-            self.transverse_depth_ratio,
-            self.matched_depth_power_ratio,
-            self.longitudinal_stiffness_ratio,
-            self.longitudinal_depth_ratio,
-        ) <= 0:
-            raise ValueError("comparison ratios must be positive")
+        for field in fields(self):
+            _checks.real(field.name, getattr(self, field.name), above=0.0)
 
     def save(self, path):
         write_values(path, asdict(self))

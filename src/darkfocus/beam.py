@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _checks
 from ._roots import bracketed_root
 from ._text import read_table, write_table
 
@@ -61,23 +62,17 @@ class BeamParams:
     theta_rel: float = math.pi
 
     def __post_init__(self):
-        if not (math.isfinite(self.lambda0) and self.lambda0 > 0):
-            raise ValueError(f"lambda0 must be finite and positive, got {self.lambda0}")
-        if not (math.isfinite(self.n_medium) and self.n_medium >= 1):
-            raise ValueError(f"n_medium must be finite and >= 1, got {self.n_medium}")
-        if not (0 < self.na < self.n_medium):
-            raise ValueError(
-                f"na must satisfy 0 < na < n_medium, got na={self.na}, "
-                f"n_medium={self.n_medium}"
-            )
-        if not (math.isfinite(self.p_total) and self.p_total > 0):
-            raise ValueError(f"p_total must be finite and positive, got {self.p_total}")
-        if not (isinstance(self.p_index, (int, np.integer))
-                and 0 <= self.p_index <= _MAX_P_INDEX):
-            raise ValueError(
-                f"p_index must be an integer from 0 to {_MAX_P_INDEX}, got {self.p_index}")
-        if not math.isfinite(self.theta_rel):
-            raise ValueError("theta_rel must be finite")
+        _checks.real("lambda0", self.lambda0, above=0.0)
+        _checks.real("n_medium", self.n_medium, at_least=1.0)
+        _checks.real("na", self.na, above=0.0)
+        if not self.na < self.n_medium:
+            raise ValueError(f"na must satisfy 0 < na < n_medium, got na={self.na}, "
+                             f"n_medium={self.n_medium}")
+        _checks.real("p_total", self.p_total, above=0.0)
+        _checks.count("p_index", self.p_index, 0)
+        if self.p_index > _MAX_P_INDEX:
+            raise ValueError(f"p_index must be at most {_MAX_P_INDEX}, got {self.p_index!r}")
+        _checks.real("theta_rel", self.theta_rel)
 
     # Derived quantities are recomputed on access so they can never go stale.
     @property
@@ -147,8 +142,7 @@ def lg_mode(params: BeamParams, ell: int, p: int, rho, z, phi=0.0):
 
     Accepts scalars or broadcastable arrays for rho, z, phi.
     """
-    if not (isinstance(p, (int, np.integer)) and p >= 0):
-        raise ValueError(f"p must be a nonnegative integer, got {p}")
+    _checks.count("p", p, 0)
     rho, z = _check_coords(rho, z)
     phi = np.asarray(phi, dtype=float)
 
@@ -326,13 +320,10 @@ class GridSpec:
     def __post_init__(self):
         if self.transverse_kind not in ("rho", "x"):
             raise ValueError("transverse_kind must be 'rho' or 'x'")
-        if not all(math.isfinite(s) and s > 0 for s in (self.transverse_step, self.z_step)):
-            raise ValueError("grid spacing must be finite and positive")
-        if self.transverse_count < 1 or self.z_count < 1:
-            raise ValueError("grid counts must be >= 1")
-        for v in (self.transverse_start, self.z_start):
-            if not math.isfinite(v):
-                raise ValueError("grid axes must be finite")
+        for axis in ("transverse", "z"):
+            _checks.real(f"grid spacing {axis}_step", getattr(self, f"{axis}_step"), above=0.0)
+            _checks.count(f"{axis}_count", getattr(self, f"{axis}_count"), 1)
+            _checks.real(f"{axis}_start", getattr(self, f"{axis}_start"))
         if self.transverse_kind == "rho" and self.transverse_start < 0:
             raise ValueError("rho axis must start at a nonnegative value")
 

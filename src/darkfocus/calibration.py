@@ -10,16 +10,16 @@ likelihoods is maximum-likelihood estimation over the sweep family.
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _compiled, _parallel, dynamics
+from . import _checks, _compiled, _parallel, dynamics
 from ._text import write_values
 from .beam import BeamParams
 from .dynamics import SimConfig, Trajectory, spawn_seeds
-from .forces import BOLTZMANN, ParticleMedium, QuarticCoefficients, quartic_coefficients
+from .forces import (BOLTZMANN, ParticleMedium, QuarticCoefficients, _quartic_potential,
+                     quartic_coefficients)
 from .spectral import NumericalError, _run_corner_frequency
 
 __all__ = [
@@ -275,10 +275,10 @@ def ks_gaussianity_test(samples, significance: float = 0.05,
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) < 1000:
         raise ValueError(f"need at least 1000 samples, got {len(x)}")
-    if not (0 < significance < 1):
+    _checks.real("significance", significance, above=0.0)
+    if not significance < 1:
         raise ValueError("significance must lie in (0, 1)")
-    if isinstance(n_null, bool) or not isinstance(n_null, numbers.Integral) or n_null < 1:
-        raise ValueError(f"n_null must be an integer >= 1, got {n_null!r}")
+    _checks.count("n_null", n_null, 1)
     if not np.isfinite(x).all():
         raise ValueError("samples must be finite, got NaN or inf")
     if x.min() == x.max():
@@ -299,14 +299,9 @@ def ks_gaussianity_test(samples, significance: float = 0.05,
 
 def decorrelation_stride(drag: float, stiffness: float, dt: float) -> int:
     """Subsampling stride of DECORRELATION_TIMES correlation times gamma/k."""
-    if min(drag, stiffness, dt) <= 0:
-        raise ValueError("drag, stiffness and dt must be positive")
+    for name, value in (("drag", drag), ("stiffness", stiffness), ("dt", dt)):
+        _checks.real(name, value, above=0.0)
     return max(1, math.ceil(DECORRELATION_TIMES * (drag / stiffness) / dt))
-
-
-def _check_temperature(temperature):
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be finite and positive, got {temperature!r}")
 
 
 def boltzmann_potential(pdf: EmpiricalPdf, temperature: float):
@@ -314,7 +309,7 @@ def boltzmann_potential(pdf: EmpiricalPdf, temperature: float):
 
     Returns (centers, V) over the bins with positive density.
     """
-    _check_temperature(temperature)
+    _checks.real("temperature", temperature, above=0.0)
     mask = pdf.density > 0
     if mask.sum() < 3:
         raise NumericalError("density support too narrow to invert")
@@ -369,8 +364,8 @@ def _rho_abs_z(pos):
     bits either way.  The compiled pass writes into
     arrays allocated here, on the calling thread, in blocks of contiguous
     rows on darkfocus._parallel.ordered_map, at least four per usable core
-    and none shorter than _BLOCK_ROWS.  A NaN or infinite coordinate, or an
-    x and y whose hypot overflows, raises ValueError."""
+    and none shorter than _BLOCK_ROWS.  A NaN or infinite coordinate raises
+    ValueError, as does (saying so) a finite x and y whose hypot overflows."""
     n = len(pos)
     library = _compiled.load()
     if library is None:
@@ -389,6 +384,8 @@ def _rho_abs_z(pos):
 
         bad = sum(_parallel.ordered_map(block, range(0, n, rows)))
     if bad:
+        if np.isfinite(pos).all():
+            raise ValueError("rho = hypot(x, y) overflows for finite samples; rescale them")
         raise ValueError("samples must be finite")
     return rho, abs_z
 
@@ -462,10 +459,9 @@ def _fit_quartic_once(counts, r_edges, z_edges, temperature, min_count):
         raise NumericalError("too few populated bins to constrain the quartic model")
     # counts ~ exp(-V/kBT) * 2 pi rho drho dz: divide out the radial measure
     v = -BOLTZMANN * temperature * (np.log(counts[mask]) - np.log(rr[mask]))
+    # columns: the quartic potential at each unit coefficient vector, the offset
     design = np.column_stack([
-        0.5 * zz[mask] ** 2,
-        -(rr[mask] ** 2) * zz[mask] ** 2,
-        0.25 * rr[mask] ** 4,
+        *(_quartic_potential(*unit)(rr[mask], zz[mask]) for unit in np.eye(3)),
         np.ones(int(mask.sum())),
     ])
     weights = np.sqrt(counts[mask])  # var(ln n) ~ 1/n
@@ -515,11 +511,11 @@ def reconstruct_potential(
         raise ValueError("samples must have shape (N, 3)")
     if len(pos) < 1000:
         raise ValueError("need at least 1000 samples for a reconstruction")
-    _check_temperature(temperature)
+    _checks.real("temperature", temperature, above=0.0)
     for name, value in (("n_bins", n_bins), ("n_folds", n_folds), ("min_count", min_count)):
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    if not 0 < support_quantile <= 1:
+        _checks.count(name, value, 1)
+    _checks.real("support_quantile", support_quantile, above=0.0)
+    if not support_quantile <= 1:
         raise ValueError(f"support_quantile must lie in (0, 1], got {support_quantile!r}")
 
     rho, abs_z = _rho_abs_z(pos)
@@ -667,27 +663,21 @@ def estimate_na(
         raise ValueError(bad_na_values) from exc
     if na_values.ndim != 1 or len(na_values) == 0 or not np.isfinite(na_values).all():
         raise ValueError(bad_na_values)
-    for name, value in (("n_reps", n_reps), ("burn_in", burn_in)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps!r}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
+    _checks.count("n_reps", n_reps, 1)
+    _checks.count("n_steps", n_steps, 1)
+    _checks.count("burn_in", burn_in, 0)
     kept_per_run = n_steps + 1 - burn_in
     if kept_per_run < 100:
         raise ValueError(f"burn_in={burn_in!r} leaves {kept_per_run} of the {n_steps + 1} "
                          "samples of a run; need at least 100")
     if target_fc is not None:
-        bad_fc = ValueError("target_fc must be None or a pair (value, error) of finite "
-                            f"numbers with error >= 0, got {target_fc!r}")
         try:
             fc_t, fc_t_err = target_fc
+            _checks.real("target_fc's value", fc_t)
+            _checks.real("target_fc's error", fc_t_err, at_least=0.0)
         except (TypeError, ValueError) as exc:
-            raise bad_fc from exc
-        if not (all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in target_fc) and fc_t_err >= 0):
-            raise bad_fc
+            raise ValueError("target_fc must be None or a pair (value, error) of finite "
+                             f"numbers with error >= 0, got {target_fc!r}") from exc
     p_x, p_y = marginals = _target_marginals(target)
     cfgs = [SimConfig(
         particle=particle, dt=dt, n_steps=n_steps, force_model="quartic",

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _checks
 from .absorption import (
     AbsorptionScenario,
     absorption_ratio,
@@ -38,6 +38,7 @@ from .calibration import estimate_na, reconstruct_potential
 from .dynamics import SimConfig, load_trajectory, save_trajectory, simulate
 from .forces import (
     ForceGrid,
+    ParticleMedium,
     QuarticCoefficients,
     dipole_gradient_force,
     fit_polynomial_force,
@@ -89,22 +90,19 @@ _DEFAULTS = {
 }
 
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
-          str: "a string", list: "a list"}
+_KINDS = {bool: "true or false", int: "an integer", str: "a string", list: "a list"}
 
 
 def _check_type(name, value, default):
-    """Reject a value whose JSON type differs from its default's; a None
-    default leaves the value to the library constructors."""
+    """Reject a value whose JSON type differs from its default's, and a
+    number of a real default that is not finite; a None default leaves the
+    value to the library constructors."""
     if default is None:
         return
     kind = type(default)
     if kind is float:
-        # a comparison, not math.isfinite, so that a huge integer cannot overflow
-        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-    else:
-        ok = type(value) is kind
-    if not ok:
+        _checks.real(name, value)
+    elif type(value) is not kind:
         raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
 
 
@@ -135,23 +133,24 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _beam_from(cfg) -> BeamParams:
+def _section(name, cls, values):
+    """cls(**values), a ValueError prefixed with the section name: each
+    message of BeamParams and ParticleMedium opens with the field at fault."""
     try:
-        return BeamParams(**cfg["beam"])
+        return cls(**values)
     except ValueError as exc:
-        # each BeamParams message opens with the name of the field at fault
-        raise ValueError(f"beam.{exc}") from exc
+        raise ValueError(f"{name}.{exc}") from exc
 
 
-def _particle_from(cfg):
-    from .forces import ParticleMedium
+def _beam_from(cfg) -> BeamParams:
+    return _section("beam", BeamParams, cfg["beam"])
 
+
+def _particle_from(cfg) -> ParticleMedium:
     p = cfg["particle"]
-    return ParticleMedium(
-        radius=p["radius"], n_particle=p["n_particle"],
-        n_medium=cfg["beam"]["n_medium"] if p["n_medium"] is None else p["n_medium"],
-        viscosity=p["viscosity"], temperature=p["temperature"],
-    )
+    # None: the medium of the beam, checked as the beam's
+    n_medium = _beam_from(cfg).n_medium if p["n_medium"] is None else p["n_medium"]
+    return _section("particle", ParticleMedium, {**p, "n_medium": n_medium})
 
 
 def _sim_config_from(cfg) -> SimConfig:
@@ -281,8 +280,7 @@ def cmd_psd(cfg, out: Path) -> int:
 
 def cmd_calibrate(cfg, out: Path) -> int:
     a = cfg["analysis"]
-    if a["burn_in"] < 0:
-        raise ValueError(f"analysis.burn_in must be >= 0, got {a['burn_in']!r}")
+    _checks.count("analysis.burn_in", a["burn_in"], 0)
     traj = _get_trajectory(cfg)
     burn = min(a["burn_in"], max(len(traj) - 1000, 0))
     rec = reconstruct_potential(
@@ -306,8 +304,7 @@ def cmd_sweep_na(cfg, out: Path) -> int:
     s = cfg["sweep"]
     if s["target"] is None:
         raise ValueError("sweep.target must point at a trajectory file")
-    if not s["na_step"] > 0:
-        raise ValueError(f"sweep.na_step must be positive, got {s['na_step']!r}")
+    _checks.real("sweep.na_step", s["na_step"], above=0.0)
     if not s["na_stop"] >= s["na_start"]:
         raise ValueError(
             f"sweep.na_stop {s['na_stop']!r} lies below sweep.na_start {s['na_start']!r}"

@@ -41,12 +41,11 @@ through darkfocus._text, the one writer and reader of every float table.
 
 import ctypes
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _compiled, _parallel
+from . import _checks, _compiled, _parallel
 from ._roots import bracketed_root
 from ._text import _ROWS_PER_BLOCK, read_table, write_blocks
 from .beam import BeamParams, _bottle_constants, _bottle_field
@@ -101,7 +100,7 @@ class SimConfig:
     under any other model, which would ignore them.  domain_bound None picks
     the model default: 3 max(w0, z_R) for the dipole field, 1.5x the
     distance to the escape saddle for the quartic model, twelve thermal
-    standard deviations for the harmonic one.
+    standard deviations for the harmonic one; +inf means no wall.
     """
 
     particle: ParticleMedium
@@ -122,12 +121,9 @@ class SimConfig:
             raise ValueError(f"unknown force model {self.force_model!r}")
         if self.boundary not in ("absorb", "reflect"):
             raise ValueError(f"boundary must be 'absorb' or 'reflect', got {self.boundary!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be finite and positive")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
-            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        _checks.real("dt", self.dt, above=0.0)
+        _checks.count("n_steps", self.n_steps, 1)
+        _checks.count("seed", self.seed, 0)
         if self.force_model == "dipole" and self.beam is None:
             raise ValueError("dipole force model requires beam parameters")
         if self.force_model == "quartic" and self.coefficients is None and self.beam is None:
@@ -135,14 +131,14 @@ class SimConfig:
         if self.force_model == "harmonic":
             if self.stiffness is None:
                 raise ValueError("harmonic force model requires a stiffness")
-            if any(k < 0 or not math.isfinite(k) for k in self.stiffness_triple()):
-                raise ValueError("stiffness values must be finite and nonnegative")
-        if len(self.initial_position) != 3 or not all(
-            math.isfinite(v) for v in self.initial_position
-        ):
+            self.stiffness_triple()  # checks each stiffness
+        if len(self.initial_position) != 3:
             raise ValueError("initial_position must be three finite coordinates")
-        if self.domain_bound is not None and not (self.domain_bound > 0):
-            raise ValueError("domain_bound must be positive")
+        for v in self.initial_position:
+            _checks.real("initial_position", v)
+        # +inf: no wall
+        if self.domain_bound is not None and self.domain_bound != math.inf:
+            _checks.real("domain_bound", self.domain_bound, above=0.0)
         for name, model, given in (
                 ("coefficients", "quartic", self.coefficients is not None),
                 ("stiffness", "harmonic", self.stiffness is not None),
@@ -153,11 +149,12 @@ class SimConfig:
     def stiffness_triple(self) -> tuple:
         if self.stiffness is None:
             return (0.0, 0.0, 0.0)
-        if np.ndim(self.stiffness) == 0:
-            return (float(self.stiffness),) * 3
-        if len(self.stiffness) != 3:
+        ks = (self.stiffness,) * 3 if np.ndim(self.stiffness) == 0 else tuple(self.stiffness)
+        if len(ks) != 3:
             raise ValueError("stiffness must be a scalar or a triple")
-        return tuple(float(k) for k in self.stiffness)
+        for k in ks:
+            _checks.real("stiffness", k, at_least=0.0)
+        return tuple(float(k) for k in ks)
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)
@@ -180,8 +177,7 @@ class Trajectory:
             raise ValueError("positions must have shape (N, 3)")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be finite and positive")
+        _checks.real("dt", self.dt, above=0.0)
         object.__setattr__(self, "positions", pos)
 
     def __len__(self):
@@ -432,8 +428,7 @@ def _finish(cfg, noise, step, bound, out) -> Trajectory:
 
 def spawn_seeds(seed: int, n: int) -> list:
     """n per-run seeds spawned deterministically from seed."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"the number of runs must be an integer >= 0, got {n!r}")
+    _checks.count("the number of runs", n, 0)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
@@ -459,10 +454,7 @@ def simulate_ensemble(cfg: SimConfig, n_runs: int):
 def pooled_positions(trajectories, burn_in: int = 0):
     """Concatenate the samples of any iterable of runs after the first burn_in
     of each; a burn_in that is not an integer >= 0 raises ValueError."""
-    if isinstance(burn_in, bool) or not isinstance(burn_in, numbers.Integral):
-        raise ValueError(f"burn_in must be an integer, got {burn_in!r}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
+    _checks.count("burn_in", burn_in, 0)
     parts = [t.positions[burn_in:] for t in trajectories if len(t) > burn_in]
     if not parts:
         raise ValueError("no samples retained: all runs escaped before burn_in")
@@ -477,6 +469,7 @@ def equilibrium_pdf(potential_fn, temperature, axes):
     over the grid (midpoint rule).  A potential whose minimum sits on the
     grid boundary is rejected as non-normalizable.
     """
+    _checks.real("temperature", temperature, above=0.0)
     axes = [np.asarray(a, dtype=float) for a in axes]
     for a in axes:
         if a.ndim != 1 or len(a) < 2 or np.any(np.diff(a) <= 0):
@@ -546,10 +539,10 @@ def save_trajectory(traj: Trajectory, path):
 def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:
     """Read a trajectory file; honors a '# meters_per_pixel=' calibration comment.
 
-    An explicit meters_per_pixel argument overrides the file header.  The
-    time column is used only to infer dt when no '# dt=' comment is present.
-    An '# escape_step= escape_time=' comment becomes the EscapeReport, at
-    the last row.  The file is read by darkfocus._text.read_table.
+    An explicit meters_per_pixel argument overrides the file header; either
+    must be finite and positive.  The time column infers dt only without a
+    '# dt=' comment; an '# escape_step= escape_time=' comment becomes the
+    EscapeReport, at the last row.  darkfocus._text.read_table reads the file.
     """
     header, data = read_table(path)
     # the last value of each key= token of the comment lines
@@ -564,9 +557,10 @@ def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:
         if len(steps) == 0 or np.ptp(steps) > 1e-9 * abs(steps[0]):
             raise ValueError("cannot infer a uniform dt from the time column")
         dt = float(steps[0])
-    if meters_per_pixel is None and "meters_per_pixel" in meta:
-        meters_per_pixel = float(meta["meters_per_pixel"])
-    positions = data[:, 1:4] * (meters_per_pixel if meters_per_pixel is not None else 1.0)
+    if meters_per_pixel is None:
+        meters_per_pixel = float(meta.get("meters_per_pixel", 1.0))
+    _checks.real("meters_per_pixel", meters_per_pixel, above=0.0)
+    positions = data[:, 1:4] * meters_per_pixel
     escape = None
     if "escape_step" in meta and "escape_time" in meta:
         escape = EscapeReport(position=tuple(positions[-1].tolist()),

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from ._text import read_table, write_table
 from .beam import BeamParams, _bottle_field, _check_coords, dft_intensity
 
@@ -69,11 +70,9 @@ class ParticleMedium:
 
     def __post_init__(self):
         for name in ("radius", "viscosity", "temperature"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        if not (1 <= self.n_particle < math.inf and 1 <= self.n_medium < math.inf):
-            raise ValueError("refractive indices must be finite and >= 1")
+            _checks.real(name, getattr(self, name), above=0.0)
+        for name in ("n_particle", "n_medium"):
+            _checks.real(name, getattr(self, name), at_least=1.0)
 
     @property
     def index_ratio(self) -> float:
@@ -105,10 +104,8 @@ class QuarticCoefficients:
 
     def __post_init__(self):
         for name in ("k_z", "k_rho_z", "k_rho"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
+            _checks.real(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
         if min(self.k_z, self.k_rho_z, self.k_rho) <= 0:
             _warn("non-positive quartic coefficients: potential is not a "
                   "confining dark-focus trap")
@@ -195,15 +192,20 @@ def quartic_coefficients(beam: BeamParams, pm: ParticleMedium) -> QuarticCoeffic
     return QuarticCoefficients(k_z=2.0 * v0 * mu, k_rho_z=v0 * eta, k_rho=4.0 * v0 * chi)
 
 
+def _quartic_potential(k_z, k_rz, k_r):
+    """The quartic potential as a function of (rho, z), for quartic_potential
+    and, at the unit coefficient vectors, the reconstruction's design."""
+
+    def potential(rho, z):
+        return 0.5 * k_z * z**2 - k_rz * rho**2 * z**2 + 0.25 * k_r * rho**4
+
+    return potential
+
+
 def quartic_potential(coeffs: QuarticCoefficients, rho, z):
     """Evaluate (k_z/2) z^2 - k_rho_z rho^2 z^2 + (k_rho/4) rho^4, in J."""
-    rho = np.asarray(rho, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return (
-        0.5 * coeffs.k_z * z**2
-        - coeffs.k_rho_z * rho**2 * z**2
-        + 0.25 * coeffs.k_rho * rho**4
-    )
+    rho, z = np.asarray(rho, dtype=float), np.asarray(z, dtype=float)
+    return _quartic_potential(coeffs.k_z, coeffs.k_rho_z, coeffs.k_rho)(rho, z)
 
 
 def _quartic_force(k_z, k_rz, k_r):

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._roots import bracketed_root
 from ._text import write_table, write_values
-from . import dynamics
+from . import _checks, dynamics
 from .dynamics import SimConfig, Trajectory
 
 __all__ = [
@@ -94,14 +94,13 @@ def _welch(x, dt, nperseg=None, overlap=0.5, signal_variance=math.nan) -> PsdEst
     if nperseg is None:
         nperseg = max(16, n // 8)
     # below 4 samples a segment leaves fewer than two bins above DC
-    if (isinstance(nperseg, bool) or not isinstance(nperseg, (int, np.integer))
-            or nperseg < 4):
-        raise ValueError(f"nperseg must be an integer >= 4, got {nperseg!r}")
+    _checks.count("nperseg", nperseg, 4)
     if nperseg > n // 2:
         raise ValueError(
             f"segment length {nperseg} needs at least two segments in {n} samples"
         )
-    if not (0 <= overlap < 1):
+    _checks.real("overlap", overlap, at_least=0.0)
+    if not overlap < 1:
         raise ValueError("overlap fraction must lie in [0, 1)")
     noverlap = int(nperseg * overlap)
     step = nperseg - noverlap

@@ -625,11 +625,15 @@ class TestRhoAbsZ:
             assert self.bits(rho) == self.bits(np.hypot(pos[:, 0], pos[:, 1]))
             assert self.bits(abs_z) == self.bits(np.abs(pos[:, 2]))
             for row in (0, 300_000, 600_000):
-                for columns, value in (([0, 1], NON_FINITE_COORDINATES[0]), ([0], math.nan),
-                                       ([2], math.nan), ([1], math.inf), ([2], -math.inf)):
+                for columns, value, message in (
+                        ([0, 1], NON_FINITE_COORDINATES[0], r"^rho = hypot\(x, y\) overflows"),
+                        ([0], math.nan, "samples must be finite"),
+                        ([2], math.nan, "samples must be finite"),
+                        ([1], math.inf, "samples must be finite"),
+                        ([2], -math.inf, "samples must be finite")):
                     bad = pos.copy()
                     bad[row, columns] = value
-                    with pytest.raises(ValueError, match="samples must be finite"):
+                    with pytest.raises(ValueError, match=message):
                         _rho_abs_z(bad)
 
 
@@ -759,12 +763,12 @@ class TestEstimateNa:
         assert result.kl[0] == 0.0
 
     @pytest.mark.parametrize("bad,message", [
-        (dict(n_reps=0), "n_reps must be >= 1, got 0"),
-        (dict(n_reps=True), "n_reps must be an integer, got True"),
-        (dict(n_reps=2.5), "n_reps must be an integer, got 2.5"),
-        (dict(burn_in=-50), "burn_in must be >= 0, got -50"),
-        (dict(burn_in=True), "burn_in must be an integer, got True"),
-        (dict(burn_in=2.5), "burn_in must be an integer, got 2.5"),
+        (dict(n_reps=0), "n_reps must be an integer >= 1, got 0"),
+        (dict(n_reps=True), "n_reps must be an integer >= 1, got True"),
+        (dict(n_reps=2.5), "n_reps must be an integer >= 1, got 2.5"),
+        (dict(burn_in=-50), "burn_in must be an integer >= 0, got -50"),
+        (dict(burn_in=True), "burn_in must be an integer >= 0, got True"),
+        (dict(burn_in=2.5), "burn_in must be an integer >= 0, got 2.5"),
         (dict(burn_in=4902), "burn_in=4902 leaves 99 of the 5001 samples of a run"),
         (dict(burn_in=5000), "burn_in=5000 leaves 1 of the 5001 samples of a run"),
         (dict(burn_in=9000), "burn_in=9000 leaves -3999 of the 5001 samples of a run"),

@@ -74,6 +74,33 @@ class TestConfigHandling:
         assert err.startswith(f"config error: {key} must be ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,payload,message", [
+        ("simulate", {"simulation": {"domain_bound": "x"}},
+         "domain_bound must be finite and positive, got 'x'"),
+        ("simulate", {"particle": {"n_medium": "x"}},
+         "particle.n_medium must be finite and >= 1, got 'x'"),
+        ("simulate", {"simulation": {"force_model": "harmonic", "n_steps": 100,
+                                     "stiffness": [1e-6, True, 1e-6]}},
+         "stiffness must be finite and >= 0, got True"),
+        ("simulate", {"simulation": {"coefficients": {"k_z": "3.86e-7", "k_rho_z": 8.81e7,
+                                                      "k_rho": 2.26e8}}},
+         "k_z must be a finite number, got '3.86e-7'"),
+        ("psd", {"analysis": {"meters_per_pixel": "x"}},
+         "meters_per_pixel must be finite and positive, got 'x'"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "na_step": 0.0}},
+         "sweep.na_step must be finite and positive, got 0.0"),
+    ])
+    def test_value_of_a_none_default_named(self, tmp_path, capsys, command, payload, message):
+        if command == "psd":
+            path = tmp_path / "t.txt"
+            save_trajectory(Trajectory(dt=1e-3, positions=np.zeros((100, 3))), path)
+            payload["analysis"]["trajectory"] = str(path)
+        cfg = write_config(tmp_path, payload)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {message}\n"
+
     def test_infinite_temperature_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "particle": {"temperature": math.inf},

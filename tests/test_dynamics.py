@@ -74,7 +74,7 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("n_steps", [True, 2000.5, 2000.0, "2000", None])
     def test_non_integer_n_steps_rejected(self, particle, n_steps):
-        with pytest.raises(ValueError, match="n_steps must be an integer, got "):
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 1, got "):
             harmonic_cfg(particle, n_steps=n_steps)
 
     def test_numpy_integer_n_steps(self, particle):
@@ -400,13 +400,13 @@ class TestEnsembles:
 
     def test_pooled_positions_rejects_negative_burn_in(self, particle):
         runs = simulate_ensemble(harmonic_cfg(particle, n_steps=500), 2)
-        with pytest.raises(ValueError, match="burn_in must be >= 0"):
+        with pytest.raises(ValueError, match="burn_in must be an integer >= 0"):
             pooled_positions(runs, burn_in=-50)
 
     @pytest.mark.parametrize("burn_in", [2.5, True, "10", None])
     def test_pooled_positions_rejects_non_integer_burn_in(self, particle, burn_in):
         runs = list(simulate_ensemble(harmonic_cfg(particle, n_steps=500), 2))
-        with pytest.raises(ValueError, match=f"burn_in must be an integer, got {burn_in!r}$"):
+        with pytest.raises(ValueError, match=f"burn_in must be an integer >= 0, got {burn_in!r}$"):
             pooled_positions(runs, burn_in=burn_in)
         # a numpy integer is an integer
         assert len(pooled_positions(runs, burn_in=np.int64(10))) == 2 * 491
