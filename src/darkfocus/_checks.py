@@ -1,18 +1,23 @@
-"""One check per kind of scalar argument: count() for an integer with a
-least value, real() for a finite real number with an optional lower bound,
-strict (above) or not (at_least).  Python and numpy numbers pass; bools,
-numpy's too, strings and other non-numbers never do.  A refusal is a
-ValueError that names the argument and the value, such as "n_bins must be
-an integer >= 1, got True".  Nothing is converted, so no value changes."""
+"""One check per kind of scalar argument: count() for an integer with an
+optional least value, real() for a finite real number with an optional lower
+bound, strict (above) or not (at_least).  Python and numpy numbers pass;
+bools, numpy's too, strings and other non-numbers never do.  A refusal is a
+ValueError that names the argument and the value, such as "n_bins must be an
+integer >= 1, got True".  Nothing is converted, so no value changes."""
 
 import math
 import numbers
 
 
-def count(name, value, least):
+class NumericalError(ValueError):
+    """Valid input that the numerics cannot resolve: too few bins, too narrow a support."""
+
+
+def count(name, value, least=-math.inf):
     """ValueError unless value is an integer >= least."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        wanted = f"an integer >= {least}" if least > -math.inf else "an integer"
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
 
 
 def real(name, value, above=None, at_least=None):

@@ -192,9 +192,9 @@ def _value_text(value):
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def write_values(path, values, mode="w"):
-    """Write the dict values as key=value lines: floats in repr form, so that
-    float() reads back the same bits; other values as str writes them;
-    tuples as their items split by blanks.  mode "a" appends to the file."""
-    with open(path, mode) as fh:
+def write_values(path, values):
+    """Write the dict values as key=value lines, in order, to a new file:
+    floats in repr form, so that float() reads back the same bits; other
+    values as str writes them; tuples as their items split by blanks."""
+    with open(path, "w") as fh:
         fh.writelines(f"{key}={_value_text(value)}\n" for key, value in values.items())

@@ -142,6 +142,7 @@ def lg_mode(params: BeamParams, ell: int, p: int, rho, z, phi=0.0):
 
     Accepts scalars or broadcastable arrays for rho, z, phi.
     """
+    _checks.count("ell", ell)
     _checks.count("p", p, 0)
     rho, z = _check_coords(rho, z)
     phi = np.asarray(phi, dtype=float)

@@ -419,21 +419,18 @@ def _fold_counts(rho, positions, n_folds, r_edges, z_edges):
     if positions.shape != (len(rho), 3):
         raise ValueError("positions must have shape (len(rho), 3)")
     counts = np.zeros((n_folds, len(r_edges) - 1, len(z_edges) - 1), dtype=np.int64)
+    # row slices of the C-contiguous positions, contiguous themselves
+    folds = list(zip(np.array_split(rho, n_folds), np.array_split(positions, n_folds)))
     library = _compiled.load()
     if library is None:
-        folds = zip(np.array_split(rho, n_folds), np.array_split(positions[:, 2], n_folds))
-        for grid, (r, z) in zip(counts, folds):
-            grid[...] = np.histogram2d(r, z, bins=[r_edges, z_edges])[0]
+        for grid, (r, pos) in zip(counts, folds):
+            grid[...] = np.histogram2d(r, pos[:, 2], bins=[r_edges, z_edges])[0]
         return counts
-    # numpy.array_split's folds: the first n % n_folds are one sample longer
-    base, extra = divmod(len(rho), n_folds)
-    starts = [f * base + min(f, extra) for f in range(n_folds + 1)]
 
     def count(f):
-        start, stop = starts[f], starts[f + 1]
-        return library.df_bin_rho_z(rho[start:stop], positions[start:stop], stop - start,
-                                    r_edges, len(r_edges) - 1, z_edges, len(z_edges) - 1,
-                                    counts[f])
+        r, pos = folds[f]
+        return library.df_bin_rho_z(r, pos, len(r), r_edges, len(r_edges) - 1, z_edges,
+                                    len(z_edges) - 1, counts[f])
 
     for _ in _parallel.ordered_map(count, range(n_folds)):
         pass
@@ -459,14 +456,19 @@ def _fit_quartic_once(counts, r_edges, z_edges, temperature, min_count):
         raise NumericalError("too few populated bins to constrain the quartic model")
     # counts ~ exp(-V/kBT) * 2 pi rho drho dz: divide out the radial measure
     v = -BOLTZMANN * temperature * (np.log(counts[mask]) - np.log(rr[mask]))
-    # columns: the quartic potential at each unit coefficient vector, the offset
-    design = np.column_stack([
-        *(_quartic_potential(*unit)(rr[mask], zz[mask]) for unit in np.eye(3)),
-        np.ones(int(mask.sum())),
-    ])
     weights = np.sqrt(counts[mask])  # var(ln n) ~ 1/n
-    a = design * weights[:, None]
-    scale = np.linalg.norm(a, axis=0)
+    # columns: the quartic potential at each unit coefficient vector, the offset;
+    # far from unit scale they, or their norms, overflow or underflow (refused below)
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = np.column_stack([
+            *(_quartic_potential(*unit)(rr[mask], zz[mask]) for unit in np.eye(3)),
+            np.ones(int(mask.sum())),
+        ])
+        a = design * weights[:, None]
+        scale = np.linalg.norm(a, axis=0)
+    if not (np.isfinite(scale).all() and scale[2] > 0.0):  # rho > 0 in every bin
+        raise NumericalError("the positions overflow or underflow the quartic design of "
+                             "the reconstruction; rescale them")
     if np.any(scale == 0.0):
         raise NumericalError("support too narrow to constrain the quartic terms")
     sol, _, rank, sv = np.linalg.lstsq(a / scale, v * weights, rcond=None)

@@ -134,8 +134,11 @@ def load_config(path: str | None) -> dict:
 
 
 def _section(name, cls, values):
-    """cls(**values), a ValueError prefixed with the section name: each
-    message of BeamParams and ParticleMedium opens with the field at fault."""
+    """cls(**values) of a dict values keyed by cls's fields, a ValueError prefixed
+    with the section name: each message of cls opens with the field at fault."""
+    fields = [f.name for f in dataclasses.fields(cls)]
+    if not isinstance(values, dict) or sorted(values) != sorted(fields):
+        raise ValueError(f"{name} must be an object of {', '.join(fields)}, got {values!r}")
     try:
         return cls(**values)
     except ValueError as exc:
@@ -155,26 +158,14 @@ def _particle_from(cfg) -> ParticleMedium:
 
 def _sim_config_from(cfg) -> SimConfig:
     s = cfg["simulation"]
-    coeffs = s["coefficients"]
-    if coeffs is not None:
-        coeffs = QuarticCoefficients(**coeffs)
-    stiffness = s["stiffness"]
-    if isinstance(stiffness, list):
-        stiffness = tuple(stiffness)
-    return SimConfig(
-        particle=_particle_from(cfg),
-        dt=s["dt"],
-        n_steps=s["n_steps"],
-        force_model=s["force_model"],
-        coefficients=coeffs,
-        beam=_beam_from(cfg),
-        stiffness=stiffness,
-        initial_position=tuple(s["initial_position"]),
-        seed=s["seed"],
-        domain_bound=s["domain_bound"],
-        boundary=s["boundary"],
-        include_scattering=s["include_scattering"],
-    )
+    coeffs, stiffness = s["coefficients"], s["stiffness"]
+    return _section("simulation", SimConfig, {
+        **s, "particle": _particle_from(cfg), "beam": _beam_from(cfg),
+        "coefficients": coeffs if coeffs is None else _section(
+            "simulation.coefficients", QuarticCoefficients, coeffs),
+        "stiffness": tuple(stiffness) if isinstance(stiffness, list) else stiffness,
+        "initial_position": tuple(s["initial_position"]),
+    })
 
 
 def _prepare_out(cfg, out_dir: str) -> Path:
@@ -257,24 +248,24 @@ def _get_trajectory(cfg):
 
 def cmd_psd(cfg, out: Path) -> int:
     a = cfg["analysis"]
+    f_range = a["fit_range"] or None
+    if f_range is not None and not (isinstance(f_range, list) and len(f_range) == 2):
+        raise ValueError("analysis.fit_range must be a list [lo, hi] of two frequencies in Hz, "
+                         f"got {f_range!r}")
+    for bound in f_range or ():
+        _checks.real("analysis.fit_range", bound, above=0.0)
     traj = _get_trajectory(cfg)
     psd = estimate_psd(
         traj, axis=a["psd_axis"], nperseg=a["psd_nperseg"], overlap=a["psd_overlap"],
     )
     psd.save(out / "psd.txt")
-    f_range = tuple(a["fit_range"]) if a["fit_range"] else None
     fit = fit_lorentzian(psd, f_range)
-    accepted = fit.f_c_in_range and fit.f_c_err < 0.5 * fit.f_c
     fit.save(out / "lorentzian.txt")
-    write_values(out / "lorentzian.txt", {"accepted": accepted}, mode="a")
-    if accepted:
+    if fit.accepted:
         print(f"psd: f_c = {fit.f_c:.4g} +- {fit.f_c_err:.2g} Hz", flush=True)
     else:
-        print(
-            "psd: no corner frequency claimed (fit-quality gate: "
-            f"f_c={fit.f_c:.3g} Hz, err={fit.f_c_err:.3g}, "
-            f"in_range={fit.f_c_in_range})", flush=True,
-        )
+        print(f"psd: no corner frequency claimed (fit-quality gate: f_c={fit.f_c:.3g} Hz, "
+              f"err={fit.f_c_err:.3g}, in_range={fit.f_c_in_range})", flush=True)
     return EXIT_OK
 
 

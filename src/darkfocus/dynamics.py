@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _checks, _compiled, _parallel
+from ._checks import NumericalError
 from ._roots import bracketed_root
 from ._text import _ROWS_PER_BLOCK, read_table, write_blocks
 from .beam import BeamParams, _bottle_constants, _bottle_field
@@ -118,19 +119,20 @@ class SimConfig:
 
     def __post_init__(self):
         if self.force_model not in ("quartic", "dipole", "harmonic"):
-            raise ValueError(f"unknown force model {self.force_model!r}")
+            raise ValueError("force_model must be 'quartic', 'dipole' or 'harmonic', "
+                             f"got {self.force_model!r}")
         if self.boundary not in ("absorb", "reflect"):
             raise ValueError(f"boundary must be 'absorb' or 'reflect', got {self.boundary!r}")
         _checks.real("dt", self.dt, above=0.0)
         _checks.count("n_steps", self.n_steps, 1)
         _checks.count("seed", self.seed, 0)
         if self.force_model == "dipole" and self.beam is None:
-            raise ValueError("dipole force model requires beam parameters")
+            raise ValueError("beam is required by the dipole force model")
         if self.force_model == "quartic" and self.coefficients is None and self.beam is None:
-            raise ValueError("quartic force model requires coefficients or beam")
+            raise ValueError("coefficients or beam is required by the quartic force model")
         if self.force_model == "harmonic":
             if self.stiffness is None:
-                raise ValueError("harmonic force model requires a stiffness")
+                raise ValueError("stiffness is required by the harmonic force model")
             self.stiffness_triple()  # checks each stiffness
         if len(self.initial_position) != 3:
             raise ValueError("initial_position must be three finite coordinates")
@@ -247,8 +249,6 @@ def _force_model(cfg: SimConfig):
             if qc.k_rho_z:
                 square = 4.0 * qc.k_rho_z**2
                 if not square:
-                    from .spectral import NumericalError  # spectral imports this module
-
                     raise NumericalError(
                         f"the default domain bound divides by 4 k_rho_z**2, which underflows "
                         f"to 0 at quartic k_rho_z={qc.k_rho_z!r}; set domain_bound")

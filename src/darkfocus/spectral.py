@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import NumericalError
 from ._roots import bracketed_root
 from ._text import write_table, write_values
 from . import _checks, dynamics
@@ -34,11 +35,6 @@ __all__ = [
 class FitError(RuntimeError):
     """No corner frequency: the PSD is not strictly positive in the fit range,
     or too few repetitions of an ensemble produced one."""
-
-
-class NumericalError(ValueError):
-    """Valid input that the numerics cannot resolve: too few bins or too
-    narrow a support for a fit or an inversion."""
 
 
 @dataclass(frozen=True)
@@ -157,11 +153,17 @@ class LorentzianFit:
     residual_norm: float
     f_c_in_range: bool
 
+    @property
+    def accepted(self) -> bool:
+        """Whether f_c can be claimed: inside the fit range, to better than 50%."""
+        return self.f_c_in_range and self.f_c_err < 0.5 * self.f_c
+
     def save(self, path):
         write_values(path, {
             "f_c": self.f_c, "f_c_err": self.f_c_err, "A": self.amplitude,
             "A_err": self.amplitude_err, "residual": self.residual_norm,
             "f_range": self.f_range, "f_c_in_range": self.f_c_in_range,
+            "accepted": self.accepted,
         })
 
 
@@ -188,8 +190,9 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
     (variable projection); f_c is the root in u = ln f_c of the profiled
     normal equation sum (r - mean r)(d - mean d) = 0, with r the log
     residual and d = 2 f_c^2 / (f_c^2 + f^2) the u-derivative of the log
-    model.  Without an interior root, f_c is the bracket end the cost falls
-    toward and f_c_in_range is False.  Uncertainties are the Gauss-Newton
+    model.  Without an interior root f_c is not identified: it is the bracket
+    end the cost falls toward, f_c_in_range is False, and f_c_err and
+    amplitude_err are inf.  Otherwise the uncertainties are the Gauss-Newton
     covariance of (ln A, u), scaled by RSS / (n - 2).
     """
     _check_bins(psd)
@@ -210,16 +213,11 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
         raise FitError("log-PSD fit requires strictly positive PSD values in range")
     log_s = np.log(s)
 
-    def profile(u):
-        """ln A - r and d at u = ln f_c."""
-        fc2 = math.exp(2.0 * u)
-        return log_s + np.log(fc2 + f2), 2.0 * fc2 / (fc2 + f2)
-
     # the root search evaluates slope some twenty to fifty times: its arrays
     # are allocated once and filled in place, and each mean is add.reduce / n
-    # as ndarray.mean computes it, so slope(u) is profile's arithmetic, bit
-    # for bit, in fewer numpy calls
-    t, g_u, d_u = np.empty(n), np.empty(n), np.empty(n)
+    # as ndarray.mean computes it.  slope leaves ln A - r and d, centred,
+    # in g_u and d_u, and their means in means
+    t, g_u, d_u, means = np.empty(n), np.empty(n), np.empty(n), [0.0, 0.0]
 
     def slope(u):
         """d/du of half the profiled sum of squared log residuals."""
@@ -227,8 +225,9 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
         np.add(fc2, f2, out=t)
         np.add(log_s, np.log(t, out=g_u), out=g_u)
         np.divide(2.0 * fc2, t, out=d_u)
-        np.subtract(g_u, np.add.reduce(g_u) / n, out=g_u)
-        np.subtract(d_u, np.add.reduce(d_u) / n, out=d_u)
+        means[:] = np.add.reduce(g_u) / n, np.add.reduce(d_u) / n
+        np.subtract(g_u, means[0], out=g_u)
+        np.subtract(d_u, means[1], out=d_u)
         return float(g_u @ d_u)
 
     # e^7 beyond the band the log model differs from a pure power law
@@ -244,13 +243,13 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
         # minimiser of the cost cannot
         u = bracketed_root(slope, u_lo, u_hi)
 
-    g, d = profile(u)
-    ln_a, d_mean = float(g.mean()), float(d.mean())
-    rss = float(np.sum((g - ln_a) ** 2))
-    s_dd = float(np.sum((d - d_mean) ** 2))
+    slope(u)
+    ln_a, d_mean = float(means[0]), float(means[1])
+    rss = float(np.sum(g_u**2))
+    s_dd = float(np.sum(d_u**2))
     f_c, amplitude = math.exp(u), math.exp(ln_a)
     sigma2 = rss / (n - 2)
-    if s_dd > 0:
+    if u not in (u_lo, u_hi) and s_dd > 0:
         fc_err = f_c * math.sqrt(sigma2 / s_dd)
         a_err = amplitude * math.sqrt(sigma2 * (1.0 / n + d_mean**2 / s_dd))
     else:
@@ -273,18 +272,19 @@ class CornerFrequencyResult:
     mean: float
     std: float
     values: np.ndarray
-    n_failed: int
+    n_failed: int  # runs that escaped, or whose fit fails or identifies no f_c
 
 
 def _run_corner_frequency(traj: Trajectory, burn_in: int = 0) -> float | None:
     """Corner frequency of the x samples of one run after burn_in; None when
-    the run escaped or the fit fails."""
+    the run escaped, the fit fails or it identifies no corner frequency."""
     if traj.escape is not None:
         return None
     try:
-        return fit_lorentzian(_welch(traj.positions[burn_in:, 0], traj.dt)).f_c
+        fit = fit_lorentzian(_welch(traj.positions[burn_in:, 0], traj.dt))
     except (FitError, ValueError):
         return None
+    return fit.f_c if math.isfinite(fit.f_c_err) else None
 
 
 def corner_frequency_of(cfg: SimConfig, repetitions: int) -> CornerFrequencyResult:
@@ -293,8 +293,8 @@ def corner_frequency_of(cfg: SimConfig, repetitions: int) -> CornerFrequencyResu
     Each run is reduced to its corner frequency on the thread that finished
     it, and dropped there: at most one run per usable core is in memory,
     besides the one being started.
-    Runs whose simulation escapes or whose fit fails are dropped; fewer than
-    three survivors is an error.
+    Runs that escape, or whose fit fails or identifies no corner frequency
+    (infinite f_c_err), are dropped; fewer than three survivors is an error.
     """
     runs = ((cfg.with_seed(s), None) for s in dynamics.spawn_seeds(cfg.seed, repetitions))
     fits = dynamics._map_runs(runs, _run_corner_frequency)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ class TestLgMode:
         u = lg_mode(beam, ell, p, rho, z, phi=0.7)
         np.testing.assert_allclose(u, expected, rtol=1e-12,
                                    atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("ell", [2.5, True, np.float64(2.0), "2"])
+    def test_rejects_an_ell_of_no_mode(self, beam, ell):
+        with pytest.raises(ValueError, match=re.escape(f"ell must be an integer, got {ell!r}")):
+            lg_mode(beam, ell, 0, 0.3e-6, 0.0)
+
+    def test_negative_ell_is_the_conjugate_phase(self, beam):
+        u_minus = lg_mode(beam, -2, 0, 0.3e-6, 0.5e-6, phi=0.7)
+        u_plus = lg_mode(beam, 2, 0, 0.3e-6, 0.5e-6, phi=0.7)
+        assert abs(u_minus) == abs(u_plus)
+        assert np.angle(u_plus / u_minus) == pytest.approx(4 * 0.7)
 
     def test_rejects_bad_inputs(self, beam):
         with pytest.raises(ValueError):

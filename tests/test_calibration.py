@@ -33,7 +33,7 @@ from darkfocus import (
     reconstruct_potential,
     simulate,
 )
-from darkfocus import _compiled, _parallel, calibration, dynamics
+from darkfocus import _compiled, _parallel, calibration, dynamics, spectral
 from darkfocus.calibration import (
     _edges,
     _fit_quartic_once,
@@ -482,6 +482,17 @@ class TestReconstructPotential:
             rec1.coefficients.k_rho / c**4, rel=1e-9
         )
 
+    @pytest.mark.parametrize("scale", [1e100, 1e-150])
+    def test_scale_beyond_the_design_named(self, particle, rng, capfd, scale):
+        # rho^4 overflows, or underflows to 0: the fit is refused before
+        # LAPACK sees it, with no warning and nothing printed
+        samples = rng.standard_normal((20_000, 3)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="overflow or underflow .* rescale them"):
+                reconstruct_potential(samples, particle.temperature)
+        assert capfd.readouterr().out == ""
+
     def test_degenerate_support_rejected(self, particle, rng):
         # all samples on a cylinder shell: rho is constant, so the radial
         # monomials are collinear with the offset and the fit cannot
@@ -718,6 +729,31 @@ class TestEstimateNa:
         assert np.all(result.valid)
         assert np.all(result.kl >= 0)
         assert result.fc_interval is None  # no target_fc supplied
+
+    def test_unidentified_fits_leave_no_corner_frequency(self, beam, particle, monkeypatch):
+        # runs of 2000 steps leave the corner below the fit band: no fit has a
+        # root, so no run gives a corner frequency, while every run is binned
+        target = simulate(SimConfig(particle=particle, dt=2e-5, n_steps=20_000, beam=beam,
+                                    seed=7))
+        options = dict(particle=particle, beam_template=beam, dt=2e-5, n_steps=2000,
+                       n_reps=3, seed=1, burn_in=200)
+        fits, fit = [], spectral.fit_lorentzian
+
+        def recorded(psd):
+            fits.append(fit(psd))
+            return fits[-1]
+
+        monkeypatch.setattr(spectral, "fit_lorentzian", recorded)
+        result = estimate_na(target, [0.45, 0.46], **options)
+        assert len(fits) == 6
+        assert all(f.f_c_err == math.inf and not f.f_c_in_range for f in fits)
+        assert np.isnan(result.fc).all() and np.isnan(result.fc_err).all()
+        # the divergences and validity are those of a sweep whose fits all succeed
+        monkeypatch.setattr(calibration, "_run_corner_frequency", lambda traj, burn_in: 1.0)
+        fitted = estimate_na(target, [0.45, 0.46], **options)
+        assert fitted.fc.tolist() == [1.0, 1.0]
+        assert result.kl.tolist() == fitted.kl.tolist()
+        assert result.valid.tolist() == fitted.valid.tolist() == [True, True]
 
     def test_recorded_sweep(self, beam, particle):
         # kl and argmin recorded from a sweep that pooled every run's positions

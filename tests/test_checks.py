@@ -248,6 +248,20 @@ def test_count(value, message):
             _checks.count("n", value, 0)
 
 
+@pytest.mark.parametrize("value,message", [
+    (-2, None), (np.int64(-2), None), (0, None),
+    (2.5, "ell must be an integer, got 2.5"),
+    (True, "ell must be an integer, got True"),
+    ("2", "ell must be an integer, got '2'"),
+])
+def test_integer_without_a_least_value(value, message):
+    if message is None:
+        _checks.count("ell", value)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _checks.count("ell", value)
+
+
 @pytest.mark.parametrize("value,options,message", [
     (1e-300, dict(above=0.0), None), (np.float32(2.5), dict(at_least=1.0), None),
     (7, {}, None), (-1.7976931348623157e308, {}, None),

@@ -76,15 +76,15 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command,payload,message", [
         ("simulate", {"simulation": {"domain_bound": "x"}},
-         "domain_bound must be finite and positive, got 'x'"),
+         "simulation.domain_bound must be finite and positive, got 'x'"),
         ("simulate", {"particle": {"n_medium": "x"}},
          "particle.n_medium must be finite and >= 1, got 'x'"),
         ("simulate", {"simulation": {"force_model": "harmonic", "n_steps": 100,
                                      "stiffness": [1e-6, True, 1e-6]}},
-         "stiffness must be finite and >= 0, got True"),
+         "simulation.stiffness must be finite and >= 0, got True"),
         ("simulate", {"simulation": {"coefficients": {"k_z": "3.86e-7", "k_rho_z": 8.81e7,
                                                       "k_rho": 2.26e8}}},
-         "k_z must be a finite number, got '3.86e-7'"),
+         "simulation.coefficients.k_z must be a finite number, got '3.86e-7'"),
         ("psd", {"analysis": {"meters_per_pixel": "x"}},
          "meters_per_pixel must be finite and positive, got 'x'"),
         ("sweep-na", {"sweep": {"target": "t.txt", "na_step": 0.0}},
@@ -95,6 +95,30 @@ class TestConfigHandling:
             path = tmp_path / "t.txt"
             save_trajectory(Trajectory(dt=1e-3, positions=np.zeros((100, 3))), path)
             payload["analysis"]["trajectory"] = str(path)
+        cfg = write_config(tmp_path, payload)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command,payload,message", [
+        ("simulate", {"simulation": {"coefficients": 5}},
+         "simulation.coefficients must be an object of k_z, k_rho_z, k_rho, got 5"),
+        ("simulate", {"simulation": {"coefficients": {"k_z": 1e-7}}},
+         "simulation.coefficients must be an object of k_z, k_rho_z, k_rho, "
+         "got {'k_z': 1e-07}"),
+        ("psd", {"analysis": {"fit_range": [1]}},
+         "analysis.fit_range must be a list [lo, hi] of two frequencies in Hz, got [1]"),
+        ("psd", {"analysis": {"fit_range": [1.0, "x"]}},
+         "analysis.fit_range must be finite and positive, got 'x'"),
+        ("simulate", {"simulation": {"force_model": "x"}},
+         "simulation.force_model must be 'quartic', 'dipole' or 'harmonic', got 'x'"),
+        ("simulate", {"simulation": {"force_model": "harmonic"}},
+         "simulation.stiffness is required by the harmonic force model"),
+    ], ids=["coefficients-not-an-object", "coefficients-missing-keys", "fit-range-of-one", "fit-range-not-a-number",
+            "unknown-force-model", "harmonic-without-stiffness"])
+    def test_message_names_the_key_and_its_shape(self, tmp_path, capsys, command, payload,
+                                                 message):
         cfg = write_config(tmp_path, payload)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
@@ -126,7 +150,7 @@ class TestConfigHandling:
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert err.startswith(f"config error: {option} applies only to the ")
+        assert err.startswith(f"config error: simulation.{option} applies only to the ")
         assert "Traceback" not in err
 
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):

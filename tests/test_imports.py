@@ -1,8 +1,10 @@
 """darkfocus runs on numpy alone: neither the import nor any simulate, psd,
 calibrate, sweep, beam, absorption, force-fit or KS path loads scipy.  Each
 check runs in a fresh interpreter, since this one has scipy loaded by the
-tests."""
+tests.  Every module imports what it needs at its top, never in a function
+body."""
 
+import ast
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 import darkfocus
+from darkfocus import _checks, dynamics, spectral
 
 SRC = Path(darkfocus.__file__).resolve().parent.parent
 
@@ -91,3 +94,17 @@ def test_every_command_and_analysis_runs_without_scipy(tmp_path):
 
 def test_ks_test_loads_no_scipy():
     assert scipy_modules(KS_CALL) == []
+
+
+def test_no_function_imports():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.joinpath("darkfocus").glob("*.py"))
+             for function in ast.walk(ast.parse(path.read_text()))
+             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(function) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_one_numerical_error():
+    assert darkfocus.NumericalError is spectral.NumericalError is _checks.NumericalError
+    assert dynamics.NumericalError is _checks.NumericalError

@@ -266,6 +266,38 @@ class TestFitLorentzian:
         assert fit.f_c == pytest.approx(f_c, rel=1e-12)
         assert not fit.f_c_in_range
 
+    @pytest.mark.parametrize("exponent,f_c", [
+        (0, 400.0 * math.exp(7.0)),
+        (2, 0.5 * math.exp(-7.0)),
+    ], ids=["flat", "free-diffusion"])
+    def test_no_corner_is_not_identified(self, exponent, f_c):
+        # without a root of the slope f_c is a bracket end, with no error bar
+        freqs = np.linspace(0.5, 400, 400)
+        psd = PsdEstimate(frequencies=freqs, psd=1e-16 / freqs**exponent, nperseg=128,
+                          overlap=0.5, n_segments=4, signal_variance=0.0)
+        fit = fit_lorentzian(psd, f_range=(0.5, 400.0))
+        assert fit.f_c == pytest.approx(f_c, rel=1e-12)
+        assert fit.f_c_err == math.inf and fit.amplitude_err == math.inf
+        assert math.isfinite(fit.amplitude) and math.isfinite(fit.residual_norm)
+        assert not fit.accepted
+
+    @pytest.mark.parametrize("f_c,f_range,accepted", [
+        (33.0, (0.5, 400.0), True),
+        (5.0, (50.0, 800.0), False),  # the corner lies below the range
+    ])
+    def test_accepted_is_the_claim_rule(self, f_c, f_range, accepted):
+        freqs = np.linspace(0.5, 800, 1600)
+        fit = fit_lorentzian(lorentzian_psd(2.4e-16, f_c, freqs), f_range=f_range)
+        assert fit.accepted is (fit.f_c_in_range and fit.f_c_err < 0.5 * fit.f_c)
+        assert fit.accepted is accepted
+
+    def test_report_ends_with_the_verdict(self, tmp_path):
+        freqs = np.linspace(0.5, 400, 800)
+        fit = fit_lorentzian(lorentzian_psd(2.4e-16, 33.0, freqs), f_range=(0.5, 400.0))
+        fit.save(tmp_path / "fit.txt")
+        lines = (tmp_path / "fit.txt").read_text().splitlines()
+        assert lines[-2:] == ["f_c_in_range=True", "accepted=True"]
+
     def test_needs_ten_bins(self):
         freqs = np.linspace(1, 9, 9)
         with pytest.raises(ValueError, match="10"):
@@ -328,6 +360,14 @@ class TestCornerFrequencyOf:
         assert large.std / math.sqrt(16) < small.std / math.sqrt(4) * 2.0
         # standard error of the mean improves with more repetitions
         assert large.std / math.sqrt(16) < small.std / math.sqrt(4) + 1e-9
+
+    def test_free_diffusion_identifies_no_corner(self, particle):
+        # four of the five fits have no root: their bracket ends are not corner
+        # frequencies, so only one run survives
+        cfg = SimConfig(particle=particle, dt=2e-4, n_steps=120_000,
+                        force_model="harmonic", stiffness=0.0, seed=3)
+        with pytest.raises(FitError, match="only 1 of 5 repetitions"):
+            corner_frequency_of(cfg, repetitions=5)
 
     def test_requires_three_successes(self, particle):
         cfg = SimConfig(particle=particle, dt=2e-5, n_steps=100_000,
