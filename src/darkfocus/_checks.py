@@ -1,9 +1,10 @@
 """One check per kind of scalar argument: count() for an integer with an
 optional least value, real() for a finite real number with an optional lower
-bound, strict (above) or not (at_least).  Python and numpy numbers pass;
-bools, numpy's too, strings and other non-numbers never do.  A refusal is a
-ValueError that names the argument and the value, such as "n_bins must be an
-integer >= 1, got True".  Nothing is converted, so no value changes."""
+bound, strict (above) or not (at_least), and choice() for one of a few
+names.  Python and numpy numbers pass; bools, numpy's too, strings and other
+non-numbers never do.  A refusal is a ValueError that names the argument and
+the value, such as "n_bins must be an integer >= 1, got True".  Nothing is
+converted, so no value changes."""
 
 import math
 import numbers
@@ -35,3 +36,10 @@ def real(name, value, above=None, at_least=None):
                   else f"finite and > {above:g}" if above is not None
                   else f"finite and >= {at_least:g}")
         raise ValueError(f"{name} must be {wanted}, got {value!r}")
+
+
+def choice(name, value, options):
+    """ValueError unless value is one of options, a tuple of two or more."""
+    if value not in options:
+        *head, last = map(repr, options)
+        raise ValueError(f"{name} must be {', '.join(head)} or {last}, got {value!r}")

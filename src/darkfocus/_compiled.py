@@ -1,12 +1,14 @@
 """Build and load the compiled kernels: integrator.c, the Euler-Maruyama chunk
 stepper of darkfocus.dynamics.simulate; trajio.c, the row writer and parser
 of darkfocus._text, through which every float table is written and read;
-and binning.c: the rho = hypot(x, y) and |z| columns of
+and binning.c: the rho = hypot(x, y) column of
 darkfocus.calibration.reconstruct_potential, computed and checked for
-finiteness in one pass, and its (rho, z) binning, which counts every sample
-once into the grid of its fold; the x and y histograms of every run of
-darkfocus.calibration.estimate_na; and the Gaussian CDF (scipy's ndtr, bit
-for bit) and KS statistics of darkfocus.calibration.ks_gaussianity_test.
+finiteness, with z, in one pass; its two support-bound selections, which
+read rho and the positions' z column in place through fixed scratch; its
+(rho, z) binning, which counts every sample once into the grid of its fold;
+the x and y histograms of every run of darkfocus.calibration.estimate_na;
+and the Gaussian CDF (scipy's ndtr, bit for bit) and KS statistics of
+darkfocus.calibration.ks_gaussianity_test.
 
 The sources ship inside the package and are compiled together, on first
 use, into one shared library with the system C compiler, without
@@ -17,9 +19,9 @@ hash of every source, the compiler's version and the flags; it is written to
 a temporary file and renamed into place, so concurrent first runs are safe.
 When no compiler works, load() logs one warning and returns None, and
 darkfocus.dynamics, darkfocus._text and darkfocus.calibration run their
-Python reference code for the stepper, the table I/O, the rho and |z|
-columns, the binning and the Gaussian CDF, which gives the same bits and the
-same text.
+Python reference code for the stepper, the table I/O, the rho column, the
+selections, the binning and the Gaussian CDF, which gives the same bits and
+the same text.
 
 The 128-bit power tables of the I/O kernels are computed here, exactly,
 from Python integers.
@@ -63,8 +65,11 @@ _SIGNATURES = {
     # (text, length, final, comma, pow5, columns, out, capacity, &nrows)
     "df_parse_rows": [_BYTES, ctypes.c_long, ctypes.c_int, ctypes.c_int, _WORDS,
                       ctypes.c_long, _OUT_DOUBLES, ctypes.c_long, _LONG_P],
-    # (positions, rows, rho, |z|)
-    "df_rho_abs_z": [_DOUBLES, ctypes.c_long, _OUT_DOUBLES, _OUT_DOUBLES],
+    # (positions, rows, rho)
+    "df_rho": [_DOUBLES, ctypes.c_long, _OUT_DOUBLES],
+    # (values, count, stride, fabs first, rank k, out: ranks k and k + 1)
+    "df_select_pair": [_DOUBLES, ctypes.c_long, ctypes.c_long, ctypes.c_int, ctypes.c_long,
+                       _OUT_DOUBLES],
     # (rho, positions, samples, rho edges, rho bins, z edges, z bins, counts)
     "df_bin_rho_z": [_DOUBLES, _DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES,
                      ctypes.c_long, _OUT_COUNTS],
@@ -119,11 +124,11 @@ def build() -> Path:
 @functools.cache
 def load():
     """The compiled library with every kernel of _SIGNATURES typed
-    (df_step_chunk, df_format_rows, df_parse_rows, df_rho_abs_z,
+    (df_step_chunk, df_format_rows, df_parse_rows, df_rho, df_select_pair,
     df_bin_rho_z, df_bin_xy, df_ndtr and df_ks_rows), or None when it cannot
     be built; the outcome is kept for the life of the process."""
-    fallback = ("the stepper, the table I/O, the rho and |z| columns, the binning and "
-                "the Gaussian CDF run their Python reference code")
+    fallback = ("the stepper, the table I/O, the rho column, the selections, the binning "
+                "and the Gaussian CDF run their Python reference code")
     try:
         library = ctypes.CDLL(str(build()))
     except subprocess.CalledProcessError as exc:

@@ -1,10 +1,13 @@
-/* The rho and |z| columns and the per-fold (rho, z) histograms of
-   darkfocus.calibration.reconstruct_potential, the x and y histograms of
-   each run of darkfocus.calibration.estimate_na, and the Gaussian CDF and
-   KS statistics of darkfocus.calibration.ks_gaussianity_test.
+/* The rho column, the support-bound selections and the per-fold (rho, z)
+   histograms of darkfocus.calibration.reconstruct_potential, the x and y
+   histograms of each run of darkfocus.calibration.estimate_na, and the
+   Gaussian CDF and KS statistics of darkfocus.calibration.ks_gaussianity_test.
 
    rho is libm's hypot and |z| its fabs, the functions numpy.hypot and
-   numpy.abs call, so both have numpy's bits.  A value's bin is the one
+   numpy.abs call, so both have numpy's bits.  A selection reads its column
+   in place, reorders nothing and allocates nothing that grows with it: at
+   and above +0.0 a double's bit pattern orders as its value does, so it
+   narrows on patterns 16 bits at a time.  A value's bin is the one
    numpy.histogram and numpy.histogram2d give it against the same edges:
    the last edge e[k] <= v (searchsorted right), with v equal to the last
    edge in the last bin, and values outside [e[0], e[m]] or NaN dropped.
@@ -17,6 +20,8 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* Bin of v among the m bins of the non-decreasing edges e[0..m], or -1. */
 static long bin_of(double v, const double *e, long m, double scale)
@@ -35,17 +40,155 @@ static long bin_of(double v, const double *e, long m, double scale)
     return k;
 }
 
-/* rho[i] = hypot(x, y) and abs_z[i] = |z| of the n rows (x, y, z) of
-   pos.  Returns the rows whose rho or |z| is not finite. */
-long df_rho_abs_z(const double *pos, long n, double *rho, double *abs_z)
+/* rho[i] = hypot(x, y) of the n rows (x, y, z) of pos.  Returns the rows
+   whose rho or z is not finite. */
+long df_rho(const double *pos, long n, double *rho)
 {
     long bad = 0;
     for (long i = 0; i < n; i++) {
         rho[i] = hypot(pos[3 * i], pos[3 * i + 1]);
-        abs_z[i] = fabs(pos[3 * i + 2]);
-        bad += !(isfinite(rho[i]) && isfinite(abs_z[i]));
+        bad += !(isfinite(rho[i]) && isfinite(pos[3 * i + 2]));
     }
     return bad;
+}
+
+#define SELECT_BUCKETS 65536 /* the values of 16 bits of a pattern */
+#define SELECT_GATHER 65536  /* the most values a bucket is sorted with */
+#define SELECT_SAMPLE 64     /* one value in this many guesses the first bucket */
+
+/* The value v[i * stride], through fabs when absolute is set. */
+static double value_at(const double *v, long i, long stride, int absolute)
+{
+    double x = v[i * stride];
+    return absolute ? fabs(x) : x;
+}
+
+static uint64_t pattern_of(double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+static int by_value(const void *a, const void *b)
+{
+    double x = *(const double *)a, y = *(const double *)b;
+    return (x > y) - (x < y);
+}
+
+/* The bucket that holds rank r of the counts, and the count below it. */
+static long bucket_of(const int64_t *counts, long r, long *below)
+{
+    long j = 0;
+    while (*below + counts[j] <= r)
+        *below += counts[j++];
+    return j;
+}
+
+/* Counts the patterns in lo..hi of the n values v[i * stride], through
+   fabs when absolute is set, into counts by their 16 bits from shift up. */
+static void count_pass(const double *v, long n, long stride, int absolute, uint64_t lo,
+                       uint64_t hi, int shift, int64_t *counts)
+{
+    for (long i = 0; i < n; i++) {
+        uint64_t bits = pattern_of(value_at(v, i, stride, absolute));
+        if (bits >= lo && bits <= hi)
+            counts[(bits >> shift) & (SELECT_BUCKETS - 1)]++;
+    }
+}
+
+/* Gathers into g, when given, the first SELECT_GATHER of the n values
+   v[i * stride], through fabs when absolute is set, whose patterns lie in
+   lo..hi.  Returns how many lie there, and leaves how many lie below lo in
+   *under and the smallest pattern above hi in *above. */
+static long gather_pass(const double *v, long n, long stride, int absolute, uint64_t lo,
+                        uint64_t hi, double *g, long *under, uint64_t *above)
+{
+    long m = 0, fewer = 0;
+    uint64_t least = UINT64_MAX;
+    for (long i = 0; i < n; i++) {
+        double x = value_at(v, i, stride, absolute);
+        uint64_t bits = pattern_of(x);
+        if (bits > hi) {
+            if (bits < least)
+                least = bits;
+        } else if (bits >= lo) {
+            if (g && m < SELECT_GATHER)
+                g[m] = x;
+            m++;
+        } else {
+            fewer++;
+        }
+    }
+    *under = fewer;
+    *above = least;
+    return m;
+}
+
+/* Order statistics k and k + 1 (0-based, k + 1 < n) of the n values
+   v[0], v[stride], ..., v[(n - 1) stride], each through fabs first when
+   absolute is set, into out[0] and out[1]; v is only read.  Every value
+   must be +0.0 or above and not NaN once folded.
+
+   One value in SELECT_SAMPLE guesses the top-16-bit bucket of rank k, and
+   one pass gathers that bucket, counts the values under it and finds the
+   smallest pattern above it: rank k + 1 when the bucket ends at rank k.
+   When the bucket holds rank k and at most SELECT_GATHER values, sorting
+   it finishes.  Otherwise each further pass counts 16 bits of the
+   patterns in the bucket that holds rank k, the top 16 first, until that
+   bucket holds SELECT_GATHER values or fewer, or one pattern after four
+   passes, and a last pass gathers it.  The scratch is the 2^16 counters
+   and the gather buffer for every input.  Returns 0, or -1 when the
+   scratch cannot be allocated. */
+long df_select_pair(const double *v, long n, long stride, int absolute, long k, double *out)
+{
+    int64_t *counts = malloc(SELECT_BUCKETS * sizeof *counts);
+    double *gathered = malloc(SELECT_GATHER * sizeof *gathered);
+    if (!counts || !gathered) {
+        free(counts);
+        free(gathered);
+        return -1;
+    }
+    memset(counts, 0, SELECT_BUCKETS * sizeof *counts);
+    long sampled = 0, below = 0, size;
+    for (long i = 0; i < n; i += SELECT_SAMPLE, sampled++)
+        counts[pattern_of(value_at(v, i, stride, absolute)) >> 48]++;
+    long guess = (long)((double)k / n * sampled);
+    guess = bucket_of(counts, guess < sampled ? guess : sampled - 1, &below);
+    /* the bucket: the size values of patterns lo..hi, with below values under it */
+    uint64_t lo = (uint64_t)guess << 48, hi = lo | ((UINT64_C(1) << 48) - 1), above;
+    size = gather_pass(v, n, stride, absolute, lo, hi, gathered, &below, &above);
+    int gather = below <= k && k < below + size && size <= SELECT_GATHER;
+    if (!gather) {
+        /* the guess missed: narrow from every pattern */
+        long unused;
+        lo = 0, hi = UINT64_MAX, below = 0, size = n;
+        for (int shift = 48; shift >= 0 && size > SELECT_GATHER; shift -= 16) {
+            memset(counts, 0, SELECT_BUCKETS * sizeof *counts);
+            count_pass(v, n, stride, absolute, lo, hi, shift, counts);
+            long j = bucket_of(counts, k, &below);
+            size = counts[j];
+            lo |= (uint64_t)j << shift;
+            hi = lo | ((UINT64_C(1) << shift) - 1);
+        }
+        gather = size <= SELECT_GATHER;
+        gather_pass(v, n, stride, absolute, lo, hi, gather ? gathered : NULL, &unused, &above);
+    }
+    long r = k - below; /* rank k within the bucket */
+    if (gather) {
+        qsort(gathered, size, sizeof *gathered, by_value);
+        out[0] = gathered[r];
+    } else {
+        /* every bit fixed: the bucket is one value */
+        memcpy(&out[0], &lo, sizeof lo);
+    }
+    if (r + 1 < size)
+        out[1] = gather ? gathered[r + 1] : out[0];
+    else
+        memcpy(&out[1], &above, sizeof above);
+    free(counts);
+    free(gathered);
+    return 0;
 }
 
 /* Counts the n samples (rho[i], pos[3 i + 2]) into counts, a zeroed grid

@@ -355,60 +355,98 @@ def _edges(lo, hi, n_bins):
     return np.linspace(lo, hi, n_bins + 1)
 
 
-_BLOCK_ROWS = 1 << 16  # fewest rows of a block of the rho and |z| pass
+_BLOCK_ROWS = 1 << 16  # fewest rows of a block of the rho pass
 
 
-def _rho_abs_z(pos):
-    """rho = numpy.hypot(x, y) and |z| of the C-contiguous (n, 3) positions
-    pos, by binning.c's df_rho_abs_z when it builds, else by numpy; the same
-    bits either way.  The compiled pass writes into
-    arrays allocated here, on the calling thread, in blocks of contiguous
-    rows on darkfocus._parallel.ordered_map, at least four per usable core
-    and none shorter than _BLOCK_ROWS.  A NaN or infinite coordinate raises
+def _rho(pos):
+    """rho = numpy.hypot(x, y) of the C-contiguous (n, 3) positions pos, by
+    binning.c's df_rho when it builds, else by numpy; the same bits either
+    way.  The compiled pass writes into an array allocated here, on the
+    calling thread, in blocks of contiguous rows on
+    darkfocus._parallel.ordered_map, at least four per usable core and none
+    shorter than _BLOCK_ROWS.  A NaN or infinite coordinate raises
     ValueError, as does (saying so) a finite x and y whose hypot overflows."""
     n = len(pos)
     library = _compiled.load()
     if library is None:
         with np.errstate(over="ignore"):
             rho = np.hypot(pos[:, 0], pos[:, 1])
-        abs_z = np.abs(pos[:, 2])
-        bad = not (np.isfinite(rho).all() and np.isfinite(abs_z).all())
+        bad = not (np.isfinite(rho).all() and np.isfinite(pos[:, 2]).all())
     else:
-        rho, abs_z = np.empty(n), np.empty(n)
+        rho = np.empty(n)
         rows = max(_BLOCK_ROWS, -(-n // (4 * _parallel.width())))
 
         def block(start):
             stop = min(start + rows, n)
-            return library.df_rho_abs_z(pos[start:stop], stop - start, rho[start:stop],
-                                        abs_z[start:stop])
+            return library.df_rho(pos[start:stop], stop - start, rho[start:stop])
 
         bad = sum(_parallel.ordered_map(block, range(0, n, rows)))
     if bad:
         if np.isfinite(pos).all():
             raise ValueError("rho = hypot(x, y) overflows for finite samples; rescale them")
         raise ValueError("samples must be finite")
-    return rho, abs_z
+    return rho
 
 
-def _quantile(values, q):
-    """numpy.quantile(values, q) of a 1-D float64 array of finite values, by
-    one partition of values in place.  No value may be -0.0, as none of rho
-    and |z| is: a partition may put -0.0 and 0.0 in either order.  This is
-    numpy's linear method: the virtual index (n - 1) q falls between the
-    order statistics k = floor of it and k + 1, the smallest value above
-    the partition at k, and numpy's _lerp between them counts back from the
-    upper one once the fraction reaches 1/2.  At an index of n - 1 or more
-    it is the maximum."""
-    n = len(values)
+def _partitioned_pair(values, k):
+    """Order statistics k and k + 1 of a 1-D float64 array of finite values:
+    values[k] after one partition of values in place, and the smallest value
+    above it.  No value may be -0.0, as none of rho and |z| is: a partition
+    may put -0.0 and 0.0 in either order."""
+    values.partition(k)
+    return float(values[k]), float(values[k + 1:].min())
+
+
+def _selected_pair(library, values, stride, absolute, n, k):
+    """Order statistics k and k + 1 of the n values values[::stride], through
+    fabs when absolute is set, by binning.c's df_select_pair, which reads
+    them in place: values is C-contiguous and each value finite and, once
+    folded, +0.0 or above."""
+    if not 0 <= k < n - 1:
+        raise ValueError(f"ranks {k} and {k + 1} are not both ranks of {n} values")
+    if not len(values) > (n - 1) * stride:
+        raise ValueError(f"{n} values one in {stride} need more than {(n - 1) * stride} "
+                         f"values, got {len(values)}")
+    out = np.empty(2)
+    if library.df_select_pair(values, n, stride, absolute, k, out):
+        raise MemoryError("cannot allocate the selection's scratch")
+    return float(out[0]), float(out[1])
+
+
+def _quantile(n, q, pair):
+    """numpy.quantile at q of n >= 2 values, from pair(k), their order
+    statistics k and k + 1.  This is numpy's linear method: the virtual
+    index (n - 1) q falls between k = floor of it and k + 1, and numpy's
+    _lerp between them counts back from the upper one once the fraction
+    reaches 1/2.  At an index of n - 1 or more it is the maximum, rank
+    n - 1."""
     index = (n - 1) * q
     if index >= n - 1:
-        return float(values.max())
+        return pair(n - 2)[1]
     k = math.floor(index)
-    values.partition(k)
-    below, above = float(values[k]), float(values[k + 1:].min())
+    below, above = pair(k)
     gamma = index - k
     diff = above - below
     return above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
+
+
+def _support_bounds(pos, rho, q):
+    """The q quantiles of |z| and of rho, numpy.quantile's to the bit, for
+    the C-contiguous (n, 3) finite positions pos and their rho column.  The
+    compiled selections read the z column of pos and rho in place, side by
+    side on darkfocus._parallel.ordered_map; the reference partitions one
+    scratch array, |z| and then rho copied into it."""
+    n = len(rho)
+    library = _compiled.load()
+    if library is None:
+        scratch = np.abs(pos[:, 2])
+        z_max = _quantile(n, q, functools.partial(_partitioned_pair, scratch))
+        np.copyto(scratch, rho)
+        return z_max, _quantile(n, q, functools.partial(_partitioned_pair, scratch))
+    # the z column is every third value from the third on
+    columns = ((pos.reshape(-1)[2:], 3, True), (rho, 1, False))
+    return tuple(_parallel.ordered_map(
+        lambda c: _quantile(n, q, functools.partial(_selected_pair, library, *c, n)), columns))
 
 
 def _fold_counts(rho, positions, n_folds, r_edges, z_edges):
@@ -499,11 +537,14 @@ def reconstruct_potential(
     fit fails are dropped and counted out of n_folds_fitted.
 
     The grid spans the support_quantile quantiles of rho and |z|, which are
-    numpy.quantile's to the bit.  rho, |z| and the finiteness check are one
-    pass over the samples, the two quantiles are one selection each, side by
+    numpy.quantile's to the bit.  rho and the finiteness check are one pass
+    over the samples, the two quantiles are one selection each, side by
     side, and every sample is binned once, into the grid of its fold, the
     folds side by side; the whole-sample fit takes the sum of the fold
-    grids, which is its histogram exactly.  Every output is the same bits
+    grids, which is its histogram exactly.  Besides C-contiguous float64
+    samples, which it reads in place, it holds one column of n values
+    (rho) and fixed scratch; the no-compiler reference holds a second
+    column, which its selections reorder.  Every output is the same bits
     at every width and on the no-compiler reference path.
     """
     if isinstance(samples, Trajectory):
@@ -520,11 +561,8 @@ def reconstruct_potential(
     if not support_quantile <= 1:
         raise ValueError(f"support_quantile must lie in (0, 1], got {support_quantile!r}")
 
-    rho, abs_z = _rho_abs_z(pos)
-    # a selection reorders what it is given, and rho is binned after them:
-    # the |z| selection runs while rho is copied, here, for its own
-    z_max, rho_max = _parallel.ordered_map(functools.partial(_quantile, q=support_quantile),
-                                           itertools.chain([abs_z], map(np.copy, [rho])))
+    rho = _rho(pos)
+    z_max, rho_max = _support_bounds(pos, rho, support_quantile)
     r_edges = _edges(0.0, rho_max, n_bins)
     z_edges = _edges(-z_max, z_max, n_bins)
     counts = _fold_counts(rho, pos, n_folds, r_edges, z_edges)

@@ -254,6 +254,12 @@ def cmd_psd(cfg, out: Path) -> int:
                          f"got {f_range!r}")
     for bound in f_range or ():
         _checks.real("analysis.fit_range", bound, above=0.0)
+    _checks.choice("analysis.psd_axis", a["psd_axis"], ("x", "y", "z"))
+    if a["psd_nperseg"] is not None:
+        _checks.count("analysis.psd_nperseg", a["psd_nperseg"], 4)
+    if not 0 <= a["psd_overlap"] < 1:
+        raise ValueError("analysis.psd_overlap must be a fraction in [0, 1), "
+                         f"got {a['psd_overlap']!r}")
     traj = _get_trajectory(cfg)
     psd = estimate_psd(
         traj, axis=a["psd_axis"], nperseg=a["psd_nperseg"], overlap=a["psd_overlap"],
@@ -272,6 +278,8 @@ def cmd_psd(cfg, out: Path) -> int:
 def cmd_calibrate(cfg, out: Path) -> int:
     a = cfg["analysis"]
     _checks.count("analysis.burn_in", a["burn_in"], 0)
+    for key in ("n_bins", "n_folds", "min_count"):
+        _checks.count(f"analysis.{key}", a[key], 1)
     traj = _get_trajectory(cfg)
     burn = min(a["burn_in"], max(len(traj) - 1000, 0))
     rec = reconstruct_potential(
@@ -296,6 +304,9 @@ def cmd_sweep_na(cfg, out: Path) -> int:
     if s["target"] is None:
         raise ValueError("sweep.target must point at a trajectory file")
     _checks.real("sweep.na_step", s["na_step"], above=0.0)
+    for key, least in (("n_steps", 1), ("n_reps", 1), ("burn_in", 0)):
+        _checks.count(f"sweep.{key}", s[key], least)
+    _checks.choice("sweep.boundary", s["boundary"], ("absorb", "reflect"))
     if not s["na_stop"] >= s["na_start"]:
         raise ValueError(
             f"sweep.na_stop {s['na_stop']!r} lies below sweep.na_start {s['na_start']!r}"

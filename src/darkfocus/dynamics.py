@@ -41,6 +41,7 @@ through darkfocus._text, the one writer and reader of every float table.
 
 import ctypes
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,11 +119,8 @@ class SimConfig:
     include_scattering: bool = False
 
     def __post_init__(self):
-        if self.force_model not in ("quartic", "dipole", "harmonic"):
-            raise ValueError("force_model must be 'quartic', 'dipole' or 'harmonic', "
-                             f"got {self.force_model!r}")
-        if self.boundary not in ("absorb", "reflect"):
-            raise ValueError(f"boundary must be 'absorb' or 'reflect', got {self.boundary!r}")
+        _checks.choice("force_model", self.force_model, ("quartic", "dipole", "harmonic"))
+        _checks.choice("boundary", self.boundary, ("absorb", "reflect"))
         _checks.real("dt", self.dt, above=0.0)
         _checks.count("n_steps", self.n_steps, 1)
         _checks.count("seed", self.seed, 0)
@@ -190,8 +188,7 @@ class Trajectory:
         return self.dt * np.arange(len(self.positions))
 
     def axis(self, name):
-        if name not in ("x", "y", "z"):
-            raise ValueError(f"axis must be 'x', 'y' or 'z', got {name!r}")
+        _checks.choice("axis", name, ("x", "y", "z"))
         return self.positions[:, "xyz".index(name)]
 
 
@@ -442,23 +439,69 @@ def _map_runs(runs, reduce=lambda traj: traj):
     return _parallel.ordered_map(lambda run: reduce(_finish(*run)), started)
 
 
+class _Runs:
+    """An iterator over runs that says how many it has left to yield, as
+    operator.length_hint reads it (PEP 424)."""
+
+    def __init__(self, runs, n_runs):
+        self._runs, self._left = runs, n_runs
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        run = next(self._runs)
+        self._left -= 1
+        return run
+
+    def __length_hint__(self):
+        return self._left
+
+
 def simulate_ensemble(cfg: SimConfig, n_runs: int):
     """Independent repetitions with per-run seeds spawned from cfg.seed at the
     call: an iterator that simulates each run when asked for, on up to one
     thread per usable core, and keeps none it has yielded (take list() of it
-    to use the runs twice).  Each run is simulate(cfg.with_seed(s)) to the
+    to use the runs twice).  operator.length_hint of it is the number of
+    runs not yet yielded.  Each run is simulate(cfg.with_seed(s)) to the
     bit, and its warnings name the line that asks for it."""
-    return _map_runs((cfg.with_seed(s), None) for s in spawn_seeds(cfg.seed, n_runs))
+    seeds = spawn_seeds(cfg.seed, n_runs)
+    return _Runs(_map_runs((cfg.with_seed(s), None) for s in seeds), len(seeds))
 
 
 def pooled_positions(trajectories, burn_in: int = 0):
-    """Concatenate the samples of any iterable of runs after the first burn_in
-    of each; a burn_in that is not an integer >= 0 raises ValueError."""
+    """The samples of any iterable of runs after the first burn_in of each,
+    in one array with the bits of numpy.concatenate of those parts; a
+    burn_in that is not an integer >= 0 raises ValueError.
+
+    The array is allocated at the first run that keeps a sample, for that
+    run's kept rows times one more than the runs operator.length_hint says
+    are left (simulate_ensemble and a list say it exactly), grown in place
+    only when a run overflows it, and trimmed to the rows kept.  Each run is
+    copied in and dropped before the next one is asked for, so besides the
+    pooled array it holds at most the run being copied and the runs the
+    iterable has in flight (one per usable core for simulate_ensemble)."""
     _checks.count("burn_in", burn_in, 0)
-    parts = [t.positions[burn_in:] for t in trajectories if len(t) > burn_in]
-    if not parts:
+    runs = iter(trajectories)
+    pooled, rows = np.empty((0, 3)), 0
+    for traj in runs:
+        part = traj.positions[burn_in:]
+        del traj
+        if rows + len(part) > len(pooled):
+            shape = (rows + len(part) * (1 + operator.length_hint(runs)), 3)
+            if rows:
+                # no view of pooled exists while it grows
+                pooled.resize(shape, refcheck=False)
+            else:
+                pooled = np.empty(shape)
+        pooled[rows:rows + len(part)] = part
+        rows += len(part)
+        del part
+    if not rows:
         raise ValueError("no samples retained: all runs escaped before burn_in")
-    return np.concatenate(parts, axis=0)
+    if rows < len(pooled):
+        pooled.resize((rows, 3), refcheck=False)
+    return pooled
 
 
 def equilibrium_pdf(potential_fn, temperature, axes):

@@ -1,8 +1,10 @@
+import functools
 import gc
 import hashlib
 import itertools
 import math
 import os
+import tracemalloc
 import warnings
 import weakref
 
@@ -40,8 +42,11 @@ from darkfocus.calibration import (
     _fold_counts,
     _ks_null_table,
     _ndtr,
+    _partitioned_pair,
     _quantile,
-    _rho_abs_z,
+    _rho,
+    _selected_pair,
+    _support_bounds,
     _xy_counts,
 )
 
@@ -431,6 +436,29 @@ class TestReconstructPotential:
         assert all(result == results[0] for result in results[1:])
         assert int(results[0]["n_folds_fitted"]) == (0 if n_folds > len(samples) else n_folds)
 
+    @pytest.mark.parametrize("path,columns", [("compiled", 1), ("reference", 2)])
+    def test_peak_memory(self, particle, monkeypatch, path, columns):
+        # numpy reports its buffers to tracemalloc: besides its input the
+        # reconstruction holds rho, and on the reference path one scratch
+        # column for the selections
+        if _compiled.load() is None:
+            pytest.skip("no C compiler to build the stepper and the binning kernel")
+        coeffs = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
+        cfg = SimConfig(particle=particle, dt=2e-5, n_steps=200_000, coefficients=coeffs,
+                        boundary="reflect", domain_bound=1.6e-7, seed=7)
+        pooled = dynamics.pooled_positions(dynamics.simulate_ensemble(cfg, 6), burn_in=20_000)
+        if path == "reference":
+            monkeypatch.setattr(_compiled, "load", lambda: None)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rec = reconstruct_potential(pooled, particle.temperature)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rec.n_samples == len(pooled) == 6 * 180_001
+        assert peak <= columns * 8 * len(pooled) + 2**20
+
     def test_failed_fold_is_dropped_and_counted(self, particle, confining_trap, tmp_path):
         # the last fifth sits in one bin: its fold cannot be fitted
         _, samples = confining_trap
@@ -595,9 +623,10 @@ FINITE_COORDINATES = [0.0, -0.0, 5e-324, -1e-320, 2.2250738585072014e-308, 1e-31
 NON_FINITE_COORDINATES = [1.7976931348623157e308, math.nan, math.inf, -math.inf]
 
 
-class TestRhoAbsZ:
-    """The rho and |z| columns against numpy.hypot and numpy.abs, bit for
-    bit, on the compiled kernel and on the reference path."""
+class TestRho:
+    """The rho column against numpy.hypot, and the |z| selection against
+    numpy.abs, bit for bit, on the compiled kernels and on the reference
+    path."""
 
     @staticmethod
     def rows(values):
@@ -612,15 +641,20 @@ class TestRhoAbsZ:
         if library is None:
             pytest.skip("no C compiler to build the binning kernel")
         pos = self.rows(FINITE_COORDINATES + NON_FINITE_COORDINATES)
-        rho, abs_z = np.empty(len(pos)), np.empty(len(pos))
-        bad = library.df_rho_abs_z(pos, len(pos), rho, abs_z)
+        rho = np.empty(len(pos))
+        bad = library.df_rho(pos, len(pos), rho)
         with np.errstate(over="ignore"):
             expected_rho = np.hypot(pos[:, 0], pos[:, 1])
-        expected_abs_z = np.abs(pos[:, 2])
         assert self.bits(rho) == self.bits(expected_rho)
-        assert self.bits(abs_z) == self.bits(expected_abs_z)
-        finite = np.isfinite(expected_rho) & np.isfinite(expected_abs_z)
+        finite = np.isfinite(expected_rho) & np.isfinite(pos[:, 2])
         assert bad == np.count_nonzero(~finite) > 0
+        # every rank of the folded z column of the finite rows
+        z = np.ascontiguousarray(pos[finite])
+        expected_abs_z = np.sort(np.abs(z[:, 2]))
+        abs_z = [_selected_pair(library, z.reshape(-1)[2:], 3, True, len(z), k)[0]
+                 for k in range(len(z) - 1)]
+        abs_z.append(_selected_pair(library, z.reshape(-1)[2:], 3, True, len(z), len(z) - 2)[1])
+        assert self.bits(np.array(abs_z)) == self.bits(expected_abs_z)
 
     @pytest.mark.parametrize("path", ["compiled", "reference"])
     def test_blocks_on_every_width(self, monkeypatch, path, rng):
@@ -630,11 +664,17 @@ class TestRhoAbsZ:
             pytest.skip("no C compiler to build the binning kernel")
         # enough rows for several blocks at every width
         pos = self.rows(FINITE_COORDINATES)[rng.integers(0, 13**3, 600_001)]
+        # rho overflows for the largest coordinate
+        small = np.where(np.abs(pos) > 1e300, 0.5, pos)
         for width in (1, 2, 3):
             monkeypatch.setattr(_parallel, "width", lambda width=width: width)
-            rho, abs_z = _rho_abs_z(pos)
+            rho = _rho(pos)
             assert self.bits(rho) == self.bits(np.hypot(pos[:, 0], pos[:, 1]))
-            assert self.bits(abs_z) == self.bits(np.abs(pos[:, 2]))
+            rho_small = _rho(small)
+            for q in (0.5, 0.995, 1.0):
+                bounds = _support_bounds(small, rho_small, q)
+                assert self.bits(np.array(bounds)) == self.bits(np.array(
+                    [np.quantile(np.abs(small[:, 2]), q), np.quantile(rho_small, q)]))
             for row in (0, 300_000, 600_000):
                 for columns, value, message in (
                         ([0, 1], NON_FINITE_COORDINATES[0], r"^rho = hypot\(x, y\) overflows"),
@@ -645,7 +685,7 @@ class TestRhoAbsZ:
                     bad = pos.copy()
                     bad[row, columns] = value
                     with pytest.raises(ValueError, match=message):
-                        _rho_abs_z(bad)
+                        _rho(bad)
 
 
 @settings(max_examples=150, deadline=None)
@@ -663,7 +703,67 @@ def test_selection_equals_numpy_quantile(n, q, distinct, seed, scale):
     rng = np.random.default_rng(seed)
     values = rng.choice(rng.standard_normal(min(distinct, n)) * scale + 0.0, n)
     expected = np.quantile(values, q)
-    assert np.float64(_quantile(values.copy(), q)).tobytes() == expected.tobytes()
+    pair = functools.partial(_partitioned_pair, values.copy())
+    assert np.float64(_quantile(n, q, pair)).tobytes() == expected.tobytes()
+    library = _compiled.load()
+    if library is None:
+        return
+    # the compiled selection reads |values| as rho, and a column of three
+    # through fabs as z
+    expected = np.quantile(np.abs(values), q)
+    column = np.zeros((n, 3))
+    column[:, 2] = values
+    for args in ((np.abs(values), 1, False), (column.reshape(-1)[2:], 3, True)):
+        pair = functools.partial(_selected_pair, library, *args, n)
+        assert np.float64(_quantile(n, q, pair)).tobytes() == expected.tobytes()
+
+
+def repeated(values, times):
+    return np.repeat(np.array(values), times)
+
+
+@pytest.mark.parametrize("values,absolute", [
+    # ties of +0.0 with subnormals, gathered whole
+    (repeated([0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 0.0, 1e-310], 7), False),
+    (repeated([-0.0, 0.0, -5e-324, 1e-310, -1e-310, -0.0], 11), True),
+    # more values than one gather: ranks k and k + 1 in different top-16-bit
+    # buckets, and buckets that narrow over several passes
+    (repeated([1.0, 2.0], 40_000), False),
+    (repeated([-0.0, 0.0, 5e-324, -1.0], 25_000), True),
+    (repeated([1.0, np.nextafter(1.0, 2), 1.0 + 2**-36, 1.0 + 2**-20], 30_000), False),
+    (np.full(70_000, 2.5e-7), True),
+    (np.full(70_000, 0.0), False),
+], ids=["zeros_subnormals", "negative_zero_folded", "two_buckets", "zeros_and_one",
+        "lowest_bits", "all_equal", "all_zero"])
+def test_selection_kernel_against_partition(values, absolute, rng):
+    library = _compiled.load()
+    if library is None:
+        pytest.skip("no C compiler to build the binning kernel")
+    values = rng.permutation(values)
+    n = len(values)
+    folded = np.abs(values) if absolute else values
+    ranks = sorted({0, n - 2, *rng.integers(0, n - 1, 40).tolist(),
+                    *(k for k in np.flatnonzero(np.diff(np.sort(folded))) if k < n - 1)})
+    for stride in (1, 3):
+        column = np.zeros((n, stride))
+        column[:, -1] = values
+        for k in ranks:
+            expected = np.partition(folded, [k, k + 1])[[k, k + 1]]
+            got = _selected_pair(library, column.reshape(-1)[stride - 1:], stride, absolute, n, k)
+            assert np.array(got).view(np.int64).tolist() == expected.view(np.int64).tolist(), k
+
+
+@pytest.mark.parametrize("length,stride,n,k,message", [
+    (5, 1, 5, 4, "^ranks 4 and 5 are not both ranks of 5 values$"),
+    (5, 1, 5, -1, "^ranks -1 and 0 are not both ranks of 5 values$"),
+    (12, 3, 5, 1, "^5 values one in 3 need more than 12 values, got 12$"),
+])
+def test_selection_refuses_what_it_cannot_read(length, stride, n, k, message):
+    library = _compiled.load()
+    if library is None:
+        pytest.skip("no C compiler to build the binning kernel")
+    with pytest.raises(ValueError, match=message):
+        _selected_pair(library, np.ones(length), stride, False, n, k)
 
 
 class TestXyCounts:

@@ -63,6 +63,13 @@ class TestConfigHandling:
         ("beam", {"beam": {"p_index": 10**12}, "grid": {"n_transverse": 5, "n_z": 5}},
          "beam.p_index"),
         ("calibrate", {"analysis": {"burn_in": -5}}, "analysis.burn_in"),
+        ("calibrate", {"analysis": {"n_folds": 0}}, "analysis.n_folds"),
+        ("calibrate", {"analysis": {"min_count": -1}}, "analysis.min_count"),
+        ("psd", {"analysis": {"psd_overlap": 1.5}}, "analysis.psd_overlap"),
+        ("psd", {"analysis": {"psd_overlap": -0.25}}, "analysis.psd_overlap"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "n_steps": 0}}, "sweep.n_steps"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "burn_in": -1}}, "sweep.burn_in"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "boundary": "wall"}}, "sweep.boundary"),
     ])
     def test_value_out_of_range_names_its_key(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path, payload)
@@ -325,7 +332,7 @@ class TestPsdCommand:
         code = main(["psd", "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert err.startswith("config error: nperseg must be an integer >= 4")
+        assert err.startswith("config error: analysis.psd_nperseg must be an integer >= 4")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("axis", ["", "xy", "yz", "w"])
@@ -335,7 +342,8 @@ class TestPsdCommand:
         code = main(["psd", "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert err.startswith(f"config error: axis must be 'x', 'y' or 'z', got {axis!r}")
+        assert err.startswith(
+            f"config error: analysis.psd_axis must be 'x', 'y' or 'z', got {axis!r}")
         assert "Traceback" not in err
 
 
@@ -510,7 +518,7 @@ def test_calibrate_with_no_bins_is_config_error(tmp_path, capsys):
     code = main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert err.startswith("config error: n_bins must be an integer >= 1")
+    assert err.startswith("config error: analysis.n_bins must be an integer >= 1")
     assert "Traceback" not in err
 
 

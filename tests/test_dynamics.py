@@ -2,12 +2,15 @@ import dataclasses
 import itertools
 import logging
 import math
+import operator
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -40,7 +43,7 @@ from darkfocus import (
     simulate_ensemble,
     spawn_seeds,
 )
-from darkfocus import _compiled, dynamics
+from darkfocus import _compiled, _parallel, dynamics
 
 TABLE_COEFFS = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
 
@@ -397,6 +400,91 @@ class TestEnsembles:
         np.testing.assert_array_equal(pooled[:len(runs[0]) - 10], runs[0].positions[10:])
         with pytest.raises(ValueError):
             pooled_positions(runs, burn_in=10**9)
+
+    @pytest.mark.parametrize("seed,burn_in", [(2, 0), (2, 60), (3, 200)],
+                             ids=["every_sample", "first_run_dropped", "later_run_overflows"])
+    @pytest.mark.parametrize("source", ["list", "generator", "ensemble"])
+    def test_pooled_positions_equals_concatenate(self, particle, source, seed, burn_in):
+        # escaping runs of uneven lengths, some no longer than burn_in: the
+        # pooled array is allocated at the first run that keeps a sample and
+        # grows when a later run overflows its estimate (a generator gives none)
+        cfg = SimConfig(particle=particle, dt=2e-5, n_steps=20_000,
+                        coefficients=TABLE_COEFFS, seed=seed)
+        runs = list(simulate_ensemble(cfg, 6))
+        assert any(len(r) <= burn_in for r in runs) == (burn_in > 0)
+        expected = np.concatenate([r.positions[burn_in:] for r in runs if len(r) > burn_in])
+        sources = {"list": lambda: runs, "generator": lambda: (r for r in runs),
+                   "ensemble": lambda: simulate_ensemble(cfg, 6)}
+        pooled = pooled_positions(sources[source](), burn_in=burn_in)
+        assert pooled.shape == expected.shape and pooled.dtype == expected.dtype
+        assert pooled.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="^no samples retained: all runs escaped before "):
+            pooled_positions(sources[source](), burn_in=10**9)
+
+    def test_ensemble_reports_the_runs_left(self, particle):
+        ensemble = simulate_ensemble(harmonic_cfg(particle, n_steps=500), 5)
+        assert operator.length_hint(ensemble) == 5
+        for left in range(4, -1, -1):
+            next(ensemble)
+            assert operator.length_hint(ensemble) == left
+        with pytest.raises(StopIteration):
+            next(ensemble)
+
+    def test_pooling_holds_only_the_runs_in_flight(self, particle, monkeypatch):
+        # a run is alive while its Trajectory or the buffer of its positions is
+        finished = []
+
+        def watched_finish(*run):
+            traj = finish(*run)
+            finished.append((weakref.ref(traj), weakref.ref(traj.positions.base)))
+            return traj
+
+        def alive():
+            return sum(traj() is not None or buffer() is not None for traj, buffer in finished)
+
+        class Watched:
+            def __init__(self, runs):
+                self.runs, self.most = runs, 0
+
+            def __iter__(self):
+                return self
+
+            def __length_hint__(self):
+                return operator.length_hint(self.runs)
+
+            def __next__(self):
+                self.most = max(self.most, alive())
+                traj = next(self.runs)
+                self.most = max(self.most, alive())
+                return traj
+
+        finish = dynamics._finish
+        monkeypatch.setattr(dynamics, "_finish", watched_finish)
+        cfg = SimConfig(particle=particle, dt=2e-5, n_steps=20_000, coefficients=TABLE_COEFFS,
+                        boundary="reflect", domain_bound=1.6e-7, seed=8)
+        runs = Watched(simulate_ensemble(cfg, 6))
+        pooled = pooled_positions(runs, burn_in=2000)
+        assert len(finished) == 6 and len(pooled) == 6 * 18_001
+        assert 1 <= runs.most <= _parallel.width() + 2
+
+    def test_pooling_peak_memory(self, particle):
+        # numpy reports its buffers to tracemalloc: pooling holds the pooled
+        # array and the runs in flight, never every run
+        if _compiled.load() is None:
+            pytest.skip("no C compiler to build the stepper")
+        n_steps, burn_in = 200_000, 20_000
+        cfg = SimConfig(particle=particle, dt=2e-5, n_steps=n_steps, coefficients=TABLE_COEFFS,
+                        boundary="reflect", domain_bound=1.6e-7, seed=7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pooled = pooled_positions(simulate_ensemble(cfg, 6), burn_in=burn_in)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        run_bytes = (n_steps + 1) * 3 * 8
+        assert pooled.nbytes == 6 * (n_steps + 1 - burn_in) * 3 * 8
+        assert peak <= pooled.nbytes + (_parallel.width() + 2) * run_bytes
 
     def test_pooled_positions_rejects_negative_burn_in(self, particle):
         runs = simulate_ensemble(harmonic_cfg(particle, n_steps=500), 2)
