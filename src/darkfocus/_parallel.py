@@ -12,11 +12,10 @@ fn must not warn: a warning raised on a pool thread names that thread's
 code, not the caller's line.  The compiled reader's pieces, the compiled
 writer's blocks, every batch of runs (darkfocus.dynamics._map_runs: each
 run started on the calling thread and finished by fn), the blocks of rows
-of the KS null table (darkfocus.calibration._ks_null_table) and the three
-stages of a potential reconstruction (darkfocus.calibration's _rho
-blocks of rows, the two selections of _support_bounds, which read rho and
-the positions' z column in place, and the _fold_counts folds) are the
-paths that use it.  No result is kept once it is yielded, so a consumer
+of the KS null table (darkfocus.calibration._ks_null_table) and the two
+threaded stages of a potential reconstruction (darkfocus.calibration's
+_rho blocks of rows and the _fold_counts folds) are the paths that use
+it.  No result is kept once it is yielded, so a consumer
 that drops each result before asking for the next holds it and at most
 width() calls in flight (darkfocus.dynamics.pooled_positions).
 """

@@ -1,30 +1,27 @@
-/* The rho column, the support-bound selections and the per-fold (rho, z)
-   histograms of darkfocus.calibration.reconstruct_potential, the x and y
-   histograms of each run of darkfocus.calibration.estimate_na, and the
-   Gaussian CDF and KS statistics of darkfocus.calibration.ks_gaussianity_test.
+/* The rho column and the per-fold (rho, z) histograms of
+   darkfocus.calibration.reconstruct_potential, the x and y histograms of
+   each run of darkfocus.calibration.estimate_na, and the Gaussian CDF and
+   KS statistics of darkfocus.calibration.ks_gaussianity_test.
 
-   rho is libm's hypot and |z| its fabs, the functions numpy.hypot and
-   numpy.abs call, so both have numpy's bits.  A selection reads its column
-   in place, reorders nothing and allocates nothing that grows with it: at
-   and above +0.0 a double's bit pattern orders as its value does, so it
-   narrows on patterns 16 bits at a time.  A value's bin is the one
-   numpy.histogram and numpy.histogram2d give it against the same edges:
-   the last edge e[k] <= v (searchsorted right), with v equal to the last
-   edge in the last bin, and values outside [e[0], e[m]] or NaN dropped.
-   Arithmetic only guesses the bin; comparisons against the edges decide
-   it, so rounding in the guess cannot move a sample.
+   rho is libm's hypot, the function numpy.hypot calls, so the column has
+   numpy's bits.  A value's bin is the one numpy.histogram and
+   numpy.histogram2d give it against the same edges: the last edge e[k] <=
+   v (searchsorted right), with v equal to the last edge in the last bin,
+   and values outside [e[0], e[m]] or NaN dropped.  Arithmetic only guesses
+   the bin; comparisons against the edges decide it, so rounding in the
+   guess cannot move a sample.  The binning pass bins rho from x and y, as
+   sqrt(x x + y y) wherever that lands in the bin of hypot(x, y).
 
    The CDF is Cephes' ndtr, as scipy.special.ndtr computes it: the same
    coefficients, thresholds and Horner order, and exp from libm, so that
    without contraction every value has scipy's bits. */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
 
 /* Bin of v among the m bins of the non-decreasing edges e[0..m], or -1. */
-static long bin_of(double v, const double *e, long m, double scale)
+static inline long bin_of(double v, const double *e, long m, double scale)
 {
     if (!(v >= e[0] && v <= e[m]))
         return -1;
@@ -52,157 +49,42 @@ long df_rho(const double *pos, long n, double *rho)
     return bad;
 }
 
-#define SELECT_BUCKETS 65536 /* the values of 16 bits of a pattern */
-#define SELECT_GATHER 65536  /* the most values a bucket is sorted with */
-#define SELECT_SAMPLE 64     /* one value in this many guesses the first bucket */
+/* Below and above these, a square of x x + y y may have underflowed or
+   overflowed (NaN and infinities fall outside too); between them sqrt(x x
+   + y y) is within about one ulp of the exact rho, as hypot is. */
+#define SQUARES_LO 1e-280
+#define SQUARES_HI 1e280
+/* Closer than this many epsilons (relative) to an edge, sqrt(x x + y y)
+   and hypot(x, y) may lie on either side of it. */
+#define NEAR_EDGE (8 * DBL_EPSILON)
 
-/* The value v[i * stride], through fabs when absolute is set. */
-static double value_at(const double *v, long i, long stride, int absolute)
+/* Bin of hypot(x, y) among the m bins of e, or -1: the bin of sqrt(x x +
+   y y) where the squares stay in range and that root lies inside a bin and
+   away from its edges, else hypot's. */
+static long rho_bin_of(double x, double y, const double *e, long m, double scale)
 {
-    double x = v[i * stride];
-    return absolute ? fabs(x) : x;
+    double s = x * x + y * y, r = sqrt(s);
+    long k = bin_of(r, e, m, scale);
+    if (s > SQUARES_LO && s < SQUARES_HI && k >= 0 && r - e[k] > NEAR_EDGE * r
+        && e[k + 1] - r > NEAR_EDGE * r)
+        return k;
+    return bin_of(hypot(x, y), e, m, scale);
 }
 
-static uint64_t pattern_of(double x)
-{
-    uint64_t bits;
-    memcpy(&bits, &x, sizeof bits);
-    return bits;
-}
-
-static int by_value(const void *a, const void *b)
-{
-    double x = *(const double *)a, y = *(const double *)b;
-    return (x > y) - (x < y);
-}
-
-/* The bucket that holds rank r of the counts, and the count below it. */
-static long bucket_of(const int64_t *counts, long r, long *below)
-{
-    long j = 0;
-    while (*below + counts[j] <= r)
-        *below += counts[j++];
-    return j;
-}
-
-/* Counts the patterns in lo..hi of the n values v[i * stride], through
-   fabs when absolute is set, into counts by their 16 bits from shift up. */
-static void count_pass(const double *v, long n, long stride, int absolute, uint64_t lo,
-                       uint64_t hi, int shift, int64_t *counts)
-{
-    for (long i = 0; i < n; i++) {
-        uint64_t bits = pattern_of(value_at(v, i, stride, absolute));
-        if (bits >= lo && bits <= hi)
-            counts[(bits >> shift) & (SELECT_BUCKETS - 1)]++;
-    }
-}
-
-/* Gathers into g, when given, the first SELECT_GATHER of the n values
-   v[i * stride], through fabs when absolute is set, whose patterns lie in
-   lo..hi.  Returns how many lie there, and leaves how many lie below lo in
-   *under and the smallest pattern above hi in *above. */
-static long gather_pass(const double *v, long n, long stride, int absolute, uint64_t lo,
-                        uint64_t hi, double *g, long *under, uint64_t *above)
-{
-    long m = 0, fewer = 0;
-    uint64_t least = UINT64_MAX;
-    for (long i = 0; i < n; i++) {
-        double x = value_at(v, i, stride, absolute);
-        uint64_t bits = pattern_of(x);
-        if (bits > hi) {
-            if (bits < least)
-                least = bits;
-        } else if (bits >= lo) {
-            if (g && m < SELECT_GATHER)
-                g[m] = x;
-            m++;
-        } else {
-            fewer++;
-        }
-    }
-    *under = fewer;
-    *above = least;
-    return m;
-}
-
-/* Order statistics k and k + 1 (0-based, k + 1 < n) of the n values
-   v[0], v[stride], ..., v[(n - 1) stride], each through fabs first when
-   absolute is set, into out[0] and out[1]; v is only read.  Every value
-   must be +0.0 or above and not NaN once folded.
-
-   One value in SELECT_SAMPLE guesses the top-16-bit bucket of rank k, and
-   one pass gathers that bucket, counts the values under it and finds the
-   smallest pattern above it: rank k + 1 when the bucket ends at rank k.
-   When the bucket holds rank k and at most SELECT_GATHER values, sorting
-   it finishes.  Otherwise each further pass counts 16 bits of the
-   patterns in the bucket that holds rank k, the top 16 first, until that
-   bucket holds SELECT_GATHER values or fewer, or one pattern after four
-   passes, and a last pass gathers it.  The scratch is the 2^16 counters
-   and the gather buffer for every input.  Returns 0, or -1 when the
-   scratch cannot be allocated. */
-long df_select_pair(const double *v, long n, long stride, int absolute, long k, double *out)
-{
-    int64_t *counts = malloc(SELECT_BUCKETS * sizeof *counts);
-    double *gathered = malloc(SELECT_GATHER * sizeof *gathered);
-    if (!counts || !gathered) {
-        free(counts);
-        free(gathered);
-        return -1;
-    }
-    memset(counts, 0, SELECT_BUCKETS * sizeof *counts);
-    long sampled = 0, below = 0, size;
-    for (long i = 0; i < n; i += SELECT_SAMPLE, sampled++)
-        counts[pattern_of(value_at(v, i, stride, absolute)) >> 48]++;
-    long guess = (long)((double)k / n * sampled);
-    guess = bucket_of(counts, guess < sampled ? guess : sampled - 1, &below);
-    /* the bucket: the size values of patterns lo..hi, with below values under it */
-    uint64_t lo = (uint64_t)guess << 48, hi = lo | ((UINT64_C(1) << 48) - 1), above;
-    size = gather_pass(v, n, stride, absolute, lo, hi, gathered, &below, &above);
-    int gather = below <= k && k < below + size && size <= SELECT_GATHER;
-    if (!gather) {
-        /* the guess missed: narrow from every pattern */
-        long unused;
-        lo = 0, hi = UINT64_MAX, below = 0, size = n;
-        for (int shift = 48; shift >= 0 && size > SELECT_GATHER; shift -= 16) {
-            memset(counts, 0, SELECT_BUCKETS * sizeof *counts);
-            count_pass(v, n, stride, absolute, lo, hi, shift, counts);
-            long j = bucket_of(counts, k, &below);
-            size = counts[j];
-            lo |= (uint64_t)j << shift;
-            hi = lo | ((UINT64_C(1) << shift) - 1);
-        }
-        gather = size <= SELECT_GATHER;
-        gather_pass(v, n, stride, absolute, lo, hi, gather ? gathered : NULL, &unused, &above);
-    }
-    long r = k - below; /* rank k within the bucket */
-    if (gather) {
-        qsort(gathered, size, sizeof *gathered, by_value);
-        out[0] = gathered[r];
-    } else {
-        /* every bit fixed: the bucket is one value */
-        memcpy(&out[0], &lo, sizeof lo);
-    }
-    if (r + 1 < size)
-        out[1] = gather ? gathered[r + 1] : out[0];
-    else
-        memcpy(&out[1], &above, sizeof above);
-    free(counts);
-    free(gathered);
-    return 0;
-}
-
-/* Counts the n samples (rho[i], pos[3 i + 2]) into counts, a zeroed grid
-   of n_rho x n_z int64, rho along the rows.  r_edges and z_edges hold
-   n_rho + 1 and n_z + 1 edges.  Returns the samples counted. */
-long df_bin_rho_z(const double *rho, const double *pos, long n, const double *r_edges,
-                  long n_rho, const double *z_edges, long n_z, int64_t *counts)
+/* Counts the n samples (hypot(x, y), z) of the rows (x, y, z) of pos into
+   counts, a zeroed grid of n_rho x n_z int64, rho along the rows.  r_edges
+   and z_edges hold n_rho + 1 and n_z + 1 edges.  Returns the samples
+   counted. */
+long df_bin_rho_z(const double *pos, long n, const double *r_edges, long n_rho,
+                  const double *z_edges, long n_z, int64_t *counts)
 {
     double r_scale = n_rho / (r_edges[n_rho] - r_edges[0]);
     double z_scale = n_z / (z_edges[n_z] - z_edges[0]);
     long counted = 0;
     for (long i = 0; i < n; i++) {
-        long r = bin_of(rho[i], r_edges, n_rho, r_scale);
-        long z = bin_of(pos[3 * i + 2], z_edges, n_z, z_scale);
+        const double *row = pos + 3 * i;
+        long r = rho_bin_of(row[0], row[1], r_edges, n_rho, r_scale);
+        long z = bin_of(row[2], z_edges, n_z, z_scale);
         if (r >= 0 && z >= 0) {
             counts[r * n_z + z]++;
             counted++;

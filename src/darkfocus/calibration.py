@@ -397,22 +397,6 @@ def _partitioned_pair(values, k):
     return float(values[k]), float(values[k + 1:].min())
 
 
-def _selected_pair(library, values, stride, absolute, n, k):
-    """Order statistics k and k + 1 of the n values values[::stride], through
-    fabs when absolute is set, by binning.c's df_select_pair, which reads
-    them in place: values is C-contiguous and each value finite and, once
-    folded, +0.0 or above."""
-    if not 0 <= k < n - 1:
-        raise ValueError(f"ranks {k} and {k + 1} are not both ranks of {n} values")
-    if not len(values) > (n - 1) * stride:
-        raise ValueError(f"{n} values one in {stride} need more than {(n - 1) * stride} "
-                         f"values, got {len(values)}")
-    out = np.empty(2)
-    if library.df_select_pair(values, n, stride, absolute, k, out):
-        raise MemoryError("cannot allocate the selection's scratch")
-    return float(out[0]), float(out[1])
-
-
 def _quantile(n, q, pair):
     """numpy.quantile at q of n >= 2 values, from pair(k), their order
     statistics k and k + 1.  This is numpy's linear method: the virtual
@@ -432,42 +416,37 @@ def _quantile(n, q, pair):
 
 def _support_bounds(pos, rho, q):
     """The q quantiles of |z| and of rho, numpy.quantile's to the bit, for
-    the C-contiguous (n, 3) finite positions pos and their rho column.  The
-    compiled selections read the z column of pos and rho in place, side by
-    side on darkfocus._parallel.ordered_map; the reference partitions one
-    scratch array, |z| and then rho copied into it."""
+    the (n, 3) finite positions pos and their rho column, which is the
+    selections' scratch: rho is partitioned in place for its bound, then
+    overwritten with |z| and partitioned again, so it holds neither column
+    afterwards."""
     n = len(rho)
-    library = _compiled.load()
-    if library is None:
-        scratch = np.abs(pos[:, 2])
-        z_max = _quantile(n, q, functools.partial(_partitioned_pair, scratch))
-        np.copyto(scratch, rho)
-        return z_max, _quantile(n, q, functools.partial(_partitioned_pair, scratch))
-    # the z column is every third value from the third on
-    columns = ((pos.reshape(-1)[2:], 3, True), (rho, 1, False))
-    return tuple(_parallel.ordered_map(
-        lambda c: _quantile(n, q, functools.partial(_selected_pair, library, *c, n)), columns))
+    rho_max = _quantile(n, q, functools.partial(_partitioned_pair, rho))
+    z_max = _quantile(n, q, functools.partial(_partitioned_pair, np.abs(pos[:, 2], out=rho)))
+    return z_max, rho_max
 
 
-def _fold_counts(rho, positions, n_folds, r_edges, z_edges):
-    """(n_folds, rho bins, z bins) int64 histogram of (rho, positions[:, 2])
-    over the contiguous folds of numpy.array_split, binned once per fold by
-    binning.c on darkfocus._parallel.ordered_map when it builds, else by
-    numpy.histogram2d per fold; both give the same counts."""
-    if positions.shape != (len(rho), 3):
-        raise ValueError("positions must have shape (len(rho), 3)")
+def _fold_counts(positions, n_folds, r_edges, z_edges):
+    """(n_folds, rho bins, z bins) int64 histogram of (hypot(x, y), z) of
+    the (n, 3) positions over the contiguous folds of numpy.array_split,
+    binned once per fold by binning.c on darkfocus._parallel.ordered_map
+    when it builds, else by numpy.histogram2d of numpy.hypot per fold; both
+    give the same counts."""
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ValueError("positions must have shape (n, 3)")
     counts = np.zeros((n_folds, len(r_edges) - 1, len(z_edges) - 1), dtype=np.int64)
     # row slices of the C-contiguous positions, contiguous themselves
-    folds = list(zip(np.array_split(rho, n_folds), np.array_split(positions, n_folds)))
+    folds = np.array_split(positions, n_folds)
     library = _compiled.load()
     if library is None:
-        for grid, (r, pos) in zip(counts, folds):
-            grid[...] = np.histogram2d(r, pos[:, 2], bins=[r_edges, z_edges])[0]
+        for grid, pos in zip(counts, folds):
+            grid[...] = np.histogram2d(np.hypot(pos[:, 0], pos[:, 1]), pos[:, 2],
+                                       bins=[r_edges, z_edges])[0]
         return counts
 
     def count(f):
-        r, pos = folds[f]
-        return library.df_bin_rho_z(r, pos, len(r), r_edges, len(r_edges) - 1, z_edges,
+        pos = folds[f]
+        return library.df_bin_rho_z(pos, len(pos), r_edges, len(r_edges) - 1, z_edges,
                                     len(z_edges) - 1, counts[f])
 
     for _ in _parallel.ordered_map(count, range(n_folds)):
@@ -538,14 +517,14 @@ def reconstruct_potential(
 
     The grid spans the support_quantile quantiles of rho and |z|, which are
     numpy.quantile's to the bit.  rho and the finiteness check are one pass
-    over the samples, the two quantiles are one selection each, side by
-    side, and every sample is binned once, into the grid of its fold, the
-    folds side by side; the whole-sample fit takes the sum of the fold
-    grids, which is its histogram exactly.  Besides C-contiguous float64
-    samples, which it reads in place, it holds one column of n values
-    (rho) and fixed scratch; the no-compiler reference holds a second
-    column, which its selections reorder.  Every output is the same bits
-    at every width and on the no-compiler reference path.
+    over the samples, and the two quantiles are numpy's in-place partition
+    of that column, once for rho and once more with |z| written over it.
+    The column is then dropped: every sample is binned once, into the grid
+    of its fold, with rho derived again from x and y, the folds side by
+    side; the whole-sample fit takes the sum of the fold grids, which is its
+    histogram exactly.  Besides C-contiguous float64 samples, which it
+    reads in place, it holds one column of n values.  Every output is the
+    same bits at every width and on the no-compiler reference path.
     """
     if isinstance(samples, Trajectory):
         samples = samples.positions
@@ -563,9 +542,10 @@ def reconstruct_potential(
 
     rho = _rho(pos)
     z_max, rho_max = _support_bounds(pos, rho, support_quantile)
+    del rho  # the selections' scratch now; binning derives rho from x and y
     r_edges = _edges(0.0, rho_max, n_bins)
     z_edges = _edges(-z_max, z_max, n_bins)
-    counts = _fold_counts(rho, pos, n_folds, r_edges, z_edges)
+    counts = _fold_counts(pos, n_folds, r_edges, z_edges)
 
     coef, (rc, zc, v_grid) = _fit_quartic_once(
         counts.sum(axis=0), r_edges, z_edges, temperature, min_count

@@ -261,6 +261,9 @@ def cmd_psd(cfg, out: Path) -> int:
         raise ValueError("analysis.psd_overlap must be a fraction in [0, 1), "
                          f"got {a['psd_overlap']!r}")
     traj = _get_trajectory(cfg)
+    if a["psd_nperseg"] is not None and a["psd_nperseg"] > len(traj) // 2:
+        raise ValueError(f"analysis.psd_nperseg must be at most {len(traj) // 2} for two "
+                         f"segments in {len(traj)} samples, got {a['psd_nperseg']!r}")
     psd = estimate_psd(
         traj, axis=a["psd_axis"], nperseg=a["psd_nperseg"], overlap=a["psd_overlap"],
     )
@@ -304,8 +307,12 @@ def cmd_sweep_na(cfg, out: Path) -> int:
     if s["target"] is None:
         raise ValueError("sweep.target must point at a trajectory file")
     _checks.real("sweep.na_step", s["na_step"], above=0.0)
-    for key, least in (("n_steps", 1), ("n_reps", 1), ("burn_in", 0)):
+    # estimate_na keeps at least 100 samples of each run
+    for key, least in (("n_steps", 99), ("n_reps", 1), ("burn_in", 0)):
         _checks.count(f"sweep.{key}", s[key], least)
+    if s["burn_in"] > s["n_steps"] + 1 - 100:
+        raise ValueError(f"sweep.burn_in must be at most {s['n_steps'] + 1 - 100} to leave 100 "
+                         f"of the {s['n_steps'] + 1} samples of a run, got {s['burn_in']!r}")
     _checks.choice("sweep.boundary", s["boundary"], ("absorb", "reflect"))
     if not s["na_stop"] >= s["na_start"]:
         raise ValueError(

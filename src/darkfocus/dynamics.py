@@ -312,29 +312,31 @@ def _python_stepper(force, bound, mob, reflect):
     def step(noise, out):
         x, y, z = out[0].tolist()
         k = 0
-        # plain floats keep the loop's arithmetic off numpy scalars
-        for nx, ny, nz in noise.tolist():
-            fx, fy, fz = force(x, y, z)
-            dx = fx * mob + nx
-            dy = fy * mob + ny
-            dz = fz * mob + nz
-            if dx * dx + dy * dy + dz * dz > bound2:
-                return k + 1, _UNSTABLE
-            x += dx
-            y += dy
-            z += dz
-            k += 1
-            r2 = x * x + y * y + z * z
-            if r2 > bound2:
-                if not reflect:
-                    out[k] = (x, y, z)
-                    return k, _ESCAPED
-                # radial fold across the spherical wall
-                f = (2.0 * bound - math.sqrt(r2)) / math.sqrt(r2)
-                x *= f
-                y *= f
-                z *= f
-            out[k] = (x, y, z)
+        # plain floats keep the loop's arithmetic off numpy scalars; a block
+        # of rows at a time bounds the floats in flight
+        for start in range(0, len(noise), _ROWS_PER_BLOCK):
+            for nx, ny, nz in noise[start:start + _ROWS_PER_BLOCK].tolist():
+                fx, fy, fz = force(x, y, z)
+                dx = fx * mob + nx
+                dy = fy * mob + ny
+                dz = fz * mob + nz
+                if dx * dx + dy * dy + dz * dz > bound2:
+                    return k + 1, _UNSTABLE
+                x += dx
+                y += dy
+                z += dz
+                k += 1
+                r2 = x * x + y * y + z * z
+                if r2 > bound2:
+                    if not reflect:
+                        out[k] = (x, y, z)
+                        return k, _ESCAPED
+                    # radial fold across the spherical wall
+                    f = (2.0 * bound - math.sqrt(r2)) / math.sqrt(r2)
+                    x *= f
+                    y *= f
+                    z *= f
+                out[k] = (x, y, z)
         return k, _RAN
 
     return step

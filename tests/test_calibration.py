@@ -45,7 +45,6 @@ from darkfocus.calibration import (
     _partitioned_pair,
     _quantile,
     _rho,
-    _selected_pair,
     _support_bounds,
     _xy_counts,
 )
@@ -436,11 +435,12 @@ class TestReconstructPotential:
         assert all(result == results[0] for result in results[1:])
         assert int(results[0]["n_folds_fitted"]) == (0 if n_folds > len(samples) else n_folds)
 
-    @pytest.mark.parametrize("path,columns", [("compiled", 1), ("reference", 2)])
+    @pytest.mark.parametrize("path,columns", [("compiled", 1), ("reference", 1.5)])
     def test_peak_memory(self, particle, monkeypatch, path, columns):
         # numpy reports its buffers to tracemalloc: besides its input the
-        # reconstruction holds rho, and on the reference path one scratch
-        # column for the selections
+        # reconstruction holds rho, the selections' scratch too, which it
+        # drops before binning; on the reference path numpy.histogram2d of
+        # one fold of five takes about 1.2 columns
         if _compiled.load() is None:
             pytest.skip("no C compiler to build the stepper and the binning kernel")
         coeffs = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
@@ -545,18 +545,20 @@ class TestReconstructPotential:
             assert key in text
 
 
-def histogram2d_folds(rho, z, n_folds, bins, rho_max, z_max):
-    """numpy.histogram2d on each numpy.array_split fold, on the range
-    reconstruct_potential bins over."""
+def histogram2d_folds(positions, n_folds, bins, rho_max, z_max):
+    """numpy.histogram2d of (numpy.hypot(x, y), z) on each numpy.array_split
+    fold of the positions, on the range reconstruct_potential bins over."""
+    with np.errstate(over="ignore"):
+        rho = np.hypot(positions[:, 0], positions[:, 1])
     return np.array([
         np.histogram2d(r, zf, bins=bins, range=[[0.0, rho_max], [-z_max, z_max]])[0]
-        for r, zf in zip(np.array_split(rho, n_folds), np.array_split(z, n_folds))
+        for r, zf in zip(np.array_split(rho, n_folds), np.array_split(positions[:, 2], n_folds))
     ])
 
 
 class TestFoldCounts:
-    """The single binning pass against numpy.histogram2d per fold, on the
-    compiled kernel and on the reference path."""
+    """The single binning pass against numpy.histogram2d of numpy.hypot per
+    fold, on the compiled kernel and on the reference path."""
 
     @pytest.fixture(autouse=True, params=["compiled", "reference"])
     def path(self, request, monkeypatch):
@@ -566,15 +568,21 @@ class TestFoldCounts:
             pytest.skip("no C compiler to build the binning kernel")
 
     @staticmethod
-    def check(rho, z, n_folds, bins, rho_max, z_max):
-        # the x and y columns are not read: rho arrives on its own
-        positions = np.column_stack([np.full_like(z, np.nan), np.full_like(z, np.nan), z])
-        counts = _fold_counts(rho, positions, n_folds, _edges(0.0, rho_max, bins[0]),
-                              _edges(-z_max, z_max, bins[1]))
-        expected = histogram2d_folds(rho, z, n_folds, bins, rho_max, z_max)
+    def check(positions, n_folds, bins, rho_max, z_max):
+        positions = np.ascontiguousarray(positions)
+        # numpy.hypot warns where rho overflows
+        with np.errstate(over="ignore"):
+            counts = _fold_counts(positions, n_folds, _edges(0.0, rho_max, bins[0]),
+                                  _edges(-z_max, z_max, bins[1]))
+        expected = histogram2d_folds(positions, n_folds, bins, rho_max, z_max)
         assert counts.dtype == np.int64 and counts.shape == expected.shape
         np.testing.assert_array_equal(counts, expected)
         return counts
+
+    @staticmethod
+    def on_x_axis(rho, z):
+        # hypot(x, 0) is |x| exactly
+        return np.column_stack([rho, np.zeros_like(rho), z])
 
     @pytest.mark.parametrize("n,n_folds", [(100_003, 5), (100_000, 5), (10_007, 7),
                                            (1000, 1), (3, 5)])
@@ -583,7 +591,7 @@ class TestFoldCounts:
         rho = np.hypot(pos[:, 0], pos[:, 1])
         rho_max = float(np.quantile(rho, 0.995))
         z_max = float(np.quantile(np.abs(pos[:, 2]), 0.995))
-        counts = self.check(rho, pos[:, 2], n_folds, (40, 40), rho_max, z_max)
+        counts = self.check(pos, n_folds, (40, 40), rho_max, z_max)
         # the fold grids sum to the whole-sample histogram
         whole = np.histogram2d(rho, pos[:, 2], bins=[40, 40],
                                range=[[0.0, rho_max], [-z_max, z_max]])[0]
@@ -598,20 +606,64 @@ class TestFoldCounts:
                                    np.nextafter(edges, np.inf)])
 
         r_values = np.concatenate([around(_edges(0.0, rho_max, bins[0])),
-                                   [-1e-7, 2 * rho_max, math.nan, math.inf]])
+                                   [2 * rho_max, math.nan, math.inf]])
         z_values = np.concatenate([around(_edges(-z_max, z_max, bins[1])),
                                    [-2 * z_max, 2 * z_max, math.nan, -math.inf]])
         rho, z = (a.ravel() for a in np.meshgrid(r_values, z_values))
         order = rng.permutation(len(rho))
-        counts = self.check(rho[order], z[order], 3, bins, rho_max, z_max)
-        # every edge and both neighbours inside the range are counted
-        inside = 3 * (bins[0] + 1) - 2, 3 * (bins[1] + 1) - 2
+        counts = self.check(self.on_x_axis(rho[order], z[order]), 3, bins, rho_max, z_max)
+        # every edge and both neighbours inside the range are counted; x below
+        # the first edge, -5e-324, is rho = 5e-324 above it
+        inside = 3 * (bins[0] + 1) - 1, 3 * (bins[1] + 1) - 2
         assert counts.sum() == inside[0] * inside[1]
+
+    @pytest.mark.parametrize("bins", [1, 7, 40])
+    def test_pairs_next_to_an_edge(self, rng, bins):
+        # (x, y) at random angles on each edge radius, x moved by 1-3 ulps,
+        # kept where hypot lies within 2 ulps of the edge: on either side of
+        # it, and often a ulp from sqrt(x x + y y), which would bin it across
+        rho_max, z_max = 1.234e-7, 0.987e-7
+        edges = _edges(0.0, rho_max, bins)
+        radius = np.repeat(edges[1:], 2000)
+        theta = rng.uniform(0.0, 2 * math.pi, len(radius))
+        y = np.tile(radius * np.sin(theta), 6)
+        x = np.concatenate([radius * np.cos(theta) + shift * np.spacing(radius * np.cos(theta))
+                            for shift in (-3, -2, -1, 1, 2, 3)])
+        radius = np.tile(radius, 6)
+        rho = np.hypot(x, y)
+        near = np.abs(rho - radius) <= 2 * np.spacing(radius)
+        x, y, radius, rho = x[near], y[near], radius[near], rho[near]
+        root = np.sqrt(x * x + y * y)
+        across = (np.searchsorted(edges, root, side="right")
+                  != np.searchsorted(edges, rho, side="right"))
+        assert (rho < radius).any() and (rho >= radius).any() and across.sum() > 100
+        z = rng.uniform(-z_max, z_max, len(x))
+        self.check(np.column_stack([x, y, z]), 5, (bins, 9), rho_max, z_max)
+
+    @pytest.mark.parametrize("rho_max", [1e-310, 1e-200, 1e-160, 1e-7, 1e154, 1e300])
+    def test_squares_out_of_range(self, rng, rho_max):
+        # coordinates whose squares underflow (to subnormals at 1e-160) or
+        # overflow, binned at their own scale, with NaN and infinite rows
+        values = FINITE_COORDINATES + NON_FINITE_COORDINATES
+        xy = np.array(list(itertools.product(values, repeat=2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.concatenate([xy, xy * rho_max, xy[:, ::-1] * (rho_max / 3),
+                                     rng.standard_normal((5000, 2)) * (rho_max / 2)])
+        z = rng.uniform(-1.0, 1.0, len(scaled))
+        z[::7] = math.nan
+        counts = self.check(rng.permutation(np.column_stack([scaled, z])), 3, (40, 5), rho_max,
+                            1.0)
+        assert counts.sum() > 0
+
+    def test_refuses_rows_of_two(self):
+        # the kernel reads three numbers a row
+        with pytest.raises(ValueError, match=r"^positions must have shape \(n, 3\)$"):
+            _fold_counts(np.zeros((10, 2)), 2, _edges(0.0, 1.0, 4), _edges(-1.0, 1.0, 4))
 
     def test_empty_range_is_widened(self, rng):
         rho = np.concatenate([np.zeros(500), rng.uniform(-1.0, 1.0, 500)])
         z = np.concatenate([rng.uniform(-1.0, 1.0, 500), np.zeros(500)])
-        self.check(rho, z, 2, (4, 4), 0.0, 0.0)
+        self.check(self.on_x_axis(rho, z), 2, (4, 4), 0.0, 0.0)
 
 
 # finite coordinates whose hypot is finite, with subnormals, both zeros and
@@ -624,9 +676,9 @@ NON_FINITE_COORDINATES = [1.7976931348623157e308, math.nan, math.inf, -math.inf]
 
 
 class TestRho:
-    """The rho column against numpy.hypot, and the |z| selection against
-    numpy.abs, bit for bit, on the compiled kernels and on the reference
-    path."""
+    """The rho column against numpy.hypot, bit for bit, and the support
+    bounds against numpy.quantile, on the compiled kernel and on the
+    reference path."""
 
     @staticmethod
     def rows(values):
@@ -648,13 +700,6 @@ class TestRho:
         assert self.bits(rho) == self.bits(expected_rho)
         finite = np.isfinite(expected_rho) & np.isfinite(pos[:, 2])
         assert bad == np.count_nonzero(~finite) > 0
-        # every rank of the folded z column of the finite rows
-        z = np.ascontiguousarray(pos[finite])
-        expected_abs_z = np.sort(np.abs(z[:, 2]))
-        abs_z = [_selected_pair(library, z.reshape(-1)[2:], 3, True, len(z), k)[0]
-                 for k in range(len(z) - 1)]
-        abs_z.append(_selected_pair(library, z.reshape(-1)[2:], 3, True, len(z), len(z) - 2)[1])
-        assert self.bits(np.array(abs_z)) == self.bits(expected_abs_z)
 
     @pytest.mark.parametrize("path", ["compiled", "reference"])
     def test_blocks_on_every_width(self, monkeypatch, path, rng):
@@ -670,9 +715,10 @@ class TestRho:
             monkeypatch.setattr(_parallel, "width", lambda width=width: width)
             rho = _rho(pos)
             assert self.bits(rho) == self.bits(np.hypot(pos[:, 0], pos[:, 1]))
-            rho_small = _rho(small)
+            rho_small = np.hypot(small[:, 0], small[:, 1])
             for q in (0.5, 0.995, 1.0):
-                bounds = _support_bounds(small, rho_small, q)
+                # the rho column is the selections' scratch: a fresh one each time
+                bounds = _support_bounds(small, _rho(small), q)
                 assert self.bits(np.array(bounds)) == self.bits(np.array(
                     [np.quantile(np.abs(small[:, 2]), q), np.quantile(rho_small, q)]))
             for row in (0, 300_000, 600_000):
@@ -705,65 +751,6 @@ def test_selection_equals_numpy_quantile(n, q, distinct, seed, scale):
     expected = np.quantile(values, q)
     pair = functools.partial(_partitioned_pair, values.copy())
     assert np.float64(_quantile(n, q, pair)).tobytes() == expected.tobytes()
-    library = _compiled.load()
-    if library is None:
-        return
-    # the compiled selection reads |values| as rho, and a column of three
-    # through fabs as z
-    expected = np.quantile(np.abs(values), q)
-    column = np.zeros((n, 3))
-    column[:, 2] = values
-    for args in ((np.abs(values), 1, False), (column.reshape(-1)[2:], 3, True)):
-        pair = functools.partial(_selected_pair, library, *args, n)
-        assert np.float64(_quantile(n, q, pair)).tobytes() == expected.tobytes()
-
-
-def repeated(values, times):
-    return np.repeat(np.array(values), times)
-
-
-@pytest.mark.parametrize("values,absolute", [
-    # ties of +0.0 with subnormals, gathered whole
-    (repeated([0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 0.0, 1e-310], 7), False),
-    (repeated([-0.0, 0.0, -5e-324, 1e-310, -1e-310, -0.0], 11), True),
-    # more values than one gather: ranks k and k + 1 in different top-16-bit
-    # buckets, and buckets that narrow over several passes
-    (repeated([1.0, 2.0], 40_000), False),
-    (repeated([-0.0, 0.0, 5e-324, -1.0], 25_000), True),
-    (repeated([1.0, np.nextafter(1.0, 2), 1.0 + 2**-36, 1.0 + 2**-20], 30_000), False),
-    (np.full(70_000, 2.5e-7), True),
-    (np.full(70_000, 0.0), False),
-], ids=["zeros_subnormals", "negative_zero_folded", "two_buckets", "zeros_and_one",
-        "lowest_bits", "all_equal", "all_zero"])
-def test_selection_kernel_against_partition(values, absolute, rng):
-    library = _compiled.load()
-    if library is None:
-        pytest.skip("no C compiler to build the binning kernel")
-    values = rng.permutation(values)
-    n = len(values)
-    folded = np.abs(values) if absolute else values
-    ranks = sorted({0, n - 2, *rng.integers(0, n - 1, 40).tolist(),
-                    *(k for k in np.flatnonzero(np.diff(np.sort(folded))) if k < n - 1)})
-    for stride in (1, 3):
-        column = np.zeros((n, stride))
-        column[:, -1] = values
-        for k in ranks:
-            expected = np.partition(folded, [k, k + 1])[[k, k + 1]]
-            got = _selected_pair(library, column.reshape(-1)[stride - 1:], stride, absolute, n, k)
-            assert np.array(got).view(np.int64).tolist() == expected.view(np.int64).tolist(), k
-
-
-@pytest.mark.parametrize("length,stride,n,k,message", [
-    (5, 1, 5, 4, "^ranks 4 and 5 are not both ranks of 5 values$"),
-    (5, 1, 5, -1, "^ranks -1 and 0 are not both ranks of 5 values$"),
-    (12, 3, 5, 1, "^5 values one in 3 need more than 12 values, got 12$"),
-])
-def test_selection_refuses_what_it_cannot_read(length, stride, n, k, message):
-    library = _compiled.load()
-    if library is None:
-        pytest.skip("no C compiler to build the binning kernel")
-    with pytest.raises(ValueError, match=message):
-        _selected_pair(library, np.ones(length), stride, False, n, k)
 
 
 class TestXyCounts:

@@ -70,6 +70,8 @@ class TestConfigHandling:
         ("sweep-na", {"sweep": {"target": "t.txt", "n_steps": 0}}, "sweep.n_steps"),
         ("sweep-na", {"sweep": {"target": "t.txt", "burn_in": -1}}, "sweep.burn_in"),
         ("sweep-na", {"sweep": {"target": "t.txt", "boundary": "wall"}}, "sweep.boundary"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "n_steps": 60_000, "burn_in": 60_000}},
+         "sweep.burn_in"),
     ])
     def test_value_out_of_range_names_its_key(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path, payload)
@@ -96,6 +98,9 @@ class TestConfigHandling:
          "meters_per_pixel must be finite and positive, got 'x'"),
         ("sweep-na", {"sweep": {"target": "t.txt", "na_step": 0.0}},
          "sweep.na_step must be finite and positive, got 0.0"),
+        # a segment of more than half the 100 samples leaves no second one
+        ("psd", {"analysis": {"psd_nperseg": 51}},
+         "analysis.psd_nperseg must be at most 50 for two segments in 100 samples, got 51"),
     ])
     def test_value_of_a_none_default_named(self, tmp_path, capsys, command, payload, message):
         if command == "psd":

@@ -467,23 +467,29 @@ class TestEnsembles:
         assert len(finished) == 6 and len(pooled) == 6 * 18_001
         assert 1 <= runs.most <= _parallel.width() + 2
 
-    def test_pooling_peak_memory(self, particle):
+    @pytest.mark.parametrize("path,n_runs,n_steps", [("compiled", 6, 200_000),
+                                                     ("reference", 2, 100_000)],
+                             ids=["compiled", "reference"])
+    def test_pooling_peak_memory(self, particle, monkeypatch, path, n_runs, n_steps):
         # numpy reports its buffers to tracemalloc: pooling holds the pooled
-        # array and the runs in flight, never every run
-        if _compiled.load() is None:
+        # array and the runs in flight, never every run; the reference
+        # stepper turns a block of noise rows at a time into Python floats
+        if path == "reference":
+            monkeypatch.setattr(_compiled, "load", lambda: None)
+        elif _compiled.load() is None:
             pytest.skip("no C compiler to build the stepper")
-        n_steps, burn_in = 200_000, 20_000
+        burn_in = n_steps // 10
         cfg = SimConfig(particle=particle, dt=2e-5, n_steps=n_steps, coefficients=TABLE_COEFFS,
                         boundary="reflect", domain_bound=1.6e-7, seed=7)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            pooled = pooled_positions(simulate_ensemble(cfg, 6), burn_in=burn_in)
+            pooled = pooled_positions(simulate_ensemble(cfg, n_runs), burn_in=burn_in)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         run_bytes = (n_steps + 1) * 3 * 8
-        assert pooled.nbytes == 6 * (n_steps + 1 - burn_in) * 3 * 8
+        assert pooled.nbytes == n_runs * (n_steps + 1 - burn_in) * 3 * 8
         assert peak <= pooled.nbytes + (_parallel.width() + 2) * run_bytes
 
     def test_pooled_positions_rejects_negative_burn_in(self, particle):
@@ -855,15 +861,20 @@ def test_source_ships_with_the_package():
     assert _compiled.SOURCES == ("integrator.c", "trajio.c", "binning.c")
     sources = [resources.files("darkfocus").joinpath(name) for name in _compiled.SOURCES]
     assert all(source.is_file() for source in sources)
-    # every kernel load() types is defined, once, in a shipped source
-    text = "\n".join(source.read_text() for source in sources)
-    for kernel in _compiled._SIGNATURES:
-        assert len(re.findall(rf"^long {kernel}\(", text, re.MULTILINE)) == 1, kernel
     # an installed copy carries the sources only if setuptools is told to ship them
     pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
     package_data = pyproject.split("[tool.setuptools.package-data]\n", 1)[1]
     listed = ", ".join(f'"{name}"' for name in _compiled.SOURCES)
     assert package_data.startswith(f"darkfocus = [{listed}]\n")
+
+
+def test_one_table_of_kernels():
+    # the shipped sources define, once each, exactly the kernels load() types:
+    # a signature without its kernel would make load() raise, not fall back
+    text = "\n".join(resources.files("darkfocus").joinpath(name).read_text()
+                     for name in _compiled.SOURCES)
+    kernels = re.findall(r"^long (df_\w+)\(", text, re.MULTILINE)
+    assert sorted(kernels) == sorted(_compiled._SIGNATURES)
 
 
 @needs_cc
