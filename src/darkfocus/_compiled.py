@@ -1,11 +1,10 @@
 """Build and load the compiled kernels: integrator.c, the Euler-Maruyama chunk
 stepper of darkfocus.dynamics.simulate; trajio.c, the row writer and parser
 of darkfocus._text, through which every float table is written and read;
-and binning.c: the rho = hypot(x, y) column of
-darkfocus.calibration.reconstruct_potential, computed and checked for
-finiteness, with z, in one pass; its (rho, z) binning, which derives rho
-from x and y and counts every sample once into the grid of its fold;
-the x and y histograms of every run of darkfocus.calibration.estimate_na;
+and binning.c: the (rho, z) binning of
+darkfocus.calibration.reconstruct_potential, which derives rho from x and y
+and counts every sample once into the grid of its fold; the x and y
+histograms of every run of darkfocus.calibration.estimate_na;
 and the Gaussian CDF (scipy's ndtr, bit for bit) and KS statistics of
 darkfocus.calibration.ks_gaussianity_test.
 
@@ -18,8 +17,8 @@ hash of every source, the compiler's version and the flags; it is written to
 a temporary file and renamed into place, so concurrent first runs are safe.
 When no compiler works, load() logs one warning and returns None, and
 darkfocus.dynamics, darkfocus._text and darkfocus.calibration run their
-Python reference code for the stepper, the table I/O, the rho column, the
-binning and the Gaussian CDF, which gives the same bits and the same text.
+Python reference code for the stepper, the table I/O, the binning and the
+Gaussian CDF, which gives the same bits and the same text.
 
 The 128-bit power tables of the I/O kernels are computed here, exactly,
 from Python integers.
@@ -63,8 +62,6 @@ _SIGNATURES = {
     # (text, length, final, comma, pow5, columns, out, capacity, &nrows)
     "df_parse_rows": [_BYTES, ctypes.c_long, ctypes.c_int, ctypes.c_int, _WORDS,
                       ctypes.c_long, _OUT_DOUBLES, ctypes.c_long, _LONG_P],
-    # (positions, rows, rho)
-    "df_rho": [_DOUBLES, ctypes.c_long, _OUT_DOUBLES],
     # (positions, rows, rho edges, rho bins, z edges, z bins, counts)
     "df_bin_rho_z": [_DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long,
                      _OUT_COUNTS],
@@ -119,11 +116,11 @@ def build() -> Path:
 @functools.cache
 def load():
     """The compiled library with every kernel of _SIGNATURES typed
-    (df_step_chunk, df_format_rows, df_parse_rows, df_rho, df_bin_rho_z,
-    df_bin_xy, df_ndtr and df_ks_rows), or None when it cannot be built; the
-    outcome is kept for the life of the process."""
-    fallback = ("the stepper, the table I/O, the rho column, the binning and the Gaussian "
-                "CDF run their Python reference code")
+    (df_step_chunk, df_format_rows, df_parse_rows, df_bin_rho_z, df_bin_xy,
+    df_ndtr and df_ks_rows), or None when it cannot be built; the outcome is
+    kept for the life of the process."""
+    fallback = ("the stepper, the table I/O, the binning and the Gaussian CDF run their "
+                "Python reference code")
     try:
         library = ctypes.CDLL(str(build()))
     except subprocess.CalledProcessError as exc:

@@ -14,8 +14,8 @@ writer's blocks, every batch of runs (darkfocus.dynamics._map_runs: each
 run started on the calling thread and finished by fn), the blocks of rows
 of the KS null table (darkfocus.calibration._ks_null_table) and the two
 threaded stages of a potential reconstruction (darkfocus.calibration's
-_rho blocks of rows and the _fold_counts folds) are the paths that use
-it.  No result is kept once it is yielded, so a consumer
+_rho, numpy.hypot over blocks of rows, and the _fold_counts folds) are the
+six paths that use it.  No result is kept once it is yielded, so a consumer
 that drops each result before asking for the next holds it and at most
 width() calls in flight (darkfocus.dynamics.pooled_positions).
 """

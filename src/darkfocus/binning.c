@@ -1,16 +1,16 @@
-/* The rho column and the per-fold (rho, z) histograms of
+/* The per-fold (rho, z) histograms of
    darkfocus.calibration.reconstruct_potential, the x and y histograms of
    each run of darkfocus.calibration.estimate_na, and the Gaussian CDF and
    KS statistics of darkfocus.calibration.ks_gaussianity_test.
 
-   rho is libm's hypot, the function numpy.hypot calls, so the column has
-   numpy's bits.  A value's bin is the one numpy.histogram and
-   numpy.histogram2d give it against the same edges: the last edge e[k] <=
-   v (searchsorted right), with v equal to the last edge in the last bin,
-   and values outside [e[0], e[m]] or NaN dropped.  Arithmetic only guesses
-   the bin; comparisons against the edges decide it, so rounding in the
-   guess cannot move a sample.  The binning pass bins rho from x and y, as
-   sqrt(x x + y y) wherever that lands in the bin of hypot(x, y).
+   A value's bin is the one numpy.histogram and numpy.histogram2d give it
+   against the same edges: the last edge e[k] <= v (searchsorted right),
+   with v equal to the last edge in the last bin, and values outside
+   [e[0], e[m]] or NaN dropped.  Arithmetic only guesses the bin;
+   comparisons against the edges decide it, so rounding in the guess cannot
+   move a sample.  The binning pass bins rho = hypot(x, y), libm's function
+   that numpy.hypot calls, from x and y, as sqrt(x x + y y) wherever that
+   lands in the bin of hypot(x, y).
 
    The CDF is Cephes' ndtr, as scipy.special.ndtr computes it: the same
    coefficients, thresholds and Horner order, and exp from libm, so that
@@ -35,18 +35,6 @@ static inline long bin_of(double v, const double *e, long m, double scale)
     while (v >= e[k + 1])
         k++;
     return k;
-}
-
-/* rho[i] = hypot(x, y) of the n rows (x, y, z) of pos.  Returns the rows
-   whose rho or z is not finite. */
-long df_rho(const double *pos, long n, double *rho)
-{
-    long bad = 0;
-    for (long i = 0; i < n; i++) {
-        rho[i] = hypot(pos[3 * i], pos[3 * i + 1]);
-        bad += !(isfinite(rho[i]) && isfinite(pos[3 * i + 2]));
-    }
-    return bad;
 }
 
 /* Below and above these, a square of x x + y y may have underflowed or

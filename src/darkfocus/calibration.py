@@ -355,60 +355,50 @@ def _edges(lo, hi, n_bins):
     return np.linspace(lo, hi, n_bins + 1)
 
 
-_BLOCK_ROWS = 1 << 16  # fewest rows of a block of the rho pass
+# fewest rows of a block of the rho pass, and the rows of a block of the
+# reference binning
+_BLOCK_ROWS = 1 << 16
 
 
 def _rho(pos):
-    """rho = numpy.hypot(x, y) of the C-contiguous (n, 3) positions pos, by
-    binning.c's df_rho when it builds, else by numpy; the same bits either
-    way.  The compiled pass writes into an array allocated here, on the
-    calling thread, in blocks of contiguous rows on
-    darkfocus._parallel.ordered_map, at least four per usable core and none
-    shorter than _BLOCK_ROWS.  A NaN or infinite coordinate raises
+    """rho = numpy.hypot(x, y) of the C-contiguous (n, 3) positions pos, into
+    an array allocated here, on the calling thread, in blocks of contiguous
+    rows on darkfocus._parallel.ordered_map, at least four per usable core
+    and none shorter than _BLOCK_ROWS.  A NaN or infinite coordinate raises
     ValueError, as does (saying so) a finite x and y whose hypot overflows."""
     n = len(pos)
-    library = _compiled.load()
-    if library is None:
+    rho = np.empty(n)
+    rows = max(_BLOCK_ROWS, -(-n // (4 * _parallel.width())))
+
+    def finite(start):
+        block, out = pos[start:start + rows], rho[start:start + rows]
+        # numpy's error state is per thread: set here, on the thread that runs it
         with np.errstate(over="ignore"):
-            rho = np.hypot(pos[:, 0], pos[:, 1])
-        bad = not (np.isfinite(rho).all() and np.isfinite(pos[:, 2]).all())
-    else:
-        rho = np.empty(n)
-        rows = max(_BLOCK_ROWS, -(-n // (4 * _parallel.width())))
+            np.hypot(block[:, 0], block[:, 1], out=out)
+        return np.isfinite(out).all() and np.isfinite(block[:, 2]).all()
 
-        def block(start):
-            stop = min(start + rows, n)
-            return library.df_rho(pos[start:stop], stop - start, rho[start:stop])
-
-        bad = sum(_parallel.ordered_map(block, range(0, n, rows)))
-    if bad:
+    if not all(_parallel.ordered_map(finite, range(0, n, rows))):
         if np.isfinite(pos).all():
             raise ValueError("rho = hypot(x, y) overflows for finite samples; rescale them")
         raise ValueError("samples must be finite")
     return rho
 
 
-def _partitioned_pair(values, k):
-    """Order statistics k and k + 1 of a 1-D float64 array of finite values:
-    values[k] after one partition of values in place, and the smallest value
-    above it.  No value may be -0.0, as none of rho and |z| is: a partition
-    may put -0.0 and 0.0 in either order."""
-    values.partition(k)
-    return float(values[k]), float(values[k + 1:].min())
-
-
-def _quantile(n, q, pair):
-    """numpy.quantile at q of n >= 2 values, from pair(k), their order
-    statistics k and k + 1.  This is numpy's linear method: the virtual
-    index (n - 1) q falls between k = floor of it and k + 1, and numpy's
-    _lerp between them counts back from the upper one once the fraction
-    reaches 1/2.  At an index of n - 1 or more it is the maximum, rank
-    n - 1."""
+def _quantile(values, q):
+    """numpy.quantile at q of a 1-D float64 array of finite values, which it
+    partitions in place.  No value may be -0.0, as none of rho and |z| is: a
+    partition may put -0.0 and 0.0 in either order.  This is numpy's linear
+    method: the virtual index (n - 1) q falls between the order statistics
+    k = floor of it and k + 1, and numpy's _lerp between them counts back
+    from the upper one once the fraction reaches 1/2.  At an index of n - 1
+    or more it is the maximum."""
+    n = len(values)
     index = (n - 1) * q
     if index >= n - 1:
-        return pair(n - 2)[1]
+        return float(values.max())
     k = math.floor(index)
-    below, above = pair(k)
+    values.partition(k)
+    below, above = float(values[k]), float(values[k + 1:].min())
     gamma = index - k
     diff = above - below
     return above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
@@ -420,9 +410,8 @@ def _support_bounds(pos, rho, q):
     selections' scratch: rho is partitioned in place for its bound, then
     overwritten with |z| and partitioned again, so it holds neither column
     afterwards."""
-    n = len(rho)
-    rho_max = _quantile(n, q, functools.partial(_partitioned_pair, rho))
-    z_max = _quantile(n, q, functools.partial(_partitioned_pair, np.abs(pos[:, 2], out=rho)))
+    rho_max = _quantile(rho, q)
+    z_max = _quantile(np.abs(pos[:, 2], out=rho), q)
     return z_max, rho_max
 
 
@@ -430,8 +419,9 @@ def _fold_counts(positions, n_folds, r_edges, z_edges):
     """(n_folds, rho bins, z bins) int64 histogram of (hypot(x, y), z) of
     the (n, 3) positions over the contiguous folds of numpy.array_split,
     binned once per fold by binning.c on darkfocus._parallel.ordered_map
-    when it builds, else by numpy.histogram2d of numpy.hypot per fold; both
-    give the same counts."""
+    when it builds, else by numpy.histogram2d of numpy.hypot per block of
+    _BLOCK_ROWS rows of each fold, the block grids added; both give the same
+    counts."""
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must have shape (n, 3)")
     counts = np.zeros((n_folds, len(r_edges) - 1, len(z_edges) - 1), dtype=np.int64)
@@ -440,8 +430,10 @@ def _fold_counts(positions, n_folds, r_edges, z_edges):
     library = _compiled.load()
     if library is None:
         for grid, pos in zip(counts, folds):
-            grid[...] = np.histogram2d(np.hypot(pos[:, 0], pos[:, 1]), pos[:, 2],
-                                       bins=[r_edges, z_edges])[0]
+            for start in range(0, len(pos), _BLOCK_ROWS):
+                block = pos[start:start + _BLOCK_ROWS]
+                grid += np.histogram2d(np.hypot(block[:, 0], block[:, 1]), block[:, 2],
+                                       bins=[r_edges, z_edges])[0].astype(np.int64)
         return counts
 
     def count(f):
@@ -516,9 +508,10 @@ def reconstruct_potential(
     fit fails are dropped and counted out of n_folds_fitted.
 
     The grid spans the support_quantile quantiles of rho and |z|, which are
-    numpy.quantile's to the bit.  rho and the finiteness check are one pass
-    over the samples, and the two quantiles are numpy's in-place partition
-    of that column, once for rho and once more with |z| written over it.
+    numpy.quantile's to the bit.  rho is numpy.hypot, computed and checked
+    for finiteness, with z, in one pass over blocks of rows side by side,
+    and the two quantiles are numpy's in-place partition of that column,
+    once for rho and once more with |z| written over it.
     The column is then dropped: every sample is binned once, into the grid
     of its fold, with rho derived again from x and y, the folds side by
     side; the whole-sample fit takes the sum of the fold grids, which is its

@@ -347,8 +347,9 @@ def cmd_sweep_na(cfg, out: Path) -> int:
 
 
 def cmd_absorb(cfg, out: Path) -> int:
-    beam = _beam_from(cfg)
     ab = cfg["absorption"]
+    _checks.count("absorption.n_r_eff", ab["n_r_eff"], 1)
+    beam = _beam_from(cfg)
     gauss = dataclasses.replace(beam, p_index=0, theta_rel=0.0)
     bottle = dataclasses.replace(beam, p_total=beam.p_total * ab["power_ratio"])
     scenario = AbsorptionScenario.for_particle(bottle, gauss, _particle_from(cfg))
@@ -370,6 +371,7 @@ def cmd_absorb(cfg, out: Path) -> int:
 
 def cmd_forces_fit(cfg, out: Path) -> int:
     a = cfg["analysis"]
+    _checks.real("analysis.fit_box_fraction", a["fit_box_fraction"], above=0.0)
     if a["force_grid"] is not None:
         grid = _read_input("analysis.force_grid", ForceGrid.load, a["force_grid"])
     else:

@@ -72,6 +72,9 @@ class TestConfigHandling:
         ("sweep-na", {"sweep": {"target": "t.txt", "boundary": "wall"}}, "sweep.boundary"),
         ("sweep-na", {"sweep": {"target": "t.txt", "n_steps": 60_000, "burn_in": 60_000}},
          "sweep.burn_in"),
+        ("absorb", {"absorption": {"n_r_eff": 0}}, "absorption.n_r_eff"),
+        ("forces-fit", {"analysis": {"fit_box_fraction": -0.35}}, "analysis.fit_box_fraction"),
+        ("forces-fit", {"analysis": {"fit_box_fraction": 0.0}}, "analysis.fit_box_fraction"),
     ])
     def test_value_out_of_range_names_its_key(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path, payload)

@@ -2,17 +2,19 @@
 calibrate, sweep, beam, absorption, force-fit or KS path loads scipy.  Each
 check runs in a fresh interpreter, since this one has scipy loaded by the
 tests.  Every module imports what it needs at its top, never in a function
-body."""
+body, and every kernel the C sources define has a signature in
+darkfocus._compiled, and no other."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import darkfocus
-from darkfocus import _checks, dynamics, spectral
+from darkfocus import _checks, _compiled, dynamics, spectral
 
 SRC = Path(darkfocus.__file__).resolve().parent.parent
 
@@ -103,6 +105,13 @@ def test_no_function_imports():
              if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(function) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_every_kernel_has_one_signature():
+    defined = [name for source in _compiled.SOURCES
+               for name in re.findall(r"^long (df_\w+)\(", SRC.joinpath("darkfocus", source)
+                                      .read_text(), flags=re.MULTILINE)]
+    assert sorted(defined) == sorted(_compiled._SIGNATURES)
 
 
 def test_one_numerical_error():
