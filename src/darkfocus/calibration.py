@@ -18,8 +18,8 @@ from . import _checks, _compiled, _parallel, dynamics
 from ._text import write_values
 from .beam import BeamParams
 from .dynamics import SimConfig, Trajectory, spawn_seeds
-from .forces import (BOLTZMANN, ParticleMedium, QuarticCoefficients, _quartic_potential,
-                     quartic_coefficients)
+from .forces import (BOLTZMANN, ParticleMedium, QuarticCoefficients, _least_squares,
+                     _quartic_potential, quartic_coefficients)
 from .spectral import NumericalError, _run_corner_frequency
 
 __all__ = [
@@ -467,23 +467,13 @@ def _fit_quartic_once(counts, r_edges, z_edges, temperature, min_count):
     v = -BOLTZMANN * temperature * (np.log(counts[mask]) - np.log(rr[mask]))
     weights = np.sqrt(counts[mask])  # var(ln n) ~ 1/n
     # columns: the quartic potential at each unit coefficient vector, the offset;
-    # far from unit scale they, or their norms, overflow or underflow (refused below)
+    # far from unit scale they overflow or underflow (refused by the solve)
     with np.errstate(over="ignore", invalid="ignore"):
         design = np.column_stack([
             *(_quartic_potential(*unit)(rr[mask], zz[mask]) for unit in np.eye(3)),
             np.ones(int(mask.sum())),
-        ])
-        a = design * weights[:, None]
-        scale = np.linalg.norm(a, axis=0)
-    if not (np.isfinite(scale).all() and scale[2] > 0.0):  # rho > 0 in every bin
-        raise NumericalError("the positions overflow or underflow the quartic design of "
-                             "the reconstruction; rescale them")
-    if np.any(scale == 0.0):
-        raise NumericalError("support too narrow to constrain the quartic terms")
-    sol, _, rank, sv = np.linalg.lstsq(a / scale, v * weights, rcond=None)
-    if rank < 4 or sv[-1] / sv[0] < 1e-10:
-        raise NumericalError("ill-conditioned reconstruction: support too narrow")
-    sol = sol / scale
+        ]) * weights[:, None]
+    sol = _least_squares(design, v * weights)
     v_grid = np.full(counts.shape, np.nan)
     v_grid[mask] = v
     v_grid -= np.nanmin(v_grid)
@@ -549,7 +539,7 @@ def reconstruct_potential(
             fc, _ = _fit_quartic_once(fold, r_edges, z_edges, temperature,
                                       max(min_count // n_folds, 4))
             fold_coefs.append(fc)
-        except ValueError:
+        except NumericalError:
             continue
     if len(fold_coefs) >= 2:
         sigma = tuple(float(s) for s in np.std(np.array(fold_coefs), axis=0, ddof=1))

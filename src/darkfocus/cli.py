@@ -180,6 +180,11 @@ def _prepare_out(cfg, out_dir: str) -> Path:
 def cmd_beam(cfg, out: Path) -> int:
     beam = _beam_from(cfg)
     g = cfg["grid"]
+    for key in ("half_width_factor", "half_height_factor"):
+        _checks.real(f"grid.{key}", g[key], above=0.0)
+    for key in ("n_transverse", "n_z"):
+        _checks.count(f"grid.{key}", g[key], 1)
+    _checks.choice("grid.transverse_kind", g["transverse_kind"], ("rho", "x"))
     spec = GridSpec.centered(
         g["half_width_factor"] * beam.waist,
         g["half_height_factor"] * beam.rayleigh_range,
@@ -235,11 +240,20 @@ def _read_input(key, load, path, **kwargs):
         raise ValueError(f"cannot read {key}: {exc}") from exc
 
 
+def _meters_per_pixel(cfg):
+    """analysis.meters_per_pixel, checked: None leaves the scale to the file."""
+    scale = cfg["analysis"]["meters_per_pixel"]
+    if scale is not None:
+        _checks.real("analysis.meters_per_pixel", scale, above=0.0)
+    return scale
+
+
 def _get_trajectory(cfg):
     a = cfg["analysis"]
+    scale = _meters_per_pixel(cfg)
     if a["trajectory"] is not None:
         return _read_input("analysis.trajectory", load_trajectory, a["trajectory"],
-                           meters_per_pixel=a["meters_per_pixel"])
+                           meters_per_pixel=scale)
     traj = simulate(_sim_config_from(cfg))
     if traj.escape is not None:
         raise SimulationEscape(traj.escape)
@@ -306,7 +320,22 @@ def cmd_sweep_na(cfg, out: Path) -> int:
     s = cfg["sweep"]
     if s["target"] is None:
         raise ValueError("sweep.target must point at a trajectory file")
-    _checks.real("sweep.na_step", s["na_step"], above=0.0)
+    for key in ("na_step", "dt"):
+        _checks.real(f"sweep.{key}", s[key], above=0.0)
+    beam = _beam_from(cfg)
+    for key in ("na_start", "na_stop"):
+        if not 0 < s[key] < beam.n_medium:
+            raise ValueError(f"sweep.{key} must be above 0 and below the beam's medium index "
+                             f"{beam.n_medium!r}, got {s[key]!r}")
+    if s["domain_bound"] not in (None, math.inf):  # +inf: no wall
+        _checks.real("sweep.domain_bound", s["domain_bound"], above=0.0)
+    target_fc = s["target_fc"]
+    if target_fc is not None:
+        if not (isinstance(target_fc, list) and len(target_fc) == 2):
+            raise ValueError("sweep.target_fc must be None or a list [value, error] of a corner "
+                             f"frequency in Hz and its error, got {target_fc!r}")
+        _checks.real("sweep.target_fc", target_fc[0], above=0.0)
+        _checks.real("sweep.target_fc", target_fc[1], at_least=0.0)
     # estimate_na keeps at least 100 samples of each run
     for key, least in (("n_steps", 99), ("n_reps", 1), ("burn_in", 0)):
         _checks.count(f"sweep.{key}", s[key], least)
@@ -319,19 +348,19 @@ def cmd_sweep_na(cfg, out: Path) -> int:
             f"sweep.na_stop {s['na_stop']!r} lies below sweep.na_start {s['na_start']!r}"
         )
     target = _read_input("sweep.target", load_trajectory, s["target"],
-                         meters_per_pixel=cfg["analysis"]["meters_per_pixel"])
+                         meters_per_pixel=_meters_per_pixel(cfg))
     n = int(round((s["na_stop"] - s["na_start"]) / s["na_step"])) + 1
     na_values = s["na_start"] + s["na_step"] * np.arange(n)
     result = estimate_na(
         target,
         na_values,
         particle=_particle_from(cfg),
-        beam_template=_beam_from(cfg),
+        beam_template=beam,
         dt=s["dt"],
         n_steps=s["n_steps"],
         n_reps=s["n_reps"],
         seed=cfg["simulation"]["seed"],
-        target_fc=tuple(s["target_fc"]) if s["target_fc"] else None,
+        target_fc=target_fc if target_fc is None else tuple(target_fc),
         burn_in=s["burn_in"],
         boundary=s["boundary"],
         domain_bound=s["domain_bound"],
@@ -349,6 +378,8 @@ def cmd_sweep_na(cfg, out: Path) -> int:
 def cmd_absorb(cfg, out: Path) -> int:
     ab = cfg["absorption"]
     _checks.count("absorption.n_r_eff", ab["n_r_eff"], 1)
+    for key in ("power_ratio", "r_eff_min", "r_eff_max"):
+        _checks.real(f"absorption.{key}", ab[key], above=0.0)
     beam = _beam_from(cfg)
     gauss = dataclasses.replace(beam, p_index=0, theta_rel=0.0)
     bottle = dataclasses.replace(beam, p_total=beam.p_total * ab["power_ratio"])
@@ -372,6 +403,8 @@ def cmd_absorb(cfg, out: Path) -> int:
 def cmd_forces_fit(cfg, out: Path) -> int:
     a = cfg["analysis"]
     _checks.real("analysis.fit_box_fraction", a["fit_box_fraction"], above=0.0)
+    # the fit needs 5^3 = 125 samples
+    _checks.count("analysis.fit_points", a["fit_points"], 5)
     if a["force_grid"] is not None:
         grid = _read_input("analysis.force_grid", ForceGrid.load, a["force_grid"])
     else:

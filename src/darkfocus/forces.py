@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
+from ._checks import NumericalError
 from ._text import read_table, write_table
 from .beam import BeamParams, _bottle_field, _check_coords, dft_intensity
 
@@ -292,6 +293,25 @@ class RmseReport:
         return (self.rmse_x + self.rmse_y + self.rmse_z) / 3.0
 
 
+def _least_squares(design, target):
+    """c minimizing |design @ c - target|, the one solve of every trap-model fit:
+    -0.0 entries made +0.0 (LAPACK's reflections carry their sign into the last
+    bits), columns scaled to unit norm, and NumericalError for a column that
+    overflows, underflows or is all zeros, or a rank or condition too low."""
+    design = design + 0.0
+    with np.errstate(all="ignore"):
+        scale = np.linalg.norm(design, axis=0)
+    if not np.isfinite(scale).all() or ((scale == 0.0) & design.any(axis=0)).any():
+        raise NumericalError("the positions overflow or underflow the fit's design; rescale them")
+    if not scale.all():
+        raise NumericalError("degenerate grid geometry: a coefficient has no support in the "
+                             "samples, or its terms underflow to 0; rescale them")
+    coef, _, rank, sv = np.linalg.lstsq(design / scale, target, rcond=None)
+    if rank < len(scale) or sv[-1] / sv[0] < 1e-10:
+        raise NumericalError(f"ill-conditioned fit (rank {rank}): a coefficient is unconstrained")
+    return coef / scale
+
+
 def fit_polynomial_force(grid: ForceGrid):
     """Least-squares fit of the quartic force model to a sampled force field.
 
@@ -299,7 +319,10 @@ def fit_polynomial_force(grid: ForceGrid):
     (k_z, k_rho_z, k_rho); the normalized per-axis root-mean-square errors
     quantify how well the quartic form describes the field.
 
-    Returns (QuarticCoefficients, RmseReport).
+    Returns (QuarticCoefficients, RmseReport).  A grid of fewer than 125
+    samples raises ValueError.  A grid that leaves a coefficient without
+    support or unconstrained, or whose positions are so far from unit scale
+    that the design overflows or underflows, raises NumericalError.
     """
     pos = grid.positions
     if len(pos) < 125:
@@ -308,29 +331,15 @@ def fit_polynomial_force(grid: ForceGrid):
 
     # Rows: F_x, F_y, F_z equations; columns: k_z, k_rho_z, k_rho.  The force
     # is linear in the coefficients, so column j is the integrator's force
-    # expression at the j-th unit coefficient vector.  Adding 0.0 turns the
-    # -0.0 of a zero coefficient times a negative coordinate into +0.0, whose
-    # sign LAPACK's reflections would carry into the last bits of the fit.
-    design = np.column_stack([
-        np.concatenate(_quartic_force(*unit)(x, y, z)) for unit in np.eye(3)
-    ]) + 0.0
+    # expression at the j-th unit coefficient vector (the solve refuses overflow).
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = np.column_stack([
+            np.concatenate(_quartic_force(*unit)(x, y, z)) for unit in np.eye(3)
+        ])
     target = np.concatenate([grid.forces[:, 0], grid.forces[:, 1], grid.forces[:, 2]])
-    # Columns span many decades in SI units; normalize so the rank test is
-    # about geometry, not units.
-    scale = np.linalg.norm(design, axis=0)
-    if np.any(scale == 0.0):
-        raise np.linalg.LinAlgError(
-            "degenerate grid geometry: a coefficient has no support in the samples"
-        )
-    coef, _, rank, _ = np.linalg.lstsq(design / scale, target, rcond=None)
-    if rank < 3:
-        raise np.linalg.LinAlgError(
-            f"rank-deficient design matrix (rank {rank}): grid geometry does "
-            "not constrain all three coefficients"
-        )
-    coef = coef / scale
+    coeffs = QuarticCoefficients(*_least_squares(design, target))
 
-    fitted = quartic_force(QuarticCoefficients(*coef), x, y, z)
+    fitted = quartic_force(coeffs, x, y, z)
     rmses = []
     for i in range(3):
         denom = float(np.sum(grid.forces[:, i] ** 2))
@@ -341,4 +350,4 @@ def fit_polynomial_force(grid: ForceGrid):
             rmses.append(math.sqrt(num / denom))
     report = RmseReport(rmse_x=rmses[0], rmse_y=rmses[1], rmse_z=rmses[2],
                         n_samples=len(pos))
-    return QuarticCoefficients(*coef), report
+    return coeffs, report

@@ -75,6 +75,26 @@ class TestConfigHandling:
         ("absorb", {"absorption": {"n_r_eff": 0}}, "absorption.n_r_eff"),
         ("forces-fit", {"analysis": {"fit_box_fraction": -0.35}}, "analysis.fit_box_fraction"),
         ("forces-fit", {"analysis": {"fit_box_fraction": 0.0}}, "analysis.fit_box_fraction"),
+        ("forces-fit", {"analysis": {"fit_points": 2}}, "analysis.fit_points"),
+        ("psd", {"analysis": {"meters_per_pixel": -1.0}}, "analysis.meters_per_pixel"),
+        ("sweep-na", {"sweep": {"target": "t.txt"}, "analysis": {"meters_per_pixel": -1.0}},
+         "analysis.meters_per_pixel"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "dt": -1.0}}, "sweep.dt"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "domain_bound": -1.0}}, "sweep.domain_bound"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "target_fc": [-1, 2]}}, "sweep.target_fc"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "target_fc": [90.0, -1.0]}},
+         "sweep.target_fc"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "target_fc": 90.0}}, "sweep.target_fc"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "na_start": -0.1}}, "sweep.na_start"),
+        ("sweep-na", {"sweep": {"target": "t.txt", "na_stop": 5.0}}, "sweep.na_stop"),
+        ("beam", {"grid": {"n_transverse": 0}}, "grid.n_transverse"),
+        ("beam", {"grid": {"n_z": 0}}, "grid.n_z"),
+        ("beam", {"grid": {"transverse_kind": "y"}}, "grid.transverse_kind"),
+        ("beam", {"grid": {"half_width_factor": -1.0}}, "grid.half_width_factor"),
+        ("beam", {"grid": {"half_height_factor": 0.0}}, "grid.half_height_factor"),
+        ("absorb", {"absorption": {"r_eff_min": -1e-9}}, "absorption.r_eff_min"),
+        ("absorb", {"absorption": {"r_eff_max": -1e-9}}, "absorption.r_eff_max"),
+        ("absorb", {"absorption": {"power_ratio": -1.0}}, "absorption.power_ratio"),
     ])
     def test_value_out_of_range_names_its_key(self, tmp_path, capsys, command, payload, key):
         cfg = write_config(tmp_path, payload)
@@ -98,7 +118,7 @@ class TestConfigHandling:
                                                       "k_rho": 2.26e8}}},
          "simulation.coefficients.k_z must be a finite number, got '3.86e-7'"),
         ("psd", {"analysis": {"meters_per_pixel": "x"}},
-         "meters_per_pixel must be finite and positive, got 'x'"),
+         "analysis.meters_per_pixel must be finite and positive, got 'x'"),
         ("sweep-na", {"sweep": {"target": "t.txt", "na_step": 0.0}},
          "sweep.na_step must be finite and positive, got 0.0"),
         # a segment of more than half the 100 samples leaves no second one
@@ -442,6 +462,23 @@ class TestForcesFitCommand:
         assert code == EXIT_NUMERICAL
         assert err.startswith("numerical failure: degenerate grid geometry")
         assert "Traceback" not in err
+
+    def test_grid_beyond_the_design_is_one_line(self, tmp_path, capfd):
+        # the fit's cubic columns overflow; LAPACK would print to stdout and
+        # numpy warn on stderr if the solve saw them
+        from darkfocus import sample_force_grid
+
+        grid = sample_force_grid(lambda x, y, z: -np.stack([x, y, z], axis=-1),
+                                 (1e110, 1e110, 1e110), 5, provenance="huge")
+        grid_path = tmp_path / "huge.txt"
+        grid.save(grid_path)
+        cfg = write_config(tmp_path, {"analysis": {"force_grid": str(grid_path)}})
+        code = main(["forces-fit", "--config", cfg, "--out", str(tmp_path / "o")])
+        out, err = capfd.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+        assert "overflow" in err and "rescale" in err
 
 
 class TestSweepNaCommand:

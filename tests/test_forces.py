@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.special import eval_genlaguerre
 from darkfocus import (
     BeamParams,
     ForceGrid,
+    NumericalError,
     ParticleMedium,
     QuarticCoefficients,
     dft_intensity,
@@ -410,8 +412,33 @@ class TestForceFitting:
         forces = quartic_force(TABLE_COEFFS, positions[:, 0], positions[:, 1],
                                positions[:, 2])
         grid = ForceGrid(positions=positions, forces=forces, provenance="axis-only")
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(NumericalError):
             fit_polynomial_force(grid)
+
+    @pytest.mark.parametrize("scale", [1e110, 1e-80])
+    def test_scale_beyond_the_design_named(self, capfd, scale):
+        # the cubic columns overflow, or their norms underflow to 0: the fit
+        # is refused before LAPACK sees it, with no warning and nothing printed
+        grid = sample_force_grid(lambda x, y, z: -np.stack([x, y, z], axis=-1),
+                                 (scale, scale, scale), 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="overflow or underflow .* rescale them"):
+                fit_polynomial_force(grid)
+        assert capfd.readouterr() == ("", "")
+
+    def test_non_confining_fit_warns_once(self):
+        with pytest.warns(UserWarning, match="non-positive"):
+            coeffs = QuarticCoefficients(k_z=-TABLE_COEFFS.k_z, k_rho_z=TABLE_COEFFS.k_rho_z,
+                                         k_rho=TABLE_COEFFS.k_rho)
+        grid = sample_force_grid(lambda x, y, z: quartic_force(coeffs, x, y, z),
+                                 (1e-7, 1e-7, 1e-7), 5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fitted, _ = fit_polynomial_force(grid)
+        assert [str(w.message) for w in caught] == [
+            "non-positive quartic coefficients: potential is not a confining dark-focus trap"]
+        assert fitted.k_z == pytest.approx(coeffs.k_z, rel=1e-9)
 
     def test_too_few_samples_rejected(self):
         pos = np.zeros((10, 3))

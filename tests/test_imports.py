@@ -2,19 +2,17 @@
 calibrate, sweep, beam, absorption, force-fit or KS path loads scipy.  Each
 check runs in a fresh interpreter, since this one has scipy loaded by the
 tests.  Every module imports what it needs at its top, never in a function
-body, and every kernel the C sources define has a signature in
-darkfocus._compiled, and no other."""
+body, and every trap-model fit solves through the one call of lstsq."""
 
 import ast
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 import darkfocus
-from darkfocus import _checks, _compiled, dynamics, spectral
+from darkfocus import _checks, dynamics, spectral
 
 SRC = Path(darkfocus.__file__).resolve().parent.parent
 
@@ -107,11 +105,12 @@ def test_no_function_imports():
     assert found == []
 
 
-def test_every_kernel_has_one_signature():
-    defined = [name for source in _compiled.SOURCES
-               for name in re.findall(r"^long (df_\w+)\(", SRC.joinpath("darkfocus", source)
-                                      .read_text(), flags=re.MULTILINE)]
-    assert sorted(defined) == sorted(_compiled._SIGNATURES)
+def test_one_least_squares_solve():
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.joinpath("darkfocus").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "lstsq"]
+    assert len(calls) == 1, calls
 
 
 def test_one_numerical_error():
