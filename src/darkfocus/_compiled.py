@@ -1,5 +1,7 @@
 """Build and load the compiled kernels: integrator.c, the Euler-Maruyama chunk
-stepper of darkfocus.dynamics.simulate; trajio.c, the row writer and parser
+stepper of darkfocus.dynamics.simulate and numpy's standard-normal ziggurat,
+which draws numpy's bits from a numpy bit generator for the simulator's
+noise and the KS null table; trajio.c, the row writer and parser
 of darkfocus._text, through which every float table is written and read;
 and binning.c: the (rho, z) binning of
 darkfocus.calibration.reconstruct_potential, which derives rho from x and y
@@ -18,7 +20,8 @@ a temporary file and renamed into place, so concurrent first runs are safe.
 When no compiler works, load() logs one warning and returns None, and
 darkfocus.dynamics, darkfocus._text and darkfocus.calibration run their
 Python reference code for the stepper, the table I/O, the binning and the
-Gaussian CDF, which gives the same bits and the same text.
+Gaussian CDF, and numpy draws the normals, which gives the same bits and
+the same text.
 
 The 128-bit power tables of the I/O kernels are computed here, exactly,
 from Python integers.
@@ -56,6 +59,8 @@ _SIGNATURES = {
     "df_step_chunk": [ctypes.c_int, _DOUBLES, _DOUBLES, ctypes.c_long, _OUT_DOUBLES,
                       ctypes.c_double, ctypes.c_double, ctypes.c_int,
                       ctypes.POINTER(ctypes.c_int)],
+    # (numpy bitgen_t *, count, scale, out)
+    "df_normals": [ctypes.c_void_p, ctypes.c_long, ctypes.c_double, _OUT_DOUBLES],
     # (values, rows, columns, inv5, pow5, text, capacity)
     "df_format_rows": [_DOUBLES, ctypes.c_long, ctypes.c_long, _WORDS, _WORDS,
                        _OUT_BYTES, ctypes.c_long],
@@ -116,11 +121,11 @@ def build() -> Path:
 @functools.cache
 def load():
     """The compiled library with every kernel of _SIGNATURES typed
-    (df_step_chunk, df_format_rows, df_parse_rows, df_bin_rho_z, df_bin_xy,
-    df_ndtr and df_ks_rows), or None when it cannot be built; the outcome is
-    kept for the life of the process."""
+    (df_step_chunk, df_normals, df_format_rows, df_parse_rows, df_bin_rho_z,
+    df_bin_xy, df_ndtr and df_ks_rows), or None when it cannot be built; the
+    outcome is kept for the life of the process."""
     fallback = ("the stepper, the table I/O, the binning and the Gaussian CDF run their "
-                "Python reference code")
+                "Python reference code and numpy draws the normals")
     try:
         library = ctypes.CDLL(str(build()))
     except subprocess.CalledProcessError as exc:

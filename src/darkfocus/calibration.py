@@ -230,18 +230,19 @@ def _ks_null_table(n, n_null, seed):
     """Sorted KS statistics of n_null standard-normal samples of size n, each
     against a Gaussian with its own mean and standard deviation.
 
-    Rows are drawn on the calling thread, in blocks of at most about 16 MB
-    and at least four per usable core, which continues the stream of one
-    standard_normal(n) draw per row; the blocks are reduced on
-    darkfocus._parallel.ordered_map, so the table is the same at every
-    width.
+    Rows are drawn on the calling thread by dynamics._standard_normals
+    (integrator.c's copy of numpy's ziggurat, or numpy without a compiler),
+    in blocks of at most about 16 MB and at least four per usable core,
+    which continues the stream of one standard_normal(n) draw per row; the
+    blocks are reduced on darkfocus._parallel.ordered_map, so the table is
+    the same at every width.
     """
     key = (n, n_null, seed)
     table = _KS_NULL_CACHE.get(key)
     if table is None:
         rng = np.random.default_rng(seed)
         rows = max(1, min((2 << 20) // n, math.ceil(n_null / (4 * _parallel.width()))))
-        blocks = (rng.standard_normal((min(rows, n_null - start), n))
+        blocks = (dynamics._standard_normals(rng, (min(rows, n_null - start), n), 1.0)
                   for start in range(0, n_null, rows))
         reduce = functools.partial(_ks_statistics, library=_compiled.load())
         table = np.sort(np.concatenate(list(_parallel.ordered_map(reduce, blocks))))
@@ -641,8 +642,8 @@ def estimate_na(
     computed on the target's binning with a pseudocount of 0.5 regularizing
     the simulated histogram.  Each NA also yields a corner frequency
     (mean +/- std over repetitions) for the consistency cross-check against
-    target_fc = (value, error).  NAs where every repetition escaped are
-    marked invalid and excluded from the minimum.
+    target_fc = (value, error), value > 0.  NAs where every repetition
+    escaped are marked invalid and excluded from the minimum.
 
     Every NA reuses the same noise paths (common random numbers), so
     sampling noise largely cancels out of the NA-to-NA comparison and the
@@ -676,11 +677,11 @@ def estimate_na(
     if target_fc is not None:
         try:
             fc_t, fc_t_err = target_fc
-            _checks.real("target_fc's value", fc_t)
+            _checks.real("target_fc's value", fc_t, above=0.0)
             _checks.real("target_fc's error", fc_t_err, at_least=0.0)
         except (TypeError, ValueError) as exc:
             raise ValueError("target_fc must be None or a pair (value, error) of finite "
-                             f"numbers with error >= 0, got {target_fc!r}") from exc
+                             f"numbers with value > 0 and error >= 0, got {target_fc!r}") from exc
     p_x, p_y = marginals = _target_marginals(target)
     cfgs = [SimConfig(
         particle=particle, dt=dt, n_steps=n_steps, force_model="quartic",

@@ -13,7 +13,10 @@ same field that dft_intensity and dipole_gradient_force report.
 
 _noise_chunks is the one place noise is drawn and scaled: a run's noise is
 default_rng(seed)'s standard normals in draws of _NOISE_CHUNK steps, times
-sqrt(2 kB T dt / gamma).  A run hands each chunk to a stepper: the
+sqrt(2 kB T dt / gamma).  _standard_normals, the one standard-normal draw
+of the package, draws them: integrator.c's df_normals, numpy's ziggurat in
+C, draws numpy's bits from the run's own generator, or numpy itself does
+when no C compiler works.  A run hands each chunk to a stepper: the
 compiled one of integrator.c (built on first use by darkfocus._compiled),
 or the Python reference loop when no C compiler works.
 _force_model, the only code that knows a force model, resolves a run's
@@ -192,18 +195,34 @@ class Trajectory:
         return self.positions[:, "xyz".index(name)]
 
 
+def _standard_normals(rng, shape, scale):
+    """rng.standard_normal(shape) * scale, to the bit, leaving rng where that
+    draw leaves it: integrator.c's df_normals draws numpy's normals through
+    rng's bit generator, under its lock as numpy holds it, or numpy draws
+    them when darkfocus._compiled cannot build the kernels."""
+    library = _compiled.load()
+    if library is None:
+        out = rng.standard_normal(shape)
+        out *= scale
+        return out
+    out = np.empty(shape)
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        library.df_normals(bit_generator.ctypes.bit_generator, out.size, scale, out)
+    return out
+
+
 def _noise_chunks(cfg: SimConfig):
     """The noise of cfg's run: default_rng(cfg.seed)'s standard normals drawn
-    _NOISE_CHUNK rows of three at a time (the last draw shorter, n_steps rows
-    in all), each draw scaled by sqrt(2 kB T dt / gamma) as it is yielded.
-    Configs of the same seed, particle, dt and n_steps get the same bits."""
+    by _standard_normals _NOISE_CHUNK rows of three at a time (the last draw
+    shorter, n_steps rows in all), each draw scaled by
+    sqrt(2 kB T dt / gamma) as it is drawn.  Configs of the same seed,
+    particle, dt and n_steps get the same bits."""
     kbt = BOLTZMANN * cfg.particle.temperature
     noise_scale = math.sqrt(2.0 * kbt * cfg.dt / cfg.particle.drag)
     rng = np.random.default_rng(cfg.seed)
     for done in range(0, cfg.n_steps, _NOISE_CHUNK):
-        noise = rng.standard_normal((min(_NOISE_CHUNK, cfg.n_steps - done), 3))
-        noise *= noise_scale
-        yield noise
+        yield _standard_normals(rng, (min(_NOISE_CHUNK, cfg.n_steps - done), 3), noise_scale)
 
 
 # outcome of one chunk, and force model codes, as integrator.c names them

@@ -903,6 +903,25 @@ class TestEstimateNa:
                         n_steps=5000, **{"na_values": [0.46], "n_reps": 2, "burn_in": 10,
                                          **bad})
 
+    @pytest.mark.parametrize("target_fc", [(-1, 2), (0, 2)], ids=["negative", "zero"])
+    def test_non_positive_target_fc_rejected_before_the_first_run(self, beam, particle,
+                                                                  target_fc, monkeypatch):
+        # a corner frequency is positive: the library refuses what the CLI's
+        # sweep.target_fc check refuses, and simulates nothing
+        def no_runs(cfg, *args):
+            raise AssertionError("a rejected sweep must not simulate")
+
+        monkeypatch.setattr(dynamics, "_start", no_runs)
+        monkeypatch.setattr(dynamics, "_noise_chunks", no_runs)
+        target = (np.random.default_rng(0).standard_normal(5000) * 1e-8,
+                  np.random.default_rng(1).standard_normal(5000) * 1e-8)
+        with pytest.raises(ValueError, match="^target_fc must be None or a pair ") as error:
+            estimate_na(target, [0.46], particle=particle, beam_template=beam, dt=2e-5,
+                        n_steps=5000, n_reps=2, burn_in=10, target_fc=target_fc)
+        assert "value > 0" in str(error.value)
+        assert str(error.value.__cause__) == ("target_fc's value must be finite and positive, "
+                                              f"got {target_fc[0]}")
+
     def test_bad_na_rejected_before_the_first_run(self, beam, particle, monkeypatch):
         # the last NA reaches n_medium = 1.53: no NA of the sweep is simulated.
         # every run starts with _force_model, whichever name of simulate the

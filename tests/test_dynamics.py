@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import itertools
 import logging
@@ -856,6 +857,83 @@ class TestCompiledStepper:
         for traj in runs:
             assert np.array_equal(traj.positions, expected.positions)
 
+
+
+ZIGGURAT_R = 3.6541528853610088  # the tail's edge: numpy's ziggurat_nor_r
+MASK64 = (1 << 64) - 1
+
+
+class _BitGen(ctypes.Structure):
+    """numpy's bitgen_t (numpy/random/bitgen.h)."""
+    _DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", ctypes.c_void_p),
+                ("next_uint32", ctypes.c_void_p), ("next_double", _DOUBLE),
+                ("next_raw", ctypes.c_void_p)]
+
+
+@needs_cc
+class TestCompiledNormals:
+    @pytest.mark.parametrize("n", [0, 1, 3, 3 * 65536 + 1, 3_000_001])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5, 123456789012345])
+    def test_normals_are_numpys(self, seed, n):
+        assert _compiled.load() is not None
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = dynamics._standard_normals(rng, (n,), 1.0)
+        expected = ref.standard_normal(n)
+        assert x.dtype == expected.dtype and x.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert dynamics._standard_normals(rng, (5,), 1.0).tobytes() == \
+            ref.standard_normal(5).tobytes()
+        if n > 1_000_000:
+            # the tail beyond ZIGGURAT_R holds about 2.6e-4 of the draws
+            tail = np.count_nonzero(np.abs(x) > ZIGGURAT_R)
+            assert 0.8 < tail / (2.6e-4 * n) < 1.2
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_scaled_normals_are_numpys_scaled(self, path, monkeypatch):
+        if path == "numpy":
+            monkeypatch.setattr(_compiled, "load", lambda: None)
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        scale = math.sqrt(2.0 * k_b * 293.0 * 1e-5 / 9.6e-9)
+        x = dynamics._standard_normals(rng, (70_000, 3), scale)
+        expected = ref.standard_normal((70_000, 3))
+        expected *= scale
+        assert x.shape == (70_000, 3) and x.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_wedge_and_tail_draws_come_from_the_generator(self):
+        # df_normals steps a bitgen_t that hands it the generator's own state
+        # and next_uint64, and a next_double that classifies each call by the
+        # word drawn just before it: PCG64's last output is the XSL-RR of its
+        # state.  After a double the call continues the tail's loop; after a
+        # ziggurat word of layer 0 it enters the tail, else it tests a wedge.
+        rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        generator = rng.bit_generator
+        interface = generator.ctypes
+        calls = {"wedge": 0, "tail": 0}
+        last_double = [None]
+
+        def next_double(state):
+            s = generator.state["state"]["state"]
+            folded, rotation = (s >> 64 ^ s) & MASK64, s >> 122
+            word = (folded >> rotation | folded << (-rotation & 63)) & MASK64
+            calls["tail" if word >> 11 == last_double[0] or not word & 0xFF else "wedge"] += 1
+            u = interface.next_double(state)
+            last_double[0] = int(u * 2.0**53)
+            return u
+
+        bitgen = _BitGen(interface.state, ctypes.cast(interface.next_uint64, ctypes.c_void_p),
+                         None, _BitGen._DOUBLE(next_double), None)
+        n = 3_000_000
+        x = np.empty(n)
+        assert _compiled.load().df_normals(ctypes.addressof(bitgen), n, 1.0, x) == n
+        assert x.tobytes() == ref.standard_normal(n).tobytes()
+        assert generator.state == ref.bit_generator.state
+        # a word of layer i in 1-255 misses its rectangle with probability
+        # 1 - ki_double[i] / 2**52: about 1.47% of all words
+        assert 42_000 < calls["wedge"] < 47_000
+        tail = np.count_nonzero(np.abs(x) > ZIGGURAT_R)
+        assert calls["tail"] % 2 == 0 and 2 * tail <= calls["tail"] < 2.5 * tail
 
 def test_source_ships_with_the_package():
     assert _compiled.SOURCES == ("integrator.c", "trajio.c", "binning.c")

@@ -2,7 +2,8 @@
 calibrate, sweep, beam, absorption, force-fit or KS path loads scipy.  Each
 check runs in a fresh interpreter, since this one has scipy loaded by the
 tests.  Every module imports what it needs at its top, never in a function
-body, and every trap-model fit solves through the one call of lstsq."""
+body, every trap-model fit solves through the one call of lstsq, and every
+standard normal is drawn through the one call of standard_normal."""
 
 import ast
 import json
@@ -111,6 +112,19 @@ def test_one_least_squares_solve():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "lstsq"]
     assert len(calls) == 1, calls
+
+
+def test_one_standard_normal_draw():
+    def draws(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "standard_normal"]
+
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.joinpath("darkfocus").glob("*.py"))}
+    calls = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in draws(tree)]
+    (helper,) = [node for node in ast.walk(trees["dynamics.py"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "_standard_normals"]
+    assert len(calls) == 1 and len(draws(helper)) == 1, calls
 
 
 def test_one_numerical_error():
