@@ -3,9 +3,10 @@ stepper of darkfocus.dynamics.simulate and numpy's standard-normal ziggurat,
 which draws numpy's bits from a numpy bit generator for the simulator's
 noise and the KS null table; trajio.c, the row writer and parser
 of darkfocus._text, through which every float table is written and read;
-and binning.c: the (rho, z) binning of
-darkfocus.calibration.reconstruct_potential, which derives rho from x and y
-and counts every sample once into the grid of its fold; the x and y
+and binning.c: the support bounds and the (rho, z) binning of
+darkfocus.calibration.reconstruct_potential, which derive rho from x and y,
+the bounds in two passes and the binning counting every sample once into
+the grid of its fold; the x and y
 histograms of every run of darkfocus.calibration.estimate_na;
 and the Gaussian CDF (scipy's ndtr, bit for bit) and KS statistics of
 darkfocus.calibration.ks_gaussianity_test.
@@ -19,9 +20,9 @@ hash of every source, the compiler's version and the flags; it is written to
 a temporary file and renamed into place, so concurrent first runs are safe.
 When no compiler works, load() logs one warning and returns None, and
 darkfocus.dynamics, darkfocus._text and darkfocus.calibration run their
-Python reference code for the stepper, the table I/O, the binning and the
-Gaussian CDF, and numpy draws the normals, which gives the same bits and
-the same text.
+Python reference code for the stepper, the table I/O, the binning, the
+support bounds and the Gaussian CDF, and numpy draws the normals, which
+gives the same bits and the same text.
 
 The 128-bit power tables of the I/O kernels are computed here, exactly,
 from Python integers.
@@ -52,6 +53,7 @@ _OUT_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEA
 _WORDS = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
 _BYTES = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
 _OUT_BYTES = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
+_COUNTS = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _OUT_COUNTS = np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
 _LONG_P = ctypes.POINTER(ctypes.c_long)
 _SIGNATURES = {
@@ -70,6 +72,12 @@ _SIGNATURES = {
     # (positions, rows, rho edges, rho bins, z edges, z bins, counts)
     "df_bin_rho_z": [_DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long,
                      _OUT_COUNTS],
+    # (positions, rows, first keys, bins, rho key counts, |z| key counts)
+    "df_key_counts": [_DOUBLES, ctypes.c_long, _COUNTS, ctypes.c_long, _OUT_COUNTS,
+                      _OUT_COUNTS],
+    # (positions, rows, windows, caps, rho values, |z| values, counts found)
+    "df_window_values": [_DOUBLES, ctypes.c_long, _DOUBLES, _COUNTS, _OUT_DOUBLES,
+                         _OUT_DOUBLES, _OUT_COUNTS],
     # (positions, rows, x edges, x bins, y edges, y bins, x counts, y counts)
     "df_bin_xy": [_DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long,
                   _OUT_COUNTS, _OUT_COUNTS],
@@ -122,10 +130,11 @@ def build() -> Path:
 def load():
     """The compiled library with every kernel of _SIGNATURES typed
     (df_step_chunk, df_normals, df_format_rows, df_parse_rows, df_bin_rho_z,
-    df_bin_xy, df_ndtr and df_ks_rows), or None when it cannot be built; the
-    outcome is kept for the life of the process."""
-    fallback = ("the stepper, the table I/O, the binning and the Gaussian CDF run their "
-                "Python reference code and numpy draws the normals")
+    df_key_counts, df_window_values, df_bin_xy, df_ndtr and df_ks_rows), or
+    None when it cannot be built; the outcome is kept for the life of the
+    process."""
+    fallback = ("the stepper, the table I/O, the binning, the support bounds and the Gaussian "
+                "CDF run their Python reference code and numpy draws the normals")
     try:
         library = ctypes.CDLL(str(build()))
     except subprocess.CalledProcessError as exc:

@@ -11,13 +11,15 @@ darkfocus._compiled.load(), must be built by the caller beforehand, and
 fn must not warn: a warning raised on a pool thread names that thread's
 code, not the caller's line.  The compiled reader's pieces, the compiled
 writer's blocks, every batch of runs (darkfocus.dynamics._map_runs: each
-run started on the calling thread and finished by fn), the blocks of rows
-of the KS null table (darkfocus.calibration._ks_null_table) and the two
-threaded stages of a potential reconstruction (darkfocus.calibration's
-_rho, numpy.hypot over blocks of rows, and the _fold_counts folds) are the
-six paths that use it.  No result is kept once it is yielded, so a consumer
-that drops each result before asking for the next holds it and at most
-width() calls in flight (darkfocus.dynamics.pooled_positions).
+run started on the calling thread and finished by fn), the runs an
+ensemble steps straight into its pooled array (darkfocus.dynamics's
+_pool_runs, started and finished alike), the blocks of rows of the KS null
+table (darkfocus.calibration._ks_null_table) and the three threaded stages
+of a potential reconstruction (darkfocus.calibration's _support_bounds, two
+passes over blocks of rows, and the _fold_counts folds) are the eight paths
+that use it.  No result is kept once it is yielded, so a consumer that
+drops each result before asking for the next holds it and at most width()
+calls in flight (darkfocus.dynamics.pooled_positions).
 """
 
 import os

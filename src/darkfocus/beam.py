@@ -200,16 +200,18 @@ def _bottle_field(params: BeamParams, scale=1.0, fns=_ARRAY_MATH):
     """The one implementation of the bottle intensity and its gradient.
 
     Returns field(rho2, z) -> scale * (I, dI/drho / rho, dI/dz), with rho2
-    the squared distance from the axis.  The radial derivative is divided by
-    rho so that the Cartesian components F_x = (...) * x stay finite on the
-    axis.  fns = (exp, atan, cos, sin) selects numpy's functions for arrays
-    or math's for plain floats; either way the operation order is the same,
-    and integrator.c repeats it for the compiled integrator.
+    the squared distance from the axis, or field(rho2, z, gradient=False)
+    -> scale * I, the same bits without the gradient's work.  The radial
+    derivative is divided by rho so that the Cartesian components F_x =
+    (...) * x stay finite on the axis.  fns = (exp, atan, cos, sin) selects
+    numpy's functions for arrays or math's for plain floats; either way the
+    operation order is the same, and integrator.c repeats it for the
+    compiled integrator.
     """
     exp, atan, cos, sin = fns
     p, w0sq, zr, p_total, ct, st = _bottle_constants(params)
 
-    def field(rho2, z):
+    def field(rho2, z, gradient=True):
         t = z / zr
         one_t2 = 1.0 + t * t
         w2 = w0sq * one_t2
@@ -218,12 +220,14 @@ def _bottle_field(params: BeamParams, scale=1.0, fns=_ARRAY_MATH):
         tau = atan(t)
         c2p, s2p = cos(2 * p * tau), sin(2 * p * tau)
         cos_rel = ct * c2p + st * s2p
-        sin_rel = st * c2p - ct * s2p
         ce = scale * (p_total / (math.pi * w2) * exp(-u))
         # (1-L)^2 + 2L(1+cos) == 1 + L^2 + 2L cos, without cancellation at the
         # dark focus where L -> 1 and cos -> -1
         one_lag = 1.0 - lag
         intensity = ce * (one_lag * one_lag + 2.0 * lag * (1.0 + cos_rel))
+        if not gradient:
+            return intensity
+        sin_rel = st * c2p - ct * s2p
         bracket = 1.0 + lag * lag + 2.0 * lag * cos_rel
         shape = 2.0 * dlag * (lag + cos_rel) - bracket
         g = 2.0 * t / (zr * one_t2)          # d ln w^2 / dz
@@ -246,7 +250,7 @@ def dft_intensity(params: BeamParams, rho, z):
     on-axis value at the focus is exactly zero.
     """
     rho, z = _check_coords(rho, z)
-    return _bottle_field(params)(rho * rho, z)[0]
+    return _bottle_field(params)(rho * rho, z, gradient=False)
 
 
 def _bottle_peaks(params: BeamParams):

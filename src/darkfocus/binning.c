@@ -1,4 +1,4 @@
-/* The per-fold (rho, z) histograms of
+/* The two support-bound passes and the per-fold (rho, z) histograms of
    darkfocus.calibration.reconstruct_potential, the x and y histograms of
    each run of darkfocus.calibration.estimate_na, and the Gaussian CDF and
    KS statistics of darkfocus.calibration.ks_gaussianity_test.
@@ -10,7 +10,9 @@
    comparisons against the edges decide it, so rounding in the guess cannot
    move a sample.  The binning pass bins rho = hypot(x, y), libm's function
    that numpy.hypot calls, from x and y, as sqrt(x x + y y) wherever that
-   lands in the bin of hypot(x, y).
+   lands in the bin of hypot(x, y).  The first support-bound pass counts the
+   keys (bits >> 48) of that root and of |z|; the second counts the values
+   below a window of each and gives the hypot(x, y) and |z| inside it.
 
    The CDF is Cephes' ndtr, as scipy.special.ndtr computes it: the same
    coefficients, thresholds and Horner order, and exp from libm, so that
@@ -19,6 +21,7 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Bin of v among the m bins of the non-decreasing edges e[0..m], or -1. */
 static inline long bin_of(double v, const double *e, long m, double scale)
@@ -46,15 +49,21 @@ static inline long bin_of(double v, const double *e, long m, double scale)
    and hypot(x, y) may lie on either side of it. */
 #define NEAR_EDGE (8 * DBL_EPSILON)
 
-/* Bin of hypot(x, y) among the m bins of e, or -1: the bin of sqrt(x x +
-   y y) where the squares stay in range and that root lies inside a bin and
-   away from its edges, else hypot's. */
+/* rho within 2 epsilon (relative) of hypot(x, y): sqrt(x x + y y) where
+   the squares stay in range, else hypot itself. */
+static double rho_of(double x, double y)
+{
+    double s = x * x + y * y;
+    return s > SQUARES_LO && s < SQUARES_HI ? sqrt(s) : hypot(x, y);
+}
+
+/* Bin of hypot(x, y) among the m bins of e, or -1: the bin of rho_of(x, y)
+   where that lies inside a bin and away from its edges, else hypot's. */
 static long rho_bin_of(double x, double y, const double *e, long m, double scale)
 {
-    double s = x * x + y * y, r = sqrt(s);
+    double r = rho_of(x, y);
     long k = bin_of(r, e, m, scale);
-    if (s > SQUARES_LO && s < SQUARES_HI && k >= 0 && r - e[k] > NEAR_EDGE * r
-        && e[k + 1] - r > NEAR_EDGE * r)
+    if (k >= 0 && r - e[k] > NEAR_EDGE * r && e[k + 1] - r > NEAR_EDGE * r)
         return k;
     return bin_of(hypot(x, y), e, m, scale);
 }
@@ -79,6 +88,77 @@ long df_bin_rho_z(const double *pos, long n, const double *r_edges, long n_rho,
         }
     }
     return counted;
+}
+
+/* The key bits >> 48 of a double, which preserves the order of
+   non-negative doubles; from KEY_INF on the double is not finite. */
+#define KEY_INF 0x7FF0
+
+static uint64_t key_of(double v)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    return bits >> 48;
+}
+
+/* The bin of a finite key among span bins from the key first, the
+   first and last bins taking every key below and above them. */
+static long key_bin(uint64_t key, int64_t first, long span)
+{
+    int64_t bin = (int64_t)key - first;
+    return bin < 0 ? 0 : bin >= span ? span - 1 : (long)bin;
+}
+
+/* Counts the keys of rho_of(x, y) and of |z| of the n rows (x, y, z) of pos
+   into the span bins of rho_counts and z_counts, zeroed int64, from the
+   keys first[0] and first[1] (key_bin).  Returns n, or -1 at a value that
+   is not finite. */
+long df_key_counts(const double *pos, long n, const int64_t *first, long span,
+                   int64_t *rho_counts, int64_t *z_counts)
+{
+    for (long i = 0; i < n; i++) {
+        const double *row = pos + 3 * i;
+        uint64_t r = key_of(rho_of(row[0], row[1])), z = key_of(fabs(row[2]));
+        if (r >= KEY_INF || z >= KEY_INF)
+            return -1;
+        rho_counts[key_bin(r, first[0], span)]++;
+        z_counts[key_bin(z, first[1], span)]++;
+    }
+    return n;
+}
+
+/* Over the n rows (x, y, z) of pos, with the windows [w[0], w[1]] of
+   rho_of(x, y) and [w[2], w[3]] of |z|: counts the values under each
+   window into found[0] and found[1], writes hypot(x, y) of the rows whose
+   rho_of lies inside its window to rho_out and the |z| inside theirs to
+   z_out, at most cap[0] and cap[1], and their numbers to found[2] and
+   found[3].  Returns n, or -1 when a window holds more values than its
+   cap. */
+long df_window_values(const double *pos, long n, const double *w, const int64_t *cap,
+                      double *rho_out, double *z_out, int64_t *found)
+{
+    int64_t below_r = 0, below_z = 0, in_r = 0, in_z = 0;
+    for (long i = 0; i < n; i++) {
+        const double *row = pos + 3 * i;
+        double r = rho_of(row[0], row[1]), z = fabs(row[2]);
+        below_r += r < w[0];
+        below_z += z < w[2];
+        if (r >= w[0] && r <= w[1]) {
+            if (in_r == cap[0])
+                return -1;
+            rho_out[in_r++] = hypot(row[0], row[1]);
+        }
+        if (z >= w[2] && z <= w[3]) {
+            if (in_z == cap[1])
+                return -1;
+            z_out[in_z++] = z;
+        }
+    }
+    found[0] = below_r;
+    found[1] = below_z;
+    found[2] = in_r;
+    found[3] = in_z;
+    return n;
 }
 
 /* Counts the x and y columns of the n rows of three numbers pos into the

@@ -356,64 +356,161 @@ def _edges(lo, hi, n_bins):
     return np.linspace(lo, hi, n_bins + 1)
 
 
-# fewest rows of a block of the rho pass, and the rows of a block of the
-# reference binning
-_BLOCK_ROWS = 1 << 16
+# rows of a block of the support-bound passes and of the reference binning
+_BLOCK_ROWS = 1 << 12
+# where x x + y y leaves this range a square may have underflowed or
+# overflowed (NaN falls outside too), as binning.c's rho_bin_of takes it;
+# inside it sqrt(x x + y y) is within 2 epsilon (relative) of hypot(x, y)
+_SQUARES_LO, _SQUARES_HI = 1e-280, 1e280
+# the relative margin a window of approximate rho values is widened by: more
+# than twice their error and the rounding of the window's ends, and far
+# less than the span of a key
+_MARGIN = 16 * np.finfo(float).eps
+# The key bits >> 48 of a non-negative double preserves order and spans a
+# sixteenth of a binade; from _KEY_INF on the double is not finite.  A key
+# histogram counts _KEY_SPAN keys from a first one, the lowest and highest
+# of its bins holding every key below and above them.
+_KEY_INF = 0x7FF0
+_KEY_SPAN = 1024
 
 
-def _rho(pos):
-    """rho = numpy.hypot(x, y) of the C-contiguous (n, 3) positions pos, into
-    an array allocated here, on the calling thread, in blocks of contiguous
-    rows on darkfocus._parallel.ordered_map, at least four per usable core
-    and none shorter than _BLOCK_ROWS.  A NaN or infinite coordinate raises
-    ValueError, as does (saying so) a finite x and y whose hypot overflows."""
-    n = len(pos)
-    rho = np.empty(n)
-    rows = max(_BLOCK_ROWS, -(-n // (4 * _parallel.width())))
-
-    def finite(start):
-        block, out = pos[start:start + rows], rho[start:start + rows]
-        # numpy's error state is per thread: set here, on the thread that runs it
-        with np.errstate(over="ignore"):
-            np.hypot(block[:, 0], block[:, 1], out=out)
-        return np.isfinite(out).all() and np.isfinite(block[:, 2]).all()
-
-    if not all(_parallel.ordered_map(finite, range(0, n, rows))):
-        if np.isfinite(pos).all():
-            raise ValueError("rho = hypot(x, y) overflows for finite samples; rescale them")
-        raise ValueError("samples must be finite")
+def _rho_rows(block):
+    """rho of a block of (x, y, z) rows, within 2 epsilon of numpy.hypot(x,
+    y): sqrt(x x + y y), and hypot where x x + y y leaves (_SQUARES_LO,
+    _SQUARES_HI), as binning.c's rho_of derives it.  The caller ignores
+    numpy's overflow and invalid errors."""
+    x, y = block[:, 0], block[:, 1]
+    rho = x * x
+    rho += y * y
+    odd = None
+    if not (rho.min() > _SQUARES_LO and rho.max() < _SQUARES_HI):
+        odd = np.flatnonzero(~((rho > _SQUARES_LO) & (rho < _SQUARES_HI)))
+    np.sqrt(rho, out=rho)
+    if odd is not None:
+        rho[odd] = np.hypot(x[odd], y[odd])
     return rho
 
 
-def _quantile(values, q):
-    """numpy.quantile at q of a 1-D float64 array of finite values, which it
-    partitions in place.  No value may be -0.0, as none of rho and |z| is: a
-    partition may put -0.0 and 0.0 in either order.  This is numpy's linear
-    method: the virtual index (n - 1) q falls between the order statistics
-    k = floor of it and k + 1, and numpy's _lerp between them counts back
-    from the upper one once the fraction reaches 1/2.  At an index of n - 1
-    or more it is the maximum."""
-    n = len(values)
+def _keys(values):
+    return np.right_shift(values.view(np.int64), 48)
+
+
+def _first_keys(pos):
+    """The first key of the histograms of rho and of |z|: half a span below
+    the median key of about a thousand evenly spaced rows, and within
+    [0, _KEY_INF - _KEY_SPAN]."""
+    sample = pos[::max(1, len(pos) // 1000)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys = [_keys(np.hypot(sample[:, 0], sample[:, 1])), _keys(np.abs(sample[:, 2]))]
+    return np.array([min(max(int(np.median(k)) - _KEY_SPAN // 2, 0), _KEY_INF - _KEY_SPAN)
+                     for k in keys])
+
+
+def _key_counts(pos, start, stop, first, library):
+    """The (2, _KEY_SPAN) int64 key histograms of rho (_rho_rows) and of |z|
+    over the rows [start, stop) of pos, from the keys first; None when a
+    value is not finite.  binning.c's df_key_counts counts them when library
+    is the compiled library, else numpy in blocks of _BLOCK_ROWS rows; both
+    derive rho alike and give the same counts."""
+    counts = np.zeros((2, _KEY_SPAN), dtype=np.int64)
+    if library is not None:
+        found = library.df_key_counts(pos[start:stop], stop - start, first, _KEY_SPAN, *counts)
+        return counts if found >= 0 else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(start, stop, _BLOCK_ROWS):
+            block = pos[i:min(i + _BLOCK_ROWS, stop)]
+            for axis, values in enumerate((_rho_rows(block), np.abs(block[:, 2]))):
+                if not values.max() < math.inf:  # NaN too
+                    return None
+                keys = _keys(values)
+                np.clip(keys, first[axis], first[axis] + _KEY_SPAN - 1, out=keys)
+                keys -= first[axis]
+                counts[axis] += np.bincount(keys, minlength=_KEY_SPAN)
+    return counts
+
+
+def _window_values(pos, start, stop, windows, caps, library):
+    """For rho and for |z| of the rows [start, stop) of pos: the number of
+    values below their window (lo, hi) of windows and the values inside it,
+    rho's as numpy.hypot gives them.  binning.c's df_window_values finds
+    them when library is the compiled library, at most caps[axis] inside
+    each window, else numpy in blocks of _BLOCK_ROWS rows."""
+    if library is not None:
+        inside, found = [np.empty(cap) for cap in caps], np.zeros(4, dtype=np.int64)
+        if library.df_window_values(pos[start:stop], stop - start, np.ravel(windows), caps,
+                                    *inside, found) < 0:
+            raise RuntimeError("df_window_values found more values in a window than its cap")
+        return [(int(found[axis]), inside[axis][:found[2 + axis]].copy()) for axis in (0, 1)]
+    below, inside = [0, 0], [[], []]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(start, stop, _BLOCK_ROWS):
+            block = pos[i:min(i + _BLOCK_ROWS, stop)]
+            for axis, values in enumerate((_rho_rows(block), np.abs(block[:, 2]))):
+                lo, hi = windows[axis]
+                below[axis] += np.count_nonzero(values < lo)
+                rows = np.flatnonzero((values >= lo) & (values <= hi))
+                inside[axis].append(values[rows] if axis
+                                    else np.hypot(block[rows, 0], block[rows, 1]))
+    return [(below[axis], np.concatenate(inside[axis])) for axis in (0, 1)]
+
+
+def _support_bounds(pos, q):
+    """The q quantiles of |z| and of rho = numpy.hypot(x, y) of the
+    C-contiguous (n, 3) positions pos, numpy.quantile's to the bit, from two
+    passes over blocks of contiguous rows on darkfocus._parallel.ordered_map,
+    at least four per usable core and none shorter than _BLOCK_ROWS, which
+    hold no column of n values.
+
+    numpy's linear method: the virtual index (n - 1) q falls between the
+    order statistics k = floor of it and k + 1 (k itself at index n - 1),
+    and numpy's _lerp between them counts back from the upper one once the
+    fraction reaches 1/2.  The first pass counts the keys of |z| and of an
+    approximate rho (_rho_rows), and checks every value is finite: a NaN or
+    infinite coordinate raises ValueError, as does (saying so) a finite x
+    and y whose hypot overflows.  The bins of statistics k and k + 1 bound a
+    window of values, widened by _MARGIN for rho.  The second pass counts
+    the values below each window and keeps the few inside it, with rho's
+    exact hypot: no value below its window can be statistic k, none above it
+    statistic k + 1, so they are those of the values inside."""
+    n = len(pos)
+    rows = max(_BLOCK_ROWS, -(-n // (4 * _parallel.width())))
+    starts = range(0, n, rows)
+    library = _compiled.load()
+    first = _first_keys(pos)
+    counts = list(_parallel.ordered_map(
+        lambda i: _key_counts(pos, i, min(i + rows, n), first, library), starts))
+    if any(c is None for c in counts):
+        if np.isfinite(pos).all():
+            raise ValueError("rho = hypot(x, y) overflows for finite samples; rescale them")
+        raise ValueError("samples must be finite")
     index = (n - 1) * q
-    if index >= n - 1:
-        return float(values.max())
-    k = math.floor(index)
-    values.partition(k)
-    below, above = float(values[k]), float(values[k + 1:].min())
-    gamma = index - k
-    diff = above - below
-    return above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
-
-
-def _support_bounds(pos, rho, q):
-    """The q quantiles of |z| and of rho, numpy.quantile's to the bit, for
-    the (n, 3) finite positions pos and their rho column, which is the
-    selections' scratch: rho is partitioned in place for its bound, then
-    overwritten with |z| and partitioned again, so it holds neither column
-    afterwards."""
-    rho_max = _quantile(rho, q)
-    z_max = _quantile(np.abs(pos[:, 2], out=rho), q)
-    return z_max, rho_max
+    k = min(math.floor(index), n - 1)
+    k1 = min(k + 1, n - 1)
+    windows, spans = [], []
+    for hist, start, margin in zip(sum(counts), first.tolist(), (_MARGIN, 0.0)):
+        b, b1 = np.searchsorted(np.cumsum(hist), (k, k1), side="right").tolist()
+        lo, hi = np.left_shift(np.array([start + b, start + b1 + 1]), 48).view(np.float64)
+        # the first and last bins hold every key below and above them
+        windows.append((float(lo) * (1 - margin) if b else 0.0,
+                        float(hi) * (1 + margin) if b1 < _KEY_SPAN - 1 else math.inf))
+        # the window lies within these bins
+        spans.append(slice(max(b - 1, 0), b1 + 2))
+    # the values of a block of rows inside a window are at most its counts in those bins
+    caps = [np.array([c[axis, spans[axis]].sum() for axis in (0, 1)]) for c in counts]
+    del counts
+    picked = list(_parallel.ordered_map(
+        lambda i: _window_values(pos, i * rows, min((i + 1) * rows, n), windows, caps[i],
+                                 library), range(len(starts))))
+    bounds = []
+    for axis in (1, 0):
+        below = sum(p[axis][0] for p in picked)
+        values = np.concatenate([p[axis][1] for p in picked])
+        values.partition((k - below, k1 - below))
+        lower, upper = float(values[k - below]), float(values[k1 - below])
+        gamma = index - k
+        diff = upper - lower
+        bounds.append(upper - diff * (1 - gamma) if gamma >= 0.5 else lower + diff * gamma)
+    return tuple(bounds)
 
 
 def _fold_counts(positions, n_folds, r_edges, z_edges):
@@ -498,17 +595,17 @@ def reconstruct_potential(
     estimates over `n_folds` contiguous splits of the samples; folds whose
     fit fails are dropped and counted out of n_folds_fitted.
 
-    The grid spans the support_quantile quantiles of rho and |z|, which are
-    numpy.quantile's to the bit.  rho is numpy.hypot, computed and checked
-    for finiteness, with z, in one pass over blocks of rows side by side,
-    and the two quantiles are numpy's in-place partition of that column,
-    once for rho and once more with |z| written over it.
-    The column is then dropped: every sample is binned once, into the grid
-    of its fold, with rho derived again from x and y, the folds side by
-    side; the whole-sample fit takes the sum of the fold grids, which is its
-    histogram exactly.  Besides C-contiguous float64 samples, which it
-    reads in place, it holds one column of n values.  Every output is the
-    same bits at every width and on the no-compiler reference path.
+    The grid spans the support_quantile quantiles of rho = hypot(x, y)
+    and |z|, which are numpy.quantile's to the bit: two passes over blocks
+    of rows side by side check every sample is finite and find them
+    (_support_bounds), with hypot on the few values near each bound.  Every
+    sample is then binned once, into the grid of its fold, with rho derived
+    from x and y, the folds side by side; the whole-sample fit takes the
+    sum of the fold grids, which is its histogram exactly.  Besides
+    C-contiguous float64 samples, which it reads in place, it holds no
+    column of n values: blocks of rows, small histograms and the values near
+    the bounds.  Every output is the same bits at every width and on the
+    no-compiler reference path.
     """
     if isinstance(samples, Trajectory):
         samples = samples.positions
@@ -524,9 +621,7 @@ def reconstruct_potential(
     if not support_quantile <= 1:
         raise ValueError(f"support_quantile must lie in (0, 1], got {support_quantile!r}")
 
-    rho = _rho(pos)
-    z_max, rho_max = _support_bounds(pos, rho, support_quantile)
-    del rho  # the selections' scratch now; binning derives rho from x and y
+    z_max, rho_max = _support_bounds(pos, support_quantile)
     r_edges = _edges(0.0, rho_max, n_bins)
     z_edges = _edges(-z_max, z_max, n_bins)
     counts = _fold_counts(pos, n_folds, r_edges, z_edges)

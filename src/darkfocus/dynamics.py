@@ -26,16 +26,18 @@ the run's k_max and default domain bound, derived from them too.  The
 compiled stepper repeats the reference's operations in the same order,
 so both give the same bits.
 A run is _start, which warns and allocates on the calling thread, then
-_finish, which draws, steps and may run on any thread; simulate is one
-run.  _map_runs is the one path of every batch of runs: it starts each run
-on the calling thread in batch order when asked for, and finishes and
-reduces it on up to one thread per usable core (darkfocus._parallel),
-where the noise draws and the compiled stepper release the interpreter
-lock.  The runs of simulate_ensemble and corner_frequency_of draw their
-own noise from seeds spawned at the call; estimate_na draws each
-repetition's noise once and hands it to every NA's run of that seed, since
-its configs share the particle and dt.  The calibration sweeps keep no
-positions.
+_step_run, which draws and steps and may run on any thread; _finish makes
+its Trajectory, and simulate is one run.  _map_runs is the one path of
+every batch of runs that yields them: it starts each run on the calling
+thread in batch order when asked for, and finishes and reduces it on up to
+one thread per usable core (darkfocus._parallel), where the noise draws
+and the compiled stepper release the interpreter lock.  pooled_positions
+starts and steps the runs of an ensemble not yet iterated alike, each into
+its own rows of the pooled array, so no run has an array of its own.  The
+runs of simulate_ensemble and corner_frequency_of draw their own noise
+from seeds spawned at the call; estimate_na draws each repetition's noise
+once and hands it to every NA's run of that seed, since its configs share
+the particle and dt.  The calibration sweeps keep no positions.
 
 Trajectory files are t x y z text rows under a '#' header.  save_trajectory
 and load_trajectory write and read the header themselves and the rows
@@ -78,7 +80,10 @@ __all__ = [
     "load_trajectory",
 ]
 
-_NOISE_CHUNK = 65536
+# noise rows a run draws and steps at a time; the reference loop turns
+# _FLOAT_ROWS of them at a time into Python floats
+_NOISE_CHUNK = 16384
+_FLOAT_ROWS = 1024
 
 
 class SimulationUnstableError(RuntimeError):
@@ -333,8 +338,8 @@ def _python_stepper(force, bound, mob, reflect):
         k = 0
         # plain floats keep the loop's arithmetic off numpy scalars; a block
         # of rows at a time bounds the floats in flight
-        for start in range(0, len(noise), _ROWS_PER_BLOCK):
-            for nx, ny, nz in noise[start:start + _ROWS_PER_BLOCK].tolist():
+        for start in range(0, len(noise), _FLOAT_ROWS):
+            for nx, ny, nz in noise[start:start + _FLOAT_ROWS].tolist():
                 fx, fy, fz = force(x, y, z)
                 dx = fx * mob + nx
                 dy = fy * mob + ny
@@ -390,13 +395,17 @@ def simulate(cfg: SimConfig) -> Trajectory:
     return _finish(*_start(cfg))
 
 
-def _start(cfg: SimConfig, noise=None):
+def _start(cfg: SimConfig, noise=None, out=None):
     """The calling thread's part of one run: the force model, a warning when
-    dt exceeds the stability bound 0.1 gamma/k_max, the stepper and the run's
-    positions array, allocated here so that glibc's main arena, not a worker
-    thread's, recycles it.  noise is None, or list(_noise_chunks(c)) of a
-    config c with cfg's particle, dt and n_steps, which the run then steps
-    through.  Returns the arguments of _finish, which may run on any thread."""
+    dt exceeds the stability bound 0.1 gamma/k_max, the stepper and the
+    arrays the run steps into, allocated here so that glibc's main arena,
+    not a worker thread's, recycles them.  noise is None, or
+    list(_noise_chunks(c)) of a config c with cfg's particle, dt and
+    n_steps, which the run then steps through.  out is None for an array of
+    all the run's positions, allocated here, or the rows that take its last
+    len(out) positions; the positions before those go through a scratch of
+    at most one noise chunk, allocated here.  Returns the arguments of
+    _finish and _step_run, which may run on any thread, out last."""
     model, coef, force, k_max, bound = _force_model(cfg)
     gamma = cfg.particle.drag
     if k_max > 0 and cfg.dt > 0.1 * gamma / k_max:
@@ -410,30 +419,59 @@ def _start(cfg: SimConfig, noise=None):
     else:
         step = _compiled_stepper(library.df_step_chunk, model, coef, bound, mob, reflect)
 
-    out = np.empty((cfg.n_steps + 1, 3))
-    out[0] = [float(v) for v in cfg.initial_position]
-    return cfg, noise, step, bound, out
+    if out is None:
+        out = np.empty((cfg.n_steps + 1, 3))
+    first = cfg.n_steps + 1 - len(out)
+    scratch = np.empty((min(first, _NOISE_CHUNK) + 1, 3)) if first else None
+    (out if scratch is None else scratch)[0] = [float(v) for v in cfg.initial_position]
+    return cfg, noise, step, bound, scratch, out
 
 
-def _finish(cfg, noise, step, bound, out) -> Trajectory:
-    """The rest of a run _start began: its noise drawn from cfg.seed unless
-    given, stepped chunk by chunk into out, and the Trajectory.  It calls no
-    public function and raises no warning, so it may run on a worker thread."""
+def _step_run(cfg, noise, step, bound, scratch, out):
+    """(steps taken, outcome) of the run _start began: its noise drawn from
+    cfg.seed unless given, and stepped chunk by chunk.  Position j goes to
+    out[j - first], first = cfg.n_steps + 1 - len(out); the positions before
+    that go through scratch.  A chunk is cut at first: an Euler step reads
+    only the position before it and its own noise row, so the cut leaves
+    every bit as it was.  The position a run ends at is in row 0 of scratch
+    when it ends before first.  It calls no public function and raises no
+    warning, so it may run on a worker thread."""
     if noise is None:
         noise = _noise_chunks(cfg)
+    first = cfg.n_steps + 1 - len(out)
     done = 0
     outcome = _RAN
     for chunk in noise:
-        k, outcome = step(chunk, out[done:done + len(chunk) + 1])
-        if outcome == _UNSTABLE:
-            raise SimulationUnstableError(
-                f"step displacement exceeded the domain scale {bound:g} m "
-                f"at step {done + k}; reduce dt"
-            )
-        done += k
-        if outcome == _ESCAPED:
-            break
+        start = 0
+        while start < len(chunk):
+            if done < first:
+                piece = chunk[start:start + first - done]
+                rows = scratch[:len(piece) + 1]
+            else:
+                piece = chunk[start:]
+                rows = out[done - first:done - first + len(piece) + 1]
+            k, outcome = step(piece, rows)
+            if outcome == _UNSTABLE:
+                raise SimulationUnstableError(
+                    f"step displacement exceeded the domain scale {bound:g} m "
+                    f"at step {done + k}; reduce dt"
+                )
+            if done < first:
+                # the position reached starts the next piece
+                (out if done + k == first else scratch)[0] = rows[k]
+            done += k
+            if outcome == _ESCAPED:
+                return done, outcome
+            start += k
+        # a chunk drawn from cfg.seed is freed before the next is drawn
+        del chunk, piece, rows
+    return done, outcome
 
+
+def _finish(cfg, noise, step, bound, scratch, out) -> Trajectory:
+    """The Trajectory of a run _start began with out None: _step_run, then
+    the positions up to the last one reached."""
+    done, outcome = _step_run(cfg, noise, step, bound, scratch, out)
     escape = None
     if outcome == _ESCAPED:
         escape = EscapeReport(position=tuple(out[done].tolist()), time=done * cfg.dt,
@@ -461,22 +499,34 @@ def _map_runs(runs, reduce=lambda traj: traj):
 
 
 class _Runs:
-    """An iterator over runs that says how many it has left to yield, as
-    operator.length_hint reads it (PEP 424)."""
+    """The runs of the configs cfgs, simulated as they are asked for by
+    _map_runs: an iterator that says how many runs it has left to yield, as
+    operator.length_hint reads it (PEP 424).  Until the first is asked for,
+    pooled_positions may take the configs instead and step the runs itself."""
 
-    def __init__(self, runs, n_runs):
-        self._runs, self._left = runs, n_runs
+    def __init__(self, cfgs):
+        self._cfgs, self._runs, self._left = cfgs, None, len(cfgs)
 
     def __iter__(self):
         return self
 
     def __next__(self):
+        if self._runs is None:
+            self._runs = _map_runs((cfg, None) for cfg in self._cfgs)
         run = next(self._runs)
         self._left -= 1
         return run
 
     def __length_hint__(self):
         return self._left
+
+    def _take(self):
+        """The configs of every run when none has been asked for yet, else
+        None; after taking them the iterator is empty."""
+        if self._runs is not None:
+            return None
+        self._runs, self._left = iter(()), 0
+        return self._cfgs
 
 
 def simulate_ensemble(cfg: SimConfig, n_runs: int):
@@ -485,25 +535,53 @@ def simulate_ensemble(cfg: SimConfig, n_runs: int):
     thread per usable core, and keeps none it has yielded (take list() of it
     to use the runs twice).  operator.length_hint of it is the number of
     runs not yet yielded.  Each run is simulate(cfg.with_seed(s)) to the
-    bit, and its warnings name the line that asks for it."""
-    seeds = spawn_seeds(cfg.seed, n_runs)
-    return _Runs(_map_runs((cfg.with_seed(s), None) for s in seeds), len(seeds))
+    bit, and its warnings name the line that asks for it.  Handed to
+    pooled_positions before any run is asked for, the runs step straight
+    into the pooled array, and no run has an array of its own."""
+    return _Runs([cfg.with_seed(s) for s in spawn_seeds(cfg.seed, n_runs)])
 
 
-def pooled_positions(trajectories, burn_in: int = 0):
-    """The samples of any iterable of runs after the first burn_in of each,
-    in one array with the bits of numpy.concatenate of those parts; a
-    burn_in that is not an integer >= 0 raises ValueError.
+def _pool_runs(cfgs, burn_in):
+    """(pooled, rows) of runs of the configs cfgs of one n_steps: each run
+    steps its positions from burn_in on into its own rows of pooled, which
+    holds every kept row of every run, and its burn-in through a scratch of
+    one noise chunk; the runs that escaped leave gaps, closed in run order,
+    and rows is the number kept.  Besides pooled it holds the noise chunk
+    and the scratch of each run in flight (darkfocus._parallel.ordered_map,
+    as for _map_runs)."""
+    kept = max(cfgs[0].n_steps + 1 - burn_in, 0) if cfgs else 0
+    pooled = np.empty((len(cfgs) * kept, 3))
 
-    The array is allocated at the first run that keeps a sample, for that
-    run's kept rows times one more than the runs operator.length_hint says
-    are left (simulate_ensemble and a list say it exactly), grown in place
-    only when a run overflows it, and trimmed to the rows kept.  Each run is
-    copied in and dropped before the next one is asked for, so besides the
-    pooled array it holds at most the run being copied and the runs the
-    iterable has in flight (one per usable core for simulate_ensemble)."""
-    _checks.count("burn_in", burn_in, 0)
-    runs = iter(trajectories)
+    def kept_rows(run):
+        done, _ = _step_run(*run)
+        scratch, out = run[-2:]
+        # a coordinate that is no longer finite stays so, so the position a
+        # run ends at is finite when all of them are, as a Trajectory checks
+        last = out[done - burn_in] if done >= burn_in else scratch[0]
+        if not np.isfinite(last).all():
+            raise ValueError("positions must be finite")
+        return max(done + 1 - burn_in, 0)
+
+    started = (_start(cfg, None, pooled[i * kept:(i + 1) * kept]) for i, cfg in enumerate(cfgs))
+    lengths = list(_parallel.ordered_map(kept_rows, started))
+    # row slices of the flat array are one-dimensional, so numpy copies them
+    # in place, lowest address first, without a temporary
+    flat = pooled.reshape(-1)
+    rows = 0
+    for i, n in enumerate(lengths):
+        if rows != i * kept:
+            flat[3 * rows:3 * (rows + n)] = flat[3 * i * kept:3 * (i * kept + n)]
+        rows += n
+    return pooled, rows
+
+
+def _copy_runs(runs, burn_in):
+    """(pooled, rows) of the finished runs of the iterable runs: each run's
+    positions after burn_in copied into pooled, allocated at the first run
+    that keeps a sample for that run's kept rows times one more than the
+    runs operator.length_hint says are left, and grown in place only when a
+    run overflows it; rows is the number kept."""
+    runs = iter(runs)
     pooled, rows = np.empty((0, 3)), 0
     for traj in runs:
         part = traj.positions[burn_in:]
@@ -518,6 +596,29 @@ def pooled_positions(trajectories, burn_in: int = 0):
         pooled[rows:rows + len(part)] = part
         rows += len(part)
         del part
+    return pooled, rows
+
+
+def pooled_positions(trajectories, burn_in: int = 0):
+    """The samples of any iterable of runs after the first burn_in of each,
+    in one array with the bits of numpy.concatenate of those parts; a
+    burn_in that is not an integer >= 0 raises ValueError.
+
+    A simulate_ensemble iterator that has not yet yielded a run is stepped
+    here: its runs step straight into their own rows of the pooled array,
+    allocated for every run's kept rows at once, so besides that array it
+    holds one noise chunk and one scratch of a chunk per run in flight (one
+    per usable core).  Any other iterable of finished runs is copied: the
+    array is sized at the first run that keeps a sample from the runs
+    operator.length_hint says are left, grown in place only when a run
+    overflows it, and each run is dropped before the next is asked for, so
+    besides the pooled array it holds at most the run being copied and the
+    runs the iterable has in flight.  Either way the array is trimmed to
+    the rows kept."""
+    _checks.count("burn_in", burn_in, 0)
+    cfgs = trajectories._take() if isinstance(trajectories, _Runs) else None
+    pooled, rows = (_copy_runs(trajectories, burn_in) if cfgs is None
+                    else _pool_runs(cfgs, burn_in))
     if not rows:
         raise ValueError("no samples retained: all runs escaped before burn_in")
     if rows < len(pooled):

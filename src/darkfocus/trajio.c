@@ -165,28 +165,59 @@ static uint64_t shortest(uint64_t mantissa, int exponent, const uint64_t *inv5,
     return output;
 }
 
-/* the number of decimal digits of v < 10^19 */
+/* the number of decimal digits of 0 < v < 10^19: from its bit length, as
+   floor(bits log10 2) by 1233 / 4096, then one comparison */
 static int decimal_length(uint64_t v)
 {
-    int n = 1;
-    for (uint64_t bound = 10; n < 19 && v >= bound; bound *= 10)
-        n++;
-    return n;
+    static const uint64_t POW10[] = {
+        1ull, 10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull, 10000000ull,
+        100000000ull, 1000000000ull, 10000000000ull, 100000000000ull, 1000000000000ull,
+        10000000000000ull, 100000000000000ull, 1000000000000000ull, 10000000000000000ull,
+        100000000000000000ull, 1000000000000000000ull, 10000000000000000000ull};
+    int t = ((64 - __builtin_clzll(v)) * 1233) >> 12;
+    return t + (v >= POW10[t]);
 }
 
+/* "00" to "99" */
+static const char DIGIT_PAIRS[200] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
 /* Writes the n decimal digits of v, with a '.' after the first point of
-   them when 0 < point < n; returns the end. */
+   them when 0 < point < n; returns the end.  The digits are made two at a
+   time, eight at a time in 32-bit arithmetic. */
 static char *put_digits(char *p, uint64_t v, int n, int point)
 {
-    char *end = p + n + (point > 0 && point < n);
-    char *q = end;
-    for (int i = n - 1; i >= 0; i--) {
-        *--q = (char)('0' + v % 10);
-        v /= 10;
-        if (i == point && i > 0)
-            *--q = '.';
+    char digits[20];
+    char *q = digits + n;
+    while (v >= 100000000) {
+        uint32_t low = (uint32_t)(v % 100000000);
+        v /= 100000000;
+        for (int i = 0; i < 4; i++) {
+            q -= 2;
+            memcpy(q, DIGIT_PAIRS + 2 * (low % 100), 2);
+            low /= 100;
+        }
     }
-    return end;
+    uint32_t high = (uint32_t)v;
+    for (; high >= 100; high /= 100) {
+        q -= 2;
+        memcpy(q, DIGIT_PAIRS + 2 * (high % 100), 2);
+    }
+    if (high >= 10)
+        memcpy(q - 2, DIGIT_PAIRS + 2 * high, 2);
+    else
+        q[-1] = (char)('0' + high);
+    if (point <= 0 || point >= n) {
+        memcpy(p, digits, (size_t)n);
+        return p + n;
+    }
+    memcpy(p, digits, (size_t)point);
+    p[point] = '.';
+    memcpy(p + point + 1, digits + point, (size_t)(n - point));
+    return p + n + 1;
 }
 
 /* One double as repr writes it: positional from 1e-4 up to 1e16 (integral

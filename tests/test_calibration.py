@@ -41,8 +41,6 @@ from darkfocus.calibration import (
     _fold_counts,
     _ks_null_table,
     _ndtr,
-    _quantile,
-    _rho,
     _support_bounds,
     _xy_counts,
 )
@@ -433,11 +431,11 @@ class TestReconstructPotential:
         assert all(result == results[0] for result in results[1:])
         assert int(results[0]["n_folds_fitted"]) == (0 if n_folds > len(samples) else n_folds)
 
-    @pytest.mark.parametrize("path,columns", [("compiled", 1), ("reference", 1)])
-    def test_peak_memory(self, particle, monkeypatch, path, columns):
+    @pytest.mark.parametrize("path", ["compiled", "reference"])
+    def test_peak_memory(self, particle, monkeypatch, path):
         # numpy reports its buffers to tracemalloc: besides its input the
-        # reconstruction holds rho, the selections' scratch too, which it
-        # drops before binning; the reference path bins blocks of rows
+        # reconstruction holds no column of n values, only blocks of rows,
+        # key histograms and the few values inside the bounds' windows
         if _compiled.load() is None:
             pytest.skip("no C compiler to build the stepper and the binning kernel")
         coeffs = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
@@ -454,7 +452,7 @@ class TestReconstructPotential:
         finally:
             tracemalloc.stop()
         assert rec.n_samples == len(pooled) == 6 * 180_001
-        assert peak <= columns * 8 * len(pooled) + 2**20
+        assert peak <= 0.05 * 8 * len(pooled) + 2**20
 
     def test_failed_fold_is_dropped_and_counted(self, particle, confining_trap, tmp_path):
         # the last fifth sits in one bin: its fold cannot be fitted
@@ -673,9 +671,8 @@ NON_FINITE_COORDINATES = [1.7976931348623157e308, math.nan, math.inf, -math.inf]
 
 
 class TestRho:
-    """The rho column against numpy.hypot, bit for bit, and the support
-    bounds against numpy.quantile, with the compiled library and without
-    it."""
+    """The support bounds against numpy.quantile of numpy.hypot(x, y) and of
+    |z|, bit for bit, with the compiled library and without it."""
 
     @staticmethod
     def rows(values):
@@ -683,40 +680,96 @@ class TestRho:
 
     @staticmethod
     def bits(a):
-        return a.view(np.int64).tolist()
+        return np.asarray(a, dtype=float).view(np.int64).tolist()
 
-    @pytest.mark.parametrize("path", ["compiled", "reference"])
-    def test_blocks_on_every_width(self, monkeypatch, path, rng):
-        # one numpy pass, whether the compiled library builds or not
-        if path == "reference":
+    @classmethod
+    def check(cls, pos, q):
+        expected = [np.quantile(np.abs(pos[:, 2]), q),
+                    np.quantile(np.hypot(pos[:, 0], pos[:, 1]), q)]
+        assert cls.bits(_support_bounds(np.ascontiguousarray(pos), q)) == cls.bits(expected)
+
+    @pytest.fixture(params=["compiled", "reference"])
+    def path(self, request, monkeypatch):
+        if request.param == "reference":
             monkeypatch.setattr(_compiled, "load", lambda: None)
         elif _compiled.load() is None:
             pytest.skip("no C compiler to build the compiled library")
-        # enough rows for several blocks at every width
+        return request.param
+
+    def test_blocks_on_every_width(self, monkeypatch, path, rng):
+        # enough rows for several blocks at every width, with subnormals,
+        # both zeros and squares that underflow or overflow
         pos = self.rows(FINITE_COORDINATES)[rng.integers(0, 13**3, 600_001)]
         # rho overflows for the largest coordinate
         small = np.where(np.abs(pos) > 1e300, 0.5, pos)
         for width in (1, 2, 3):
             monkeypatch.setattr(_parallel, "width", lambda width=width: width)
-            rho = _rho(pos)
-            assert self.bits(rho) == self.bits(np.hypot(pos[:, 0], pos[:, 1]))
-            rho_small = np.hypot(small[:, 0], small[:, 1])
             for q in (0.5, 0.995, 1.0):
-                # the rho column is the selections' scratch: a fresh one each time
-                bounds = _support_bounds(small, _rho(small), q)
-                assert self.bits(np.array(bounds)) == self.bits(np.array(
-                    [np.quantile(np.abs(small[:, 2]), q), np.quantile(rho_small, q)]))
+                self.check(small, q)
             for row in (0, 300_000, 600_000):
                 for columns, value, message in (
                         ([0, 1], NON_FINITE_COORDINATES[0], r"^rho = hypot\(x, y\) overflows"),
-                        ([0], math.nan, "samples must be finite"),
-                        ([2], math.nan, "samples must be finite"),
-                        ([1], math.inf, "samples must be finite"),
-                        ([2], -math.inf, "samples must be finite")):
-                    bad = pos.copy()
+                        ([0], math.nan, "^samples must be finite$"),
+                        ([2], math.nan, "^samples must be finite$"),
+                        ([1], math.inf, "^samples must be finite$"),
+                        ([2], -math.inf, "^samples must be finite$")):
+                    bad = small.copy()
                     bad[row, columns] = value
                     with pytest.raises(ValueError, match=message):
-                        _rho(bad)
+                        _support_bounds(bad, 0.995)
+
+    @pytest.mark.parametrize("q", [1.0, 0.995, 0.5, 1e-9, 5e-324])
+    @pytest.mark.parametrize("case", ["all_equal", "heavy_ties", "negative_zeros", "n_1000",
+                                      "scale_1e-150", "scale_1e150"])
+    def test_equals_numpy_quantile(self, path, rng, case, q):
+        # at 1e-150 the squares underflow and at 1e150 they overflow, so
+        # numpy.hypot derives every rho
+        n = 1000 if case == "n_1000" else 100_003
+        pos = rng.standard_normal((n, 3)) * {"scale_1e-150": 1e-150,
+                                             "scale_1e150": 1e150}.get(case, 3e-8)
+        if case == "all_equal":
+            pos[:] = (1e-8, -2e-8, 3e-8)
+        elif case == "heavy_ties":
+            pos = rng.choice(rng.standard_normal(5) * 3e-8, (n, 3))
+        elif case == "negative_zeros":
+            pos[rng.random((n, 3)) < 0.3] = -0.0
+        self.check(pos, q)
+
+    def test_roots_either_side_of_a_key_edge(self, path):
+        # sqrt(x x + y y) and hypot(x, y) fall on either side of 1.0, where
+        # a key starts: 100 rows of hypot 1.0 whose root is just below it,
+        # 400 rows of hypot just below 1.0 whose root is 1.0, and 500 rows
+        # of 2.0; the quantile between statistics 399 and 400 takes one of
+        # each, so rho's window must reach past the key's edge
+        below_one = 1.0 - 2.0**-53
+        up, down = (0.9946128276123087, 0.1036596505350456), (-0.8089281451572671,
+                                                                0.5879075233167401)
+        for (x, y), (rho, root) in ((up, (1.0, below_one)), (down, (below_one, 1.0))):
+            assert (np.hypot(x, y), math.sqrt(x * x + y * y)) == (rho, root)
+        pos = np.array([(*up, 0.0)] * 100 + [(*down, 0.0)] * 400 + [(2.0, 0.0, 0.0)] * 500)
+        self.check(pos, 399.5 / 999)
+
+    def test_hypot_on_the_window_only(self, particle, monkeypatch):
+        # numpy.hypot sees the few values inside rho's window, far fewer than
+        # the samples, of a reflecting ensemble pooled at the trap_calibration
+        # task's size
+        cfg = SimConfig(particle=particle, dt=1e-5, n_steps=500_000, boundary="reflect",
+                        coefficients=QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7,
+                                                         k_rho=2.26e8),
+                        domain_bound=1.6e-7, seed=3)
+        pos = dynamics.pooled_positions(dynamics.simulate_ensemble(cfg, 6), burn_in=50_000)
+        expected = np.quantile(np.hypot(pos[:, 0], pos[:, 1]), 0.995)
+        monkeypatch.setattr(_compiled, "load", lambda: None)
+        seen = []
+        hypot = np.hypot
+
+        def counted(x, y, *args, **kwargs):
+            seen.append(np.size(x))
+            return hypot(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(np, "hypot", counted)
+        assert self.bits(_support_bounds(pos, 0.995)[1]) == self.bits(expected)
+        assert len(pos) == 6 * 450_001 and 0 < sum(seen) < len(pos) / 100
 
 
 @settings(max_examples=150, deadline=None)
@@ -729,12 +782,11 @@ class TestRho:
 @example(n=1002, q=0.5, distinct=1002, seed=15, scale=1.0)  # gamma 1/2, a + d / 2 != b - d / 2
 @example(n=1000, q=5e-324, distinct=1000, seed=3, scale=1.0)
 def test_selection_equals_numpy_quantile(n, q, distinct, seed, scale):
-    # values drawn from a pool of `distinct`, so with heavy ties for a small
-    # pool; + 0.0 turns -0.0 into 0.0, which rho and |z| never hold
+    # coordinates drawn from a pool of `distinct`, so with heavy ties for a
+    # small pool, on the compiled path when it builds
     rng = np.random.default_rng(seed)
-    values = rng.choice(rng.standard_normal(min(distinct, n)) * scale + 0.0, n)
-    expected = np.quantile(values, q)
-    assert np.float64(_quantile(values.copy(), q)).tobytes() == expected.tobytes()
+    pos = rng.choice(rng.standard_normal(min(distinct, n)) * scale, (n, 3))
+    TestRho.check(pos, q)
 
 
 class TestXyCounts:

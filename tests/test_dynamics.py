@@ -422,6 +422,70 @@ class TestEnsembles:
         with pytest.raises(ValueError, match="^no samples retained: all runs escaped before "):
             pooled_positions(sources[source](), burn_in=10**9)
 
+    @pytest.mark.parametrize("stepper", ["compiled", "reference"])
+    @pytest.mark.parametrize("boundary,burn_in", [
+        ("absorb", 0), ("absorb", 1000), ("absorb", 8000), ("absorb", 30_533),
+        ("absorb", 30_534), ("reflect", 0), ("reflect", 8000)],
+        ids=["absorb-every_sample", "absorb-escape_after_burn_in", "absorb-escape_in_burn_in",
+             "absorb-one_row_a_run", "absorb-past_every_run", "reflect-every_sample",
+             "reflect-burn_in_over_chunks"])
+    def test_ensemble_steps_into_the_pooled_array(self, particle, monkeypatch, stepper,
+                                                  boundary, burn_in):
+        # an ensemble not yet iterated steps its runs straight into the pooled
+        # array, the burn-in through a scratch of one chunk: with chunks of
+        # 4096 steps, the absorbing runs escape at steps 6505 (mid-chunk) and
+        # 30533, the last step, and the burn-in of 8000 steps spans chunks
+        if stepper == "reference":
+            monkeypatch.setattr(_compiled, "load", lambda: None)
+        elif _compiled.load() is None:
+            pytest.skip("no C compiler to build the stepper")
+        monkeypatch.setattr(dynamics, "_NOISE_CHUNK", 4096)
+        cfg = SimConfig(particle=particle, dt=1e-4, n_steps=30_533, force_model="harmonic",
+                        stiffness=1e-6, seed=2, domain_bound=3e-7, boundary=boundary)
+        runs = [simulate(cfg.with_seed(s)) for s in spawn_seeds(cfg.seed, 4)]
+        assert [r.escape and r.escape.step for r in runs] == (
+            [None, None, 6505, 30_533] if boundary == "absorb" else [None] * 4)
+        parts = [r.positions[burn_in:] for r in runs if len(r) > burn_in]
+        for width in (1, 2):
+            monkeypatch.setattr(_parallel, "width", lambda width=width: width)
+            ensemble = simulate_ensemble(cfg, 4)
+            if not parts:
+                with pytest.raises(ValueError, match="^no samples retained"):
+                    pooled_positions(ensemble, burn_in=burn_in)
+                continue
+            pooled = pooled_positions(ensemble, burn_in=burn_in)
+            assert pooled.tobytes() == np.concatenate(parts).tobytes()
+            assert operator.length_hint(ensemble) == 0 and list(ensemble) == []
+
+    @pytest.mark.parametrize("burn_in", [1000, dynamics._NOISE_CHUNK + 300])
+    def test_ensemble_steps_over_whole_chunks(self, particle, burn_in):
+        # chunks of _NOISE_CHUNK steps: the runs escape mid-chunk and the
+        # second at its last step, and the longer burn-in ends in the second
+        # chunk
+        if _compiled.load() is None:
+            pytest.skip("no C compiler to build the stepper")
+        cfg = SimConfig(particle=particle, dt=1e-4, n_steps=70_174, force_model="harmonic",
+                        stiffness=1e-6, seed=2, domain_bound=3e-7)
+        runs = [simulate(cfg.with_seed(s)) for s in spawn_seeds(cfg.seed, 4)]
+        assert [r.escape and r.escape.step for r in runs] == [50_748, 70_174, 6505, 30_533]
+        expected = np.concatenate([r.positions[burn_in:] for r in runs if len(r) > burn_in])
+        pooled = pooled_positions(simulate_ensemble(cfg, 4), burn_in=burn_in)
+        assert pooled.tobytes() == expected.tobytes()
+
+    def test_pooled_runs_that_leave_the_floats_raise(self, particle):
+        # with no wall, a repelling axis runs off to inf and NaN: stepped into
+        # the pooled array or copied, a run raises as its Trajectory does
+        cfg = SimConfig(particle=particle, dt=1e-4, n_steps=20_000, seed=1, domain_bound=math.inf,
+                        coefficients=QuarticCoefficients(k_z=-1e-5, k_rho_z=8.81e7, k_rho=2.26e8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="^positions must be finite$"):
+                simulate(cfg)
+            for burn_in in (0, 100, 30_000):
+                for runs in (simulate_ensemble(cfg, 2), (t for t in simulate_ensemble(cfg, 2))):
+                    with pytest.raises(ValueError, match="^positions must be finite$"):
+                        pooled_positions(runs, burn_in=burn_in)
+
     def test_ensemble_reports_the_runs_left(self, particle):
         ensemble = simulate_ensemble(harmonic_cfg(particle, n_steps=500), 5)
         assert operator.length_hint(ensemble) == 5
@@ -472,8 +536,9 @@ class TestEnsembles:
                                                      ("reference", 2, 100_000)],
                              ids=["compiled", "reference"])
     def test_pooling_peak_memory(self, particle, monkeypatch, path, n_runs, n_steps):
-        # numpy reports its buffers to tracemalloc: pooling holds the pooled
-        # array and the runs in flight, never every run; the reference
+        # numpy reports its buffers to tracemalloc: the runs step straight
+        # into the pooled array, and each run in flight holds one noise chunk
+        # and a scratch of at most one chunk for its burn-in; the reference
         # stepper turns a block of noise rows at a time into Python floats
         if path == "reference":
             monkeypatch.setattr(_compiled, "load", lambda: None)
@@ -489,9 +554,10 @@ class TestEnsembles:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        run_bytes = (n_steps + 1) * 3 * 8
+        chunk_bytes = dynamics._NOISE_CHUNK * 3 * 8
+        scratch_bytes = (dynamics._NOISE_CHUNK + 1) * 3 * 8
         assert pooled.nbytes == n_runs * (n_steps + 1 - burn_in) * 3 * 8
-        assert peak <= pooled.nbytes + (_parallel.width() + 2) * run_bytes
+        assert peak <= pooled.nbytes + (_parallel.width() + 1) * (chunk_bytes + scratch_bytes)
 
     def test_pooled_positions_rejects_negative_burn_in(self, particle):
         runs = simulate_ensemble(harmonic_cfg(particle, n_steps=500), 2)
@@ -580,7 +646,9 @@ needs_cc = pytest.mark.skipif(shutil.which(_compiled.COMPILER) is None,
 
 # domain bound, boundary, sweep seed and each run's outcome in sweep order
 # (rep 0's NAs 0.40, 0.46, 0.55, then rep 1's): None for a full run, the step
-# of an escape, or the end of an unstable step's message
+# of an escape, or the end of an unstable step's message; the runs of
+# SHARED_NOISE_STEPS steps span several noise chunks
+SHARED_NOISE_STEPS = 65_836
 SHARED_NOISE_SWEEPS = {
     "absorb": (9e-8, "absorb", 1, [1261, None, None, 834, 12840, None]),
     "reflect": (9e-8, "reflect", 1, [None] * 6),
@@ -675,7 +743,7 @@ class TestSimulateLanes:
         target = (rng.standard_normal(5000) * 3e-8, rng.standard_normal(5000) * 3e-8)
         nas = [0.40, 0.46, 0.55]
         sweep = dict(particle=particle, beam_template=beam, dt=1e-5,
-                     n_steps=dynamics._NOISE_CHUNK + 300, n_reps=2, seed=seed,
+                     n_steps=SHARED_NOISE_STEPS, n_reps=2, seed=seed,
                      burn_in=1000, boundary=boundary, domain_bound=domain_bound)
         with monkeypatch.context() as m:
             m.setattr(dynamics, "_start", started)
@@ -711,7 +779,7 @@ class TestSimulateLanes:
         rng = np.random.default_rng(0)
         target = (rng.standard_normal(5000) * 3e-8, rng.standard_normal(5000) * 3e-8)
         sweep = dict(particle=particle, beam_template=beam, dt=1e-5,
-                     n_steps=dynamics._NOISE_CHUNK + 300, n_reps=2, seed=seed,
+                     n_steps=SHARED_NOISE_STEPS, n_reps=2, seed=seed,
                      burn_in=1000, boundary=boundary, domain_bound=domain_bound,
                      target_fc=(40.0, 20.0))
         outcomes = []

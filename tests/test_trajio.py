@@ -78,6 +78,23 @@ class TestWriter:
         for rows in column_blocks(finite):
             assert_rows_match(library, rows)
 
+    def test_digit_counts_and_subnormals(self, library):
+        # every count of shortest digits, 1 to 17, on both sides of each
+        # power of ten, and random subnormal bit patterns
+        rng = np.random.default_rng(20261020)
+        powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        mantissas = [rng.integers(10 ** (d - 1), 10**d, 400) for d in range(1, 18)]
+        decimals = [float(f"{m}e{e}") for digits in mantissas for m, e in
+                    zip(digits.tolist(), rng.integers(-300, 290, len(digits)).tolist())]
+        subnormal = rng.integers(1, 1 << 52, 30_000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                                 decimals, subnormal])
+        values = np.concatenate([values, -values])
+        assert {len(repr(v).lstrip("-").split("e")[0].replace(".", "").strip("0"))
+                for v in decimals} == set(range(1, 18))
+        for rows in column_blocks(values):
+            assert_rows_match(library, rows)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3,
                     max_size=60).map(lambda v: v[: len(v) // 3 * 3]),
