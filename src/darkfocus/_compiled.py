@@ -66,9 +66,11 @@ _SIGNATURES = {
     # (values, rows, columns, inv5, pow5, text, capacity)
     "df_format_rows": [_DOUBLES, ctypes.c_long, ctypes.c_long, _WORDS, _WORDS,
                        _OUT_BYTES, ctypes.c_long],
-    # (text, length, final, comma, pow5, columns, out, capacity, &nrows)
+    # (text, length, final, comma, pow5, columns, first, lead, out, width,
+    #  capacity, &nrows)
     "df_parse_rows": [_BYTES, ctypes.c_long, ctypes.c_int, ctypes.c_int, _WORDS,
-                      ctypes.c_long, _OUT_DOUBLES, ctypes.c_long, _LONG_P],
+                      ctypes.c_long, _OUT_DOUBLES, ctypes.c_long, _OUT_DOUBLES, ctypes.c_long,
+                      ctypes.c_long, _LONG_P],
     # (positions, rows, rho edges, rho bins, z edges, z bins, counts)
     "df_bin_rho_z": [_DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long,
                      _OUT_COUNTS],

@@ -10,6 +10,11 @@ them in order.  Text the compiled parser does not read goes
 to numpy.loadtxt as well, which raises the errors.  The compiled reader
 parses a table larger than _READ_BYTES in pieces, one per usable core, on
 the threads of darkfocus._parallel; the array is the same at every width.
+It parses the rows straight into arrays of their final size and, when the
+caller asks for the first column apart (darkfocus.dynamics.load_trajectory
+does, for t and x y z), into that column and the (n, k) array of the next
+k columns, dropping any after them; so a read holds the arrays it returns,
+a read buffer per piece, and no copy of the table.
 A report is key=value lines.
 """
 
@@ -79,11 +84,13 @@ def _count_lines(fh, start, stop, text):
     return lines
 
 
-def _parse_rows(fh, start, stop, text, library, pow5, comma, out):
-    """Parse the rows in the bytes [start, stop) of the open binary file fh
-    into out with df_parse_rows, in blocks of the uint8 buffer text; the
-    number of rows, or -1 when df_parse_rows cannot read them or one line
-    fills a whole block."""
+def _parse_rows(fh, start, stop, text, library, pow5, comma, ncols, first, out):
+    """Parse the rows of ncols numbers in the bytes [start, stop) of the open
+    binary file fh with df_parse_rows, in blocks of the uint8 buffer text:
+    the first first.shape[1] numbers of a row into first, the next
+    out.shape[1] into out, the rest read and dropped.  Returns the number of
+    rows, or -1 when df_parse_rows cannot read them or one line fills a
+    whole block."""
     nrows = ctypes.c_long(0)
     done = kept = 0
     fh.seek(start)
@@ -92,8 +99,9 @@ def _parse_rows(fh, start, stop, text, library, pow5, comma, out):
         read = fh.readinto(text[kept:kept + left])
         left -= read
         end = kept + read
-        used = library.df_parse_rows(text, end, read == 0, comma, pow5, out.shape[1],
-                                     out[done:], len(out) - done, ctypes.byref(nrows))
+        used = library.df_parse_rows(text, end, read == 0, comma, pow5, ncols,
+                                     first[done:], first.shape[1], out[done:], out.shape[1],
+                                     len(out) - done, ctypes.byref(nrows))
         if used < 0:
             return -1
         done += nrows.value
@@ -112,17 +120,19 @@ def _on_piece(path, step, piece, *args):
         return step(fh, *piece, np.empty(_READ_BYTES, dtype=np.uint8), *args)
 
 
-def _compiled_read(library, path, n_header, comma, ncols):
+def _compiled_read(library, path, n_header, comma, ncols, split=None):
     """The data rows after the first n_header lines, ncols numbers each,
-    parsed by trajio.c's df_parse_rows in blocks of _READ_BYTES; None when
-    the rows are not plain decimal numbers in the forms it reads, and the
-    reference reader must decide.  A first pass counts the lines, so the
-    rows go straight into an array of their final size.  Data larger than
-    _READ_BYTES is cut, each cut just after a line end, into one piece per
-    _READ_BYTES up to one per usable core; the pieces are counted and then
-    parsed on darkfocus._parallel's threads, each into its own rows of the
-    one array, which is compacted in place when blank lines leave a piece
-    short."""
+    parsed by trajio.c's df_parse_rows in blocks of _READ_BYTES, as the 2-D
+    array or, with split=k, the pair of read_table; None when the rows are
+    not plain decimal numbers in the forms it reads, and the reference
+    reader must decide.  A first pass counts the lines, so the rows go
+    straight into arrays of their final size: with split, column 0 into a
+    column of its own and columns 1 to k into an (n, k) array, and the
+    columns after them nowhere.  Data larger than _READ_BYTES is cut, each
+    cut just after a line end, into one piece per _READ_BYTES up to one per
+    usable core; the pieces are counted and then parsed on
+    darkfocus._parallel's threads, each into its own rows of the arrays,
+    which are compacted in place when blank lines leave a piece short."""
     pow5 = _compiled.decimal_table()
     with open(path, "rb") as fh:
         for _ in range(n_header):
@@ -143,26 +153,38 @@ def _compiled_read(library, path, n_header, comma, ncols):
         functools.partial(_on_piece, path, _count_lines), pieces))
     lines[-1] += 1  # only the last piece can end without a line end
     offsets = np.cumsum([0, *lines]).tolist()
-    data = np.empty((offsets[-1], ncols))
+    first = np.empty((offsets[-1], 0 if split is None else 1))
+    data = np.empty((offsets[-1], ncols if split is None else split))
     parsed = list(_parallel.ordered_map(
-        lambda k: _on_piece(path, _parse_rows, pieces[k], library, pow5, comma,
-                            data[offsets[k]:offsets[k + 1]]), range(len(pieces))))
+        lambda k: _on_piece(path, _parse_rows, pieces[k], library, pow5, comma, ncols,
+                            first[offsets[k]:offsets[k + 1]], data[offsets[k]:offsets[k + 1]]),
+        range(len(pieces))))
     if min(parsed) < 0:
         return None
+    # row slices of the flat arrays are one-dimensional, so numpy moves them
+    # in place, lowest address first, without a temporary
+    flats = [(array.reshape(-1), array.shape[1]) for array in (first, data)]
     done = 0
     for offset, rows in zip(offsets, parsed):
         if offset != done:
-            data[done:done + rows] = data[offset:offset + rows]
+            for flat, m in flats:
+                flat[m * done:m * (done + rows)] = flat[m * offset:m * (offset + rows)]
         done += rows
-    return data[:done] if done else None
+    if not done:
+        return None
+    return data[:done] if split is None else (first[:done, 0], data[:done])
 
 
-def read_table(path):
+def read_table(path, split=None):
     """(header, rows) of a text table.  The header is the lines, stripped,
     before the first row: blank lines, '#' comments and lines of column
     names.  rows is the 2-D float array of the lines from there on, split by
     blanks or, when the first row has a comma, by commas; (0, 0) when the
-    file has no row."""
+    file has no row.  With split=k and a table of more than k columns, rows
+    is instead the pair (column 0 as a 1-D array, columns 1 to k as a
+    C-contiguous (n, k) array), with the bits of the same slices of the 2-D
+    array; the columns after them are read and dropped, so that only the
+    two arrays are held."""
     header = []
     with open(path) as fh:
         for line in fh:
@@ -177,12 +199,16 @@ def read_table(path):
         else:
             return header, np.empty((0, 0))
     comma = "," in line
+    if split is not None and len(tokens) <= split:
+        split = None
     library = _compiled.load()
     rows = (None if library is None
-            else _compiled_read(library, path, len(header), comma, len(tokens)))
+            else _compiled_read(library, path, len(header), comma, len(tokens), split))
     if rows is None:
         rows = np.loadtxt(path, delimiter="," if comma else None, skiprows=len(header),
                           ndmin=2)
+        if split is not None and rows.shape[1] > split:
+            rows = rows[:, 0].copy(), rows[:, 1:split + 1].copy()
     return header, rows
 
 

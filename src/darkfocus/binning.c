@@ -16,11 +16,14 @@
 
    The CDF is Cephes' ndtr, as scipy.special.ndtr computes it: the same
    coefficients, thresholds and Horner order, and exp from libm, so that
-   without contraction every value has scipy's bits. */
+   without contraction every value has scipy's bits.  The KS statistics
+   evaluate it at every eighth sorted point, and between those only where
+   the maximum can lie. */
 
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Bin of v among the m bins of the non-decreasing edges e[0..m], or -1. */
@@ -266,27 +269,63 @@ long df_ndtr(const double *a, long n, double *out)
     return n;
 }
 
+/* the anchors' spacing in df_ks_rows, and how far the computed ndtr may
+   fall between two points in order */
+enum { KS_STRIDE = 8 };
+static const double KS_SLACK = 1e-12;
+
+/* the largest of d and the two KS differences of sorted point i of n whose
+   CDF is c: (i + 1) / n - c and c - i / n */
+static double ks_terms(double d, double c, long i, long n)
+{
+    double above = (double)(i + 1) / (double)n, below = (double)i / (double)n;
+    if (above - c > d)
+        d = above - c;
+    if (c - below > d)
+        d = c - below;
+    return d;
+}
+
 /* The KS statistic of each of the rows sorted rows of n finite values x
    against the Gaussian of mean mu[r] and standard deviation sigma[r]: with
    c = ndtr((x - mu) / sigma), the largest of (i + 1) / n - c[i] and
    c[i] - i / n, the numbers numpy computes for the same expression.  Their
-   maximum is at least 1 / (2 n), so 0 starts it.  Returns rows. */
+   maximum is at least 1 / (2 n), so 0 starts it.
+
+   ndtr is evaluated at the anchors, every KS_STRIDE-th point and the last,
+   and the maximum taken over theirs.  Between anchors a < b the CDF rises,
+   so a point i inside has (i + 1) / n - c[i] <= b / n - c[a] and
+   c[i] - i / n <= c[b] - (a + 1) / n, each to within KS_SLACK; the points
+   inside are evaluated only when either bound reaches the maximum so far
+   less KS_SLACK (or is NaN), which leaves out only points below it: the
+   maximum over every point, with the same bits.  Returns rows, or -1 when
+   the anchors' scratch cannot be allocated. */
 long df_ks_rows(const double *x, long rows, long n, const double *mu,
                 const double *sigma, double *out)
 {
+    long anchors = n < 1 ? 0 : (n + KS_STRIDE - 2) / KS_STRIDE + 1;
+    double *c = malloc(((size_t)anchors + 1) * sizeof *c); /* one for n = 0 too */
+    if (c == NULL)
+        return -1;
     for (long r = 0; r < rows; r++) {
         const double *row = x + r * n;
-        double d = 0.0, below = 0.0;
-        for (long i = 0; i < n; i++) {
-            double cdf = ndtr((row[i] - mu[r]) / sigma[r]);
-            double above = (double)(i + 1) / (double)n;
-            if (above - cdf > d)
-                d = above - cdf;
-            if (cdf - below > d)
-                d = cdf - below;
-            below = above;
+        double m = mu[r], s = sigma[r], d = 0.0;
+        for (long j = 0; j < anchors; j++) {
+            long i = j * KS_STRIDE < n - 1 ? j * KS_STRIDE : n - 1;
+            c[j] = ndtr((row[i] - m) / s);
+            d = ks_terms(d, c[j], i, n);
+        }
+        for (long j = 0; j + 1 < anchors; j++) {
+            long a = j * KS_STRIDE;
+            long b = a + KS_STRIDE < n - 1 ? a + KS_STRIDE : n - 1;
+            if ((double)b / (double)n - c[j] <= d - KS_SLACK
+                && c[j + 1] - (double)(a + 1) / (double)n <= d - KS_SLACK)
+                continue;
+            for (long i = a + 1; i < b; i++)
+                d = ks_terms(d, ndtr((row[i] - m) / s), i, n);
         }
         out[r] = d;
     }
+    free(c);
     return rows;
 }

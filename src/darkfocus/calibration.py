@@ -219,7 +219,8 @@ def _ks_statistics(x, library):
     x.sort(axis=1)
     if library is not None:
         out = np.empty(len(x))
-        library.df_ks_rows(x, len(x), n, mu, sigma, out)
+        if library.df_ks_rows(x, len(x), n, mu, sigma, out) < 0:
+            raise MemoryError("df_ks_rows cannot allocate its scratch")
         return out
     cdf = _ndtr((x - mu[:, None]) / sigma[:, None])
     ranks = np.arange(n + 1) / n

@@ -707,25 +707,30 @@ def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:
     An explicit meters_per_pixel argument overrides the file header; either
     must be finite and positive.  The time column infers dt only without a
     '# dt=' comment; an '# escape_step= escape_time=' comment becomes the
-    EscapeReport, at the last row.  darkfocus._text.read_table reads the file.
+    EscapeReport, at the last row.  darkfocus._text.read_table reads the
+    file with the time column apart and x, y, z straight into the (n, 3)
+    array the Trajectory keeps, which is scaled in place, so a load holds
+    the two arrays and no copy of the table.
     """
-    header, data = read_table(path)
+    header, rows = read_table(path, split=3)
     # the last value of each key= token of the comment lines
     meta = dict(token.split("=", 1) for line in header if line.startswith("#")
                 for token in line.lstrip("#").split() if "=" in token)
-    if data.shape[1] < 4:
+    if not isinstance(rows, tuple):
         raise ValueError(f"expected columns t x y z in {path}")
+    times, positions = rows
     if "dt" in meta:
         dt = float(meta["dt"])
     else:
-        steps = np.diff(data[:, 0])
+        steps = np.diff(times)
         if len(steps) == 0 or np.ptp(steps) > 1e-9 * abs(steps[0]):
             raise ValueError("cannot infer a uniform dt from the time column")
         dt = float(steps[0])
+    del times  # the Trajectory keeps the positions alone
     if meters_per_pixel is None:
         meters_per_pixel = float(meta.get("meters_per_pixel", 1.0))
     _checks.real("meters_per_pixel", meters_per_pixel, above=0.0)
-    positions = data[:, 1:4] * meters_per_pixel
+    positions *= meters_per_pixel
     escape = None
     if "escape_step" in meta and "escape_time" in meta:
         escape = EscapeReport(position=tuple(positions[-1].tolist()),

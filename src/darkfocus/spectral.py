@@ -83,9 +83,20 @@ def _hann(nperseg, fs):
     return window
 
 
+# the most samples a block of segments holds: 1 MiB of doubles
+_WELCH_BLOCK = 1 << 17
+
+
 def _welch(x, dt, nperseg=None, overlap=0.5, signal_variance=math.nan) -> PsdEstimate:
     """The Welch estimate of the samples x taken every dt, as estimate_psd
-    describes it, carrying signal_variance as given."""
+    describes it, carrying signal_variance as given.
+
+    The segments are taken in blocks of at most _WELCH_BLOCK samples (at
+    least one segment), so the memory the estimate takes does not grow with
+    len(x).  Each block's powers are added to the running sum in segment
+    order by one np.add.reduce(axis=0) whose first row is the sum so far,
+    which adds the rows one after another, as the mean of all the segments'
+    powers at once does: the same bits."""
     n = len(x)
     if nperseg is None:
         nperseg = max(16, n // 8)
@@ -105,16 +116,27 @@ def _welch(x, dt, nperseg=None, overlap=0.5, signal_variance=math.nan) -> PsdEst
     # segment's own mean removed, every bin but DC (and Nyquist, for even
     # nperseg) doubled, and the segments averaged per bin
     fs = 1.0 / dt
-    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step]
-    segments = segments - segments.mean(axis=1, keepdims=True)
-    segments *= _hann(nperseg, fs)
-    spectra = np.fft.rfft(segments, axis=1)
-    # re^2 + im^2, squared in place on the interleaved parts
-    parts = spectra.view(float)
-    np.square(parts, out=parts)
-    power = np.add(parts[:, 0::2], parts[:, 1::2])
-    power[:, 1:(nperseg + 1) // 2] *= 2.0
-    psd = power.mean(axis=0)
+    window = _hann(nperseg, fs)
+    windows = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step]
+    per_block = max(1, _WELCH_BLOCK // nperseg)
+    total = np.zeros(nperseg // 2 + 1)
+    for start in range(0, n_segments, per_block):
+        segments = windows[start:start + per_block]
+        segments = segments - segments.mean(axis=1, keepdims=True)
+        segments *= window
+        spectra = np.fft.rfft(segments, axis=1)
+        del segments
+        # re^2 + im^2, squared in place on the interleaved parts, below the
+        # running sum
+        parts = spectra.view(float)
+        np.square(parts, out=parts)
+        power = np.empty((len(spectra) + 1, len(total)))
+        power[0] = total
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power[1:])
+        del spectra, parts
+        power[1:, 1:(nperseg + 1) // 2] *= 2.0
+        total = np.add.reduce(power, axis=0)
+    psd = total / n_segments
     freqs = np.fft.rfftfreq(nperseg, 1.0 / fs)
     return PsdEstimate(
         frequencies=freqs[1:],

@@ -452,16 +452,22 @@ static int is_blank(char c) { return c == ' ' || c == '\t'; }
 /* Parses the complete lines of text[0:len), and the unterminated last one
    when final, as rows of ncols plain decimal numbers split by blanks, or by
    commas with optional blanks around them when comma is set.  Lines end in
-   LF or CRLF; blank lines are skipped (empty ones only, with commas).  The
-   rows go to out (cap x ncols), their count to *nrows.  Returns the bytes
-   consumed, or -1 when the text breaks any of these rules or out is full,
-   so that the caller can parse it otherwise. */
+   LF or CRLF; blank lines are skipped (empty ones only, with commas).  Of
+   each row, the first lead numbers go to first (cap x lead), the next width
+   to out (cap x width), and the rest are read and dropped, so that a
+   caller can route a column apart and keep only the columns it uses; the
+   row count goes to *nrows.  Returns the bytes consumed, or -1 when the
+   text breaks any of these rules, lead + width > ncols or out is full, so
+   that the caller can parse it otherwise. */
 long df_parse_rows(const char *text, long len, int final, int comma, const uint64_t *pow5,
-                   long ncols, double *out, long cap, long *nrows)
+                   long ncols, double *first, long lead, double *out, long width, long cap,
+                   long *nrows)
 {
     const char *point = localeconv()->decimal_point;
     if (point[0] != '.' || point[1] != '\0')
         return -1; /* strtod would not read the decimal point */
+    if (lead < 0 || width < 0 || lead + width > ncols)
+        return -1;
     const char *p = text, *lim = text + len;
     long rows = 0;
     while (p < lim) {
@@ -481,7 +487,7 @@ long df_parse_rows(const char *text, long len, int final, int comma, const uint6
         }
         if (rows == cap)
             return -1;
-        double *row = out + ncols * rows;
+        double *head = first + lead * rows, *row = out + width * rows, dropped;
         long col = 0;
         for (;;) {
             if (comma)
@@ -489,7 +495,9 @@ long df_parse_rows(const char *text, long len, int final, int comma, const uint6
                     p++;
             if (col == ncols)
                 return -1;
-            p = parse_double(p, stop, pow5, &row[col++]);
+            p = parse_double(p, stop, pow5,
+                             col < lead ? &head[col] : col < lead + width ? &row[col - lead] : &dropped);
+            col++;
             if (p == NULL)
                 return -1;
             const char *end = p;

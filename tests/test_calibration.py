@@ -241,6 +241,48 @@ class TestKsGaussianity:
         assert np.isnan(out[-1]) and np.isnan(expected[-1])
         assert np.array_equal(out[:-1].view(np.int64), expected[:-1].view(np.int64))
 
+    @pytest.mark.parametrize("path", ["compiled", "reference"])
+    def test_gaussian_cdf_rises_across_its_branches(self, path):
+        # df_ks_rows bounds the points between two it evaluated by the CDF
+        # at those two, which holds while the computed ndtr never falls by
+        # more than its 1e-12 slack: dense on both sides of the branch
+        # switches at |x| = 1/sqrt(2), 1 and 8 (x = a / sqrt(2)), and on a
+        # grid over +-40
+        switches = np.sqrt(2.0) * np.array([math.sqrt(0.5), 1.0, 8.0])
+        switches = np.concatenate([switches, -switches])
+        ulps = np.arange(-20_000, 20_001)
+        a = np.sort(np.concatenate(
+            [(s.view(np.int64) + ulps * np.sign(s).astype(np.int64)).view(float)
+             for s in switches]
+            + [np.linspace(s - 1e-4, s + 1e-4, 20_001) for s in switches]
+            + [np.linspace(-40.0, 40.0, 400_001)]))
+        if path == "compiled":
+            cdf = np.empty_like(a)
+            _compiled.load().df_ndtr(a, len(a), cdf)
+        else:
+            cdf = _ndtr(a)
+        assert np.diff(cdf).min() >= -1e-12
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 17, 1000, 3921, 4000])
+    def test_row_kernel_skips_only_points_below_the_maximum(self, n):
+        # df_ks_rows evaluates every 8th sorted point and the last, and the
+        # points between only where they can hold the maximum: rows whose
+        # maximum lies between two such points, at the end of a run of ties
+        # ((i + 1) / n - cdf) or at its start (cdf - i / n), give the bits
+        # of the numpy reference that evaluates every point
+        rng = np.random.default_rng(n)
+        rows = [np.sort(rng.standard_normal(n)) for _ in range(6)]
+        for row in rows[2:4]:
+            end = max(0, n - 3 - 8 * int(rng.integers(1, 4)))
+            row[end // 3:end + 1] = row[end // 3]
+        for row in rows[4:]:
+            start = min(n - 1, 5 + 8 * int(rng.integers(0, 3)))
+            row[start:start + n // 3 + 1] = row[min(n - 1, start + n // 3)]
+        x = np.array(rows)
+        compiled = calibration._ks_statistics(x.copy(), _compiled.load())
+        reference = calibration._ks_statistics(x.copy(), None)
+        assert np.array_equal(compiled.view(np.int64), reference.view(np.int64))
+
     @pytest.mark.parametrize("n, n_null", [(1000, 120), (4000, 60), (50_001, 40)])
     def test_null_table_at_every_width_and_path(self, monkeypatch, n, n_null):
         # rows in blocks, reduced on the pool, compiled or not: the same bits

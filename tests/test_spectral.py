@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,65 @@ class TestEstimatePsd:
         np.testing.assert_array_equal(psd.frequencies, f[1:])
         np.testing.assert_allclose(psd.psd, p[1:], rtol=1e-12, atol=0.0)
         assert psd.n_segments == 1 + (n - nperseg) // (nperseg - int(nperseg * overlap))
+
+
+def one_shot_welch(x, dt, nperseg, overlap):
+    """The PSD of every segment's power at once, the Welch formula before
+    the segments were taken in blocks: the oracle of _welch's bits."""
+    step = nperseg - int(nperseg * overlap)
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step]
+    segments = segments - segments.mean(axis=1, keepdims=True)
+    segments *= spectral._hann(nperseg, 1.0 / dt)
+    spectra = np.fft.rfft(segments, axis=1)
+    parts = spectra.view(float)
+    np.square(parts, out=parts)
+    power = np.add(parts[:, 0::2], parts[:, 1::2])
+    power[:, 1:(nperseg + 1) // 2] *= 2.0
+    return power.mean(axis=0)[1:]
+
+
+class TestWelchBlocks:
+    # 64 and 63 samples take 2048 and 2080 segments a block; 70001 and
+    # 2**17 one segment a block
+    @pytest.mark.parametrize("nperseg", [64, 63, 70_001, 1 << 17])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_blocks_give_the_one_shot_bits(self, nperseg, overlap, layout):
+        per_block = max(1, spectral._WELCH_BLOCK // nperseg)
+        step = nperseg - int(nperseg * overlap)
+        rng = np.random.default_rng(nperseg)
+        counts = [c for c in sorted({per_block - 1, per_block, per_block + 1,
+                                     2 * per_block + 3, 3, 5})
+                  if nperseg + (c - 1) * step >= 2 * nperseg]
+        assert counts
+        for count in counts:
+            n = nperseg + (count - 1) * step + int(rng.integers(step))
+            positions = 1e-7 + 3e-9 * rng.standard_normal((n, 3))
+            x = positions[:, 1] if layout == "strided" else positions[:, 1].copy()
+            psd = spectral._welch(x, 2e-5, nperseg, overlap)
+            assert psd.n_segments == count
+            assert psd.psd.tobytes() == one_shot_welch(x, 2e-5, nperseg, overlap).tobytes()
+
+    @staticmethod
+    def traced_peak(x, nperseg=None):
+        spectral._welch(x, 2e-5, nperseg)  # the window is cached before tracing
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spectral._welch(x, 2e-5, nperseg)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_the_samples(self):
+        # numpy reports its buffers to tracemalloc: a block of segments, its
+        # spectra and powers, not every segment's at once
+        rng = np.random.default_rng(38)
+        x = rng.standard_normal((400_000, 3))[:, 0]
+        assert self.traced_peak(x) <= 4e6
+        peaks = [self.traced_peak(rng.standard_normal((n, 3))[:, 0], 50_000)
+                 for n in (200_000, 800_000)]
+        assert peaks[1] <= peaks[0] + 65536, peaks
 
 
 def brentq_root(f, a, b):

@@ -10,6 +10,7 @@ import os
 import shutil
 import struct
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -330,6 +331,128 @@ def test_read_table_stress_more_pieces_than_cores(library, tmp_path, monkeypatch
             assert load_trajectory(path).positions.tobytes() == traj.positions.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def saved_body():
+    rng = np.random.default_rng(38)
+    traj = Trajectory(dt=2e-5, positions=rng.standard_normal((300, 3)) * 1e-7)
+    buf = io.StringIO()
+    _text.write_table(buf, dynamics._timed_rows(traj.positions, 0, traj.dt))
+    return buf.getvalue()
+
+
+LOAD_FILES = {
+    "darkfocus": HEADER + saved_body(),
+    "pixels": "# dt=0.0667\n# meters_per_pixel=6.5e-8\nt x y z\n"
+              + "".join(f"{k * 0.0667} {k}.25 {2 * k} -{k % 7}\n" for k in range(500)),
+    "pixels without dt": "t x y z\n" + "".join(f"{k * 0.25} {k} {k}.5 {k % 3}\n"
+                                               for k in range(500)),
+    "crlf": HEADER + saved_body().replace("\n", "\r\n"),
+    "commas": HEADER + saved_body().replace(" ", ", "),
+    "blank lines": HEADER + saved_body().replace("\n", "\n\n  \n", 40),
+    "five columns": HEADER + "".join(f"{k * 1e-3} {k}e-9 -{k}.5e-8 {k % 5} {k * 7}\n"
+                                     for k in range(500)),
+    "six columns, commas": HEADER + "".join(f"{k * 1e-3},{k}e-9,-{k}.5e-8,{k % 5},1,2\n"
+                                            for k in range(500)),
+}
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("name", sorted(LOAD_FILES))
+def test_loaded_positions_are_the_loadtxt_columns(tmp_path, monkeypatch, name, width):
+    # x, y, z are parsed straight into the array the Trajectory keeps and
+    # scaled there: C-contiguous, with the bits of loadtxt's columns 1-3
+    # times meters_per_pixel, on the compiled path (in pieces) and the reference
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)))
+    monkeypatch.setattr(_text, "_READ_BYTES", 4096)
+    path = tmp_path / "load.txt"
+    text = LOAD_FILES[name]
+    path.write_bytes(text.encode())
+    header = 4 if text.startswith(HEADER) else text.count("#") + 1
+    table = np.loadtxt(path, delimiter="," if "," in text else None, skiprows=header, ndmin=2)
+    scale = 6.5e-8 if "meters_per_pixel" in text else 1.0
+    for reference in (False, True):
+        with monkeypatch.context() as m:
+            if reference:
+                m.setattr(_compiled, "load", lambda: None)
+            for mpp, factor in ((None, scale), (3.7e-7, 3.7e-7)):
+                positions = load_trajectory(path, meters_per_pixel=mpp).positions
+                assert positions.flags.c_contiguous, reference
+                assert positions.shape == (len(table), 3), reference
+                assert positions.tobytes() == (table[:, 1:4] * factor).tobytes(), reference
+
+
+def test_split_read_routes_the_time_column(library, tmp_path):
+    # df_parse_rows writes column 0 to its own column and columns 1-3 to the
+    # (n, 3) array; the columns after them are read and dropped, a short row
+    # is still refused
+    path = tmp_path / "split.txt"
+    path.write_bytes((HEADER + LOAD_FILES["five columns"].removeprefix(HEADER)).encode())
+    table = np.loadtxt(path, skiprows=4)
+    times, positions = _text._compiled_read(library, path, 4, False, 5, split=3)
+    assert times.tobytes() == table[:, 0].tobytes()
+    assert positions.tobytes() == table[:, 1:4].tobytes()
+    assert _text._compiled_read(library, path, 4, False, 5).tobytes() == table.tobytes()
+    path.write_bytes((HEADER + "1 2 3 4 5\n1 2 3 4\n").encode())
+    assert _text._compiled_read(library, path, 4, False, 5, split=3) is None
+    # a table of no more than split columns comes back whole
+    path.write_bytes((HEADER + "1 2 3\n4 5 6\n").encode())
+    header, rows = _text.read_table(path, split=3)
+    assert rows.shape == (2, 3)
+    with pytest.raises(ValueError, match="expected columns t x y z"):
+        load_trajectory(path)
+
+
+def traced_peak(call):
+    """The result of call() and the most memory it held at once above what
+    was traced before it, under tracemalloc, which numpy reports its
+    buffers to."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+LOAD_ROWS = 400_000
+
+
+@pytest.fixture(scope="module")
+def long_recording(tmp_path_factory):
+    rng = np.random.default_rng(3838)
+    traj = Trajectory(dt=2e-5, positions=rng.standard_normal((LOAD_ROWS, 3)) * 1e-7, seed=3)
+    path = tmp_path_factory.mktemp("long") / "long.txt"
+    save_trajectory(traj, path)
+    return traj, path
+
+
+def test_load_holds_the_positions_and_times_only(library, long_recording, monkeypatch):
+    # the parsed (n, 4) table and its scaled (n, 3) copy are gone: a load
+    # holds the time column, the positions and a read buffer per piece
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+    traj, path = long_recording
+    loaded, peak = traced_peak(lambda: load_trajectory(path))
+    assert loaded.positions.tobytes() == traj.positions.tobytes()
+    assert peak <= 5 * 8 * LOAD_ROWS, peak / (8 * LOAD_ROWS)
+
+
+def test_blank_lines_are_closed_in_place(library, long_recording, tmp_path, monkeypatch):
+    # blank lines leave the first piece short; its gap is closed through
+    # one-dimensional views, so the rows after it move without a temporary
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+    traj, path = long_recording
+    lines = path.read_bytes().split(b"\n")
+    gapped = tmp_path / "gapped.txt"
+    gapped.write_bytes(b"\n".join(lines[:6] + [b""] * 50 + lines[6:]))
+    for read in (lambda p: load_trajectory(p).positions, lambda p: _text.read_table(p)[1]):
+        plain, plain_peak = traced_peak(lambda: read(path))
+        rows, peak = traced_peak(lambda: read(gapped))
+        assert rows.tobytes() == plain.tobytes()
+        assert peak <= plain_peak + (1 << 20), (peak, plain_peak)
 
 
 @pytest.mark.parametrize("n_rows", [100, 3 * _text._ROWS_PER_BLOCK + 17])
