@@ -69,9 +69,7 @@ class BeamParams:
             raise ValueError(f"na must satisfy 0 < na < n_medium, got na={self.na}, "
                              f"n_medium={self.n_medium}")
         _checks.real("p_total", self.p_total, above=0.0)
-        _checks.count("p_index", self.p_index, 0)
-        if self.p_index > _MAX_P_INDEX:
-            raise ValueError(f"p_index must be at most {_MAX_P_INDEX}, got {self.p_index!r}")
+        _checks.count("p_index", self.p_index, 0, _MAX_P_INDEX)
         _checks.real("theta_rel", self.theta_rel)
 
     # Derived quantities are recomputed on access so they can never go stale.
@@ -300,8 +298,7 @@ def bottle_geometry(params: BeamParams, method: str = "auto"):
     """
     if params.p_index < 1:
         raise ValueError("bottle geometry requires p_index >= 1")
-    if method not in ("auto", "search"):
-        raise ValueError(f"unknown method {method!r}")
+    _checks.choice("method", method, ("auto", "search"))
 
     if params.p_index == 1 and method != "search":
         return 2.0 * params.waist, 2.0 * params.rayleigh_range
@@ -323,8 +320,7 @@ class GridSpec:
     transverse_kind: str = "rho"
 
     def __post_init__(self):
-        if self.transverse_kind not in ("rho", "x"):
-            raise ValueError("transverse_kind must be 'rho' or 'x'")
+        _checks.choice("transverse_kind", self.transverse_kind, ("rho", "x"))
         for axis in ("transverse", "z"):
             _checks.real(f"grid spacing {axis}_step", getattr(self, f"{axis}_step"), above=0.0)
             _checks.count(f"{axis}_count", getattr(self, f"{axis}_count"), 1)

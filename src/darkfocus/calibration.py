@@ -277,9 +277,7 @@ def ks_gaussianity_test(samples, significance: float = 0.05,
     x = np.asarray(samples, dtype=float).ravel()
     if len(x) < 1000:
         raise ValueError(f"need at least 1000 samples, got {len(x)}")
-    _checks.real("significance", significance, above=0.0)
-    if not significance < 1:
-        raise ValueError("significance must lie in (0, 1)")
+    _checks.real("significance", significance, above=0.0, below=1.0)
     _checks.count("n_null", n_null, 1)
     if not np.isfinite(x).all():
         raise ValueError("samples must be finite, got NaN or inf")

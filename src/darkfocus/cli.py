@@ -271,9 +271,7 @@ def cmd_psd(cfg, out: Path) -> int:
     _checks.choice("analysis.psd_axis", a["psd_axis"], ("x", "y", "z"))
     if a["psd_nperseg"] is not None:
         _checks.count("analysis.psd_nperseg", a["psd_nperseg"], 4)
-    if not 0 <= a["psd_overlap"] < 1:
-        raise ValueError("analysis.psd_overlap must be a fraction in [0, 1), "
-                         f"got {a['psd_overlap']!r}")
+    _checks.real("analysis.psd_overlap", a["psd_overlap"], at_least=0.0, below=1.0)
     traj = _get_trajectory(cfg)
     if a["psd_nperseg"] is not None and a["psd_nperseg"] > len(traj) // 2:
         raise ValueError(f"analysis.psd_nperseg must be at most {len(traj) // 2} for two "
@@ -324,9 +322,7 @@ def cmd_sweep_na(cfg, out: Path) -> int:
         _checks.real(f"sweep.{key}", s[key], above=0.0)
     beam = _beam_from(cfg)
     for key in ("na_start", "na_stop"):
-        if not 0 < s[key] < beam.n_medium:
-            raise ValueError(f"sweep.{key} must be above 0 and below the beam's medium index "
-                             f"{beam.n_medium!r}, got {s[key]!r}")
+        _checks.real(f"sweep.{key}", s[key], above=0.0, below=beam.n_medium)
     if s["domain_bound"] not in (None, math.inf):  # +inf: no wall
         _checks.real("sweep.domain_bound", s["domain_bound"], above=0.0)
     target_fc = s["target_fc"]
@@ -337,11 +333,9 @@ def cmd_sweep_na(cfg, out: Path) -> int:
         _checks.real("sweep.target_fc", target_fc[0], above=0.0)
         _checks.real("sweep.target_fc", target_fc[1], at_least=0.0)
     # estimate_na keeps at least 100 samples of each run
-    for key, least in (("n_steps", 99), ("n_reps", 1), ("burn_in", 0)):
+    for key, least in (("n_steps", 99), ("n_reps", 1)):
         _checks.count(f"sweep.{key}", s[key], least)
-    if s["burn_in"] > s["n_steps"] + 1 - 100:
-        raise ValueError(f"sweep.burn_in must be at most {s['n_steps'] + 1 - 100} to leave 100 "
-                         f"of the {s['n_steps'] + 1} samples of a run, got {s['burn_in']!r}")
+    _checks.count("sweep.burn_in", s["burn_in"], 0, s["n_steps"] + 1 - 100)
     _checks.choice("sweep.boundary", s["boundary"], ("absorb", "reflect"))
     if not s["na_stop"] >= s["na_start"]:
         raise ValueError(

@@ -46,7 +46,6 @@ class PsdEstimate:
     nperseg: int
     overlap: float
     n_segments: int
-    signal_variance: float
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -87,9 +86,9 @@ def _hann(nperseg, fs):
 _WELCH_BLOCK = 1 << 17
 
 
-def _welch(x, dt, nperseg=None, overlap=0.5, signal_variance=math.nan) -> PsdEstimate:
+def _welch(x, dt, nperseg=None, overlap=0.5) -> PsdEstimate:
     """The Welch estimate of the samples x taken every dt, as estimate_psd
-    describes it, carrying signal_variance as given.
+    describes it.
 
     The segments are taken in blocks of at most _WELCH_BLOCK samples (at
     least one segment), so the memory the estimate takes does not grow with
@@ -103,12 +102,9 @@ def _welch(x, dt, nperseg=None, overlap=0.5, signal_variance=math.nan) -> PsdEst
     # below 4 samples a segment leaves fewer than two bins above DC
     _checks.count("nperseg", nperseg, 4)
     if nperseg > n // 2:
-        raise ValueError(
-            f"segment length {nperseg} needs at least two segments in {n} samples"
-        )
-    _checks.real("overlap", overlap, at_least=0.0)
-    if not overlap < 1:
-        raise ValueError("overlap fraction must lie in [0, 1)")
+        raise ValueError(f"nperseg must be at most {n // 2} for two segments in {n} samples, "
+                         f"got {nperseg!r}")
+    _checks.real("overlap", overlap, at_least=0.0, below=1.0)
     noverlap = int(nperseg * overlap)
     step = nperseg - noverlap
     n_segments = 1 + (n - nperseg) // step
@@ -144,7 +140,6 @@ def _welch(x, dt, nperseg=None, overlap=0.5, signal_variance=math.nan) -> PsdEst
         nperseg=nperseg,
         overlap=overlap,
         n_segments=n_segments,
-        signal_variance=signal_variance,
     )
 
 
@@ -159,8 +154,7 @@ def estimate_psd(
     The DC bin is dropped.  Default segment length is len/8, giving about
     fifteen 50%-overlapped Hann segments.
     """
-    x = traj.axis(axis)
-    return _welch(x, traj.dt, nperseg, overlap, signal_variance=float(np.var(x)))
+    return _welch(traj.axis(axis), traj.dt, nperseg, overlap)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 darkfocus._checks: a table of each entry point's arguments, each refused
 as a bool, a string, NaN, an infinity and a value below its bound with a
 ValueError that names it and the value, and each accepted as a numpy
-scalar with the same result as the Python number.  A guard keeps the
-decision in that one module."""
+scalar with the same result as the Python number.  Upper bounds and
+choices among names are refused the same way.  A guard keeps the decision
+in that one module."""
 
 import dataclasses
 import math
@@ -26,6 +27,7 @@ from darkfocus import (
     TrapComparison,
     absorption_ratio,
     boltzmann_potential,
+    bottle_geometry,
     decorrelation_stride,
     effective_cross_section,
     estimate_na,
@@ -86,7 +88,8 @@ def trajectory_file(tmp_path_factory):
 
 
 # (entry point, argument, call(value), good value, bound): bound is
-# (COUNT, least value) for a count, else _checks.real's bound keywords
+# (COUNT, least value[, most value]) for a count, else _checks.real's bound
+# keywords
 COUNT, POSITIVE, AT_LEAST_ONE, NONNEGATIVE, ANY = (
     "count", dict(above=0.0), dict(at_least=1.0), dict(at_least=0.0), {})
 TABLE = [
@@ -94,7 +97,7 @@ TABLE = [
     *(("BeamParams", name, lambda v, name=name: BeamParams(**{**BEAM, name: v}), BEAM[name],
        bound) for name, bound in (("lambda0", POSITIVE), ("n_medium", AT_LEAST_ONE),
                                   ("na", POSITIVE), ("p_total", POSITIVE))),
-    ("BeamParams", "p_index", lambda v: BeamParams(**BEAM, p_index=v), 2, (COUNT, 0)),
+    ("BeamParams", "p_index", lambda v: BeamParams(**BEAM, p_index=v), 2, (COUNT, 0, 100)),
     ("BeamParams", "theta_rel", lambda v: BeamParams(**BEAM, theta_rel=v), 3.0, ANY),
     *(("GridSpec", name, lambda v, name=name: GridSpec(**{**GRID, name: v}), GRID[name],
        bound) for name, bound in (("transverse_step", POSITIVE), ("z_step", POSITIVE),
@@ -131,13 +134,14 @@ TABLE = [
     ("load_trajectory", "meters_per_pixel", read_scaled, 4.7e-8, POSITIVE),
     # spectral
     ("estimate_psd", "nperseg", lambda v: estimate_psd(SIGNAL, nperseg=v), 256, (COUNT, 4)),
-    ("estimate_psd", "overlap", lambda v: estimate_psd(SIGNAL, overlap=v), 0.25, NONNEGATIVE),
+    ("estimate_psd", "overlap", lambda v: estimate_psd(SIGNAL, overlap=v), 0.25,
+     dict(at_least=0.0, below=1.0)),
     # calibration
     ("ks_gaussianity_test", "n_null",
      lambda v: ks_gaussianity_test(SAMPLES[:1000, 0], n_null=v), 20, (COUNT, 1)),
     ("ks_gaussianity_test", "significance",
      lambda v: ks_gaussianity_test(SAMPLES[:1000, 0], significance=v, n_null=20), 0.05,
-     POSITIVE),
+     dict(above=0.0, below=1.0)),
     *(("decorrelation_stride", name,
        lambda v, name=name: decorrelation_stride(**{**dict(drag=1e-8, stiffness=1e-6,
                                                            dt=1e-5), name: v}),
@@ -172,11 +176,14 @@ IDS = [f"{entry}-{name}" for entry, name, *_ in TABLE]
 
 def bad_values(bound):
     """Each value the argument must refuse: never a bool or a string, never
-    NaN or an infinity, and for a count never a fraction, nor a value below
-    its bound."""
+    NaN or an infinity, and for a count never a fraction, nor a value past
+    either bound."""
     values = [True, np.True_, "x", "1", math.nan, math.inf, -math.inf]
     if isinstance(bound, tuple):
-        return values + [2.5, np.float64(2.0), bound[1] - 1]
+        _, least, *most = bound
+        return values + [2.5, np.float64(2.0), least - 1] + [m + 1 for m in most]
+    if "below" in bound:
+        values += [bound["below"], math.nextafter(bound["below"], math.inf), bound["below"] + 1]
     if "above" in bound:
         return values + [bound["above"], bound["above"] - 1e-300, -1.0]
     if "at_least" in bound:
@@ -249,6 +256,21 @@ def test_count(value, message):
 
 
 @pytest.mark.parametrize("value,message", [
+    (100, None), (np.int64(0), None),
+    (101, "n must be an integer in [0, 100], got 101"),
+    (-1, "n must be an integer in [0, 100], got -1"),
+    (2**63, "n must be an integer in [0, 100], got 9223372036854775808"),
+    (True, "n must be an integer in [0, 100], got True"),
+])
+def test_count_with_a_most_value(value, message):
+    if message is None:
+        _checks.count("n", value, 0, 100)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _checks.count("n", value, 0, 100)
+
+
+@pytest.mark.parametrize("value,message", [
     (-2, None), (np.int64(-2), None), (0, None),
     (2.5, "ell must be an integer, got 2.5"),
     (True, "ell must be an integer, got True"),
@@ -272,6 +294,14 @@ def test_integer_without_a_least_value(value, message):
     (np.float64(math.nan), {}, "x must be a finite number, got np.float64(nan)"),
     (np.float32(math.inf), {}, "x must be a finite number, got np.float32(inf)"),
     (1 + 0j, {}, "x must be a finite number, got (1+0j)"),
+    (0.0, dict(at_least=0.0, below=1.0), None),
+    (math.nextafter(1.0, 0.0), dict(above=0.0, below=1.0), None),
+    (1.0, dict(at_least=0.0, below=1.0), "x must be finite and in [0, 1), got 1.0"),
+    (-0.5, dict(at_least=0.0, below=1.0), "x must be finite and in [0, 1), got -0.5"),
+    (0.0, dict(above=0.0, below=1.0), "x must be finite and in (0, 1), got 0.0"),
+    (1.53, dict(above=0.0, below=1.53), "x must be finite and in (0, 1.53), got 1.53"),
+    (math.nan, dict(above=0.0, below=1.0), "x must be finite and in (0, 1), got nan"),
+    (2.0, dict(below=1.0), "x must be finite and < 1, got 2.0"),
 ])
 def test_real(value, options, message):
     if message is None:
@@ -279,6 +309,31 @@ def test_real(value, options, message):
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _checks.real("x", value, **options)
+
+
+@pytest.mark.parametrize("call,value,message", [
+    (lambda v: BeamParams(**BEAM, p_index=v), 101,
+     "p_index must be an integer in [0, 100], got 101"),
+    (lambda v: ks_gaussianity_test(SAMPLES[:1000, 0], significance=v, n_null=20), 1.0,
+     "significance must be finite and in (0, 1), got 1.0"),
+    (lambda v: estimate_psd(SIGNAL, overlap=v), 1.0,
+     "overlap must be finite and in [0, 1), got 1.0"),
+], ids=["p_index", "significance", "overlap"])
+def test_upper_bound_named_in_full(call, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+# "x" is a transverse_kind, so these choices cannot be TABLE rows
+@pytest.mark.parametrize("name,call,options", [
+    ("transverse_kind", lambda v: GridSpec(**{**GRID, "transverse_kind": v}), "'rho' or 'x'"),
+    ("method", lambda v: bottle_geometry(BeamParams(**BEAM), method=v), "'auto' or 'search'"),
+], ids=["transverse_kind", "method"])
+@pytest.mark.parametrize("value", [True, None, "sphere"])
+def test_choice_named(name, call, options, value):
+    message = f"{name} must be {options}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 def test_one_module_decides_what_a_number_is():

@@ -5,8 +5,23 @@ import time
 import numpy as np
 import pytest
 
-from darkfocus import Trajectory, save_trajectory
-from darkfocus.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_PHYSICS, main
+from darkfocus import (
+    AbsorptionScenario,
+    BeamParams,
+    GridSpec,
+    ParticleMedium,
+    QuarticCoefficients,
+    SimConfig,
+    Trajectory,
+    absorption_ratio,
+    calibration,
+    estimate_na,
+    estimate_psd,
+    load_trajectory,
+    reconstruct_potential,
+    save_trajectory,
+)
+from darkfocus.cli import _DEFAULTS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_PHYSICS, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -598,3 +613,138 @@ def test_numerical_failure_exit_code(tmp_path, capsys, command, analysis, messag
     assert code == EXIT_NUMERICAL
     assert err.startswith(f"numerical failure: {message}")
     assert "Traceback" not in err
+
+
+# The CLI checks these keys before any work, and a library argument checks
+# each again: the two must agree on every value, so a probe at each bound,
+# and a double or an integer either side of it, is refused by both or by
+# neither.  An accepted probe gets as far as the command's missing input.
+BEAM = _DEFAULTS["beam"]
+SWEEP = _DEFAULTS["sweep"]
+PARTICLE = ParticleMedium(**{**_DEFAULTS["particle"], "n_medium": BEAM["n_medium"]})
+RNG = np.random.default_rng(11)
+SIGNAL = Trajectory(dt=1e-4, positions=RNG.standard_normal((4096, 3)))
+SAMPLES = RNG.standard_normal((1000, 3)) * 1e-7
+RECORDING = None
+
+
+@pytest.fixture(scope="module", autouse=True)
+def recording(tmp_path_factory):
+    global RECORDING
+    RECORDING = tmp_path_factory.mktemp("drift") / "recording.txt"
+    save_trajectory(SIGNAL, RECORDING)
+
+
+class Accepted(Exception):
+    """Raised where the library starts work, every argument checked."""
+
+
+def stop(*args, **kwargs):
+    raise Accepted
+
+
+def around(bound):
+    """bound and its neighbours: the integers or the doubles either side."""
+    if isinstance(bound, int):
+        return [bound - 1, bound, bound + 1]
+    return [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+
+
+def sweep(**changes):
+    options = dict(dt=SWEEP["dt"], n_steps=SWEEP["n_steps"], n_reps=SWEEP["n_reps"],
+                   burn_in=SWEEP["burn_in"])
+    return estimate_na(None, [BEAM["na"]], PARTICLE, BeamParams(**BEAM),
+                       **{**options, **changes})
+
+
+def sim_config(**changes):
+    coefficients = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
+    return SimConfig(**{**dict(particle=PARTICLE, dt=SWEEP["dt"], n_steps=SWEEP["n_steps"],
+                               force_model="quartic", coefficients=coefficients), **changes})
+
+
+def grid(**changes):
+    return GridSpec.centered(1e-6, 1e-6, **{**dict(n_transverse=2, n_z=2,
+                                                   transverse_kind="x"), **changes})
+
+
+def eta(r_eff):
+    bottle = BeamParams(**BEAM)
+    gaussian = BeamParams(**{**BEAM, "p_index": 0, "theta_rel": 0.0})
+    return absorption_ratio(AbsorptionScenario(bottle, gaussian, 1e-13), r_eff)
+
+
+NEXT_BELOW_MEDIUM = math.nextafter(BEAM["n_medium"], 0.0)
+# (command, section.key, probes, the library's call of a probe, other settings)
+DRIFT = [
+    ("psd", "analysis.psd_nperseg", around(4), lambda v: estimate_psd(SIGNAL, nperseg=v), {}),
+    ("psd", "analysis.psd_overlap", around(0.0) + around(1.0),
+     lambda v: estimate_psd(SIGNAL, overlap=v), {}),
+    ("psd", "analysis.psd_axis", ["x", "y", "z", "w", "X"],
+     lambda v: estimate_psd(SIGNAL, axis=v), {}),
+    ("psd", "analysis.meters_per_pixel", around(0.0),
+     lambda v: load_trajectory(RECORDING, meters_per_pixel=v), {}),
+    *(("calibrate", f"analysis.{key}", around(1),
+       lambda v, key=key: reconstruct_potential(SAMPLES, 293.0, **{key: v}), {})
+      for key in ("n_bins", "n_folds", "min_count")),
+    ("sweep-na", "sweep.n_reps", around(1), lambda v: sweep(n_reps=v), {}),
+    ("sweep-na", "sweep.burn_in", around(0) + around(SWEEP["n_steps"] + 1 - 100),
+     lambda v: sweep(burn_in=v), {}),
+    ("sweep-na", "sweep.target_fc",
+     [[fc, 1.0] for fc in around(0.0)] + [[90.0, error] for error in around(0.0)],
+     lambda v: sweep(target_fc=tuple(v)), {}),
+    ("sweep-na", "sweep.dt", around(0.0), lambda v: sim_config(dt=v), {}),
+    ("sweep-na", "sweep.boundary", ["absorb", "reflect", "wall"],
+     lambda v: sim_config(boundary=v), {}),
+    ("sweep-na", "sweep.domain_bound", around(0.0) + [math.inf],
+     lambda v: sim_config(domain_bound=v), {}),
+    ("sweep-na", "sweep.na_start", around(0.0) + around(BEAM["n_medium"]),
+     lambda v: BeamParams(**{**BEAM, "na": v}), {"sweep": {"na_stop": NEXT_BELOW_MEDIUM}}),
+    ("sweep-na", "sweep.na_stop", around(0.0) + around(BEAM["n_medium"]),
+     lambda v: BeamParams(**{**BEAM, "na": v}), {"sweep": {"na_start": 5e-324}}),
+    ("beam", "grid.n_transverse", around(1), lambda v: grid(n_transverse=v), {}),
+    ("beam", "grid.n_z", around(1), lambda v: grid(n_z=v), {}),
+    ("beam", "grid.transverse_kind", ["rho", "x", "y"], lambda v: grid(transverse_kind=v), {}),
+    ("absorb", "absorption.r_eff_min", around(0.0), eta, {}),
+    ("absorb", "absorption.r_eff_max", around(0.0), eta, {}),
+]
+MISSING_INPUT = {"psd": "analysis.trajectory", "calibrate": "analysis.trajectory",
+                 "sweep-na": "sweep.target"}
+
+
+def library_refuses(call, value):
+    try:
+        call(value)
+    except ValueError:
+        return True
+    # past the checks: stopped where the work starts, or failed in it
+    except (Accepted, ArithmeticError):
+        pass
+    return False
+
+
+@pytest.mark.parametrize("command,key,value,call,settings", [
+    (command, key, value, call, settings)
+    for command, key, probes, call, settings in DRIFT for value in probes
+], ids=[f"{key}={value!r}" for _, key, probes, *_ in DRIFT for value in probes])
+def test_cli_and_library_refuse_the_same_values(tmp_path, capsys, monkeypatch, command, key,
+                                                value, call, settings):
+    monkeypatch.setattr(calibration, "_support_bounds", stop)
+    monkeypatch.setattr(calibration, "_target_marginals", stop)
+    config = {"grid": {"n_transverse": 2, "n_z": 2}}
+    for name, values in settings.items():
+        config.setdefault(name, {}).update(values)
+    if command in MISSING_INPUT:
+        section, input_key = MISSING_INPUT[command].split(".")
+        config.setdefault(section, {})[input_key] = str(tmp_path / "no-such-file.txt")
+    section, name = key.split(".")
+    config.setdefault(section, {})[name] = value
+    code = main([command, "--config", write_config(tmp_path, config),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    refused = code == EXIT_CONFIG and err.startswith(f"config error: {key} must be ")
+    assert refused == library_refuses(call, value), err
+    if not refused and command in MISSING_INPUT:
+        assert err.startswith(f"config error: cannot read {MISSING_INPUT[command]}"), err
+    elif not refused:
+        assert code != EXIT_CONFIG, err
