@@ -31,13 +31,11 @@ from .calibration import (
     KsResult,
     NaSweepResult,
     PotentialReconstruction,
-    boltzmann_potential,
     decorrelation_stride,
     estimate_na,
     histogram_pdf,
     kl_divergence,
     ks_gaussianity_test,
-    rebin_pdf,
     reconstruct_potential,
 )
 from .dynamics import (

@@ -120,6 +120,21 @@ def _on_piece(path, step, piece, *args):
         return step(fh, *piece, np.empty(_READ_BYTES, dtype=np.uint8), *args)
 
 
+def close_gaps(arrays, starts, lengths):
+    """Move the pieces of rows starts[k]:starts[k] + lengths[k] of the C-contiguous
+    2-D arrays down to follow one another from row 0; returns the rows filled.
+    Row slices of the flat arrays are one-dimensional, so numpy moves them in
+    place, lowest address first, without a temporary."""
+    flats = [(array.reshape(-1), array.shape[1]) for array in arrays]
+    done = 0
+    for start, rows in zip(starts, lengths):
+        if start != done:
+            for flat, m in flats:
+                flat[m * done:m * (done + rows)] = flat[m * start:m * (start + rows)]
+        done += rows
+    return done
+
+
 def _compiled_read(library, path, n_header, comma, ncols, split=None):
     """The data rows after the first n_header lines, ncols numbers each,
     parsed by trajio.c's df_parse_rows in blocks of _READ_BYTES, as the 2-D
@@ -161,15 +176,7 @@ def _compiled_read(library, path, n_header, comma, ncols, split=None):
         range(len(pieces))))
     if min(parsed) < 0:
         return None
-    # row slices of the flat arrays are one-dimensional, so numpy moves them
-    # in place, lowest address first, without a temporary
-    flats = [(array.reshape(-1), array.shape[1]) for array in (first, data)]
-    done = 0
-    for offset, rows in zip(offsets, parsed):
-        if offset != done:
-            for flat, m in flats:
-                flat[m * done:m * (done + rows)] = flat[m * offset:m * (offset + rows)]
-        done += rows
+    done = close_gaps((first, data), offsets, parsed)
     if not done:
         return None
     return data[:done] if split is None else (first[:done, 0], data[:done])

@@ -110,6 +110,10 @@ def absorption_ratio(scenario: AbsorptionScenario,
     num = _disk_power_fraction(lambda r: dft_intensity(bottle_unit, r, 0.0), r_eff, waist)
     den = _disk_power_fraction(lambda r: gaussian_intensity(gauss_unit, r, 0.0), r_eff,
                                waist)
+    if den == 0.0:
+        # the fractions underflow below ~1e-165 m; as r_eff -> 0 each is I(0) pi r_eff^2
+        num = float(dft_intensity(bottle_unit, 0.0, 0.0))
+        den = float(gaussian_intensity(gauss_unit, 0.0, 0.0))
     return scenario.power_ratio * num / den
 
 

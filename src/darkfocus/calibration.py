@@ -28,10 +28,8 @@ __all__ = [
     "PotentialReconstruction",
     "NaSweepResult",
     "histogram_pdf",
-    "rebin_pdf",
     "kl_divergence",
     "ks_gaussianity_test",
-    "boltzmann_potential",
     "reconstruct_potential",
     "estimate_na",
     "decorrelation_stride",
@@ -101,40 +99,17 @@ def _counts_pdf(counts, edges, n_samples, pseudocount) -> EmpiricalPdf:
     )
 
 
-def rebin_pdf(pdf: EmpiricalPdf, new_edges) -> EmpiricalPdf:
-    """Mass-conserving rebin of a density onto new edges (assumes uniform
-    density inside each original bin)."""
-    new_edges = np.asarray(new_edges, dtype=float)
-    if np.any(np.diff(new_edges) <= 0):
-        raise ValueError("new edges must be strictly increasing")
-    old = pdf.bin_edges
-    mass = np.concatenate([[0.0], np.cumsum(pdf.density * pdf.widths)])
-
-    def cum_mass(v):
-        v = np.clip(v, old[0], old[-1])
-        i = np.clip(np.searchsorted(old, v, side="right") - 1, 0, len(old) - 2)
-        frac = (v - old[i]) / (old[i + 1] - old[i])
-        return mass[i] + frac * (mass[i + 1] - mass[i])
-
-    new_mass = np.diff(cum_mass(new_edges))
-    total = new_mass.sum()
-    if total <= 0:
-        raise ValueError("new edges do not overlap the pdf support")
-    density = new_mass / total / np.diff(new_edges)
-    return EmpiricalPdf(bin_edges=new_edges, density=density,
-                        n_samples=pdf.n_samples, pseudocount=pdf.pseudocount)
-
-
 def kl_divergence(p: EmpiricalPdf, q: EmpiricalPdf) -> float:
     """D(p || q) = sum p ln(p/q) dx in nats on a shared binning.
 
     Zero exactly when the densities agree bin-wise; infinite when q
     vanishes where p does not (regularize q with a pseudocount first).
-    The edges must agree to 1e-9 of the narrowest bin.
+    The edges must agree to 1e-9 of the narrowest bin: build q with
+    ``histogram_pdf(..., bins=p.bin_edges)``.
     """
     if len(p.bin_edges) != len(q.bin_edges) or not np.allclose(
             p.bin_edges, q.bin_edges, rtol=0.0, atol=1e-9 * p.widths.min()):
-        raise ValueError("pdfs are on different grids; rebin one of them first")
+        raise ValueError("pdfs are on different grids; use histogram_pdf(..., bins=p.bin_edges)")
     widths = p.widths
     mask = p.density > 0
     if np.any(q.density[mask] == 0):
@@ -302,19 +277,6 @@ def decorrelation_stride(drag: float, stiffness: float, dt: float) -> int:
     for name, value in (("drag", drag), ("stiffness", stiffness), ("dt", dt)):
         _checks.real(name, value, above=0.0)
     return max(1, math.ceil(DECORRELATION_TIMES * (drag / stiffness) / dt))
-
-
-def boltzmann_potential(pdf: EmpiricalPdf, temperature: float):
-    """Invert a 1-D density to a potential profile, V = -kB T ln P, min 0.
-
-    Returns (centers, V) over the bins with positive density.
-    """
-    _checks.real("temperature", temperature, above=0.0)
-    mask = pdf.density > 0
-    if mask.sum() < 3:
-        raise NumericalError("density support too narrow to invert")
-    v = -BOLTZMANN * temperature * np.log(pdf.density[mask])
-    return pdf.centers[mask], v - v.min()
 
 
 @dataclass(frozen=True)

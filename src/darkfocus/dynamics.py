@@ -54,7 +54,7 @@ import numpy as np
 from . import _checks, _compiled, _parallel
 from ._checks import NumericalError
 from ._roots import bracketed_root
-from ._text import _ROWS_PER_BLOCK, read_table, write_blocks
+from ._text import _ROWS_PER_BLOCK, close_gaps, read_table, write_blocks
 from .beam import BeamParams, _bottle_constants, _bottle_field
 from .forces import (
     BOLTZMANN,
@@ -76,6 +76,8 @@ __all__ = [
     "simulate_ensemble",
     "spawn_seeds",
     "equilibrium_pdf",
+    "marginal_density",
+    "pooled_positions",
     "save_trajectory",
     "load_trajectory",
 ]
@@ -564,15 +566,7 @@ def _pool_runs(cfgs, burn_in):
 
     started = (_start(cfg, None, pooled[i * kept:(i + 1) * kept]) for i, cfg in enumerate(cfgs))
     lengths = list(_parallel.ordered_map(kept_rows, started))
-    # row slices of the flat array are one-dimensional, so numpy copies them
-    # in place, lowest address first, without a temporary
-    flat = pooled.reshape(-1)
-    rows = 0
-    for i, n in enumerate(lengths):
-        if rows != i * kept:
-            flat[3 * rows:3 * (rows + n)] = flat[3 * i * kept:3 * (i * kept + n)]
-        rows += n
-    return pooled, rows
+    return pooled, close_gaps((pooled,), [i * kept for i in range(len(cfgs))], lengths)
 
 
 def _copy_runs(runs, burn_in):

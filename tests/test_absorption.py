@@ -100,6 +100,16 @@ class TestAbsorptionRatio:
         )
         assert absorption_ratio(a) == absorption_ratio(b)
 
+    @pytest.mark.parametrize("r_eff", [1e-170, 5e-324])
+    @pytest.mark.parametrize("theta_rel,limit", [(math.pi, 0.0), (math.pi / 2, 1.0)])
+    def test_underflowing_radius_gives_small_disk_limit(self, beams, r_eff, theta_rel, limit):
+        # the disk fractions underflow to 0 below about 1e-165 m; the ratio
+        # keeps its r_eff -> 0 limit, the value it already has at 1e-100 m
+        bottle = dataclasses.replace(beams[0], theta_rel=theta_rel)
+        sc = AbsorptionScenario(bottle, beams[1], 1e-12)
+        assert absorption_ratio(sc, 1e-100) == limit
+        assert absorption_ratio(sc, r_eff) == limit
+
 
 class TestAbsorptionSweep:
     def test_vanishes_at_small_radius(self, scenario):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.constants import k as k_b
 from scipy import stats
 from scipy.special import ndtr
 from scipy.stats import norm
@@ -21,7 +20,6 @@ from darkfocus import (
     NumericalError,
     QuarticCoefficients,
     SimConfig,
-    boltzmann_potential,
     corner_frequency_of,
     decorrelation_stride,
     equilibrium_pdf,
@@ -30,7 +28,6 @@ from darkfocus import (
     kl_divergence,
     ks_gaussianity_test,
     quartic_coefficients,
-    rebin_pdf,
     reconstruct_potential,
     simulate,
 )
@@ -93,26 +90,6 @@ class TestHistogramPdf:
         assert len(pdf.bin_edges) > 10  # fd picks a data-driven bin count
 
 
-class TestRebin:
-    def test_mass_conserving(self, rng):
-        pdf = histogram_pdf(rng.standard_normal(50_000), bins=64)
-        coarse = rebin_pdf(pdf, pdf.bin_edges[::2])
-        assert float(np.sum(coarse.density * coarse.widths)) == pytest.approx(1.0)
-        # pairwise masses agree with the fine histogram
-        fine_mass = (pdf.density * pdf.widths).reshape(-1, 2).sum(axis=1)
-        np.testing.assert_allclose(coarse.density * coarse.widths, fine_mass,
-                                   rtol=1e-9)
-
-    def test_enables_kl_on_shared_grid(self, rng):
-        p = histogram_pdf(rng.standard_normal(20_000), bins=40, range=(-5, 5))
-        q = histogram_pdf(rng.standard_normal(20_000) * 1.2, bins=80, range=(-5, 5),
-                          pseudocount=0.5)
-        with pytest.raises(ValueError, match="grid"):
-            kl_divergence(p, q)
-        q2 = rebin_pdf(q, p.bin_edges)
-        assert kl_divergence(p, q2) >= 0.0
-
-
 class TestKlDivergence:
     def test_self_divergence_zero(self, rng):
         p = histogram_pdf(rng.standard_normal(10_000), bins=30)
@@ -160,13 +137,15 @@ class TestKlDivergence:
             assert kl_divergence(p, q) >= 0.0
 
     def test_grid_shifted_by_one_bin_rejected(self, rng):
-        # 5 nm bins: numpy's default atol of 1e-8 would accept a whole-bin shift
+        # 5 nm bins: numpy's default atol of 1e-8 would accept a whole-bin shift;
+        # edges of another length are refused as well
         x = rng.standard_normal(100_000) * 1e-7
         edges = np.arange(-100, 101) * 5e-9
         p = histogram_pdf(x, bins=edges)
-        q = histogram_pdf(x, bins=edges + 5e-9, pseudocount=0.5)
-        with pytest.raises(ValueError, match="different grids"):
-            kl_divergence(p, q)
+        for q_edges in (edges + 5e-9, edges[::2]):
+            q = histogram_pdf(x, bins=q_edges, pseudocount=0.5)
+            with pytest.raises(ValueError, match="different grids"):
+                kl_divergence(p, q)
 
 
 class TestKsGaussianity:
@@ -340,47 +319,6 @@ class TestKsGaussianity:
 
 
 class TestBoltzmannPotential:
-    def test_harmonic_curvature_recovered(self, particle):
-        k = 1e-6
-        kbt = k_b * particle.temperature
-        sigma = math.sqrt(kbt / k)
-        edges = np.linspace(-4 * sigma, 4 * sigma, 121)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        dens = np.exp(-0.5 * (centers / sigma) ** 2)
-        dens /= np.sum(dens * np.diff(edges))
-        pdf = EmpiricalPdf(bin_edges=edges, density=dens, n_samples=1)
-        x, v = boltzmann_potential(pdf, particle.temperature)
-        coeffs = np.polyfit(x, v, 2)
-        assert 2 * coeffs[0] == pytest.approx(k, rel=0.03)
-        assert v.min() == 0.0
-
-    def test_narrow_support_is_numerical_error(self, particle):
-        # two populated bins cannot be inverted; a ValueError still catches it
-        pdf = EmpiricalPdf(bin_edges=np.arange(5.0), density=np.array([0, 0.5, 0.5, 0]),
-                           n_samples=2)
-        with pytest.raises(NumericalError, match="density support too narrow"):
-            boltzmann_potential(pdf, particle.temperature)
-        assert issubclass(NumericalError, ValueError)
-
-    def test_boltzmann_round_trip_error_bound(self, particle):
-        # equilibrium density -> inversion reproduces the potential to
-        # 0.05 kB T away from the support edges
-        kbt = k_b * particle.temperature
-        x = np.linspace(-2e-7, 2e-7, 201)
-
-        def potential(u):
-            return 4.0 * kbt * (u / 2e-7) ** 4 - 1.5 * kbt * (u / 2e-7) ** 2
-
-        dens = equilibrium_pdf(potential, particle.temperature, [x])
-        dx = x[1] - x[0]
-        edges = np.concatenate([x - dx / 2, [x[-1] + dx / 2]])
-        pdf = EmpiricalPdf(bin_edges=edges, density=dens, n_samples=1)
-        centers, v = boltzmann_potential(pdf, particle.temperature)
-        expected = potential(centers)
-        expected -= expected.min()
-        inner = slice(10, -10)
-        assert np.max(np.abs(v - expected)[inner]) < 0.05 * kbt
-
     def test_offset_invariance(self, particle):
         x = np.linspace(-1e-7, 1e-7, 101)
         base = equilibrium_pdf(lambda u: 1e-20 * (u / 1e-7) ** 2,
@@ -1071,11 +1009,9 @@ class TestEstimateNa:
 @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_temperature_must_be_finite_and_positive(rng, temperature):
     samples = rng.standard_normal((5000, 3)) * 1e-7
-    pdf = histogram_pdf(samples[:, 0])
-    for invert, data in ((boltzmann_potential, pdf), (reconstruct_potential, samples)):
-        with pytest.raises(ValueError, match="temperature must be finite and positive") as info:
-            invert(data, temperature)
-        assert not isinstance(info.value, NumericalError)
+    with pytest.raises(ValueError, match="temperature must be finite and positive") as info:
+        reconstruct_potential(samples, temperature)
+    assert not isinstance(info.value, NumericalError)
 
 
 def watch_runs(monkeypatch):

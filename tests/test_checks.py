@@ -26,13 +26,11 @@ from darkfocus import (
     Trajectory,
     TrapComparison,
     absorption_ratio,
-    boltzmann_potential,
     bottle_geometry,
     decorrelation_stride,
     effective_cross_section,
     estimate_na,
     estimate_psd,
-    histogram_pdf,
     ks_gaussianity_test,
     lg_mode,
     load_trajectory,
@@ -146,8 +144,6 @@ TABLE = [
        lambda v, name=name: decorrelation_stride(**{**dict(drag=1e-8, stiffness=1e-6,
                                                            dt=1e-5), name: v}),
        good, POSITIVE) for name, good in (("drag", 1e-8), ("stiffness", 1e-6), ("dt", 1e-5))),
-    ("boltzmann_potential", "temperature",
-     lambda v: boltzmann_potential(histogram_pdf(SAMPLES[:, 0]), v), 293.0, POSITIVE),
     ("reconstruct_potential", "temperature",
      lambda v: reconstruct_potential(SAMPLES, v, n_bins=12), 293.0, POSITIVE),
     *(("reconstruct_potential", name,

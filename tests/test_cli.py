@@ -421,6 +421,13 @@ class TestAbsorbCommand:
         sweep = np.loadtxt(out / "eta_vs_radius.txt", skiprows=1)
         assert np.all(np.diff(sweep[:, 1]) > 0)
 
+    def test_smallest_radius_runs(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {"absorption": {"r_eff_min": 5e-324}})
+        assert main(["absorb", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        sweep = np.loadtxt(out / "eta_vs_radius.txt", skiprows=1)
+        assert sweep[0, 1] == 0.0
+
 
 class TestForcesFitCommand:
     def test_dipole_grid_fit(self, tmp_path):

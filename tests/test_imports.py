@@ -2,18 +2,20 @@
 calibrate, sweep, beam, absorption, force-fit or KS path loads scipy.  Each
 check runs in a fresh interpreter, since this one has scipy loaded by the
 tests.  Every module imports what it needs at its top, never in a function
-body, every trap-model fit solves through the one call of lstsq, and every
-standard normal is drawn through the one call of standard_normal."""
+body, every trap-model fit solves through the one call of lstsq, every
+standard normal is drawn through the one call of standard_normal, and the
+package exports exactly the names in its modules' __all__."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import darkfocus
-from darkfocus import _checks, dynamics, spectral
+from darkfocus import _checks, absorption, beam, calibration, dynamics, forces, spectral
 
 SRC = Path(darkfocus.__file__).resolve().parent.parent
 
@@ -130,3 +132,11 @@ def test_one_standard_normal_draw():
 def test_one_numerical_error():
     assert darkfocus.NumericalError is spectral.NumericalError is _checks.NumericalError
     assert dynamics.NumericalError is _checks.NumericalError
+    assert issubclass(darkfocus.NumericalError, ValueError)
+
+
+def test_package_exports_are_its_modules_all():
+    public = {name for name, value in vars(darkfocus).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    modules = (absorption, beam, calibration, dynamics, forces, spectral)
+    assert public == {name for module in modules for name in module.__all__}
