@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _checks
 from ._roots import bracketed_root
-from ._text import read_table, write_table
+from ._text import write_table
 
 __all__ = [
     "BeamParams",
@@ -82,11 +82,6 @@ class BeamParams:
     def rayleigh_range(self) -> float:
         """Rayleigh range in the medium (m)."""
         return self.n_medium * self.lambda0 / (math.pi * self.na**2)
-
-    @property
-    def focal_intensity(self) -> float:
-        """Peak focal intensity of the Gaussian component alone, 2 P / (pi w0^2)."""
-        return 2.0 * self.p_total / (math.pi * self.waist**2)
 
     @property
     def wavenumber(self) -> float:
@@ -372,19 +367,6 @@ class IntensityGrid:
             )
             fh.write(f"# axis z: {spec.z_start!r} {spec.z_step!r} {spec.z_count}\n")
             write_table(fh, self.values.reshape(-1, 1))
-
-
-def load_intensity_grid_values(path):
-    """Read an intensity-grid file back as (GridSpec fields dict, values array)."""
-    header, values = read_table(path)
-    axes = {}
-    for line in header:
-        if line.startswith("# axis"):
-            name, start, step, count = line[len("# axis "):].replace(":", " ").split()
-            axes[name] = (float(start), float(step), int(count))
-    (tkind,) = set(axes) - {"z"}
-    spec = GridSpec(*axes[tkind], *axes["z"], transverse_kind=tkind)
-    return spec, values.reshape(spec.transverse_count, spec.z_count)
 
 
 def render_intensity_grid(params: BeamParams, spec: GridSpec) -> IntensityGrid:

@@ -317,6 +317,8 @@ def _edges(lo, hi, n_bins):
     return np.linspace(lo, hi, n_bins + 1)
 
 
+# the quantile of rho and of |z| that bounds the reconstruction grid
+_SUPPORT_QUANTILE = 0.995
 # rows of a block of the support-bound passes and of the reference binning
 _BLOCK_ROWS = 1 << 12
 # where x x + y y leaves this range a square may have underflowed or
@@ -545,7 +547,6 @@ def reconstruct_potential(
     n_bins: int = 40,
     n_folds: int = 5,
     min_count: int = 20,
-    support_quantile: float = 0.995,
 ) -> PotentialReconstruction:
     """Fit the quartic trap model to the Boltzmann-inverted sample density.
 
@@ -556,7 +557,7 @@ def reconstruct_potential(
     estimates over `n_folds` contiguous splits of the samples; folds whose
     fit fails are dropped and counted out of n_folds_fitted.
 
-    The grid spans the support_quantile quantiles of rho = hypot(x, y)
+    The grid spans the _SUPPORT_QUANTILE quantiles of rho = hypot(x, y)
     and |z|, which are numpy.quantile's to the bit: two passes over blocks
     of rows side by side check every sample is finite and find them
     (_support_bounds), with hypot on the few values near each bound.  Every
@@ -578,11 +579,8 @@ def reconstruct_potential(
     _checks.real("temperature", temperature, above=0.0)
     for name, value in (("n_bins", n_bins), ("n_folds", n_folds), ("min_count", min_count)):
         _checks.count(name, value, 1)
-    _checks.real("support_quantile", support_quantile, above=0.0)
-    if not support_quantile <= 1:
-        raise ValueError(f"support_quantile must lie in (0, 1], got {support_quantile!r}")
 
-    z_max, rho_max = _support_bounds(pos, support_quantile)
+    z_max, rho_max = _support_bounds(pos, _SUPPORT_QUANTILE)
     r_edges = _edges(0.0, rho_max, n_bins)
     z_edges = _edges(-z_max, z_max, n_bins)
     counts = _fold_counts(pos, n_folds, r_edges, z_edges)

@@ -46,7 +46,6 @@ through darkfocus._text, the one writer and reader of every float table.
 
 import ctypes
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -502,12 +501,11 @@ def _map_runs(runs, reduce=lambda traj: traj):
 
 class _Runs:
     """The runs of the configs cfgs, simulated as they are asked for by
-    _map_runs: an iterator that says how many runs it has left to yield, as
-    operator.length_hint reads it (PEP 424).  Until the first is asked for,
-    pooled_positions may take the configs instead and step the runs itself."""
+    _map_runs.  Until the first is asked for, pooled_positions may take the
+    configs instead and step the runs itself."""
 
     def __init__(self, cfgs):
-        self._cfgs, self._runs, self._left = cfgs, None, len(cfgs)
+        self._cfgs, self._runs = cfgs, None
 
     def __iter__(self):
         return self
@@ -515,19 +513,14 @@ class _Runs:
     def __next__(self):
         if self._runs is None:
             self._runs = _map_runs((cfg, None) for cfg in self._cfgs)
-        run = next(self._runs)
-        self._left -= 1
-        return run
-
-    def __length_hint__(self):
-        return self._left
+        return next(self._runs)
 
     def _take(self):
         """The configs of every run when none has been asked for yet, else
         None; after taking them the iterator is empty."""
         if self._runs is not None:
             return None
-        self._runs, self._left = iter(()), 0
+        self._runs = iter(())
         return self._cfgs
 
 
@@ -535,8 +528,7 @@ def simulate_ensemble(cfg: SimConfig, n_runs: int):
     """Independent repetitions with per-run seeds spawned from cfg.seed at the
     call: an iterator that simulates each run when asked for, on up to one
     thread per usable core, and keeps none it has yielded (take list() of it
-    to use the runs twice).  operator.length_hint of it is the number of
-    runs not yet yielded.  Each run is simulate(cfg.with_seed(s)) to the
+    to use the runs twice).  Each run is simulate(cfg.with_seed(s)) to the
     bit, and its warnings name the line that asks for it.  Handed to
     pooled_positions before any run is asked for, the runs step straight
     into the pooled array, and no run has an array of its own."""
@@ -544,13 +536,13 @@ def simulate_ensemble(cfg: SimConfig, n_runs: int):
 
 
 def _pool_runs(cfgs, burn_in):
-    """(pooled, rows) of runs of the configs cfgs of one n_steps: each run
-    steps its positions from burn_in on into its own rows of pooled, which
-    holds every kept row of every run, and its burn-in through a scratch of
-    one noise chunk; the runs that escaped leave gaps, closed in run order,
-    and rows is the number kept.  Besides pooled it holds the noise chunk
-    and the scratch of each run in flight (darkfocus._parallel.ordered_map,
-    as for _map_runs)."""
+    """The pooled kept rows of runs of the configs cfgs of one n_steps: each
+    run steps its positions from burn_in on into its own rows of pooled,
+    which holds every kept row of every run, and its burn-in through a
+    scratch of one noise chunk; the runs that escaped leave gaps, closed in
+    run order, and pooled is trimmed to the rows kept.  Besides pooled it
+    holds the noise chunk and the scratch of each run in flight
+    (darkfocus._parallel.ordered_map, as for _map_runs)."""
     kept = max(cfgs[0].n_steps + 1 - burn_in, 0) if cfgs else 0
     pooled = np.empty((len(cfgs) * kept, 3))
 
@@ -566,31 +558,9 @@ def _pool_runs(cfgs, burn_in):
 
     started = (_start(cfg, None, pooled[i * kept:(i + 1) * kept]) for i, cfg in enumerate(cfgs))
     lengths = list(_parallel.ordered_map(kept_rows, started))
-    return pooled, close_gaps((pooled,), [i * kept for i in range(len(cfgs))], lengths)
-
-
-def _copy_runs(runs, burn_in):
-    """(pooled, rows) of the finished runs of the iterable runs: each run's
-    positions after burn_in copied into pooled, allocated at the first run
-    that keeps a sample for that run's kept rows times one more than the
-    runs operator.length_hint says are left, and grown in place only when a
-    run overflows it; rows is the number kept."""
-    runs = iter(runs)
-    pooled, rows = np.empty((0, 3)), 0
-    for traj in runs:
-        part = traj.positions[burn_in:]
-        del traj
-        if rows + len(part) > len(pooled):
-            shape = (rows + len(part) * (1 + operator.length_hint(runs)), 3)
-            if rows:
-                # no view of pooled exists while it grows
-                pooled.resize(shape, refcheck=False)
-            else:
-                pooled = np.empty(shape)
-        pooled[rows:rows + len(part)] = part
-        rows += len(part)
-        del part
-    return pooled, rows
+    rows = close_gaps((pooled,), [i * kept for i in range(len(cfgs))], lengths)
+    pooled.resize((rows, 3), refcheck=False)
+    return pooled
 
 
 def pooled_positions(trajectories, burn_in: int = 0):
@@ -600,23 +570,17 @@ def pooled_positions(trajectories, burn_in: int = 0):
 
     A simulate_ensemble iterator that has not yet yielded a run is stepped
     here: its runs step straight into their own rows of the pooled array,
-    allocated for every run's kept rows at once, so besides that array it
-    holds one noise chunk and one scratch of a chunk per run in flight (one
-    per usable core).  Any other iterable of finished runs is copied: the
-    array is sized at the first run that keeps a sample from the runs
-    operator.length_hint says are left, grown in place only when a run
-    overflows it, and each run is dropped before the next is asked for, so
-    besides the pooled array it holds at most the run being copied and the
-    runs the iterable has in flight.  Either way the array is trimmed to
-    the rows kept."""
+    allocated for every run's kept rows at once and trimmed to the rows
+    kept, so besides that array it holds one noise chunk and one scratch of
+    a chunk per run in flight (one per usable core).  Any other iterable of
+    finished runs is concatenated."""
     _checks.count("burn_in", burn_in, 0)
     cfgs = trajectories._take() if isinstance(trajectories, _Runs) else None
-    pooled, rows = (_copy_runs(trajectories, burn_in) if cfgs is None
-                    else _pool_runs(cfgs, burn_in))
-    if not rows:
+    pooled = (np.concatenate([np.empty((0, 3))]
+                             + [traj.positions[burn_in:] for traj in trajectories])
+              if cfgs is None else _pool_runs(cfgs, burn_in))
+    if not len(pooled):
         raise ValueError("no samples retained: all runs escaped before burn_in")
-    if rows < len(pooled):
-        pooled.resize((rows, 3), refcheck=False)
     return pooled
 
 

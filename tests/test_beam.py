@@ -17,7 +17,7 @@ from darkfocus import (
     render_intensity_grid,
 )
 from darkfocus import beam as beam_module
-from darkfocus.beam import load_intensity_grid_values
+from darkfocus._text import read_table
 
 
 def transverse_norm(params, ell, p, z):
@@ -37,7 +37,6 @@ class TestBeamParams:
     def test_derived_quantities(self, beam):
         assert beam.waist == pytest.approx(780e-9 / (math.pi * 0.46))
         assert beam.rayleigh_range == pytest.approx(1.53 * 780e-9 / (math.pi * 0.46**2))
-        assert beam.focal_intensity == pytest.approx(2 * 0.05 / (math.pi * beam.waist**2))
         assert beam.wavenumber == pytest.approx(2 * math.pi * 1.53 / 780e-9)
 
     @pytest.mark.parametrize(
@@ -131,10 +130,11 @@ class TestLgMode:
 
 class TestGaussianIntensity:
     def test_focal_value_is_i0(self, beam):
-        assert gaussian_intensity(beam, 0.0, 0.0) == pytest.approx(beam.focal_intensity)
+        i0 = 2 * beam.p_total / (math.pi * beam.waist**2)
+        assert gaussian_intensity(beam, 0.0, 0.0) == pytest.approx(i0)
 
     def test_waist_definition(self, beam):
-        expected = beam.focal_intensity * math.exp(-2.0)
+        expected = 2 * beam.p_total / (math.pi * beam.waist**2) * math.exp(-2.0)
         assert gaussian_intensity(beam, beam.waist, 0.0) == pytest.approx(expected)
 
     def test_power_conservation_downstream(self, beam):
@@ -336,6 +336,13 @@ class TestIntensityGrid:
         grid = render_intensity_grid(beam, spec)
         path = tmp_path / "grid.txt"
         grid.save(path)
-        spec2, values = load_intensity_grid_values(path)
-        assert spec2 == spec
-        np.testing.assert_array_equal(values, grid.values)
+        header, values = read_table(path)
+        axes = {}
+        for line in header:
+            if line.startswith("# axis"):
+                name, start, step, count = line[len("# axis "):].replace(":", " ").split()
+                axes[name] = (float(start), float(step), int(count))
+        (kind,) = set(axes) - {"z"}
+        assert GridSpec(*axes[kind], *axes["z"], transverse_kind=kind) == spec
+        np.testing.assert_array_equal(values.reshape(spec.transverse_count, spec.z_count),
+                                      grid.values)

@@ -150,9 +150,6 @@ TABLE = [
        lambda v, name=name: reconstruct_potential(SAMPLES, 293.0, **{
            **dict(n_bins=12), name: v}), good, (COUNT, 1))
       for name, good in (("n_bins", 12), ("n_folds", 4), ("min_count", 10))),
-    ("reconstruct_potential", "support_quantile",
-     lambda v: reconstruct_potential(SAMPLES, 293.0, n_bins=12, support_quantile=v), 0.99,
-     POSITIVE),
     ("estimate_na", "n_reps", lambda v: sweep(n_reps=v), 2, (COUNT, 1)),
     ("estimate_na", "n_steps", lambda v: sweep(n_steps=v), 2000, (COUNT, 1)),
     ("estimate_na", "burn_in", lambda v: sweep(burn_in=v), 100, (COUNT, 0)),

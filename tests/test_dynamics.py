@@ -3,7 +3,6 @@ import dataclasses
 import itertools
 import logging
 import math
-import operator
 import os
 import re
 import shutil
@@ -406,9 +405,9 @@ class TestEnsembles:
                              ids=["every_sample", "first_run_dropped", "later_run_overflows"])
     @pytest.mark.parametrize("source", ["list", "generator", "ensemble"])
     def test_pooled_positions_equals_concatenate(self, particle, source, seed, burn_in):
-        # escaping runs of uneven lengths, some no longer than burn_in: the
-        # pooled array is allocated at the first run that keeps a sample and
-        # grows when a later run overflows its estimate (a generator gives none)
+        # escaping runs of uneven lengths, some no longer than burn_in, pooled
+        # from finished runs or stepped into the pooled array; an empty list
+        # or generator retains no sample
         cfg = SimConfig(particle=particle, dt=2e-5, n_steps=20_000,
                         coefficients=TABLE_COEFFS, seed=seed)
         runs = list(simulate_ensemble(cfg, 6))
@@ -421,6 +420,9 @@ class TestEnsembles:
         assert pooled.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="^no samples retained: all runs escaped before "):
             pooled_positions(sources[source](), burn_in=10**9)
+        for empty in ([], (r for r in ())):
+            with pytest.raises(ValueError, match="^no samples retained: all runs escaped before "):
+                pooled_positions(empty, burn_in=burn_in)
 
     @pytest.mark.parametrize("stepper", ["compiled", "reference"])
     @pytest.mark.parametrize("boundary,burn_in", [
@@ -455,7 +457,7 @@ class TestEnsembles:
                 continue
             pooled = pooled_positions(ensemble, burn_in=burn_in)
             assert pooled.tobytes() == np.concatenate(parts).tobytes()
-            assert operator.length_hint(ensemble) == 0 and list(ensemble) == []
+            assert list(ensemble) == []
 
     @pytest.mark.parametrize("burn_in", [1000, dynamics._NOISE_CHUNK + 300])
     def test_ensemble_steps_over_whole_chunks(self, particle, burn_in):
@@ -486,17 +488,11 @@ class TestEnsembles:
                     with pytest.raises(ValueError, match="^positions must be finite$"):
                         pooled_positions(runs, burn_in=burn_in)
 
-    def test_ensemble_reports_the_runs_left(self, particle):
-        ensemble = simulate_ensemble(harmonic_cfg(particle, n_steps=500), 5)
-        assert operator.length_hint(ensemble) == 5
-        for left in range(4, -1, -1):
-            next(ensemble)
-            assert operator.length_hint(ensemble) == left
-        with pytest.raises(StopIteration):
-            next(ensemble)
-
     def test_pooling_holds_only_the_runs_in_flight(self, particle, monkeypatch):
-        # a run is alive while its Trajectory or the buffer of its positions is
+        # an ensemble consumed one run at a time, each dropped before the next
+        # is asked for, holds the run the loop holds, one run per usable core
+        # in flight and the one being started; a run is alive while its
+        # Trajectory or the buffer of its positions is
         finished = []
 
         def watched_finish(*run):
@@ -514,9 +510,6 @@ class TestEnsembles:
             def __iter__(self):
                 return self
 
-            def __length_hint__(self):
-                return operator.length_hint(self.runs)
-
             def __next__(self):
                 self.most = max(self.most, alive())
                 traj = next(self.runs)
@@ -528,8 +521,11 @@ class TestEnsembles:
         cfg = SimConfig(particle=particle, dt=2e-5, n_steps=20_000, coefficients=TABLE_COEFFS,
                         boundary="reflect", domain_bound=1.6e-7, seed=8)
         runs = Watched(simulate_ensemble(cfg, 6))
-        pooled = pooled_positions(runs, burn_in=2000)
-        assert len(finished) == 6 and len(pooled) == 6 * 18_001
+        lengths = []
+        for traj in runs:
+            lengths.append(len(traj))
+            del traj
+        assert len(finished) == 6 and lengths == [20_001] * 6
         assert 1 <= runs.most <= _parallel.width() + 2
 
     @pytest.mark.parametrize("path,n_runs,n_steps", [("compiled", 6, 200_000),

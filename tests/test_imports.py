@@ -3,8 +3,9 @@ calibrate, sweep, beam, absorption, force-fit or KS path loads scipy.  Each
 check runs in a fresh interpreter, since this one has scipy loaded by the
 tests.  Every module imports what it needs at its top, never in a function
 body, every trap-model fit solves through the one call of lstsq, every
-standard normal is drawn through the one call of standard_normal, and the
-package exports exactly the names in its modules' __all__."""
+standard normal is drawn through the one call of standard_normal, the
+package exports exactly the names in its modules' __all__, and every name
+the package defines is used in it."""
 
 import ast
 import json
@@ -140,3 +141,25 @@ def test_package_exports_are_its_modules_all():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     modules = (absorption, beam, calibration, dynamics, forces, spectral)
     assert public == {name for module in modules for name in module.__all__}
+
+
+# EmpiricalPdf.centers: criterion 6 reads its model density at the bin centers
+ACCEPTANCE_ORACLES = {"centers"}
+
+
+def test_every_definition_is_used():
+    # a function, class, method or property counts as used where a name or an
+    # attribute of the package reads it or its module's __all__ lists it
+    defined, used = {}, set()
+    for path in sorted(SRC.joinpath("darkfocus").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno} {node.name}")
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                used.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.Assign) and "__all__" in map(ast.unparse, node.targets):
+                used.update(entry.value for entry in node.value.elts)
+    unused = [where for name, where in defined.items() if name not in used
+              and name not in ACCEPTANCE_ORACLES and not (name.startswith("__")
+                                                           and name.endswith("__"))]
+    assert unused == []
