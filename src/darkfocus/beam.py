@@ -345,11 +345,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class IntensityGrid:
-    """Sampled intensity landscape with its generating beam parameters."""
+    """Sampled intensity landscape on its grid."""
 
     spec: GridSpec
     values: np.ndarray  # shape (transverse_count, z_count), W/m^2
-    params: BeamParams
 
     def __post_init__(self):
         expected = (self.spec.transverse_count, self.spec.z_count)
@@ -377,4 +376,4 @@ def render_intensity_grid(params: BeamParams, spec: GridSpec) -> IntensityGrid:
     t = spec.transverse_values
     rho = np.abs(t) if spec.transverse_kind == "x" else t
     vals = dft_intensity(params, rho[:, None], spec.z_values[None, :])
-    return IntensityGrid(spec=spec, values=vals, params=params)
+    return IntensityGrid(spec=spec, values=vals)

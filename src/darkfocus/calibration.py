@@ -43,7 +43,6 @@ class EmpiricalPdf:
     bin_edges: np.ndarray
     density: np.ndarray
     n_samples: int
-    pseudocount: float = 0.0
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=float)
@@ -69,7 +68,7 @@ class EmpiricalPdf:
         return np.diff(self.bin_edges)
 
 
-def histogram_pdf(samples, bins="fd", range=None, pseudocount: float = 0.0) -> EmpiricalPdf:
+def histogram_pdf(samples, bins="fd", pseudocount: float = 0.0) -> EmpiricalPdf:
     """Normalized histogram of 1-D samples.
 
     bins follows numpy.histogram ('fd' by default); a pseudocount assigned
@@ -83,7 +82,7 @@ def histogram_pdf(samples, bins="fd", range=None, pseudocount: float = 0.0) -> E
         raise ValueError("samples must be finite")
     if np.ptp(x) == 0.0:
         raise ValueError("degenerate sample set: zero variance")
-    counts, edges = np.histogram(x, bins=bins, range=range)
+    counts, edges = np.histogram(x, bins=bins)
     return _counts_pdf(counts, edges, len(x), pseudocount)
 
 
@@ -93,10 +92,7 @@ def _counts_pdf(counts, edges, n_samples, pseudocount) -> EmpiricalPdf:
     counts = counts.astype(float)
     counts[counts == 0.0] = pseudocount
     norm = float(np.sum(counts * np.diff(edges)))
-    return EmpiricalPdf(
-        bin_edges=edges, density=counts / norm, n_samples=n_samples,
-        pseudocount=pseudocount,
-    )
+    return EmpiricalPdf(bin_edges=edges, density=counts / norm, n_samples=n_samples)
 
 
 def kl_divergence(p: EmpiricalPdf, q: EmpiricalPdf) -> float:
@@ -231,7 +227,6 @@ class KsResult:
     statistic: float
     p_value: float
     reject: bool
-    significance: float
     n_samples: int
 
 
@@ -268,8 +263,7 @@ def ks_gaussianity_test(samples, significance: float = 0.05,
     n_ge = len(table) - np.searchsorted(table, d, side="left")
     p_value = (1.0 + n_ge) / (n_null + 1.0)
     return KsResult(statistic=float(d), p_value=float(p_value),
-                    reject=bool(p_value < significance),
-                    significance=significance, n_samples=len(x))
+                    reject=bool(p_value < significance), n_samples=len(x))
 
 
 def decorrelation_stride(drag: float, stiffness: float, dt: float) -> int:

@@ -192,10 +192,6 @@ class Trajectory:
     def __len__(self):
         return len(self.positions)
 
-    @property
-    def times(self):
-        return self.dt * np.arange(len(self.positions))
-
     def axis(self, name):
         _checks.choice("axis", name, ("x", "y", "z"))
         return self.positions[:, "xyz".index(name)]

