@@ -1,6 +1,7 @@
 """The package's one scalar root finder, for roots that a sign change brackets:
-the corner frequency of darkfocus.spectral.fit_lorentzian and the intensity
-peaks of darkfocus.beam."""
+the corner frequency of darkfocus.spectral.fit_lorentzian, the intensity
+peaks of darkfocus.beam and the thermal lengths of darkfocus.dynamics's
+_field_k_max."""
 
 import math
 

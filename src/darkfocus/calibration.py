@@ -75,7 +75,10 @@ def histogram_pdf(samples, bins="fd", pseudocount: float = 0.0) -> EmpiricalPdf:
     to empty bins before normalization keeps the density positive for use
     as the reference side of a KL divergence.
     """
-    x = np.asarray(samples, dtype=float).ravel()
+    if np.ndim(samples) != 1:
+        raise ValueError(f"samples must be 1-D, got shape {np.shape(samples)}")
+    # one copy of a strided column, which every pass below then reads contiguous
+    x = np.ascontiguousarray(samples, dtype=float)
     if len(x) < 100:
         raise ValueError(f"need at least 100 samples, got {len(x)}")
     if not np.all(np.isfinite(x)):
@@ -240,11 +243,14 @@ def ks_gaussianity_test(samples, significance: float = 0.05,
     distribution of the statistic is therefore calibrated by Monte Carlo
     (it depends only on the sample size), so that the stated significance
     is the actual false-positive rate.  Samples should be decorrelated
-    beforehand (see decorrelation_stride).  Fewer than 1000 samples, a NaN
-    or infinite sample, samples of zero spread and an n_null that is not
-    an integer >= 1 raise ValueError.
+    beforehand (see decorrelation_stride).  Samples that are not 1-D,
+    fewer than 1000 samples, a NaN or infinite sample, samples of zero
+    spread and an n_null that is not an integer >= 1 raise ValueError.
     """
-    x = np.asarray(samples, dtype=float).ravel()
+    if np.ndim(samples) != 1:
+        raise ValueError(f"samples must be 1-D, got shape {np.shape(samples)}")
+    # one copy of a strided column, which every pass below then reads contiguous
+    x = np.ascontiguousarray(samples, dtype=float)
     if len(x) < 1000:
         raise ValueError(f"need at least 1000 samples, got {len(x)}")
     _checks.real("significance", significance, above=0.0, below=1.0)
@@ -563,8 +569,6 @@ def reconstruct_potential(
     the bounds.  Every output is the same bits at every width and on the
     no-compiler reference path.
     """
-    if isinstance(samples, Trajectory):
-        samples = samples.positions
     pos = np.ascontiguousarray(samples, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError("samples must have shape (N, 3)")

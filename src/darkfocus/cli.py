@@ -158,13 +158,10 @@ def _particle_from(cfg) -> ParticleMedium:
 
 def _sim_config_from(cfg) -> SimConfig:
     s = cfg["simulation"]
-    coeffs, stiffness = s["coefficients"], s["stiffness"]
     return _section("simulation", SimConfig, {
         **s, "particle": _particle_from(cfg), "beam": _beam_from(cfg),
-        "coefficients": coeffs if coeffs is None else _section(
-            "simulation.coefficients", QuarticCoefficients, coeffs),
-        "stiffness": tuple(stiffness) if isinstance(stiffness, list) else stiffness,
-        "initial_position": tuple(s["initial_position"]),
+        "coefficients": None if s["coefficients"] is None else _section(
+            "simulation.coefficients", QuarticCoefficients, s["coefficients"]),
     })
 
 

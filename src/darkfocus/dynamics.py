@@ -107,11 +107,12 @@ class SimConfig:
     force_model selects "quartic" (requires coefficients, or beam+particle
     from which they are derived), "dipole" (requires beam), or "harmonic"
     (requires stiffness: a scalar or per-axis triple, zero meaning free
-    diffusion).  coefficients, stiffness and include_scattering are rejected
-    under any other model, which would ignore them.  domain_bound None picks
-    the model default: 3 max(w0, z_R) for the dipole field, 1.5x the
-    distance to the escape saddle for the quartic model, twelve thermal
-    standard deviations for the harmonic one; +inf means no wall.
+    diffusion; kept, as initial_position is, as a tuple of three floats).
+    coefficients, stiffness and include_scattering are rejected under any
+    other model, which would ignore them.  domain_bound None picks the model
+    default: 3 max(w0, z_R) for the dipole field, 1.5x the distance to the
+    escape saddle for the quartic model, twelve thermal standard deviations
+    for the harmonic one; +inf means no wall.
     """
 
     particle: ParticleMedium
@@ -140,11 +141,17 @@ class SimConfig:
         if self.force_model == "harmonic":
             if self.stiffness is None:
                 raise ValueError("stiffness is required by the harmonic force model")
-            self.stiffness_triple()  # checks each stiffness
+            ks = (self.stiffness,) * 3 if np.ndim(self.stiffness) == 0 else tuple(self.stiffness)
+            if len(ks) != 3:
+                raise ValueError("stiffness must be a scalar or a triple")
+            for k in ks:
+                _checks.real("stiffness", k, at_least=0.0)
+            object.__setattr__(self, "stiffness", tuple(map(float, ks)))
         if len(self.initial_position) != 3:
             raise ValueError("initial_position must be three finite coordinates")
         for v in self.initial_position:
             _checks.real("initial_position", v)
+        object.__setattr__(self, "initial_position", tuple(map(float, self.initial_position)))
         # +inf: no wall
         if self.domain_bound is not None and self.domain_bound != math.inf:
             _checks.real("domain_bound", self.domain_bound, above=0.0)
@@ -154,16 +161,6 @@ class SimConfig:
                 ("include_scattering", "dipole", self.include_scattering)):
             if given and self.force_model != model:
                 raise ValueError(f"{name} applies only to the {model} force model")
-
-    def stiffness_triple(self) -> tuple:
-        if self.stiffness is None:
-            return (0.0, 0.0, 0.0)
-        ks = (self.stiffness,) * 3 if np.ndim(self.stiffness) == 0 else tuple(self.stiffness)
-        if len(ks) != 3:
-            raise ValueError("stiffness must be a scalar or a triple")
-        for k in ks:
-            _checks.real("stiffness", k, at_least=0.0)
-        return tuple(float(k) for k in ks)
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)
@@ -241,7 +238,7 @@ def _force_model(cfg: SimConfig):
     kbt = BOLTZMANN * cfg.particle.temperature
     bound = cfg.domain_bound
     if cfg.force_model == "harmonic":
-        k_x, k_y, k_z = coef = cfg.stiffness_triple()
+        k_x, k_y, k_z = coef = cfg.stiffness
 
         def force(x, y, z):
             return -k_x * x, -k_y * y, -k_z * z
@@ -420,7 +417,7 @@ def _start(cfg: SimConfig, noise=None, out=None):
         out = np.empty((cfg.n_steps + 1, 3))
     first = cfg.n_steps + 1 - len(out)
     scratch = np.empty((min(first, _NOISE_CHUNK) + 1, 3)) if first else None
-    (out if scratch is None else scratch)[0] = [float(v) for v in cfg.initial_position]
+    (out if scratch is None else scratch)[0] = cfg.initial_position
     return cfg, noise, step, bound, scratch, out
 
 

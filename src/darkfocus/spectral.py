@@ -183,21 +183,6 @@ class LorentzianFit:
         })
 
 
-def _check_bins(psd: PsdEstimate):
-    if len(psd.frequencies) < 10:
-        raise NumericalError("need at least 10 frequency bins in range, the spectrum has "
-                             f"{len(psd.frequencies)}")
-
-
-def default_fit_range(psd: PsdEstimate) -> tuple:
-    """Second retained bin up to a quarter of the Nyquist frequency, of a
-    spectrum of at least 10 bins (else NumericalError)."""
-    _check_bins(psd)
-    f = psd.frequencies
-    nyquist = f[-1] + psd.df  # welch grid ends at Nyquist
-    return (float(f[1]), float(nyquist / 4.0))
-
-
 def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> LorentzianFit:
     """Least-squares Lorentzian fit with uniform weights on log-PSD.
 
@@ -209,18 +194,20 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
     model.  Without an interior root f_c is not identified: it is the bracket
     end the cost falls toward, f_c_in_range is False, and f_c_err and
     amplitude_err are inf.  Otherwise the uncertainties are the Gauss-Newton
-    covariance of (ln A, u), scaled by RSS / (n - 2).
+    covariance of (ln A, u), scaled by RSS / (n - 2).  f_range None fits
+    from f[1] up to (f[-1] + df) / 4, about a quarter of the Nyquist frequency.
     """
-    _check_bins(psd)
-    if f_range is None:
-        f_range = default_fit_range(psd)
-    lo, hi = f_range
+    f = psd.frequencies
+    if len(f) < 10:
+        raise NumericalError("need at least 10 frequency bins in range, the spectrum has "
+                             f"{len(f)}")
+    lo, hi = (float(f[1]), float((f[-1] + psd.df) / 4.0)) if f_range is None else f_range
     if lo >= hi:
         raise ValueError("empty fit range")
-    if lo < psd.frequencies[0] or hi > psd.frequencies[-1] + psd.df:
+    if lo < f[0] or hi > f[-1] + psd.df:
         raise ValueError("fit range outside the frequency support of the estimate")
-    mask = (psd.frequencies >= lo) & (psd.frequencies <= hi)
-    f2 = psd.frequencies[mask] ** 2
+    mask = (f >= lo) & (f <= hi)
+    f2 = f[mask] ** 2
     s = psd.psd[mask]
     n = len(s)
     if n < 10:

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -75,6 +76,11 @@ class TestHistogramPdf:
     def test_too_few_samples(self, rng):
         with pytest.raises(ValueError, match="100"):
             histogram_pdf(rng.random(99))
+
+    @pytest.mark.parametrize("shape", [(1000, 3), (100, 1), ()])
+    def test_samples_that_are_not_1d_rejected(self, rng, shape):
+        with pytest.raises(ValueError, match=re.escape(f"1-D, got shape {shape}")):
+            histogram_pdf(rng.standard_normal(shape))
 
     def test_pseudocount_fills_empty_bins(self, rng):
         x = np.concatenate([rng.random(500), rng.random(500) + 5.0])
@@ -166,6 +172,12 @@ class TestKsGaussianity:
     def test_minimum_sample_count(self, rng):
         with pytest.raises(ValueError, match="1000"):
             ks_gaussianity_test(rng.standard_normal(999))
+
+    @pytest.mark.parametrize("shape", [(1000, 3), (1000, 1), ()])
+    def test_samples_that_are_not_1d_rejected(self, rng, shape):
+        # x, y and z are three samples, never one pooled sample
+        with pytest.raises(ValueError, match=re.escape(f"1-D, got shape {shape}")):
+            ks_gaussianity_test(rng.standard_normal(shape))
 
     def test_false_positive_rate_calibrated(self, rng):
         # the stated significance is the actual rejection rate under the null
@@ -466,6 +478,13 @@ class TestReconstructPotential:
         with pytest.raises(ValueError, match=message) as info:
             reconstruct_potential(samples, particle.temperature, **options)
         assert not isinstance(info.value, NumericalError)
+
+    @pytest.mark.parametrize("shape,message", [
+        ((5000, 2), r"^samples must have shape \(N, 3\)$"),
+        ((999, 3), "^need at least 1000 samples for a reconstruction$")])
+    def test_wrong_shape_or_too_few_samples_rejected(self, particle, rng, shape, message):
+        with pytest.raises(ValueError, match=message):
+            reconstruct_potential(rng.standard_normal(shape) * 1e-7, particle.temperature)
 
     def test_rescaling_property(self, particle, confining_trap):
         # positions in different units: k_z scales as c^-2, the quartic

@@ -53,6 +53,18 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"beam": {"na": 2.5}})
         assert main(["absorb", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text,message", [
+        ("{\"beam\": ", "cannot read config "),
+        ("[1, 2]", "config root must be a JSON object"),
+        ('{"beam": 3}', "config section 'beam' must be an object"),
+    ], ids=["malformed", "array_root", "non_object_section"])
+    def test_unreadable_config_is_one_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["beam", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command,text,key", [
         ("simulate", '{"simulation": {"n_steps": Infinity}}', "simulation.n_steps"),
         ("simulate", '{"beam": {"p_index": Infinity}}', "beam.p_index"),
@@ -302,6 +314,20 @@ class TestSimulateCommand:
         assert err.startswith("physics signal: ") and f"(step {step})" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["psd", "calibrate"])
+    def test_analysis_of_an_escaping_run_is_a_physics_signal(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {
+            "simulation": {
+                "coefficients": {"k_z": 3.86e-7, "k_rho_z": 8.81e7, "k_rho": 2.26e8},
+                "n_steps": 500_000, "dt": 2e-5, "seed": 2,
+            },
+        })
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PHYSICS
+        err = capsys.readouterr().err
+        assert err.startswith("physics signal: trajectory escaped at ") and err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+
     def test_arithmetic_failure_is_numerical(self, tmp_path, capsys):
         # a 1e30 m wavelength underflows the quartic coefficients to zero,
         # and the default domain bound divides by them
@@ -504,7 +530,7 @@ class TestForcesFitCommand:
 
 
 class TestSweepNaCommand:
-    def test_round_trip_small(self, tmp_path):
+    def test_round_trip_small(self, tmp_path, capsys):
         sim_payload = {
             "simulation": {
                 "n_steps": 150_000, "dt": 1e-5, "seed": 21,
@@ -520,7 +546,7 @@ class TestSweepNaCommand:
                 "na_start": 0.44, "na_stop": 0.48, "na_step": 0.02,
                 "n_reps": 3, "n_steps": 40_000, "dt": 1e-5,
                 "target": str(target_out / "trajectory.txt"),
-                "burn_in": 2000,
+                "burn_in": 2000, "target_fc": [90.0, 1e6],
             },
         }, "sweep.json")
         out = tmp_path / "o"
@@ -529,6 +555,16 @@ class TestSweepNaCommand:
         assert lines[0] == "na kl fc fc_err valid"
         argmin = [l for l in lines if l.startswith("# argmin_na=")][0]
         assert float(argmin.split("=")[1]) == pytest.approx(0.46)
+        # the f_c cross-check: the library's interval, written and printed
+        result = estimate_na(
+            load_trajectory(str(target_out / "trajectory.txt")), 0.44 + 0.02 * np.arange(3),
+            particle=PARTICLE, beam_template=BeamParams(**BEAM), dt=1e-5, n_steps=40_000,
+            n_reps=3, seed=_DEFAULTS["simulation"]["seed"], target_fc=(90.0, 1e6),
+            burn_in=2000)
+        lo, hi = result.fc_interval
+        assert lines[-1] == f"# fc_interval={lo!r} {hi!r}"
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"sweep-na: corner-frequency-compatible NA in [{lo:.3f}, {hi:.3f}]")
 
     def test_missing_target_is_config_error(self, tmp_path):
         assert main(["sweep-na", "--out", str(tmp_path / "o")]) == EXIT_CONFIG

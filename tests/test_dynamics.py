@@ -103,6 +103,29 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"^{option} applies only to the "):
             SimConfig(particle=particle, dt=1e-5, n_steps=10, force_model=model, **kw)
 
+    @pytest.mark.parametrize("model,kw,message", [
+        ("harmonic", {"stiffness": (1e-6, 2e-6)}, "^stiffness must be a scalar or a triple$"),
+        ("harmonic", {"stiffness": 1e-6, "initial_position": (1e-6, 2e-6)},
+         "^initial_position must be three finite coordinates$"),
+        ("dipole", {}, "^beam is required by the dipole force model$")])
+    def test_two_coordinates_or_missing_beam_rejected(self, particle, model, kw, message):
+        with pytest.raises(ValueError, match=message):
+            SimConfig(particle=particle, dt=1e-5, n_steps=10, force_model=model, **kw)
+
+    def test_triples_stored_as_floats(self, particle):
+        # lists of ints and numpy scalars, as a JSON config or numpy gives them,
+        # make the config that tuples of floats make
+        from_lists = SimConfig(particle=particle, dt=1e-5, n_steps=10, force_model="harmonic",
+                               stiffness=[1e-6, np.float64(2e-6), 0],
+                               initial_position=[0, 1e-8, np.int64(0)])
+        from_tuples = SimConfig(particle=particle, dt=1e-5, n_steps=10, force_model="harmonic",
+                                stiffness=(1e-6, 2e-6, 0.0), initial_position=(0.0, 1e-8, 0.0))
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        triples = from_lists.stiffness + from_lists.initial_position
+        assert triples == (1e-6, 2e-6, 0.0, 0.0, 1e-8, 0.0)
+        assert all(type(v) is float for v in triples)
+        assert harmonic_cfg(particle, stiffness=np.float64(1e-6)).stiffness == (1e-6,) * 3
+
     def test_default_bounds(self, beam, particle):
         quartic = SimConfig(particle=particle, dt=1e-5, n_steps=10,
                             coefficients=TABLE_COEFFS)
@@ -421,6 +444,20 @@ class TestEnsembles:
         for empty in ([], (r for r in ())):
             with pytest.raises(ValueError, match="^no samples retained: all runs escaped before "):
                 pooled_positions(empty, burn_in=burn_in)
+
+    @pytest.mark.parametrize("burn_in", [0, 60])
+    def test_pooled_positions_of_a_started_ensemble(self, particle, burn_in):
+        # once a run has been asked for, the runs not yet yielded are pooled
+        # as finished runs
+        cfg = SimConfig(particle=particle, dt=2e-5, n_steps=20_000,
+                        coefficients=TABLE_COEFFS, seed=2)
+        expected = np.concatenate([r.positions[burn_in:]
+                                   for r in list(simulate_ensemble(cfg, 6))[1:]])
+        ensemble = simulate_ensemble(cfg, 6)
+        next(ensemble)
+        pooled = pooled_positions(ensemble, burn_in=burn_in)
+        assert pooled.shape == expected.shape and pooled.tobytes() == expected.tobytes()
+        assert list(ensemble) == []
 
     @pytest.mark.parametrize("stepper", ["compiled", "reference"])
     @pytest.mark.parametrize("boundary,burn_in", [
@@ -1239,6 +1276,14 @@ class TestTrajectoryIo:
                 fh.write(f"{i * 0.25} {1e-9 * i} 0.0 0.0\n")
         traj = load_trajectory(path)
         assert traj.dt == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.25, 0.6, 0.75], [0.0]],
+                             ids=["uneven", "one_row"])
+    def test_dt_not_inferable_refused(self, tmp_path, times):
+        path = tmp_path / "plain.txt"
+        path.write_text("t x y z\n" + "".join(f"{t} 1e-09 0.0 0.0\n" for t in times))
+        with pytest.raises(ValueError, match="^cannot infer a uniform dt from the time column$"):
+            load_trajectory(path)
 
     def test_written_text_matches_recorded_file(self, tmp_path, monkeypatch):
         # recorded from the writer that converted all rows at once; blocks of

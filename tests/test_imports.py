@@ -47,7 +47,8 @@ runs = [
                                 "analysis": {"burn_in": 20_000}}),
     ("sweep-na", "sweep", {"sweep": {
         "na_start": 0.44, "na_stop": 0.48, "na_step": 0.02, "n_reps": 3,
-        "n_steps": 20_000, "dt": 1e-5, "target": target, "burn_in": 2000}}),
+        "n_steps": 20_000, "dt": 1e-5, "target": target, "burn_in": 2000,
+        "target_fc": [90.0, 1e6]}}),
     ("beam", "beam", {"beam": {"p_index": 2}, "grid": {"n_transverse": 21, "n_z": 21}}),
     ("absorb", "absorb", {}),
     ("forces-fit", "forces", {}),
@@ -57,6 +58,7 @@ for command, name, payload in runs:
     config.write_text(json.dumps(payload))
     code = cli.main([command, "--config", str(config), "--out", str(out / name)])
     assert code == 0, (command, name, code)
+assert "# fc_interval=" in (out / "sweep" / "na_sweep.txt").read_text()
 
 
 def sim_config(name):

@@ -20,7 +20,7 @@ from darkfocus import (
 )
 from darkfocus import spectral
 from darkfocus.dynamics import spawn_seeds
-from darkfocus.spectral import FitError, NumericalError, default_fit_range
+from darkfocus.spectral import FitError, NumericalError
 
 TABLE_COEFFS = QuarticCoefficients(k_z=3.86e-7, k_rho_z=8.81e7, k_rho=2.26e8)
 
@@ -34,7 +34,7 @@ def make_traj(x, dt):
 def profiled_gradient(psd, f_c):
     """|sum r_c d_c| / (|r_c| |d_c|) at f_c over the default fit range: the
     normalised gradient of the profiled log-PSD cost, zero at its optimum."""
-    lo, hi = default_fit_range(psd)
+    lo, hi = fit_lorentzian(psd).f_range
     mask = (psd.frequencies >= lo) & (psd.frequencies <= hi)
     f2 = psd.frequencies[mask] ** 2
     r = np.log(psd.psd[mask]) + np.log(f_c**2 + f2)
@@ -290,8 +290,7 @@ class TestFitLorentzian:
         monkeypatch.setattr(spectral, "bracketed_root", recorded)
         for psd in criterion6_spectra(beam, particle)[::3]:
             calls.clear()
-            fit_lorentzian(psd)
-            lo, hi = default_fit_range(psd)
+            lo, hi = fit_lorentzian(psd).f_range
             mask = (psd.frequencies >= lo) & (psd.frequencies <= hi)
             f2, log_s = psd.frequencies[mask] ** 2, np.log(psd.psd[mask])
             assert len(calls) > 10
@@ -374,13 +373,30 @@ class TestFitLorentzian:
     def test_default_range_of_a_short_spectrum_is_a_numerical_error(self, n_bins):
         psd = lorentzian_psd(1e-16, 3.0, np.arange(1.0, 1.0 + n_bins))
         with pytest.raises(NumericalError, match=f"10 frequency bins .* has {n_bins}$"):
-            default_fit_range(psd)
+            fit_lorentzian(psd)
 
     def test_default_range(self, rng):
         psd = estimate_psd(make_traj(rng.standard_normal(2**14), 1e-3))
-        lo, hi = default_fit_range(psd)
-        assert lo == pytest.approx(psd.frequencies[1])
-        assert hi == pytest.approx((psd.frequencies[-1] + psd.df) / 4)
+        f = psd.frequencies
+        assert fit_lorentzian(psd).f_range == (f[1], (f[-1] + psd.df) / 4)
+
+    @pytest.mark.parametrize("f_range,message", [
+        ((50.0, 50.0), "^empty fit range$"), ((60.0, 50.0), "^empty fit range$"),
+        ((0.1, 100.0), "outside the frequency support"),
+        ((1.0, 500.0), "outside the frequency support")])
+    def test_empty_or_outside_range_is_refused(self, f_range, message):
+        psd = lorentzian_psd(2.4e-16, 33.0, np.linspace(0.5, 400, 800))
+        with pytest.raises(ValueError, match=message):
+            fit_lorentzian(psd, f_range)
+
+    def test_zero_bin_in_range_is_a_fit_error(self):
+        freqs = np.linspace(0.5, 400, 800)
+        values = 2.4e-16 / (33.0**2 + freqs**2)
+        values[300] = 0.0
+        psd = PsdEstimate(frequencies=freqs, psd=values, nperseg=256, overlap=0.5,
+                          n_segments=1)
+        with pytest.raises(FitError, match="strictly positive"):
+            fit_lorentzian(psd, (0.5, 400.0))
 
     def test_report_file(self, tmp_path):
         freqs = np.linspace(0.5, 400, 800)
