@@ -1,7 +1,8 @@
 """The one writer and reader of darkfocus's text files.
 
 A table is rows of floats split by blanks, each in repr form, so that a file
-reads back to the same bits; callers write and read their own header lines.
+reads back to the same bits, after the header lines its caller hands to
+write_table; the caller parses the header lines that read_table returns.
 The row loops run in trajio.c when darkfocus._compiled builds it, and
 otherwise in the Python reference writer and numpy.loadtxt, which give the
 same text and the same bits.  The compiled writer formats a table's blocks
@@ -49,28 +50,28 @@ def _compiled_rows(library, rows):
     return str(memoryview(text)[:size], "ascii")
 
 
-def write_table(fh, rows):
-    """Write the rows of a 2-D float array to the open text file fh, in
-    blocks of _ROWS_PER_BLOCK to bound the memory the text takes."""
-    rows = np.asarray(rows, dtype=float)
-    # a list, so that a table of one block starts no thread
-    write_blocks(fh, [rows[start:start + _ROWS_PER_BLOCK]
-                      for start in range(0, len(rows), _ROWS_PER_BLOCK)])
+def write_table(path, rows, *header):
+    """Write the header lines, then the rows, to a new text file at path.
 
-
-def write_blocks(fh, blocks):
-    """Write the rows of each 2-D float array of the iterable blocks to the
-    open text file fh, in order.  The compiled writer formats the blocks on
-    darkfocus._parallel.ordered_map, which takes the next block from blocks
+    rows is a 2-D float array, written in blocks of _ROWS_PER_BLOCK to bound
+    the memory the text takes, or an iterable of 2-D float arrays, written in
+    order.  The compiled writer formats the blocks on
+    darkfocus._parallel.ordered_map, which takes the next block from rows
     only when fewer than one per usable core are pending: a lazy iterable
     keeps at most that many and one more in memory."""
+    if isinstance(rows, np.ndarray):
+        # a list, so that a table of one block starts no thread
+        rows = [rows[start:start + _ROWS_PER_BLOCK]
+                for start in range(0, len(rows), _ROWS_PER_BLOCK)]
     library = _compiled.load()
     if library is None:
-        for block in blocks:
-            fh.write(_python_rows(block))
-        return
-    _compiled.shortest_tables()  # built once, before any thread reads it
-    fh.writelines(_parallel.ordered_map(functools.partial(_compiled_rows, library), blocks))
+        texts = map(_python_rows, rows)
+    else:
+        _compiled.shortest_tables()  # built once, before any thread reads it
+        texts = _parallel.ordered_map(functools.partial(_compiled_rows, library), rows)
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in header)
+        fh.writelines(texts)
 
 
 def _count_lines(fh, start, stop, text):

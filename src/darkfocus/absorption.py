@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import _checks
-from ._text import write_table, write_values
+from ._text import write_values
 from .beam import BeamParams, _bottle_peaks, dft_intensity, gaussian_intensity
 from .forces import ParticleMedium
 
@@ -122,12 +122,6 @@ def absorption_ratio_sweep(scenario: AbsorptionScenario, r_eff_values):
     r_eff_values = np.asarray(r_eff_values, dtype=float)
     etas = [absorption_ratio(scenario, r) for r in r_eff_values]
     return np.column_stack([r_eff_values, etas])
-
-
-def save_absorption_sweep(table, path):
-    with open(path, "w") as fh:
-        fh.write("r_eff eta_abs\n")
-        write_table(fh, table)
 
 
 @dataclass(frozen=True)

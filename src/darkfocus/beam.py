@@ -333,14 +333,16 @@ class GridSpec:
 
     @classmethod
     def centered(cls, half_width, half_height, n_transverse, n_z, transverse_kind="x"):
-        """Symmetric grid spanning [-half_width, half_width] x [-half_height, half_height]."""
+        """Symmetric grid spanning [-half_width, half_width] x [-half_height, half_height];
+        a one-point x or z axis sits at 0."""
         if transverse_kind == "rho":
             t0, dt = 0.0, half_width / max(n_transverse - 1, 1)
         else:
-            t0 = -half_width
+            t0 = -half_width if n_transverse > 1 else 0.0
             dt = 2 * half_width / max(n_transverse - 1, 1)
         dz = 2 * half_height / max(n_z - 1, 1)
-        return cls(t0, dt, n_transverse, -half_height, dz, n_z, transverse_kind)
+        z0 = -half_height if n_z > 1 else 0.0
+        return cls(t0, dt, n_transverse, z0, dz, n_z, transverse_kind)
 
 
 @dataclass(frozen=True)
@@ -359,13 +361,10 @@ class IntensityGrid:
 
     def save(self, path):
         spec = self.spec
-        with open(path, "w") as fh:
-            fh.write(
-                f"# axis {spec.transverse_kind}: {spec.transverse_start!r} "
-                f"{spec.transverse_step!r} {spec.transverse_count}\n"
-            )
-            fh.write(f"# axis z: {spec.z_start!r} {spec.z_step!r} {spec.z_count}\n")
-            write_table(fh, self.values.reshape(-1, 1))
+        write_table(path, self.values.reshape(-1, 1),
+                    f"# axis {spec.transverse_kind}: {spec.transverse_start!r} "
+                    f"{spec.transverse_step!r} {spec.transverse_count}",
+                    f"# axis z: {spec.z_start!r} {spec.z_step!r} {spec.z_count}")
 
 
 def render_intensity_grid(params: BeamParams, spec: GridSpec) -> IntensityGrid:

@@ -54,7 +54,7 @@ class EmpiricalPdf:
         if np.any(dens < 0):
             raise ValueError("density must be nonnegative")
         total = float(np.sum(dens * np.diff(edges)))
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # a NaN total too
             raise ValueError(f"density must integrate to 1, got {total}")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "density", dens)
@@ -92,6 +92,9 @@ def histogram_pdf(samples, bins="fd", pseudocount: float = 0.0) -> EmpiricalPdf:
 def _counts_pdf(counts, edges, n_samples, pseudocount) -> EmpiricalPdf:
     """The density of integer bin counts, with empty bins set to the
     pseudocount before normalization."""
+    if pseudocount == 0 and not counts.any():
+        raise ValueError(f"no sample falls in the bins [{float(edges[0])!r}, "
+                         f"{float(edges[-1])!r}] and the pseudocount is 0")
     counts = counts.astype(float)
     counts[counts == 0.0] = pseudocount
     norm = float(np.sum(counts * np.diff(edges)))

@@ -6,8 +6,9 @@ writes a resolved copy next to its outputs, and exits with a code chosen by
 the class of what went wrong, with a one-line message and no traceback:
 
 0 success;
-2 config error: a ValueError, TypeError or OSError, such as an invalid
-  value, an unreadable input or an unwritable output;
+2 config error: a ValueError, TypeError, OSError or MemoryError, such as
+  an invalid value, an unreadable input, an unwritable output or a size
+  too large to allocate;
 3 numerical failure: a NumericalError, LinAlgError, ArithmeticError or
   RuntimeError, such as too few bins for a fit or a singular least-squares
   problem;
@@ -29,10 +30,9 @@ from .absorption import (
     AbsorptionScenario,
     absorption_ratio,
     absorption_ratio_sweep,
-    save_absorption_sweep,
     trap_comparison,
 )
-from ._text import write_values
+from ._text import write_table, write_values
 from .beam import BeamParams, GridSpec, bottle_geometry, render_intensity_grid
 from .calibration import estimate_na, reconstruct_potential
 from .dynamics import SimConfig, load_trajectory, save_trajectory, simulate
@@ -385,7 +385,7 @@ def cmd_absorb(cfg, out: Path) -> int:
     sweep = absorption_ratio_sweep(
         scenario, np.linspace(ab["r_eff_min"], ab["r_eff_max"], ab["n_r_eff"]),
     )
-    save_absorption_sweep(sweep, out / "eta_vs_radius.txt")
+    write_table(out / "eta_vs_radius.txt", sweep, "r_eff eta_abs")
     print(f"absorb: eta_abs = {eta:.4f} at R_eff = {scenario.effective_radius:.3e} m",
           flush=True)
     return EXIT_OK
@@ -458,7 +458,7 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -53,7 +53,7 @@ import numpy as np
 from . import _checks, _compiled, _parallel
 from ._checks import NumericalError
 from ._roots import bracketed_root
-from ._text import _ROWS_PER_BLOCK, close_gaps, read_table, write_blocks
+from ._text import _ROWS_PER_BLOCK, close_gaps, read_table, write_table
 from .beam import BeamParams, _bottle_constants, _bottle_field
 from .forces import (
     BOLTZMANN,
@@ -184,6 +184,12 @@ class Trajectory:
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         _checks.real("dt", self.dt, above=0.0)
+        if self.seed is not None:
+            _checks.count("seed", self.seed)
+        # save_trajectory's '# provenance=' line reads back one token
+        if not isinstance(self.provenance, str) or self.provenance.split() != [self.provenance]:
+            raise ValueError("provenance must be a non-empty string without whitespace, "
+                             f"got {self.provenance!r}")
         object.__setattr__(self, "positions", pos)
 
     def __len__(self):
@@ -634,22 +640,18 @@ def _timed_rows(positions, start, dt):
 def save_trajectory(traj: Trajectory, path):
     """Write t x y z rows with every float in repr form, so load_trajectory
     reads back the same bits; the time column is k * dt.  The rows are built
-    in blocks of _ROWS_PER_BLOCK as darkfocus._text.write_blocks asks for
+    in blocks of _ROWS_PER_BLOCK as darkfocus._text.write_table asks for
     them, to bound the memory they take."""
     # a numpy scalar's repr is not a number
     dt = float(traj.dt)
-    with open(path, "w") as fh:
-        fh.write(f"# dt={dt!r}\n")
-        if traj.seed is not None:
-            fh.write(f"# seed={traj.seed}\n")
-        fh.write(f"# provenance={traj.provenance}\n")
-        if traj.escape is not None:
-            e = traj.escape
-            fh.write(f"# escape_step={e.step} escape_time={float(e.time)!r}\n")
-        fh.write("t x y z\n")
-        blocks = (_timed_rows(traj.positions[start:start + _ROWS_PER_BLOCK], start, dt)
-                  for start in range(0, len(traj), _ROWS_PER_BLOCK))
-        write_blocks(fh, blocks)
+    e = traj.escape
+    blocks = (_timed_rows(traj.positions[start:start + _ROWS_PER_BLOCK], start, dt)
+              for start in range(0, len(traj), _ROWS_PER_BLOCK))
+    write_table(path, blocks, f"# dt={dt!r}",
+                *(() if traj.seed is None else (f"# seed={traj.seed}",)),
+                f"# provenance={traj.provenance}",
+                *(() if e is None else (f"# escape_step={e.step} escape_time={float(e.time)!r}",)),
+                "t x y z")
 
 
 def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:
@@ -688,4 +690,4 @@ def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:
                               time=float(meta["escape_time"]), step=int(meta["escape_step"]))
     return Trajectory(dt=dt, positions=positions,
                       seed=int(meta["seed"]) if "seed" in meta else None,
-                      provenance=meta.get("provenance", "ingested"), escape=escape)
+                      provenance=meta.get("provenance") or "ingested", escape=escape)

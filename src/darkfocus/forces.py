@@ -247,16 +247,17 @@ class ForceGrid:
             raise ValueError("positions and forces must both have shape (N, 3)")
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(frc))):
             raise ValueError("force grid entries must be finite")
-        if not self.provenance:
-            raise ValueError("provenance tag is required")
+        # save's '# source:' line reads back stripped, up to its line end
+        p = self.provenance
+        if not isinstance(p, str) or p.strip() != p or p.splitlines() != [p]:
+            raise ValueError("provenance must be one non-empty line without blanks at its "
+                             f"ends, got {p!r}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "forces", frc)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"# source: {self.provenance}\n")
-            fh.write("x y z fx fy fz\n")
-            write_table(fh, np.hstack((self.positions, self.forces)))
+        write_table(path, np.hstack((self.positions, self.forces)),
+                    f"# source: {self.provenance}", "x y z fx fy fz")
 
     @classmethod
     def load(cls, path):

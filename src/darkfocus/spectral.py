@@ -64,12 +64,9 @@ class PsdEstimate:
         return float(self.frequencies[1] - self.frequencies[0])
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write("# window=hann\n")
-            fh.write(f"# nseg={self.n_segments}\n")
-            fh.write(f"# nperseg={self.nperseg} overlap={self.overlap!r}\n")
-            fh.write("f psd\n")
-            write_table(fh, np.column_stack((self.frequencies, self.psd)))
+        write_table(path, np.column_stack((self.frequencies, self.psd)), "# window=hann",
+                    f"# nseg={self.n_segments}",
+                    f"# nperseg={self.nperseg} overlap={self.overlap!r}", "f psd")
 
 
 @functools.lru_cache(maxsize=8)
@@ -202,6 +199,8 @@ def fit_lorentzian(psd: PsdEstimate, f_range: tuple | None = None) -> Lorentzian
         raise NumericalError("need at least 10 frequency bins in range, the spectrum has "
                              f"{len(f)}")
     lo, hi = (float(f[1]), float((f[-1] + psd.df) / 4.0)) if f_range is None else f_range
+    for bound in (lo, hi):
+        _checks.real("f_range", bound)
     if lo >= hi:
         raise ValueError("empty fit range")
     if lo < f[0] or hi > f[-1] + psd.df:

@@ -15,7 +15,8 @@ from darkfocus import (
     gaussian_intensity,
     trap_comparison,
 )
-from darkfocus.absorption import _disk_power_fraction, save_absorption_sweep
+from darkfocus._text import write_table
+from darkfocus.absorption import _disk_power_fraction
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +129,7 @@ class TestAbsorptionSweep:
     def test_export(self, scenario, tmp_path):
         table = absorption_ratio_sweep(scenario, [100e-9, 200e-9])
         path = tmp_path / "sweep.txt"
-        save_absorption_sweep(table, path)
+        write_table(path, table, "r_eff eta_abs")
         lines = path.read_text().splitlines()
         assert lines[0] == "r_eff eta_abs"
         assert len(lines) == 3

@@ -331,6 +331,18 @@ class TestIntensityGrid:
             with pytest.raises(ValueError, match="spacing"):
                 GridSpec(**{**fields, **spacing})
 
+    @pytest.mark.parametrize("kind", ["x", "rho"])
+    def test_one_point_axis_sits_at_zero(self, beam, kind):
+        spec = GridSpec.centered(beam.waist, beam.rayleigh_range, 1, 1, transverse_kind=kind)
+        assert spec.transverse_values.tolist() == [0.0] and spec.z_values.tolist() == [0.0]
+        # the focal plane of the bottle is dark on axis
+        assert render_intensity_grid(beam, spec).values.tolist() == [[0.0]]
+
+    def test_grids_of_two_or_more_points_span_the_box(self, beam):
+        spec = GridSpec.centered(beam.waist, beam.rayleigh_range, 2, 3)
+        assert spec.transverse_values.tolist() == [-beam.waist, beam.waist]
+        assert spec.z_values.tolist() == [-beam.rayleigh_range, 0.0, beam.rayleigh_range]
+
     def test_export_import_round_trip(self, beam, tmp_path):
         spec = GridSpec.centered(beam.waist, beam.rayleigh_range, 7, 9)
         grid = render_intensity_grid(beam, spec)

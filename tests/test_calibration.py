@@ -87,6 +87,22 @@ class TestHistogramPdf:
         pdf = histogram_pdf(x, bins=30, pseudocount=0.5)
         assert np.all(pdf.density > 0)
 
+    def test_no_sample_in_the_bins_is_refused(self, rng):
+        # 0 / 0 in every bin once gave a NaN density and a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "no sample falls in the bins [5.0, 6.0] and the pseudocount is 0")):
+                histogram_pdf(rng.random(1000), bins=np.linspace(5.0, 6.0, 11))
+        pdf = histogram_pdf(rng.random(1000), bins=np.linspace(5.0, 6.0, 11), pseudocount=0.5)
+        assert np.all(pdf.density == 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.4])
+    def test_density_that_does_not_integrate_to_one_is_refused(self, value):
+        with pytest.raises(ValueError, match="^density must integrate to 1, got "):
+            EmpiricalPdf(bin_edges=np.arange(4.0), density=np.array([value, 0.25, 0.25]),
+                         n_samples=100)
+
     def test_fd_binning_default(self, rng):
         pdf = histogram_pdf(rng.standard_normal(10_000))
         expected_edges = np.histogram_bin_edges(

@@ -187,6 +187,20 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert err == f"config error: {message}\n"
 
+    def test_a_size_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys):
+        # 10**12 folds of a 400 x 400 grid of int64 counts: 1.3e18 bytes, more
+        # than the 2**57 that any 64-bit machine's page tables map, so the
+        # allocation fails at once
+        path = tmp_path / "t.txt"
+        rng = np.random.default_rng(45)
+        save_trajectory(Trajectory(dt=1e-3, positions=rng.standard_normal((2000, 3))), path)
+        cfg = write_config(tmp_path, {"analysis": {"trajectory": str(path), "n_bins": 400,
+                                                   "n_folds": 10**12}})
+        code = main(["calibrate", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
     def test_infinite_temperature_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "particle": {"temperature": math.inf},

@@ -1243,6 +1243,30 @@ class TestTrajectoryIo:
         assert loaded.seed == traj.seed
         np.testing.assert_array_equal(loaded.positions, traj.positions)
 
+    @pytest.mark.parametrize("provenance", ["camera-7", "é=#1", "x=1;seed=2"])
+    def test_provenance_round_trip(self, tmp_path, provenance):
+        traj = Trajectory(dt=1e-3, positions=np.zeros((3, 3)), provenance=provenance)
+        path = tmp_path / "tagged.txt"
+        save_trajectory(traj, path)
+        assert load_trajectory(path).provenance == provenance
+
+    @pytest.mark.parametrize("provenance", ["", "my camera", "a\nb", "a\rb", " a", "a\t",
+                                            "a\x1cb", None, 3])
+    def test_provenance_a_header_token_cannot_carry_is_refused(self, provenance):
+        with pytest.raises(ValueError, match=re.escape(
+                f"provenance must be a non-empty string without whitespace, got {provenance!r}")):
+            Trajectory(dt=1e-3, positions=np.zeros((3, 3)), provenance=provenance)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7"])
+    def test_seed_the_header_cannot_carry_is_refused(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            Trajectory(dt=1e-3, positions=np.zeros((3, 3)), seed=seed)
+
+    def test_empty_provenance_comment_loads_as_ingested(self, tmp_path):
+        path = tmp_path / "untagged.txt"
+        path.write_text("# dt=0.5\n# provenance=\nt x y z\n0.0 1.0 2.0 3.0\n")
+        assert load_trajectory(path).provenance == "ingested"
+
     def test_pixel_calibration(self, tmp_path):
         path = tmp_path / "pixels.csv"
         with open(path, "w") as fh:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -445,6 +446,22 @@ class TestForceFitting:
         grid = ForceGrid(positions=pos, forces=np.zeros((10, 3)), provenance="tiny")
         with pytest.raises(ValueError, match="125"):
             fit_polynomial_force(grid)
+
+    @pytest.mark.parametrize("provenance", ["external mie toolbox", "a\tb", "é #1: x=y"])
+    def test_provenance_round_trip(self, tmp_path, provenance):
+        grid = ForceGrid(positions=np.zeros((2, 3)), forces=np.ones((2, 3)),
+                         provenance=provenance)
+        path = tmp_path / "forces.txt"
+        grid.save(path)
+        assert ForceGrid.load(path).provenance == provenance
+
+    @pytest.mark.parametrize("provenance", ["", "a\nb", "a\rb", "a\r\n", " a", "a ", "\t",
+                                            None, 3])
+    def test_provenance_a_header_line_cannot_carry_is_refused(self, provenance):
+        with pytest.raises(ValueError, match=re.escape(
+                "provenance must be one non-empty line without blanks at its ends, "
+                f"got {provenance!r}")):
+            ForceGrid(positions=np.zeros((2, 3)), forces=np.ones((2, 3)), provenance=provenance)
 
     def test_grid_file_round_trip(self, beam, particle, tmp_path):
         grid = sample_force_grid(

@@ -389,6 +389,14 @@ class TestFitLorentzian:
         with pytest.raises(ValueError, match=message):
             fit_lorentzian(psd, f_range)
 
+    @pytest.mark.parametrize("f_range", [(math.nan, 100.0), (50.0, math.nan)])
+    def test_nan_range_is_refused_as_input(self, f_range):
+        # NaN compares false with every bound: it used to reach the bin count
+        psd = lorentzian_psd(2.4e-16, 33.0, np.linspace(0.5, 400, 800))
+        with pytest.raises(ValueError, match="^f_range must be a finite number, got nan$") as info:
+            fit_lorentzian(psd, f_range)
+        assert not isinstance(info.value, NumericalError)
+
     def test_zero_bin_in_range_is_a_fit_error(self):
         freqs = np.linspace(0.5, 400, 800)
         values = 2.4e-16 / (33.0**2 + freqs**2)

@@ -10,6 +10,7 @@ import os
 import shutil
 import struct
 import sys
+import tempfile
 import tracemalloc
 import weakref
 
@@ -18,7 +19,20 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from darkfocus import Trajectory, _compiled, _text, dynamics, load_trajectory, save_trajectory
+from darkfocus import (
+    BeamParams,
+    EscapeReport,
+    GridSpec,
+    Trajectory,
+    _compiled,
+    _text,
+    dynamics,
+    estimate_psd,
+    load_trajectory,
+    render_intensity_grid,
+    sample_force_grid,
+    save_trajectory,
+)
 from darkfocus.cli import main
 
 pytestmark = pytest.mark.skipif(shutil.which(_compiled.COMPILER) is None,
@@ -336,9 +350,11 @@ def test_read_table_stress_more_pieces_than_cores(library, tmp_path, monkeypatch
 def saved_body():
     rng = np.random.default_rng(38)
     traj = Trajectory(dt=2e-5, positions=rng.standard_normal((300, 3)) * 1e-7)
-    buf = io.StringIO()
-    _text.write_table(buf, dynamics._timed_rows(traj.positions, 0, traj.dt))
-    return buf.getvalue()
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "body.txt")
+        _text.write_table(path, dynamics._timed_rows(traj.positions, 0, traj.dt))
+        with open(path) as fh:
+            return fh.read()
 
 
 LOAD_FILES = {
@@ -486,3 +502,49 @@ def test_save_trajectory_does_not_depend_on_width(library, tmp_path, monkeypatch
     monkeypatch.setattr(_compiled, "load", lambda: None)
     save_trajectory(traj, path)
     assert texts == [path.read_bytes()] * 2
+
+
+def write_every_table(folder):
+    """Each table file darkfocus writes, into folder: a trajectory with a
+    seed and an escape, a PSD, an intensity grid, a force grid and
+    cmd_absorb's eta_vs_radius.txt."""
+    rng = np.random.default_rng(45)
+    positions = rng.standard_normal((2 * _text._ROWS_PER_BLOCK + 5, 3)) * 1e-7
+    escape = EscapeReport(position=tuple(positions[-1].tolist()), time=0.32778,
+                          step=len(positions) - 1)
+    traj = Trajectory(dt=2e-5, positions=positions, seed=11, escape=escape)
+    save_trajectory(traj, folder / "trajectory.txt")
+    estimate_psd(traj, nperseg=1024).save(folder / "psd.txt")
+    beam = BeamParams(lambda0=780e-9, n_medium=1.53, na=0.46, p_total=50e-3)
+    render_intensity_grid(beam, GridSpec.centered(1e-6, 3e-6, 7, 9)).save(
+        folder / "intensity_grid.txt")
+    sample_force_grid(lambda x, y, z: np.stack((-x, -y, -2 * z), axis=-1),
+                      (1e-7, 1e-7, 3e-7), 5, provenance="linear model").save(
+        folder / "force_grid.txt")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["absorb", "--out", str(folder / "absorb")]) == 0
+    return {name: (folder / name).read_bytes() for name in (
+        "trajectory.txt", "psd.txt", "intensity_grid.txt", "force_grid.txt",
+        "absorb/eta_vs_radius.txt")}
+
+
+def test_every_table_file_is_the_same_on_both_writers(library, tmp_path, monkeypatch):
+    (tmp_path / "compiled").mkdir()
+    (tmp_path / "reference").mkdir()
+    compiled = write_every_table(tmp_path / "compiled")
+    monkeypatch.setattr(_compiled, "load", lambda: None)
+    assert write_every_table(tmp_path / "reference") == compiled
+    headers = {name: _text.read_table(tmp_path / "compiled" / name)[0] for name in compiled}
+    assert headers == {
+        "trajectory.txt": ["# dt=2e-05", "# seed=11", "# provenance=simulated",
+                           "# escape_step=16388 escape_time=0.32778", "t x y z"],
+        "psd.txt": ["# window=hann", "# nseg=31", "# nperseg=1024 overlap=0.5", "f psd"],
+        "intensity_grid.txt": ["# axis x: -1e-06 3.333333333333333e-07 7",
+                               "# axis z: -3e-06 7.5e-07 9"],
+        "force_grid.txt": ["# source: linear model", "x y z fx fy fz"],
+        "absorb/eta_vs_radius.txt": ["r_eff eta_abs"],
+    }
+    rows = {name: _text.read_table(tmp_path / "compiled" / name)[1].shape for name in compiled}
+    assert rows == {"trajectory.txt": (2 * _text._ROWS_PER_BLOCK + 5, 4), "psd.txt": (512, 2),
+                    "intensity_grid.txt": (63, 1), "force_grid.txt": (125, 6),
+                    "absorb/eta_vs_radius.txt": (24, 2)}
