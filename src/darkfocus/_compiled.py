@@ -8,8 +8,8 @@ darkfocus.calibration.reconstruct_potential, which derive rho from x and y,
 the bounds in two passes and the binning counting every sample once into
 the grid of its fold; the x and y
 histograms of every run of darkfocus.calibration.estimate_na;
-and the Gaussian CDF (scipy's ndtr, bit for bit) and KS statistics of
-darkfocus.calibration.ks_gaussianity_test.
+and the KS statistics of darkfocus.calibration.ks_gaussianity_test, whose
+Gaussian CDF is 0.5 * erfc(-a * sqrt(1/2)) with libm's erfc.
 
 The sources ship inside the package and are compiled together, on first
 use, into one shared library with the system C compiler, without
@@ -21,8 +21,9 @@ a temporary file and renamed into place, so concurrent first runs are safe.
 When no compiler works, load() logs one warning and returns None, and
 darkfocus.dynamics, darkfocus._text and darkfocus.calibration run their
 Python reference code for the stepper, the table I/O, the binning, the
-support bounds and the Gaussian CDF, and numpy draws the normals, which
-gives the same bits and the same text.
+support bounds and the KS statistics (libm's erfc again, through
+math.erfc), and numpy draws the normals, which gives the same bits and the
+same text.
 
 The 128-bit power tables of the I/O kernels are computed here, exactly,
 from Python integers.
@@ -83,8 +84,6 @@ _SIGNATURES = {
     # (positions, rows, x edges, x bins, y edges, y bins, x counts, y counts)
     "df_bin_xy": [_DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long, _DOUBLES, ctypes.c_long,
                   _OUT_COUNTS, _OUT_COUNTS],
-    # (values, count, out)
-    "df_ndtr": [_DOUBLES, ctypes.c_long, _OUT_DOUBLES],
     # (sorted rows, rows, columns, row means, row standard deviations, out)
     "df_ks_rows": [_DOUBLES, ctypes.c_long, ctypes.c_long, _DOUBLES, _DOUBLES, _OUT_DOUBLES],
 }
@@ -132,11 +131,12 @@ def build() -> Path:
 def load():
     """The compiled library with every kernel of _SIGNATURES typed
     (df_step_chunk, df_normals, df_format_rows, df_parse_rows, df_bin_rho_z,
-    df_key_counts, df_window_values, df_bin_xy, df_ndtr and df_ks_rows), or
-    None when it cannot be built; the outcome is kept for the life of the
-    process."""
-    fallback = ("the stepper, the table I/O, the binning, the support bounds and the Gaussian "
-                "CDF run their Python reference code and numpy draws the normals")
+    df_key_counts, df_window_values, df_bin_xy and df_ks_rows), or None
+    when it cannot be built; the outcome is kept for the life of the
+    process.  Without it the KS statistics still have the same bits: both
+    paths take the Gaussian CDF as 0.5 * erfc(-a * sqrt(1/2)) from libm."""
+    fallback = ("the stepper, the table I/O, the binning, the support bounds and the KS "
+                "statistics run their Python reference code and numpy draws the normals")
     try:
         library = ctypes.CDLL(str(build()))
     except subprocess.CalledProcessError as exc:

@@ -14,11 +14,10 @@
    keys (bits >> 48) of that root and of |z|; the second counts the values
    below a window of each and gives the hypot(x, y) and |z| inside it.
 
-   The CDF is Cephes' ndtr, as scipy.special.ndtr computes it: the same
-   coefficients, thresholds and Horner order, and exp from libm, so that
-   without contraction every value has scipy's bits.  The KS statistics
-   evaluate it at every eighth sorted point, and between those only where
-   the maximum can lie. */
+   The CDF is 0.5 erfc(-a sqrt(1/2)) with libm's erfc, which the reference
+   path reaches through math.erfc, so that both paths give every value the
+   same bits.  The KS statistics evaluate it at every eighth sorted point,
+   and between those only where the maximum can lie. */
 
 #include <float.h>
 #include <math.h>
@@ -184,93 +183,16 @@ long df_bin_xy(const double *pos, long n, const double *x_edges, long mx,
     return n;
 }
 
-/* Cephes' erfc numerator and denominator on [1, 8) (P, Q) and [8, inf)
-   (R, S), and erf's on [0, 1] in x * x (T, U); Q, S and U have the leading
-   coefficient 1 left out. */
-static const double NDTR_P[] = {
-    2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
-    4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
-    9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2};
-static const double NDTR_Q[] = {
-    1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
-    9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
-    1.65666309194161350182E3, 5.57535340817727675546E2};
-static const double NDTR_R[] = {
-    5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-    6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0};
-static const double NDTR_S[] = {
-    2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-    1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0};
-static const double NDTR_T[] = {
-    9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
-    7.00332514112805075473E3, 5.55923013010394962768E4};
-static const double NDTR_U[] = {
-    3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
-    2.26290000613890934246E4, 4.92673942608635921086E4};
-static const double SQRT1_2 = 7.07106781186547524401E-1;
-static const double MAXLOG = 7.09782712893383996843E2; /* log(DBL_MAX) */
-
-/* c[0] x^n + ... + c[n], by Horner */
-static double polevl(double x, const double *c, int n)
-{
-    double y = c[0];
-    for (int i = 1; i <= n; i++)
-        y = y * x + c[i];
-    return y;
-}
-
-/* x^n + c[0] x^(n-1) + ... + c[n-1], by Horner */
-static double p1evl(double x, const double *c, int n)
-{
-    double y = x + c[0];
-    for (int i = 1; i < n; i++)
-        y = y * x + c[i];
-    return y;
-}
-
-/* erf(x) for |x| <= 1; Cephes' -erf(-x) for x < 0 has the same bits */
-static double erf_small(double x)
-{
-    double z = x * x;
-    return x * polevl(z, NDTR_T, 4) / p1evl(z, NDTR_U, 5);
-}
-
-/* erfc(x) for x >= 1 / sqrt(2), 0 where exp(-x * x) would underflow */
-static double erfc_large(double x)
-{
-    if (x < 1.0)
-        return 1.0 - erf_small(x);
-    double z = -x * x;
-    if (z < -MAXLOG)
-        return 0.0;
-    z = exp(z);
-    if (x < 8.0)
-        return (z * polevl(x, NDTR_P, 8)) / p1evl(x, NDTR_Q, 8);
-    return (z * polevl(x, NDTR_R, 5)) / p1evl(x, NDTR_S, 6);
-}
-
+/* The standard normal CDF, 0.5 erfc(-a sqrt(1/2)) with libm's erfc, the
+   function Python's math.erfc calls; NaN gives NaN. */
 static double ndtr(double a)
 {
-    if (isnan(a))
-        return NAN;
-    double x = a * SQRT1_2;
-    double z = fabs(x);
-    if (z < SQRT1_2)
-        return 0.5 + 0.5 * erf_small(x);
-    double y = 0.5 * erfc_large(z);
-    return x > 0 ? 1.0 - y : y;
-}
-
-/* out[i] = scipy.special.ndtr(a[i]) for the n values a.  Returns n. */
-long df_ndtr(const double *a, long n, double *out)
-{
-    for (long i = 0; i < n; i++)
-        out[i] = ndtr(a[i]);
-    return n;
+    return 0.5 * erfc(-a * 7.07106781186547524401E-1);
 }
 
 /* the anchors' spacing in df_ks_rows, and how far the computed ndtr may
-   fall between two points in order */
+   fall between two points in order: libm's erfc is not guaranteed
+   monotone, only accurate to an ulp or so, which this far exceeds */
 enum { KS_STRIDE = 8 };
 static const double KS_SLACK = 1e-12;
 

@@ -93,11 +93,21 @@ class SimulationUnstableError(RuntimeError):
 
 @dataclass(frozen=True)
 class EscapeReport:
-    """Where and when a trajectory left the simulation domain."""
+    """Where and when a trajectory left the simulation domain; position is
+    kept as a tuple of three floats."""
 
     position: tuple
     time: float
     step: int
+
+    def __post_init__(self):
+        _checks.count("step", self.step, 0)
+        _checks.real("time", self.time, at_least=0.0)
+        if np.shape(self.position) != (3,):
+            raise ValueError(f"position must be three finite coordinates, got {self.position!r}")
+        for v in self.position:
+            _checks.real("position", v)
+        object.__setattr__(self, "position", tuple(map(float, self.position)))
 
 
 @dataclass(frozen=True)
@@ -484,6 +494,7 @@ def _finish(cfg, noise, step, bound, scratch, out) -> Trajectory:
 
 def spawn_seeds(seed: int, n: int) -> list:
     """n per-run seeds spawned deterministically from seed."""
+    _checks.count("seed", seed, 0)
     _checks.count("the number of runs", n, 0)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
@@ -660,20 +671,35 @@ def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:
     An explicit meters_per_pixel argument overrides the file header; either
     must be finite and positive.  The time column infers dt only without a
     '# dt=' comment; an '# escape_step= escape_time=' comment becomes the
-    EscapeReport, at the last row.  darkfocus._text.read_table reads the
-    file with the time column apart and x, y, z straight into the (n, 3)
-    array the Trajectory keeps, which is scaled in place, so a load holds
-    the two arrays and no copy of the table.
+    EscapeReport, at the last row; a value of these comments that does not
+    parse is a ValueError naming the file and the key.
+    darkfocus._text.read_table reads the file with the time column apart
+    and x, y, z straight into the (n, 3) array the Trajectory keeps, which
+    is scaled in place, so a load holds the two arrays and no copy of the
+    table.
     """
     header, rows = read_table(path, split=3)
     # the last value of each key= token of the comment lines
     meta = dict(token.split("=", 1) for line in header if line.startswith("#")
                 for token in line.lstrip("#").split() if "=" in token)
+
+    def value(key, kind, default=None):
+        """meta[key] as kind, int or float, or default without the key; a
+        value that does not parse is a ValueError naming the file and the key."""
+        if key not in meta:
+            return default
+        try:
+            return kind(meta[key])
+        except ValueError:
+            raise ValueError(f"'# {key}=' in {path} must be "
+                             f"{'an integer' if kind is int else 'a number'}, "
+                             f"got {meta[key]!r}") from None
+
     if not isinstance(rows, tuple):
         raise ValueError(f"expected columns t x y z in {path}")
     times, positions = rows
     if "dt" in meta:
-        dt = float(meta["dt"])
+        dt = value("dt", float)
     else:
         steps = np.diff(times)
         if len(steps) == 0 or np.ptp(steps) > 1e-9 * abs(steps[0]):
@@ -681,13 +707,13 @@ def load_trajectory(path, meters_per_pixel: float | None = None) -> Trajectory:
         dt = float(steps[0])
     del times  # the Trajectory keeps the positions alone
     if meters_per_pixel is None:
-        meters_per_pixel = float(meta.get("meters_per_pixel", 1.0))
+        meters_per_pixel = value("meters_per_pixel", float, 1.0)
     _checks.real("meters_per_pixel", meters_per_pixel, above=0.0)
     positions *= meters_per_pixel
     escape = None
     if "escape_step" in meta and "escape_time" in meta:
         escape = EscapeReport(position=tuple(positions[-1].tolist()),
-                              time=float(meta["escape_time"]), step=int(meta["escape_step"]))
+                              time=value("escape_time", float), step=value("escape_step", int))
     return Trajectory(dt=dt, positions=positions,
-                      seed=int(meta["seed"]) if "seed" in meta else None,
+                      seed=value("seed", int),
                       provenance=meta.get("provenance") or "ingested", escape=escape)

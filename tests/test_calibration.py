@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import hashlib
 import itertools
@@ -42,6 +43,16 @@ from darkfocus.calibration import (
     _support_bounds,
     _xy_counts,
 )
+
+
+def gaussian_cdf(path, a):
+    """The KS test's Gaussian CDF of the array a on the given path: _ndtr,
+    or binning.c's formula with the erfc the compiled library links."""
+    if path == "reference":
+        return _ndtr(a)
+    erfc = _compiled.load()["erfc"]
+    erfc.restype, erfc.argtypes = ctypes.c_double, [ctypes.c_double]
+    return 0.5 * np.array([erfc(v) for v in (-a * math.sqrt(0.5)).tolist()])
 
 
 def sample_quartic_marginal(n, rng):
@@ -225,9 +236,12 @@ class TestKsGaussianity:
 
     @pytest.mark.parametrize("path", ["compiled", "reference"])
     def test_gaussian_cdf_is_scipy_ndtr(self, path):
-        # bit for bit on 4.5e5 points: draws, a grid over +-40, both sides of
-        # the branch thresholds 1 and 8 in a / sqrt(2), the underflow edge of
-        # the far tail, subnormals, signed zeros, infinities and NaN
+        # within 4.5e-16, two ulps of 1, on 4.5e5 points: draws, a grid over
+        # +-40, both sides of the branch thresholds 1 and 8 in a / sqrt(2) of
+        # scipy's Cephes ndtr, the edge where scipy underflows to 0 (erfc
+        # gives subnormals), signed zeros, subnormals, infinities and NaN;
+        # the compiled path has the same bits, libm's erfc being the one
+        # math.erfc calls
         rng = np.random.default_rng(8)
         edges = np.sqrt(2.0) * np.array([1.0, -1.0, 8.0, -8.0])
         edges = np.concatenate([np.nextafter(edges, np.inf), edges, np.nextafter(edges, -np.inf)])
@@ -238,36 +252,31 @@ class TestKsGaussianity:
             [5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 0.0, -0.0,
              np.inf, -np.inf, np.nan],
         ])
-        if path == "compiled":
-            out = np.empty_like(a)
-            _compiled.load().df_ndtr(a, len(a), out)
-        else:
-            out = _ndtr(a)
+        out = gaussian_cdf(path, a)
         expected = ndtr(a)
         assert np.isnan(out[-1]) and np.isnan(expected[-1])
-        assert np.array_equal(out[:-1].view(np.int64), expected[:-1].view(np.int64))
+        assert np.abs(out[:-1] - expected[:-1]).max() <= 4.5e-16
+        assert np.array_equal(out.view(np.int64), _ndtr(a).view(np.int64))
 
     @pytest.mark.parametrize("path", ["compiled", "reference"])
     def test_gaussian_cdf_rises_across_its_branches(self, path):
         # df_ks_rows bounds the points between two it evaluated by the CDF
-        # at those two, which holds while the computed ndtr never falls by
-        # more than its 1e-12 slack: dense on both sides of the branch
-        # switches at |x| = 1/sqrt(2), 1 and 8 (x = a / sqrt(2)), and on a
-        # grid over +-40
-        switches = np.sqrt(2.0) * np.array([math.sqrt(0.5), 1.0, 8.0])
+        # at those two, which holds while the computed CDF, 0.5 * erfc(-a *
+        # sqrt(1/2)), never falls by more than its 1e-12 slack: dense on both
+        # sides of the switches of fdlibm's erfc (glibc's and musl's) at
+        # |a| / sqrt(2) = 0.84375, 1.25, 1 / 0.35, 6 and 28, and of 0, and on
+        # a grid over +-40
+        switches = np.sqrt(2.0) * np.array([0.84375, 1.25, 1 / 0.35, 6.0, 28.0])
         switches = np.concatenate([switches, -switches])
         ulps = np.arange(-20_000, 20_001)
         a = np.sort(np.concatenate(
             [(s.view(np.int64) + ulps * np.sign(s).astype(np.int64)).view(float)
              for s in switches]
-            + [np.linspace(s - 1e-4, s + 1e-4, 20_001) for s in switches]
+            + [np.linspace(s - 1e-4, s + 1e-4, 20_001) for s in np.r_[switches, 0.0]]
             + [np.linspace(-40.0, 40.0, 400_001)]))
-        if path == "compiled":
-            cdf = np.empty_like(a)
-            _compiled.load().df_ndtr(a, len(a), cdf)
-        else:
-            cdf = _ndtr(a)
+        cdf = gaussian_cdf(path, a)
         assert np.diff(cdf).min() >= -1e-12
+        assert np.array_equal(cdf.view(np.int64), _ndtr(a).view(np.int64))
 
     @pytest.mark.parametrize("n", [2, 7, 8, 9, 17, 1000, 3921, 4000])
     def test_row_kernel_skips_only_points_below_the_maximum(self, n):
@@ -292,14 +301,16 @@ class TestKsGaussianity:
     @pytest.mark.parametrize("n, n_null", [(1000, 120), (4000, 60), (50_001, 40)])
     def test_null_table_at_every_width_and_path(self, monkeypatch, n, n_null):
         # rows in blocks, reduced on the pool, compiled or not: the same bits
-        # as every row drawn at once and reduced by scipy's ndtr
+        # as every row drawn at once and reduced by the numpy reference, and
+        # within 4.5e-16 of the statistics scipy's ndtr gives
         x = np.random.default_rng(5).standard_normal((n_null, n))
         mu, sigma = np.mean(x, axis=1, keepdims=True), np.std(x, axis=1, ddof=1, keepdims=True)
-        x.sort(axis=1)
+        expected = np.sort(calibration._ks_statistics(x, None))  # sorts the rows of x
         cdf = ndtr((x - mu) / sigma)
         ranks = np.arange(n + 1) / n
-        expected = np.sort(np.maximum((ranks[1:] - cdf).max(axis=1),
-                                      (cdf - ranks[:-1]).max(axis=1)))
+        scipy_table = np.sort(np.maximum((ranks[1:] - cdf).max(axis=1),
+                                         (cdf - ranks[:-1]).max(axis=1)))
+        assert np.abs(expected - scipy_table).max() <= 4.5e-16
         for path in ("compiled", "reference"):
             if path == "reference":
                 monkeypatch.setattr(_compiled, "load", lambda: None)
@@ -343,6 +354,15 @@ class TestKsGaussianity:
         assert stride == math.ceil(3 * (particle.drag / 1e-6) / 1e-4)
         with pytest.raises(ValueError):
             decorrelation_stride(0.0, 1e-6, 1e-4)
+
+    @pytest.mark.parametrize("drag, stiffness, dt", [
+        (1e300, 1e-300, 1e-300), (1e300, 1e-10, 1.0),
+        (np.float64(1e300), np.float64(1e-300), 1.0)])
+    def test_decorrelation_stride_that_overflows_is_refused(self, drag, stiffness, dt):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the ratio gamma/(k dt) overflows: drag={drag!r}, stiffness={stiffness!r}, "
+                f"dt={dt!r}")):
+            decorrelation_stride(drag, stiffness, dt)
 
 
 class TestBoltzmannPotential:

@@ -19,6 +19,7 @@ import darkfocus
 from darkfocus import (
     AbsorptionScenario,
     BeamParams,
+    EscapeReport,
     GridSpec,
     ParticleMedium,
     QuarticCoefficients,
@@ -127,6 +128,10 @@ TABLE = [
      POSITIVE),
     ("Trajectory", "dt", lambda v: Trajectory(dt=v, positions=SAMPLES[:10]), 1e-3, POSITIVE),
     ("spawn_seeds", "the number of runs", lambda v: spawn_seeds(5, v), 4, (COUNT, 0)),
+    ("spawn_seeds", "seed", lambda v: spawn_seeds(v, 4), 5, (COUNT, 0)),
+    ("EscapeReport", "step", lambda v: EscapeReport((0.0, 0.0, 1e-6), 2e-3, v), 2, (COUNT, 0)),
+    ("EscapeReport", "time", lambda v: EscapeReport((0.0, 0.0, 1e-6), v, 2), 2e-3, NONNEGATIVE),
+    ("EscapeReport", "position", lambda v: EscapeReport((0.0, v, 1e-6), 2e-3, 2), 1e-8, ANY),
     ("pooled_positions", "burn_in",
      lambda v: pooled_positions([SIGNAL, SIGNAL], burn_in=v), 10, (COUNT, 0)),
     ("load_trajectory", "meters_per_pixel", read_scaled, 4.7e-8, POSITIVE),

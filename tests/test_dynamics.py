@@ -1057,11 +1057,14 @@ def test_one_table_of_kernels():
 
 @needs_cc
 @pytest.mark.parametrize("name", _compiled.SOURCES)
-def test_source_compiles_without_warnings(name):
+def test_source_compiles_without_warnings(name, tmp_path):
+    # with the flags load() builds with, to an object file: gcc reports an
+    # unused static function only when it compiles, never with -fsyntax-only
+    flags = [f for f in _compiled.FLAGS if f not in ("-shared", "-fPIC")]
     with resources.as_file(resources.files("darkfocus").joinpath(name)) as path:
         result = subprocess.run(
-            [_compiled.COMPILER, "-Wall", "-Wextra", "-Werror", "-O2", "-ffp-contract=off",
-             "-fsyntax-only", str(path)], capture_output=True, text=True)
+            [_compiled.COMPILER, *flags, "-Wall", "-Wextra", "-Werror", "-c", "-o",
+             str(tmp_path / "source.o"), str(path)], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
 
@@ -1233,6 +1236,20 @@ def test_trajectory_rejects_non_finite_dt(dt):
         Trajectory(dt=dt, positions=[[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0]])
 
 
+@pytest.mark.parametrize("position", [(0.0, 1e-6), (0.0, 0.0, 1e-6, 0.0), 1e-6,
+                                      [[0.0, 0.0, 1e-6]]])
+def test_escape_position_that_is_not_three_coordinates_is_refused(position):
+    with pytest.raises(ValueError, match=re.escape(
+            f"position must be three finite coordinates, got {position!r}")):
+        EscapeReport(position=position, time=2e-3, step=2)
+
+
+def test_escape_position_is_kept_as_floats():
+    escape = EscapeReport(position=np.array([0, 1, 2]), time=2e-3, step=2)
+    assert escape.position == (0.0, 1.0, 2.0)
+    assert all(type(v) is float for v in escape.position)
+
+
 class TestTrajectoryIo:
     def test_round_trip(self, particle, tmp_path):
         traj = simulate(harmonic_cfg(particle, n_steps=200, seed=8))
@@ -1261,6 +1278,21 @@ class TestTrajectoryIo:
     def test_seed_the_header_cannot_carry_is_refused(self, seed):
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             Trajectory(dt=1e-3, positions=np.zeros((3, 3)), seed=seed)
+
+    @pytest.mark.parametrize("line, key, wanted, value", [
+        ("# dt=fast", "dt", "a number", "fast"),
+        ("# seed=2.0", "seed", "an integer", "2.0"),
+        ("# escape_step=2.0 escape_time=0.002", "escape_step", "an integer", "2.0"),
+        ("# escape_step=2 escape_time=soon", "escape_time", "a number", "soon"),
+        ("# meters_per_pixel=65nm", "meters_per_pixel", "a number", "65nm"),
+    ])
+    def test_header_value_that_does_not_parse_names_the_file_and_key(
+            self, tmp_path, line, key, wanted, value):
+        path = tmp_path / "edited.txt"
+        path.write_text(f"{line}\nt x y z\n0.0 1.0 2.0 3.0\n0.5 1.0 2.0 3.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"'# {key}=' in {path} must be {wanted}, got {value!r}")):
+            load_trajectory(path)
 
     def test_empty_provenance_comment_loads_as_ingested(self, tmp_path):
         path = tmp_path / "untagged.txt"
